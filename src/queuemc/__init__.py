@@ -15,9 +15,9 @@ from .clocks import VirtualClock, WallClock
 from .datasets import (ClusterDataset, load_container, make_synthetic,
                        read_container, save_container, write_container)
 from .diagnostics import effective_sample_size, pooled, split_rhat, summarize
-from .engine import (ChainConfig, ChainOutput, TimelineRecord, WalkerState,
-                     exchange_step, mh_step, propose, run_chains,
-                     write_chain_csv, write_timeline_csv)
+from .engine import (ChainConfig, ChainOutput, TimelineRecord, exchange_step,
+                     mh_step, propose, run_chains, write_chain_csv,
+                     write_timeline_csv)
 from .fabric import (Message, MessageKind, Queue, QueueFabric, decode_message,
                      dump_messages, encode_message, load_messages)
 from .kernel import (HierarchicalParams, ProfileParams, abel_project,
@@ -26,8 +26,8 @@ from .kernel import (HierarchicalParams, ProfileParams, abel_project,
                      hierarchical_log_prior, project_to_map)
 from .payloads import (LikelihoodRequest, LikelihoodResponse, pack_request,
                        pack_response, unpack_request, unpack_response)
-from .plane import (BackendModel, InvocationRecord, SimScheduler, WorkerTask,
-                    attach_backend, make_stub_key, parse_task, simulate)
+from .plane import (BackendModel, InvocationRecord, SimScheduler,
+                    attach_backend, make_stub_key, simulate)
 from .remote import RemoteWorkerClient, WorkerServer, serve
 from .store import DirectoryObjectStore, MemoryObjectStore, StoredObject
 

@@ -187,11 +187,14 @@ def make_synthetic(n_clusters: int, grid_size: int = 64, seed: int = 0, *,
     radial_grid = np.linspace(0.0, 0.97 * r_max, m)
 
     truths = mean[None, :] + population_std * rng.standard_normal((n_clusters, n_coeff))
+    geometry = dict(pixel_size=pixel_size, beam_fwhm=beam_fwhm, r_max=r_max,
+                    radial_grid=radial_grid)
+    # Geometry alone, for the forward pipeline at the truth.
+    unit = np.ones((grid_size, grid_size))
+    template = ClusterDataset(cluster_id="", obs_map=unit, sigma_map=unit, **geometry)
     datasets: list[ClusterDataset] = []
     for c in range(n_clusters):
-        geometry = dict(pixel_size=pixel_size, beam_fwhm=beam_fwhm, r_max=r_max,
-                        radial_grid=radial_grid)
-        probe = _model_map(truths[c], grid_size, n_quad=n_quad, **geometry)
+        probe = kernel.cluster_model_map(truths[c], template, n_quad=n_quad)
         peak = float(np.max(np.abs(probe)))
         if noise_level > 0 and peak > 0:
             sigma = np.full_like(probe, noise_level * peak)
@@ -203,10 +206,3 @@ def make_synthetic(n_clusters: int, grid_size: int = 64, seed: int = 0, *,
             cluster_id=f"synth-{seed:04d}-{c:04d}", obs_map=obs, sigma_map=sigma,
             **geometry))
     return datasets, truths
-
-
-def _model_map(theta, grid_size, *, pixel_size, beam_fwhm, r_max, radial_grid, n_quad):
-    params = kernel.ProfileParams(theta=theta, r_max=r_max)
-    projected = kernel.forward_abel(params, radial_grid, n_quad=n_quad)
-    image = kernel.project_to_map(radial_grid, projected, grid_size, pixel_size)
-    return kernel.convolve_beam(image, beam_fwhm, pixel_size)

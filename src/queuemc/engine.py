@@ -1,15 +1,19 @@
 """MCMC coordinator.
 
-Owns every walker's state, proposes symmetric Gaussian random-walk moves,
-dispatches one likelihood request per walker per iteration through the
-queue fabric, applies Metropolis-Hastings acceptance to the returned
+Holds every walker's state as arrays: positions ``(W, dim)`` and cached
+log-posteriors ``(W,)``. Each iteration it proposes symmetric Gaussian
+random-walk moves, dispatches one likelihood request per walker through
+the queue fabric, applies Metropolis-Hastings acceptance to the returned
 values, and optionally permutes walker states between iterations.
 
 Iterations are lockstep: all walkers' responses are collected (matched by
 msg_id, so arrival order is irrelevant) before any acceptance decision,
 which keeps the total likelihood budget at exactly n_walkers *
 n_iterations and makes the sampler bit-reproducible for a fixed seed on
-any backend computing identical likelihood values.
+any backend computing identical likelihood values. Walker w draws its
+proposal and its acceptance uniform from its own RNG stream w; exchange
+draws from one further stream. Exchange runs between iterations, when no
+request is in flight.
 
 Walker log-posteriors start at -inf, so the first proposal is always
 accepted and doubles as the initialization evaluation.
@@ -19,30 +23,18 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import (DuplicateResponseError, MissingResponseError,
-                     NotFoundError, PendingRequestError, WorkerCrashError)
+                     NotFoundError, WorkerCrashError)
 from .fabric import Message, MessageKind, Queue
 from .payloads import (LikelihoodRequest, pack_request, parse_error,
                        unpack_response)
 
 log = logging.getLogger(__name__)
-
-
-@dataclass(frozen=True)
-class WalkerState:
-    """One walker: position, cached log-posterior, progress, RNG stream id."""
-
-    walker_id: int
-    position: np.ndarray
-    log_post: float
-    iteration: int
-    rng_stream: int
-    pending_msg: str | None = None
 
 
 @dataclass(frozen=True)
@@ -68,8 +60,6 @@ class TimelineRecord:
     iteration: int
     dispatch_ts: float
     complete_ts: float
-    first_output_flag: bool
-    backend: str
 
 
 @dataclass
@@ -97,54 +87,37 @@ class ChainOutput:
         return self.samples.shape[1]
 
 
-def mh_step(state: WalkerState, proposal: np.ndarray, proposed_log_post: float,
-            u: float) -> tuple[WalkerState, bool]:
+def mh_step(log_post: float, proposed_log_post: float, u: float) -> bool:
     """One Metropolis-Hastings decision for a symmetric proposal.
 
-    Accepts iff ln(u) < proposed_log_post - state.log_post; the iteration
-    counter advances either way.
+    Accepts iff ln(u) < proposed_log_post - log_post.
     """
     log_u = math.log(u) if u > 0.0 else -math.inf
-    accepted = log_u < (proposed_log_post - state.log_post)
-    if accepted:
-        new = replace(state, position=np.array(proposal, dtype=np.float64),
-                      log_post=float(proposed_log_post),
-                      iteration=state.iteration + 1)
-    else:
-        new = replace(state, iteration=state.iteration + 1)
-    return new, accepted
+    return log_u < (proposed_log_post - log_post)
 
 
-def propose(state: WalkerState, proposal_scale: np.ndarray,
+def propose(position: np.ndarray, proposal_scale: np.ndarray,
             rng: np.random.Generator) -> np.ndarray:
     """Symmetric Gaussian random-walk proposal from the walker's own stream."""
-    return state.position + rng.normal(0.0, proposal_scale)
+    return position + rng.normal(0.0, proposal_scale)
 
 
-def exchange_step(states: Sequence[WalkerState],
-                  rng: np.random.Generator) -> tuple[list[WalkerState], np.ndarray]:
+def exchange_step(positions: np.ndarray, log_posts: np.ndarray,
+                  rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Swap (position, log_post) between uniformly random walker pairs.
 
     A pure permutation of identical-target walkers leaves the joint
     posterior invariant, so every sampled pair swaps. Returns the new
-    states and the applied permutation p, where slot i now holds the state
-    formerly at p[i]. Walkers with an in-flight request cannot exchange.
+    positions, the new log-posteriors and the applied permutation p, where
+    row i now holds the state formerly in row p[i].
     """
-    for st in states:
-        if st.pending_msg is not None:
-            raise PendingRequestError(
-                f"walker {st.walker_id} has request {st.pending_msg} in flight")
-    n = len(states)
+    n = len(log_posts)
     order = rng.permutation(n)
-    new_states = list(states)
     perm = np.arange(n)
     for i in range(0, n - 1, 2):
-        a, b = int(order[i]), int(order[i + 1])
-        sa, sb = new_states[a], new_states[b]
-        new_states[a] = replace(sa, position=sb.position, log_post=sb.log_post)
-        new_states[b] = replace(sb, position=sa.position, log_post=sa.log_post)
-        perm[a], perm[b] = perm[b], perm[a]
-    return new_states, perm
+        a, b = order[i], order[i + 1]
+        perm[a], perm[b] = b, a
+    return positions[perm], log_posts[perm], perm
 
 
 def run_chains(config: ChainConfig, plane, input_q: Queue, output_q: Queue, *,
@@ -191,8 +164,9 @@ def run_chains(config: ChainConfig, plane, input_q: Queue, output_q: Queue, *,
     rngs = [np.random.default_rng(s) for s in streams[:w_count]]
     exchange_rng = np.random.default_rng(streams[w_count])
 
-    states = [WalkerState(walker_id=w, position=init[w].copy(), log_post=-math.inf,
-                          iteration=0, rng_stream=w) for w in range(w_count)]
+    positions = init.copy()
+    current_lp = np.full(w_count, -math.inf)
+    proposals = np.empty_like(positions)
     samples = np.empty((w_count, n_iter, dim))
     log_posts = np.empty((w_count, n_iter))
     accepted = np.zeros((w_count, n_iter), dtype=bool)
@@ -208,21 +182,19 @@ def run_chains(config: ChainConfig, plane, input_q: Queue, output_q: Queue, *,
                            backend=plane.backend, complete=False)
 
     for it in range(n_iter):
-        proposals = [propose(states[w], scale, rngs[w]) for w in range(w_count)]
-        expected: dict[str, int] = {}
-        dispatch_ts: dict[str, float] = {}
         for w in range(w_count):
-            msg_id = f"it{it:06d}-w{w:05d}"
+            proposals[w] = propose(positions[w], scale, rngs[w])
+        msg_ids = [f"it{it:06d}-w{w:05d}" for w in range(w_count)]
+        dispatch_ts: dict[str, float] = {}
+        for w, msg_id in enumerate(msg_ids):
             payload = pack_request(LikelihoodRequest(
-                walker_id=w, iteration=it, params=proposals[w][:n_send],
+                walker_id=w, iteration=it, params=proposals[w, :n_send],
                 dataset_key=dataset_key))
             ack = input_q.push(Message(
                 msg_id=msg_id, kind=MessageKind.LIKELIHOOD_REQUEST,
                 walker_id=w, iteration=it, payload=payload,
                 reply_to=output_q.name))
-            expected[msg_id] = w
             dispatch_ts[msg_id] = ack.enqueue_ts
-            states[w] = replace(states[w], pending_msg=msg_id)
 
         arrived: dict[str, Message] = {}
         deadline = clock.now() + timeout
@@ -230,7 +202,7 @@ def run_chains(config: ChainConfig, plane, input_q: Queue, output_q: Queue, *,
             remaining = deadline - clock.now()
             msg = output_q.pop(timeout=max(0.0, remaining)) if remaining > 0 else None
             if msg is None:
-                missing = set(expected) - set(arrived)
+                missing = set(dispatch_ts) - set(arrived)
                 raise MissingResponseError(missing, partial_output=partial(it))
             if msg.kind is MessageKind.CONTROL:
                 err = parse_error(msg.payload)
@@ -240,32 +212,27 @@ def run_chains(config: ChainConfig, plane, input_q: Queue, output_q: Queue, *,
                 raise WorkerCrashError(f"{code}: {detail}")
             if msg.msg_id in arrived:
                 raise DuplicateResponseError(f"duplicate response {msg.msg_id}")
-            if msg.msg_id not in expected:
+            if msg.msg_id not in dispatch_ts:
                 raise DuplicateResponseError(f"response {msg.msg_id} matches no request")
             arrived[msg.msg_id] = msg
 
-        iter_records: list[TimelineRecord] = []
-        for w in range(w_count):
-            msg_id = f"it{it:06d}-w{w:05d}"
+        for w, msg_id in enumerate(msg_ids):
             msg = arrived[msg_id]
             resp = unpack_response(msg.payload)
             proposed_lp = resp.log_likelihood + float(prior(proposals[w]))
             u = float(rngs[w].random())
-            states[w], acc = mh_step(replace(states[w], pending_msg=None),
-                                     proposals[w], proposed_lp, u)
-            accepted[w, it] = acc
-            samples[w, it] = states[w].position
-            log_posts[w, it] = states[w].log_post
-            iter_records.append(TimelineRecord(
+            if mh_step(current_lp[w], proposed_lp, u):
+                positions[w] = proposals[w]
+                current_lp[w] = proposed_lp
+                accepted[w, it] = True
+            timeline.append(TimelineRecord(
                 walker_id=w, iteration=it, dispatch_ts=dispatch_ts[msg_id],
-                complete_ts=msg.enqueue_ts, first_output_flag=False,
-                backend=plane.backend))
-        first = min(range(w_count), key=lambda i: iter_records[i].complete_ts)
-        iter_records[first] = replace(iter_records[first], first_output_flag=True)
-        timeline.extend(iter_records)
+                complete_ts=msg.enqueue_ts))
+        samples[:, it] = positions
+        log_posts[:, it] = current_lp
 
         if config.exchange_period and (it + 1) % config.exchange_period == 0:
-            states, perm = exchange_step(states, exchange_rng)
+            positions, current_lp, perm = exchange_step(positions, current_lp, exchange_rng)
             exchange_log.append((it, perm))
 
     return ChainOutput(samples=samples, log_posts=log_posts, accepted=accepted,

@@ -84,7 +84,3 @@ class MissingResponseError(QueueMCError):
 
 class DuplicateResponseError(QueueMCError):
     """Two responses arrived for the same request id."""
-
-
-class PendingRequestError(QueueMCError):
-    """Walker exchange attempted while requests are still in flight."""

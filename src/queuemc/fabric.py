@@ -22,7 +22,8 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable
 
 from .clocks import Clock, WallClock
-from .errors import DuplicateQueueError, QueueClosedError, WireFormatError
+from .errors import (ConfigurationError, DuplicateQueueError, QueueClosedError,
+                     WireFormatError)
 
 
 class MessageKind(str, enum.Enum):
@@ -128,9 +129,10 @@ class Queue:
     """A named FIFO queue, safe for concurrent producers and consumers.
 
     Delivery is exactly-once: a message goes either to one ``pop`` caller
-    or to one trigger callback. Triggers take over delivery once
-    registered; messages already pending at registration are drained into
-    the trigger, matching platform trigger semantics for a backlog.
+    or to the queue's trigger callback. A queue has at most one trigger,
+    which takes over delivery once registered; messages already pending at
+    registration are drained into it, matching platform trigger semantics
+    for a backlog.
     """
 
     def __init__(self, name: str, clock: Clock, record_deliveries: bool = False) -> None:
@@ -138,8 +140,7 @@ class Queue:
         self._clock = clock
         self._cond = threading.Condition()
         self._items: deque[Message] = deque()
-        self._triggers: list[Callable[[Message], None]] = []
-        self._rr = 0
+        self._trigger: Callable[[Message], None] | None = None
         self._closed = False
         self._pushed = 0
         self._delivered = 0
@@ -188,14 +189,12 @@ class Queue:
             self._pushed += 1
             if self.push_log is not None:
                 self.push_log.append(stamped.msg_id)
-            if self._triggers:
-                action = self._triggers[self._rr % len(self._triggers)]
-                self._rr += 1
+            action = self._trigger
+            if action is not None:
                 self._delivered += 1
                 if self.delivery_log is not None:
                     self.delivery_log.append(stamped.msg_id)
             else:
-                action = None
                 self._items.append(stamped)
                 self._cond.notify()
         if action is not None:
@@ -226,17 +225,19 @@ class Queue:
                     return None
                 self._clock.wait(self._cond, remaining)
 
-    def register_trigger(self, action: Callable[[Message], None]) -> int:
+    def register_trigger(self, action: Callable[[Message], None]) -> None:
         """Invoke ``action`` exactly once for every message delivered from now on.
 
-        Pending messages are drained into the trigger immediately. Returns
-        a trigger id.
+        Pending messages are drained into the trigger immediately. A queue
+        takes one trigger; registering a second raises
+        :class:`ConfigurationError`.
         """
         with self._cond:
             if self._closed:
                 raise QueueClosedError(f"queue {self._name!r} is closed")
-            self._triggers.append(action)
-            trigger_id = len(self._triggers) - 1
+            if self._trigger is not None:
+                raise ConfigurationError(f"queue {self._name!r} already has a trigger")
+            self._trigger = action
             backlog = list(self._items)
             self._items.clear()
             self._delivered += len(backlog)
@@ -244,7 +245,6 @@ class Queue:
                 self.delivery_log.extend(m.msg_id for m in backlog)
         for m in backlog:
             action(m)
-        return trigger_id
 
     def close(self) -> None:
         with self._cond:

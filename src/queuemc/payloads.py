@@ -85,9 +85,12 @@ def pack_error(code: str, detail: str) -> bytes:
 
 
 def parse_error(payload: bytes) -> tuple[str, str] | None:
-    """Return (code, detail) if the payload is an error record, else None."""
+    """Return (code, detail) if the payload is an error record, else None.
+
+    A record without a detail (``ERR:<code>``) parses with an empty detail;
+    bytes that are not UTF-8 decode to U+FFFD.
+    """
     if not payload.startswith(b"ERR:"):
         return None
-    text = payload.decode("utf-8", errors="replace")
-    _, code, detail = text.split(":", 2)
+    code, _, detail = payload[4:].decode("utf-8", errors="replace").partition(":")
     return code, detail

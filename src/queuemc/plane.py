@@ -12,6 +12,12 @@ the output queue):
 * ``remote`` a socket client that forwards requests to worker processes
              speaking the framed wire protocol (see ``queuemc.remote``).
 
+All three execute a request the same way: :meth:`TaskRunner.run` unpacks
+it, runs a stub or the kernel and classifies any failure, and
+:func:`respond` packs the response or error message. ``local`` and the
+remote worker stamp, run, sleep out a stub and stamp again on the wall
+clock (:func:`execute`); ``sim`` takes the stamps from its scheduler.
+
 The simulated platform provisions warm instances along a doubling ramp:
 instance n becomes available ``scale_doubling_interval_s * log2(n / c0)``
 seconds after the first request arrives (the first ``c0`` are immediate),
@@ -29,7 +35,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -38,8 +44,8 @@ from .clocks import VirtualClock
 from .datasets import read_container
 from .errors import ConfigurationError, NotFoundError
 from .fabric import Message, MessageKind, Queue
-from .payloads import (LikelihoodRequest, LikelihoodResponse, pack_error,
-                       pack_response, unpack_request)
+from .payloads import (LikelihoodResponse, pack_error, pack_response,
+                       unpack_request)
 
 log = logging.getLogger(__name__)
 
@@ -90,36 +96,13 @@ class InvocationRecord:
     cold: bool
 
 
-@dataclass(frozen=True)
-class WorkerTask:
-    request: LikelihoodRequest
-    dataset_key: str
-    task_kind: str  # "kernel" or "stub"
-    stub_duration_s: float = 0.0
-
-
 def make_stub_key(duration_s: float) -> str:
     """Dataset-key spelling that marks a request as a timed stub task."""
     return f"{STUB_KEY_PREFIX}{duration_s!r}"
 
 
-def parse_task(msg: Message) -> WorkerTask:
-    """Decode a request message into an executable task.
-
-    Keys of the form ``stub:<seconds>`` denote stub tasks that occupy a
-    worker for the given duration and return a log-likelihood of 0;
-    anything else is a kernel task whose key must resolve in the object
-    store.
-    """
-    req = unpack_request(msg.payload)
-    if req.dataset_key.startswith(STUB_KEY_PREFIX):
-        duration = float(req.dataset_key[len(STUB_KEY_PREFIX):])
-        return WorkerTask(req, req.dataset_key, "stub", duration)
-    return WorkerTask(req, req.dataset_key, "kernel")
-
-
 class TaskRunner:
-    """Runs tasks against the object store, caching parsed datasets.
+    """Runs request messages against the object store, caching parsed datasets.
 
     The cache models container reuse on a warm instance: the first kernel
     task touching a key pays the parse (reported as a cold invocation),
@@ -133,25 +116,36 @@ class TaskRunner:
         self._cache: dict[str, list] = {}
         self._lock = threading.Lock()
 
-    def run(self, task: WorkerTask) -> tuple[float, bool]:
-        """Return (log_likelihood, cold)."""
-        if task.task_kind == "stub":
-            return 0.0, False
-        datasets = None
-        cold = False
-        if task.dataset_key:
-            datasets, cold = self._load(task.dataset_key)
-        if self._fn is not None:
-            return float(self._fn(task.request.params, datasets)), cold
-        if datasets is None:
-            raise ConfigurationError(
-                "kernel task carries no dataset key and no likelihood override")
-        params = task.request.params
-        if params.size % len(datasets) != 0:
-            raise ValueError(
-                f"{params.size} parameters do not split over {len(datasets)} clusters")
-        thetas = params.reshape(len(datasets), -1)
-        return kernel.evaluate(thetas, datasets), cold
+    def run(self, msg: Message) -> tuple[float | tuple[str, str], bool, float | None]:
+        """Execute one request; return (result, cold, stub_s).
+
+        ``result`` is the log-likelihood, or a ``(code, detail)`` pair when
+        the task failed: ``dataset-not-found`` for an unresolvable key,
+        ``worker-crash`` for anything else. Keys of the form
+        ``stub:<seconds>`` are stub tasks: they return a log-likelihood of
+        0 and ``stub_s``, the seconds the caller keeps the worker busy;
+        ``stub_s`` is None for every other task.
+        """
+        try:
+            req = unpack_request(msg.payload)
+            key = req.dataset_key
+            if key.startswith(STUB_KEY_PREFIX):
+                return 0.0, False, float(key[len(STUB_KEY_PREFIX):])
+            datasets, cold = self._load(key) if key else (None, False)
+            if self._fn is not None:
+                return float(self._fn(req.params, datasets)), cold, None
+            if datasets is None:
+                raise ConfigurationError(
+                    "kernel task carries no dataset key and no likelihood override")
+            n = len(datasets)
+            if req.params.size % n != 0:
+                raise ValueError(f"{req.params.size} parameters do not split over {n} clusters")
+            return kernel.evaluate(req.params.reshape(n, -1), datasets), cold, None
+        except NotFoundError as exc:
+            return ("dataset-not-found", str(exc)), False, None
+        except Exception as exc:  # surfaced, never retried
+            log.exception("worker failed on %s", msg.msg_id)
+            return ("worker-crash", repr(exc)), False, None
 
     def _load(self, key: str) -> tuple[list, bool]:
         with self._lock:
@@ -163,6 +157,37 @@ class TaskRunner:
         with self._lock:
             self._cache.setdefault(key, datasets)
             return self._cache[key], True
+
+
+def respond(msg: Message, result: float | tuple[str, str],
+            rec: InvocationRecord) -> Message:
+    """The one response to ``msg``: a likelihood response stamped from
+    ``rec``, or a control message carrying the ``(code, detail)`` error."""
+    if isinstance(result, tuple):
+        kind, payload = MessageKind.CONTROL, pack_error(*result)
+    else:
+        kind = MessageKind.LIKELIHOOD_RESPONSE
+        payload = pack_response(LikelihoodResponse(
+            walker_id=msg.walker_id, iteration=msg.iteration,
+            log_likelihood=result, cold=rec.cold,
+            compute_start_ts=rec.start_ts, compute_end_ts=rec.end_ts))
+    return Message(msg_id=msg.msg_id, kind=kind, walker_id=msg.walker_id,
+                   iteration=msg.iteration, payload=payload)
+
+
+def execute(runner: TaskRunner, clock, msg: Message) -> tuple[Message, InvocationRecord]:
+    """Run one request on a wall clock: stamp, run, sleep out a stub, stamp.
+
+    Returns the response and the invocation record of the calling thread.
+    """
+    start = clock.now()
+    result, cold, stub_s = runner.run(msg)
+    if stub_s is not None:
+        time.sleep(stub_s)
+    rec = InvocationRecord(msg_id=msg.msg_id, worker_id=threading.current_thread().name,
+                           dispatch_ts=msg.enqueue_ts, start_ts=start,
+                           end_ts=clock.now(), cold=cold)
+    return respond(msg, result, rec), rec
 
 
 class SimScheduler:
@@ -278,28 +303,12 @@ class SimulatedPlane(_PlaneBase):
         input_q.register_trigger(self._on_message)
 
     def _on_message(self, msg: Message) -> None:
-        task = parse_task(msg)
-        duration = (task.stub_duration_s if task.task_kind == "stub"
-                    else self.model.likelihood_duration_s)
+        result, _, stub_s = self._runner.run(msg)
+        duration = self.model.likelihood_duration_s if stub_s is None else stub_s
         rec = self._sched.assign(msg.msg_id, msg.enqueue_ts, duration)
         self._record(rec)
-        try:
-            value, _ = self._runner.run(task)
-            payload = pack_response(LikelihoodResponse(
-                walker_id=msg.walker_id, iteration=msg.iteration,
-                log_likelihood=value, cold=rec.cold,
-                compute_start_ts=rec.start_ts, compute_end_ts=rec.end_ts))
-            kind = MessageKind.LIKELIHOOD_RESPONSE
-        except NotFoundError as exc:
-            payload = pack_error("dataset-not-found", str(exc))
-            kind = MessageKind.CONTROL
-        except Exception as exc:  # surfaced, never retried
-            log.exception("simulated worker failed on %s", msg.msg_id)
-            payload = pack_error("worker-crash", repr(exc))
-            kind = MessageKind.CONTROL
-        resp = Message(msg_id=msg.msg_id, kind=kind, walker_id=msg.walker_id,
-                       iteration=msg.iteration, payload=payload)
-        self._clock.schedule(rec.end_ts, lambda m=resp: self._output_q.push(m))
+        resp = respond(msg, result, rec)
+        self._clock.schedule(rec.end_ts, lambda: self._output_q.push(resp))
 
 
 class LocalPoolPlane(_PlaneBase):
@@ -325,36 +334,9 @@ class LocalPoolPlane(_PlaneBase):
         self._pool.submit(self._work, msg)
 
     def _work(self, msg: Message) -> None:
-        start = self._clock.now()
-        cold = False
-        try:
-            task = parse_task(msg)
-            if task.task_kind == "stub":
-                time.sleep(task.stub_duration_s)
-                value = 0.0
-            else:
-                value, cold = self._runner.run(task)
-            end = self._clock.now()
-            payload = pack_response(LikelihoodResponse(
-                walker_id=msg.walker_id, iteration=msg.iteration,
-                log_likelihood=value, cold=cold,
-                compute_start_ts=start, compute_end_ts=end))
-            kind = MessageKind.LIKELIHOOD_RESPONSE
-        except NotFoundError as exc:
-            end = self._clock.now()
-            payload = pack_error("dataset-not-found", str(exc))
-            kind = MessageKind.CONTROL
-        except Exception as exc:
-            log.exception("worker failed on %s", msg.msg_id)
-            end = self._clock.now()
-            payload = pack_error("worker-crash", repr(exc))
-            kind = MessageKind.CONTROL
-        self._record(InvocationRecord(
-            msg_id=msg.msg_id, worker_id=threading.current_thread().name,
-            dispatch_ts=msg.enqueue_ts, start_ts=start, end_ts=end, cold=cold))
-        self._output_q.push(Message(
-            msg_id=msg.msg_id, kind=kind, walker_id=msg.walker_id,
-            iteration=msg.iteration, payload=payload))
+        resp, rec = execute(self._runner, self._clock, msg)
+        self._record(rec)
+        self._output_q.push(resp)
 
     def close(self) -> None:
         self._pool.shutdown(wait=True)

@@ -3,9 +3,14 @@
 Cloud-agnostic stand-in for running likelihood workers on other machines.
 Frames are a 4-byte big-endian unsigned length followed by that many
 bytes of one serialized message (the queue wire format). Workers answer
-each request frame with one response frame; errors are control messages
-with payload ``ERR:<code>:<detail>``. A malformed frame draws an error
-frame and closes the connection.
+each request frame with one response frame, produced by the same
+executor as the local pool (:func:`queuemc.plane.execute`); errors are
+control messages with payload ``ERR:<code>:<detail>``. A malformed frame
+draws an error frame and closes the connection.
+
+The client reports a connection that ends other than through its own
+``close()`` as one ``connection-lost`` control message on the output
+queue, so a run fails at once instead of waiting out its timeout.
 """
 
 from __future__ import annotations
@@ -15,13 +20,14 @@ import socket
 import socketserver
 import struct
 import threading
-import time
 from typing import Callable
 
-from .errors import ConfigurationError, WireFormatError
+from .clocks import WallClock
+from .errors import (ConfigurationError, QueueClosedError, WireFormatError,
+                     WorkerCrashError)
 from .fabric import Message, MessageKind, decode_message, encode_message
-from .payloads import LikelihoodResponse, pack_error, pack_response
-from .plane import InvocationRecord, TaskRunner, _PlaneBase, parse_task
+from .payloads import pack_error, unpack_response
+from .plane import InvocationRecord, TaskRunner, _PlaneBase, execute
 from .store import DirectoryObjectStore
 
 log = logging.getLogger(__name__)
@@ -60,13 +66,9 @@ def read_frame(rfile) -> bytes | None:
     return body
 
 
-def _error_message(ref: Message | None, code: str, detail: str) -> Message:
-    return Message(
-        msg_id=ref.msg_id if ref is not None else "error",
-        kind=MessageKind.CONTROL,
-        walker_id=ref.walker_id if ref is not None else 0,
-        iteration=ref.iteration if ref is not None else 0,
-        payload=pack_error(code, detail))
+def _malformed_frame(detail: str) -> Message:
+    return Message(msg_id="error", kind=MessageKind.CONTROL, walker_id=0,
+                   iteration=0, payload=pack_error("malformed-frame", detail))
 
 
 class _WorkerHandler(socketserver.StreamRequestHandler):
@@ -75,14 +77,14 @@ class _WorkerHandler(socketserver.StreamRequestHandler):
             try:
                 frame = read_frame(self.rfile)
             except WireFormatError as exc:
-                self._try_send(_error_message(None, "malformed-frame", str(exc)))
+                self._try_send(_malformed_frame(str(exc)))
                 return
             if frame is None:
                 return
             try:
                 msg = decode_message(frame)
             except WireFormatError as exc:
-                self._try_send(_error_message(None, "malformed-frame", str(exc)))
+                self._try_send(_malformed_frame(str(exc)))
                 return
             self._try_send(self.server.process(msg))
 
@@ -104,30 +106,10 @@ class WorkerServer(socketserver.ThreadingTCPServer):
                  likelihood_fn: Callable | None = None):
         super().__init__(parse_addr(addr), _WorkerHandler)
         self._runner = TaskRunner(store, likelihood_fn)
+        self._clock = WallClock()
 
     def process(self, msg: Message) -> Message:
-        start = time.monotonic()
-        try:
-            task = parse_task(msg)
-            if task.task_kind == "stub":
-                time.sleep(task.stub_duration_s)
-                value, cold = 0.0, False
-            else:
-                value, cold = self._runner.run(task)
-        except Exception as exc:
-            from .errors import NotFoundError
-            code = "dataset-not-found" if isinstance(exc, NotFoundError) else "worker-crash"
-            if code == "worker-crash":
-                log.exception("remote worker failed on %s", msg.msg_id)
-            return _error_message(msg, code, str(exc))
-        end = time.monotonic()
-        payload = pack_response(LikelihoodResponse(
-            walker_id=msg.walker_id, iteration=msg.iteration,
-            log_likelihood=value, cold=cold,
-            compute_start_ts=start, compute_end_ts=end))
-        return Message(msg_id=msg.msg_id, kind=MessageKind.LIKELIHOOD_RESPONSE,
-                       walker_id=msg.walker_id, iteration=msg.iteration,
-                       payload=payload)
+        return execute(self._runner, self._clock, msg)[0]
 
 
 def serve(listen_addr: str | tuple[str, int], dataset_root, *,
@@ -159,6 +141,7 @@ class RemoteWorkerClient(_PlaneBase):
         self._rfile = self._sock.makefile("rb")
         self._send_lock = threading.Lock()
         self._dispatch_ts: dict[str, float] = {}
+        self._closing = threading.Event()
         self._reader = threading.Thread(target=self._read_loop, daemon=True,
                                         name="qmc-remote-reader")
         self._reader.start()
@@ -167,38 +150,51 @@ class RemoteWorkerClient(_PlaneBase):
     def _send(self, msg: Message) -> None:
         with self._send_lock:
             self._dispatch_ts[msg.msg_id] = msg.enqueue_ts
-            write_frame(self._wfile, encode_message(msg).encode("utf-8"))
+            try:
+                write_frame(self._wfile, encode_message(msg).encode("utf-8"))
+            except OSError as exc:
+                raise WorkerCrashError(f"connection-lost: {exc}") from exc
 
     def _read_loop(self) -> None:
-        while True:
-            try:
-                frame = read_frame(self._rfile)
-            except (WireFormatError, OSError, ValueError):
-                return
-            if frame is None:
-                return
-            try:
-                msg = decode_message(frame)
-            except WireFormatError:
-                log.warning("dropping undecodable response frame")
-                continue
-            if msg.kind is MessageKind.LIKELIHOOD_RESPONSE:
-                from .payloads import unpack_response
-                resp = unpack_response(msg.payload)
-                dispatch = self._dispatch_ts.pop(msg.msg_id, 0.0)
-                self._record(InvocationRecord(
-                    msg_id=msg.msg_id, worker_id="remote",
-                    dispatch_ts=dispatch, start_ts=resp.compute_start_ts,
-                    end_ts=resp.compute_end_ts, cold=resp.cold))
-            try:
+        detail = "worker closed the connection"
+        try:
+            while (frame := read_frame(self._rfile)) is not None:
+                try:
+                    msg = decode_message(frame)
+                except WireFormatError:
+                    log.warning("dropping undecodable response frame")
+                    continue
+                if msg.kind is MessageKind.LIKELIHOOD_RESPONSE:
+                    resp = unpack_response(msg.payload)
+                    dispatch = self._dispatch_ts.pop(msg.msg_id, 0.0)
+                    self._record(InvocationRecord(
+                        msg_id=msg.msg_id, worker_id="remote",
+                        dispatch_ts=dispatch, start_ts=resp.compute_start_ts,
+                        end_ts=resp.compute_end_ts, cold=resp.cold))
                 self._output_q.push(msg)
-            except Exception:
-                return
+        except (WireFormatError, OSError, ValueError) as exc:
+            detail = f"connection failed: {exc}"
+        except QueueClosedError:
+            return
+        if self._closing.is_set():
+            return
+        try:
+            self._output_q.push(Message(
+                msg_id="connection-lost", kind=MessageKind.CONTROL, walker_id=0,
+                iteration=0, payload=pack_error("connection-lost", detail)))
+        except QueueClosedError:
+            pass
 
     def close(self) -> None:
+        self._closing.set()
         try:
             self._sock.shutdown(socket.SHUT_RDWR)
         except OSError:
             pass
-        self._sock.close()
         self._reader.join(timeout=5)
+        for stream in (self._wfile, self._rfile):
+            try:
+                stream.close()
+            except OSError:  # requests still buffered for a dropped connection
+                pass
+        self._sock.close()

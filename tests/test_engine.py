@@ -1,61 +1,45 @@
+import functools
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from queuemc.bench import run_stub_chain
+from queuemc.datasets import make_synthetic, write_container
 from queuemc.diagnostics import discard_burn_in
-from queuemc.engine import (ChainConfig, WalkerState, exchange_step, mh_step,
-                            propose, run_chains, write_chain_csv)
+from queuemc.engine import (ChainConfig, exchange_step, mh_step, propose,
+                            run_chains, write_chain_csv)
 from queuemc.errors import (DuplicateResponseError, MissingResponseError,
-                            PendingRequestError)
+                            WorkerCrashError)
 from queuemc.fabric import Message, MessageKind
-from queuemc.payloads import LikelihoodResponse, pack_response
+from queuemc.kernel import hierarchical_log_prior
+from queuemc.payloads import LikelihoodResponse, pack_response, parse_error
 from queuemc.plane import BackendModel
+from queuemc.store import MemoryObjectStore, content_digest
 from tests.conftest import gaussian_target
 
 # -------------------------------------------------------------- mh_step
 
 
-def make_state(log_post=0.0, dim=1):
-    return WalkerState(walker_id=0, position=np.zeros(dim), log_post=log_post,
-                       iteration=0, rng_stream=0)
-
-
 def test_equal_density_accepted_at_half():
-    state = make_state(log_post=-3.0)
-    new, accepted = mh_step(state, np.ones(1), -3.0, u=0.5)
-    assert accepted
-    assert new.log_post == -3.0 and new.position[0] == 1.0
-    assert new.iteration == 1
+    assert mh_step(-3.0, -3.0, u=0.5)
 
 
 def test_minus_inf_proposal_rejected():
-    state = make_state(log_post=-1.0)
     for u in (1e-12, 0.5, 0.999999):
-        new, accepted = mh_step(state, np.ones(1), -math.inf, u=u)
-        assert not accepted
-        assert new.position[0] == 0.0 and new.iteration == 1
-
-
-def test_iteration_increments_on_reject():
-    state = make_state(log_post=0.0)
-    new, accepted = mh_step(state, np.ones(1), -50.0, u=0.99)
-    assert not accepted and new.iteration == 1
+        assert not mh_step(-1.0, -math.inf, u=u)
 
 
 def test_first_step_from_minus_inf_always_accepts():
-    state = make_state(log_post=-math.inf)
-    _, accepted = mh_step(state, np.ones(1), -1e9, u=0.999999)
-    assert accepted
+    assert mh_step(-math.inf, -1e9, u=0.999999)
 
 
 def test_acceptance_frequency_matches_ratio():
     # P(accept) = exp(ln 0.3 - 0) = 0.3; Monte Carlo over 1e5 fixed-seed draws.
     rng = np.random.default_rng(2024)
-    state = make_state(log_post=0.0)
     target = math.log(0.3)
-    hits = sum(mh_step(state, np.zeros(1), target, float(rng.random()))[1]
-               for _ in range(100_000))
+    hits = sum(mh_step(0.0, target, float(rng.random())) for _ in range(100_000))
     assert abs(hits / 100_000 - 0.3) < 0.005
 
 
@@ -64,23 +48,22 @@ def test_acceptance_frequency_matches_ratio():
 
 def test_propose_degenerate_scale_is_identity():
     rng = np.random.default_rng(0)
-    state = WalkerState(0, np.array([2.0, -1.0]), 0.0, 0, 0)
-    prop = propose(state, np.array([1e-300, 1e-300]), rng)
-    assert np.max(np.abs(prop - state.position)) < 1e-12
+    position = np.array([2.0, -1.0])
+    prop = propose(position, np.array([1e-300, 1e-300]), rng)
+    assert np.max(np.abs(prop - position)) < 1e-12
 
 
 def test_propose_deterministic_given_stream():
-    state = make_state(dim=3)
-    a = propose(state, np.ones(3), np.random.default_rng(42))
-    b = propose(state, np.ones(3), np.random.default_rng(42))
+    a = propose(np.zeros(3), np.ones(3), np.random.default_rng(42))
+    b = propose(np.zeros(3), np.ones(3), np.random.default_rng(42))
     assert np.array_equal(a, b)
 
 
 def test_propose_moments():
     rng = np.random.default_rng(77)
-    state = WalkerState(0, np.array([1.0, -2.0, 3.0]), 0.0, 0, 0)
+    position = np.array([1.0, -2.0, 3.0])
     scale = np.array([0.5, 1.0, 2.0])
-    draws = np.array([propose(state, scale, rng) for _ in range(100_000)])
+    draws = np.array([propose(position, scale, rng) for _ in range(100_000)])
     stds = draws.std(axis=0, ddof=1)
     assert np.all(np.abs(stds - scale) / scale < 0.01)
 
@@ -88,44 +71,32 @@ def test_propose_moments():
 # -------------------------------------------------------------- exchange
 
 
-def states_with(positions, log_posts):
-    return [WalkerState(i, np.atleast_1d(np.asarray(p, dtype=float)), lp, 5, i)
-            for i, (p, lp) in enumerate(zip(positions, log_posts))]
-
-
 def test_exchange_two_walkers_swap():
-    states = states_with([[1.0], [2.0]], [-1.0, -2.0])
-    new, perm = exchange_step(states, np.random.default_rng(0))
-    assert sorted(perm.tolist()) == [0, 1]
-    before = {(s.position[0], s.log_post) for s in states}
-    after = {(s.position[0], s.log_post) for s in new}
-    assert before == after
-    assert new[0].position[0] == 2.0 and new[1].position[0] == 1.0
-    assert new[0].walker_id == 0 and new[1].walker_id == 1
+    positions, log_posts = np.array([[1.0], [2.0]]), np.array([-1.0, -2.0])
+    new_pos, new_lp, perm = exchange_step(positions, log_posts, np.random.default_rng(0))
+    assert perm.tolist() == [1, 0]
+    assert new_pos[:, 0].tolist() == [2.0, 1.0]
+    assert new_lp.tolist() == [-2.0, -1.0]
+    assert positions[:, 0].tolist() == [1.0, 2.0]  # inputs are left as they were
 
 
 def test_exchange_preserves_state_multiset():
     rng = np.random.default_rng(3)
-    states = states_with(rng.random((9, 1)).tolist(), rng.random(9).tolist())
-    new, perm = exchange_step(states, rng)
+    positions, log_posts = rng.random((9, 1)), rng.random(9)
+    new_pos, new_lp, perm = exchange_step(positions, log_posts, rng)
     assert sorted(perm.tolist()) == list(range(9))
-    before = sorted((tuple(s.position), s.log_post) for s in states)
-    after = sorted((tuple(s.position), s.log_post) for s in new)
+    assert np.array_equal(new_pos, positions[perm])
+    assert np.array_equal(new_lp, log_posts[perm])
+    before = sorted(zip(positions[:, 0], log_posts))
+    after = sorted(zip(new_pos[:, 0], new_lp))
     assert before == after
 
 
 def test_exchange_permutation_deterministic():
-    states = states_with(np.arange(100.0)[:, None].tolist(), np.zeros(100))
-    _, p1 = exchange_step(states, np.random.default_rng(11))
-    _, p2 = exchange_step(states, np.random.default_rng(11))
+    positions, log_posts = np.arange(100.0)[:, None], np.zeros(100)
+    _, _, p1 = exchange_step(positions, log_posts, np.random.default_rng(11))
+    _, _, p2 = exchange_step(positions, log_posts, np.random.default_rng(11))
     assert np.array_equal(p1, p2)
-
-
-def test_exchange_rejects_in_flight_requests():
-    states = states_with([[0.0], [1.0]], [0.0, 0.0])
-    states[1] = WalkerState(1, states[1].position, 0.0, 5, 1, pending_msg="m")
-    with pytest.raises(PendingRequestError):
-        exchange_step(states, np.random.default_rng(0))
 
 
 # -------------------------------------------------------------- run_chains
@@ -159,11 +130,26 @@ def test_minimal_run_single_walker(sim_setup):
     assert out.complete
 
 
+def test_iteration_increments_on_reject(sim_setup):
+    # The first wave is accepted from -inf; every later proposal is -inf and
+    # rejected, yet each iteration still records the kept state.
+    calls = itertools.count()
+
+    def first_wave_only(params, datasets):
+        return 0.0 if next(calls) < 3 else -math.inf
+
+    fabric, input_q, output_q, plane = sim_setup(likelihood_fn=first_wave_only)
+    config = ChainConfig(n_walkers=3, n_iterations=4, proposal_scale=1.0, seed=2)
+    out = run_chains(config, plane, input_q, output_q,
+                     init_positions=np.zeros((3, 1)), dataset_key="")
+    assert out.accepted[:, 0].all() and not out.accepted[:, 1:].any()
+    assert np.all(out.samples == out.samples[:, :1])
+    assert np.all(out.log_posts == 0.0)
+
+
 def test_timeline_counts_events(sim_setup):
     out, _ = run_gaussian(sim_setup, w=10, n=100)
     assert len(out.timeline) == 1000
-    flags = [rec for rec in out.timeline if rec.first_output_flag]
-    assert len(flags) == 100  # one first-output marker per iteration
     for rec in out.timeline:
         assert rec.complete_ts >= rec.dispatch_ts
 
@@ -290,3 +276,74 @@ def test_config_validation():
         ChainConfig(n_walkers=1, n_iterations=1, proposal_scale=0.0).validate()
     with pytest.raises(ValueError):
         ChainConfig(n_walkers=1, n_iterations=1, exchange_period=-1).validate()
+
+
+# -------------------------------------------------------------- error payloads
+
+
+@pytest.mark.parametrize("payload,expected", [
+    (b"ERR:worker-crash:boom", ("worker-crash", "boom")),
+    (b"ERR:worker-crash", ("worker-crash", "")),
+    (b"ERR:", ("", "")),
+    (b"ERR:worker-crash:\xff\xfe", ("worker-crash", "\ufffd\ufffd")),
+    (b"\x00\x01", None),
+])
+def test_parse_error(payload, expected):
+    assert parse_error(payload) == expected
+
+
+@pytest.mark.parametrize("payload", [b"ERR:worker-crash", b"ERR:"])
+def test_control_without_detail_raises_worker_crash(sim_setup, payload):
+    fabric, input_q, output_q, plane = sim_setup(likelihood_fn=gaussian_target)
+    output_q.push(Message(msg_id="ctl", kind=MessageKind.CONTROL, walker_id=0,
+                          iteration=0, payload=payload))
+    config = ChainConfig(n_walkers=2, n_iterations=1, proposal_scale=1.0, seed=0)
+    with pytest.raises(WorkerCrashError):
+        run_chains(config, plane, input_q, output_q,
+                   init_positions=np.zeros((2, 1)), dataset_key="")
+
+
+# -------------------------------------------------------------- golden output
+#
+# Digests of fixed-seed chain output, content_digest(samples ‖ log_posts ‖
+# accepted); any change to proposal, acceptance or exchange order shows here.
+
+
+def chain_digest(out):
+    return content_digest(out.samples.tobytes() + out.log_posts.tobytes()
+                          + out.accepted.tobytes())
+
+
+@pytest.mark.parametrize("backend", ["sim", "local"])
+def test_golden_gaussian_chain(backend, sim_setup, local_setup):
+    setup = sim_setup if backend == "sim" else local_setup
+    out, _ = run_gaussian(setup, w=6, n=40, seed=9, exchange_period=3)
+    assert chain_digest(out) == "5251e7c205fbdd7c"
+
+
+def test_golden_stub_chain():
+    assert chain_digest(run_stub_chain(64, 3, BackendModel())) == "da611e85373a9825"
+
+
+@pytest.mark.parametrize("backend", ["sim", "local"])
+def test_golden_kernel_chain(backend, sim_setup, local_setup):
+    n_clusters, n_coeffs, walkers = 2, 4, 4
+    datasets, truths = make_synthetic(n_clusters, grid_size=32, seed=5)
+    store = MemoryObjectStore()
+    store.put("bundle", write_container(datasets))
+    start = np.concatenate([truths.ravel(), [1.0, -0.5, -0.5, 0.0],
+                            np.full(n_coeffs, math.log(0.05))])
+    dim = start.size
+    setup = sim_setup if backend == "sim" else local_setup
+    fabric, input_q, output_q, plane = setup(store=store)
+    config = ChainConfig(n_walkers=walkers, n_iterations=6,
+                         proposal_scale=np.full(dim, 0.01), exchange_period=2, seed=21)
+    out = run_chains(config, plane, input_q, output_q,
+                     init_positions=np.tile(start, (walkers, 1)), dataset_key="bundle",
+                     data_param_count=n_clusters * n_coeffs,
+                     log_prior=functools.partial(hierarchical_log_prior,
+                                                 n_clusters=n_clusters),
+                     response_timeout_s=10_000.0)
+    plane.close()
+    assert 0 < out.accepted.sum() < out.accepted.size
+    assert chain_digest(out) == "6da5ca408e3852c6"

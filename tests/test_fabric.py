@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from queuemc.clocks import VirtualClock, WallClock
-from queuemc.errors import DuplicateQueueError, QueueClosedError, WireFormatError
+from queuemc.errors import (ConfigurationError, DuplicateQueueError, QueueClosedError,
+                            WireFormatError)
 from queuemc.fabric import (Message, MessageKind, QueueFabric, decode_message,
                             dump_messages, encode_message, load_messages)
 
@@ -143,6 +144,16 @@ def test_trigger_drains_backlog(fabric):
     q.register_trigger(lambda m: seen.append(m.msg_id))
     assert seen == ["m0", "m1"]
     assert q.pending_count == 0
+
+
+def test_second_trigger_rejected(fabric):
+    q = fabric.create_queue("q")
+    seen = []
+    q.register_trigger(lambda m: seen.append(m.msg_id))
+    with pytest.raises(ConfigurationError):
+        q.register_trigger(lambda m: None)
+    q.push(msg(0))
+    assert seen == ["m0"]
 
 
 def test_trigger_multiset_matches_pushes(fabric):

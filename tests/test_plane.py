@@ -1,18 +1,20 @@
 import math
+import threading
 import time
 
 import numpy as np
 import pytest
 
-from queuemc.clocks import WallClock
+from queuemc.clocks import VirtualClock, WallClock
 from queuemc.datasets import make_synthetic, write_container
 from queuemc.errors import ConfigurationError
 from queuemc.fabric import Message, MessageKind, QueueFabric
 from queuemc.kernel import evaluate
 from queuemc.payloads import (LikelihoodRequest, pack_request, parse_error,
                               unpack_response)
-from queuemc.plane import (BackendModel, SimScheduler, make_stub_key,
-                           parse_task, simulate)
+from queuemc.plane import (BackendModel, SimScheduler, TaskRunner,
+                           attach_backend, make_stub_key, simulate)
+from queuemc.remote import WorkerServer
 from queuemc.store import MemoryObjectStore
 
 
@@ -61,11 +63,13 @@ def test_ramp_delay_doubling():
     assert m.ramp_delay(16) == pytest.approx(6.0, abs=1e-12)
 
 
-def test_parse_task_stub_and_kernel():
-    stub = parse_task(request_msg(0, make_stub_key(2.5)))
-    assert stub.task_kind == "stub" and stub.stub_duration_s == 2.5
-    kern = parse_task(request_msg(0, "bundle.qmc", params=(1.0, 2.0)))
-    assert kern.task_kind == "kernel" and kern.dataset_key == "bundle.qmc"
+def test_task_runner_stub_and_kernel():
+    runner = TaskRunner(likelihood_fn=lambda params, datasets: float(params.sum()))
+    assert runner.run(request_msg(0, make_stub_key(2.5))) == (0.0, False, 2.5)
+    assert runner.run(request_msg(0, "", params=(1.0, 2.0))) == (3.0, False, None)
+    (code, detail), cold, stub_s = runner.run(request_msg(0, "bundle.qmc"))
+    assert code == "dataset-not-found" and "bundle.qmc" in detail
+    assert not cold and stub_s is None
 
 
 # -------------------------------------------------------------- simulated
@@ -332,8 +336,70 @@ def test_local_worker_crash_surfaces_error(local_setup):
 def test_attach_backend_rejects_unknown(fast_model):
     fabric = QueueFabric(WallClock())
     q1, q2 = fabric.create_queue("a"), fabric.create_queue("b")
-    from queuemc.plane import attach_backend
     with pytest.raises(ConfigurationError):
         attach_backend(q1, q2, "gpu", fast_model)
     with pytest.raises(ConfigurationError):
         attach_backend(q1, q2, "sim", BackendModel(scale_doubling_interval_s=-1))
+
+
+# -------------------------------------------------------------- backend contract
+#
+# Every backend answers each request with exactly one message, of the same
+# kind and with the same error code.
+
+
+def boom(params, datasets):
+    raise RuntimeError("deliberate")
+
+
+CONTRACT_CASES = {
+    # case: (dataset key, likelihood_fn, payload override, kind, error code)
+    "kernel": ("bundle", None, None, MessageKind.LIKELIHOOD_RESPONSE, None),
+    "stub": (make_stub_key(0.01), None, None, MessageKind.LIKELIHOOD_RESPONSE, None),
+    "missing-dataset": ("absent", None, None, MessageKind.CONTROL, "dataset-not-found"),
+    "crashing-likelihood": ("bundle", boom, None, MessageKind.CONTROL, "worker-crash"),
+    "malformed-payload": ("bundle", None, b"\x00\x01", MessageKind.CONTROL, "worker-crash"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONTRACT_CASES))
+@pytest.mark.parametrize("backend", ["sim", "local", "remote"])
+def test_backends_answer_alike(backend, case):
+    key, fn, payload, kind, code = CONTRACT_CASES[case]
+    datasets, truths = make_synthetic(2, grid_size=32, seed=3)
+    store = MemoryObjectStore()
+    store.put("bundle", write_container(datasets))
+    request = request_msg(0, key, params=truths.ravel())
+    if payload is not None:
+        request = Message(msg_id=request.msg_id, kind=request.kind, walker_id=0,
+                          iteration=0, payload=payload)
+
+    server = thread = None
+    if backend == "remote":
+        server = WorkerServer(("127.0.0.1", 0), store, likelihood_fn=fn)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+    fabric = QueueFabric(VirtualClock() if backend == "sim" else WallClock())
+    input_q, output_q = fabric.create_queue("input"), fabric.create_queue("output")
+    plane = attach_backend(input_q, output_q, backend, BackendModel(likelihood_duration_s=1.0),
+                           store=store, likelihood_fn=fn,
+                           remote_addr=server.server_address if server else None)
+    try:
+        input_q.push(request)
+        resp = output_q.pop(timeout=30.0)
+        extra = output_q.pop(timeout=0.2)
+    finally:
+        plane.close()
+        if server is not None:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=5)
+    assert resp is not None and extra is None
+    assert resp.msg_id == request.msg_id and resp.kind is kind
+    if code is not None:
+        assert parse_error(resp.payload)[0] == code
+    elif case == "kernel":
+        got = unpack_response(resp.payload).log_likelihood
+        assert got == pytest.approx(evaluate(truths, datasets), rel=1e-12)
+    else:
+        assert unpack_response(resp.payload).log_likelihood == 0.0

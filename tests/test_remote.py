@@ -1,18 +1,21 @@
 import socket
 import struct
 import threading
+import time
 
 import numpy as np
 import pytest
 
 from queuemc.clocks import WallClock
 from queuemc.datasets import make_synthetic, write_container
+from queuemc.engine import ChainConfig, run_chains
+from queuemc.errors import WorkerCrashError
 from queuemc.fabric import (Message, MessageKind, QueueFabric, decode_message,
                             encode_message)
 from queuemc.kernel import evaluate
 from queuemc.payloads import (LikelihoodRequest, pack_request, parse_error,
                               unpack_response)
-from queuemc.plane import BackendModel, attach_backend
+from queuemc.plane import BackendModel, attach_backend, make_stub_key
 from queuemc.remote import WorkerServer
 from queuemc.store import DirectoryObjectStore
 
@@ -154,7 +157,6 @@ def test_remote_stub_tasks(worker_env):
     fabric = QueueFabric(WallClock())
     rin, rout = fabric.create_queue("in"), fabric.create_queue("out")
     client = attach_backend(rin, rout, "remote", BackendModel(), remote_addr=addr)
-    from queuemc.plane import make_stub_key
     payload = pack_request(LikelihoodRequest(
         walker_id=0, iteration=0, params=np.empty(0),
         dataset_key=make_stub_key(0.01)))
@@ -163,3 +165,32 @@ def test_remote_stub_tasks(worker_env):
     resp = rout.pop(timeout=10.0)
     assert unpack_response(resp.payload).log_likelihood == 0.0
     client.close()
+    assert rout.pending_count == 0  # closing the client reports no lost connection
+
+
+def test_dropped_connection_fails_fast():
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def accept_and_close():
+        conn, _ = listener.accept()
+        conn.close()
+
+    acceptor = threading.Thread(target=accept_and_close, daemon=True)
+    acceptor.start()
+    fabric = QueueFabric(WallClock())
+    rin, rout = fabric.create_queue("in"), fabric.create_queue("out")
+    client = attach_backend(rin, rout, "remote", BackendModel(),
+                            remote_addr=listener.getsockname())
+    config = ChainConfig(n_walkers=4, n_iterations=3, proposal_scale=1.0, seed=0)
+    t0 = time.monotonic()
+    try:
+        with pytest.raises(WorkerCrashError, match="connection-lost"):
+            run_chains(config, client, rin, rout, init_positions=np.zeros((4, 1)),
+                       dataset_key=make_stub_key(0.01), response_timeout_s=30.0)
+        elapsed = time.monotonic() - t0
+    finally:
+        client.close()
+        listener.close()
+        acceptor.join(timeout=5)
+    assert not acceptor.is_alive()
+    assert elapsed < 2.0
