@@ -19,7 +19,7 @@ from .engine import (ChainConfig, ChainOutput, TimelineRecord, exchange_step,
                      mh_step, propose, run_chains, write_chain_csv,
                      write_timeline_csv)
 from .fabric import (Message, MessageKind, Queue, QueueFabric, decode_message,
-                     dump_messages, encode_message, load_messages)
+                     encode_message)
 from .kernel import (HierarchicalParams, ProfileParams, abel_project,
                      chi_square, cluster_log_likelihood, convolve_beam,
                      eval_profile, evaluate, forward_abel,

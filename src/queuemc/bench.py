@@ -72,12 +72,10 @@ def run_overhead_wave(n: int, model: BackendModel, seed: int = 0,
     output_q = fabric.create_queue("output")
     plane = SimulatedPlane(input_q, output_q, model, seed=seed)
     key = make_stub_key(model.likelihood_duration_s)
+    payload = pack_request(LikelihoodRequest(params=np.empty(0), dataset_key=key))
     for i in range(n):
-        payload = pack_request(LikelihoodRequest(
-            walker_id=i, iteration=0, params=np.empty(0), dataset_key=key))
         input_q.push(Message(msg_id=f"wave-{i:06d}", kind=MessageKind.LIKELIHOOD_REQUEST,
-                             walker_id=i, iteration=0, payload=payload,
-                             reply_to=output_q.name))
+                             payload=payload))
     arrivals = []
     for _ in range(n):
         msg = output_q.pop(timeout=None)

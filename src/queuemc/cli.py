@@ -98,7 +98,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="initial coefficient vector (one cluster row, broadcast)")
     fit.add_argument("--pool-size", type=int, default=4, help="local backend pool size")
     fit.add_argument("--timeout", type=float, default=None,
-                     help="response collection timeout, seconds")
+                     help="response collection timeout, seconds (default: none on "
+                          "sim, ten likelihood durations elsewhere)")
     fit.set_defaults(func=_cmd_fit)
 
     bench_parser = sub.add_parser("bench", help="simulated-backend benchmarks")

@@ -6,17 +6,30 @@ random-walk moves, dispatches one likelihood request per walker through
 the queue fabric, applies Metropolis-Hastings acceptance to the returned
 values, and optionally permutes walker states between iterations.
 
-Iterations are lockstep: all walkers' responses are collected (matched by
-msg_id, so arrival order is irrelevant) before any acceptance decision,
-which keeps the total likelihood budget at exactly n_walkers *
-n_iterations and makes the sampler bit-reproducible for a fixed seed on
-any backend computing identical likelihood values. Walker w draws its
-proposal and its acceptance uniform from its own RNG stream w; exchange
-draws from one further stream. Exchange runs between iterations, when no
+Iterations are lockstep: all walkers' responses are collected before any
+acceptance decision, which keeps the total likelihood budget at exactly
+n_walkers * n_iterations and makes the sampler bit-reproducible for a
+fixed seed on any backend computing identical likelihood values. Walker w
+draws its proposal and its acceptance uniform from its own RNG stream w;
+exchange draws from one further stream. Exchange runs between iterations, when no
 request is in flight.
 
 Walker log-posteriors start at -inf, so the first proposal is always
 accepted and doubles as the initialization evaluation.
+
+A request's only identity is its msg_id, ``req-<n>``, where n counts on
+from ``input_q.pushed_count`` at the start of the run, so no id repeats
+across runs on one queue pair. Responses are matched to walkers through a
+per-iteration msg_id map, so arrival order is irrelevant. A response that
+matches no pending request, such as a leftover from an aborted earlier
+run, raises :class:`DuplicateResponseError` and is never used; a control
+message with an empty msg_id reports a transport fault and aborts the run.
+Any package error that aborts a run carries the iterations completed
+before it as ``partial_output``.
+
+On a virtual clock a run with no ``response_timeout_s`` waits until its
+responses arrive; if the clock runs out of events first, no response can
+arrive any more and the run raises :class:`MissingResponseError`.
 """
 
 from __future__ import annotations
@@ -28,8 +41,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .clocks import VirtualClock
 from .errors import (DuplicateResponseError, MissingResponseError,
-                     NotFoundError, WorkerCrashError)
+                     NotFoundError, QueueMCError, SimulationStalledError,
+                     WorkerCrashError)
 from .fabric import Message, MessageKind, Queue
 from .payloads import (LikelihoodRequest, pack_request, parse_error,
                        unpack_response)
@@ -139,8 +154,9 @@ def run_chains(config: ChainConfig, plane, input_q: Queue, output_q: Queue, *,
         defaults to the full position.
     log_prior : coordinator-side log prior over the full position vector
         (default flat).
-    response_timeout_s : per-iteration collection timeout; default is ten
-        times the backend's modeled likelihood duration.
+    response_timeout_s : per-iteration collection timeout; on a virtual
+        clock the default is to wait until the responses arrive, elsewhere
+        ten times the backend's modeled likelihood duration.
     """
     config.validate()
     w_count, n_iter = config.n_walkers, config.n_iterations
@@ -156,8 +172,10 @@ def run_chains(config: ChainConfig, plane, input_q: Queue, output_q: Queue, *,
     if not 0 < n_send <= dim:
         raise ValueError("data_param_count must be in [1, dim]")
     prior = log_prior if log_prior is not None else (lambda pos: 0.0)
-    timeout = (response_timeout_s if response_timeout_s is not None
-               else 10.0 * plane.model.likelihood_duration_s)
+    clock = output_q.clock
+    timeout = response_timeout_s
+    if timeout is None and not isinstance(clock, VirtualClock):
+        timeout = 10.0 * plane.model.likelihood_duration_s
 
     root = np.random.SeedSequence(config.seed)
     streams = root.spawn(w_count + 1)
@@ -172,68 +190,68 @@ def run_chains(config: ChainConfig, plane, input_q: Queue, output_q: Queue, *,
     accepted = np.zeros((w_count, n_iter), dtype=bool)
     timeline: list[TimelineRecord] = []
     exchange_log: list[tuple[int, np.ndarray]] = []
-    clock = output_q.clock
+    first_id = input_q.pushed_count
 
-    def partial(upto: int) -> ChainOutput:
-        return ChainOutput(samples=samples[:, :upto].copy(),
-                           log_posts=log_posts[:, :upto].copy(),
-                           accepted=accepted[:, :upto].copy(),
-                           timeline=list(timeline), exchange_log=list(exchange_log),
-                           backend=plane.backend, complete=False)
+    try:
+        for it in range(n_iter):
+            for w in range(w_count):
+                proposals[w] = propose(positions[w], scale, rngs[w])
+            walker_of: dict[str, int] = {}
+            dispatch_ts = [0.0] * w_count
+            for w in range(w_count):
+                msg_id = f"req-{first_id + it * w_count + w}"
+                payload = pack_request(LikelihoodRequest(
+                    params=proposals[w, :n_send], dataset_key=dataset_key))
+                ack = input_q.push(Message(
+                    msg_id=msg_id, kind=MessageKind.LIKELIHOOD_REQUEST, payload=payload))
+                walker_of[msg_id] = w
+                dispatch_ts[w] = ack.enqueue_ts
 
-    for it in range(n_iter):
-        for w in range(w_count):
-            proposals[w] = propose(positions[w], scale, rngs[w])
-        msg_ids = [f"it{it:06d}-w{w:05d}" for w in range(w_count)]
-        dispatch_ts: dict[str, float] = {}
-        for w, msg_id in enumerate(msg_ids):
-            payload = pack_request(LikelihoodRequest(
-                walker_id=w, iteration=it, params=proposals[w, :n_send],
-                dataset_key=dataset_key))
-            ack = input_q.push(Message(
-                msg_id=msg_id, kind=MessageKind.LIKELIHOOD_REQUEST,
-                walker_id=w, iteration=it, payload=payload,
-                reply_to=output_q.name))
-            dispatch_ts[msg_id] = ack.enqueue_ts
+            replies: list[Message | None] = [None] * w_count
+            deadline = None if timeout is None else clock.now() + timeout
+            while walker_of:
+                try:
+                    msg = output_q.pop(
+                        timeout=None if deadline is None else deadline - clock.now())
+                except SimulationStalledError:  # no event left can answer
+                    msg = None
+                if msg is None:
+                    raise MissingResponseError(walker_of)
+                w = walker_of.pop(msg.msg_id, None)
+                if msg.kind is MessageKind.CONTROL and (w is not None or not msg.msg_id):
+                    err = parse_error(msg.payload)
+                    code, detail = err if err else ("worker-crash", "unexpected control message")
+                    if code == "dataset-not-found":
+                        raise NotFoundError(detail)
+                    raise WorkerCrashError(f"{code}: {detail}")
+                if w is None:
+                    raise DuplicateResponseError(
+                        f"response {msg.msg_id!r} matches no pending request")
+                replies[w] = msg
 
-        arrived: dict[str, Message] = {}
-        deadline = clock.now() + timeout
-        while len(arrived) < w_count:
-            remaining = deadline - clock.now()
-            msg = output_q.pop(timeout=max(0.0, remaining)) if remaining > 0 else None
-            if msg is None:
-                missing = set(dispatch_ts) - set(arrived)
-                raise MissingResponseError(missing, partial_output=partial(it))
-            if msg.kind is MessageKind.CONTROL:
-                err = parse_error(msg.payload)
-                code, detail = err if err else ("worker-crash", "unexpected control message")
-                if code == "dataset-not-found":
-                    raise NotFoundError(detail)
-                raise WorkerCrashError(f"{code}: {detail}")
-            if msg.msg_id in arrived:
-                raise DuplicateResponseError(f"duplicate response {msg.msg_id}")
-            if msg.msg_id not in dispatch_ts:
-                raise DuplicateResponseError(f"response {msg.msg_id} matches no request")
-            arrived[msg.msg_id] = msg
+            for w, msg in enumerate(replies):
+                resp = unpack_response(msg.payload)
+                proposed_lp = resp.log_likelihood + float(prior(proposals[w]))
+                u = float(rngs[w].random())
+                if mh_step(current_lp[w], proposed_lp, u):
+                    positions[w] = proposals[w]
+                    current_lp[w] = proposed_lp
+                    accepted[w, it] = True
+                timeline.append(TimelineRecord(
+                    walker_id=w, iteration=it, dispatch_ts=dispatch_ts[w],
+                    complete_ts=msg.enqueue_ts))
+            samples[:, it] = positions
+            log_posts[:, it] = current_lp
 
-        for w, msg_id in enumerate(msg_ids):
-            msg = arrived[msg_id]
-            resp = unpack_response(msg.payload)
-            proposed_lp = resp.log_likelihood + float(prior(proposals[w]))
-            u = float(rngs[w].random())
-            if mh_step(current_lp[w], proposed_lp, u):
-                positions[w] = proposals[w]
-                current_lp[w] = proposed_lp
-                accepted[w, it] = True
-            timeline.append(TimelineRecord(
-                walker_id=w, iteration=it, dispatch_ts=dispatch_ts[msg_id],
-                complete_ts=msg.enqueue_ts))
-        samples[:, it] = positions
-        log_posts[:, it] = current_lp
-
-        if config.exchange_period and (it + 1) % config.exchange_period == 0:
-            positions, current_lp, perm = exchange_step(positions, current_lp, exchange_rng)
-            exchange_log.append((it, perm))
+            if config.exchange_period and (it + 1) % config.exchange_period == 0:
+                positions, current_lp, perm = exchange_step(positions, current_lp, exchange_rng)
+                exchange_log.append((it, perm))
+    except QueueMCError as exc:
+        exc.partial_output = ChainOutput(
+            samples=samples[:, :it].copy(), log_posts=log_posts[:, :it].copy(),
+            accepted=accepted[:, :it].copy(), timeline=timeline[:it * w_count],
+            exchange_log=exchange_log, backend=plane.backend, complete=False)
+        raise
 
     return ChainOutput(samples=samples, log_posts=log_posts, accepted=accepted,
                        timeline=timeline, exchange_log=exchange_log,

@@ -2,7 +2,13 @@
 
 
 class QueueMCError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors.
+
+    When one aborts ``engine.run_chains``, the chain output of the
+    iterations completed before it is attached as ``partial_output``.
+    """
+
+    partial_output = None
 
 
 class DuplicateQueueError(QueueMCError):
@@ -69,18 +75,15 @@ class ClusterEvalError(QueueMCError):
 
 
 class MissingResponseError(QueueMCError):
-    """A likelihood response did not arrive within the timeout.
+    """A likelihood response did not arrive within the timeout, or, on
+    virtual time, will never arrive."""
 
-    The run aborts; the partial chain output collected so far is attached
-    as ``partial_output``.
-    """
-
-    def __init__(self, missing_ids, partial_output=None):
+    def __init__(self, missing_ids):
         super().__init__(f"timed out waiting for {len(missing_ids)} response(s): "
                          f"{sorted(missing_ids)[:5]}...")
         self.missing_ids = set(missing_ids)
-        self.partial_output = partial_output
 
 
 class DuplicateResponseError(QueueMCError):
-    """Two responses arrived for the same request id."""
+    """A response matches no pending request: it answers a request already
+    answered, or one from an earlier run."""

@@ -6,9 +6,12 @@ in push order, either to a blocking consumer (:meth:`Queue.pop`) or to a
 registered trigger callback, mirroring a queue service that instantiates
 a function per delivered message.
 
-Messages serialize to a line-oriented wire format (one JSON record per
-line, fixed key order, payload base64) used by the remote worker protocol
-and for on-disk trace dumps.
+A message's only identity is its ``msg_id``: a response carries the id of
+the request it answers, and that id is all a consumer matches on.
+
+Messages serialize to a line-oriented wire format used by the remote worker
+protocol: one flat JSON object per line with the keys ``msg_id``, ``kind``,
+``enqueue_ts`` and ``payload_b64`` (the payload in base64), in that order.
 """
 
 from __future__ import annotations
@@ -18,8 +21,8 @@ import enum
 import json
 import threading
 from collections import deque
-from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable
+from dataclasses import dataclass, replace
+from typing import Callable
 
 from .clocks import Clock, WallClock
 from .errors import (ConfigurationError, DuplicateQueueError, QueueClosedError,
@@ -37,30 +40,23 @@ class Message:
     """One unit of work or one result crossing a queue.
 
     ``enqueue_ts`` is stamped by the queue at push time from the fabric's
-    clock; the value passed at construction is a placeholder. ``reply_to``
-    names the queue a response should be pushed to (empty when unused).
+    clock; the value passed at construction is a placeholder. A control
+    message with an empty ``msg_id`` answers no request: it reports a fault
+    of the transport itself, such as a lost worker connection.
     """
 
     msg_id: str
     kind: MessageKind
-    walker_id: int
-    iteration: int
     payload: bytes
     enqueue_ts: float = 0.0
-    reply_to: str = ""
 
     def __post_init__(self) -> None:
         if not isinstance(self.kind, MessageKind):
             object.__setattr__(self, "kind", MessageKind(self.kind))
-        if self.walker_id < 0:
-            raise ValueError("walker_id must be non-negative")
-        if self.iteration < 0:
-            raise ValueError("iteration must be non-negative")
 
 
 # Wire field order is fixed; decoders reject unknown keys.
-_WIRE_KEYS = ("msg_id", "kind", "walker_id", "iteration", "reply_to",
-              "enqueue_ts", "payload_b64")
+_WIRE_KEYS = ("msg_id", "kind", "enqueue_ts", "payload_b64")
 
 
 def encode_message(m: Message) -> str:
@@ -68,9 +64,6 @@ def encode_message(m: Message) -> str:
     record = {
         "msg_id": m.msg_id,
         "kind": m.kind.value,
-        "walker_id": m.walker_id,
-        "iteration": m.iteration,
-        "reply_to": m.reply_to,
         "enqueue_ts": m.enqueue_ts,
         "payload_b64": base64.b64encode(m.payload).decode("ascii"),
     }
@@ -102,27 +95,11 @@ def decode_message(line: str | bytes) -> Message:
         return Message(
             msg_id=str(record["msg_id"]),
             kind=MessageKind(record["kind"]),
-            walker_id=int(record["walker_id"]),
-            iteration=int(record["iteration"]),
             payload=base64.b64decode(record["payload_b64"], validate=True),
             enqueue_ts=float(record["enqueue_ts"]),
-            reply_to=str(record["reply_to"]),
         )
     except (ValueError, TypeError, KeyError) as exc:
         raise WireFormatError(f"bad wire field: {exc}") from exc
-
-
-def dump_messages(path, messages: Iterable[Message]) -> None:
-    """Write messages to a trace file, one wire line each."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for m in messages:
-            fh.write(encode_message(m))
-            fh.write("\n")
-
-
-def load_messages(path) -> list[Message]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return [decode_message(line) for line in fh if line.strip()]
 
 
 class Queue:
@@ -269,10 +246,6 @@ class QueueFabric:
             self._queues[name] = q
             return q
 
-    def get_queue(self, name: str) -> Queue:
-        with self._lock:
-            return self._queues[name]
-
     def stats(self) -> dict[str, dict[str, int]]:
         """Per-queue pushed/delivered/pending counters (conservation check)."""
         with self._lock:
@@ -285,9 +258,3 @@ class QueueFabric:
             }
             for q in queues
         }
-
-    def close_all(self) -> None:
-        with self._lock:
-            queues = list(self._queues.values())
-        for q in queues:
-            q.close()

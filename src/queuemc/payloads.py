@@ -1,11 +1,12 @@
 """Binary payload encodings for likelihood requests and responses.
 
-Both payloads are little-endian and live inside ``Message.payload``.
+Both payloads are little-endian and live inside ``Message.payload``. They
+say nothing of which walker or iteration they belong to: the enclosing
+message's ``msg_id`` is the request's only identity.
 
-Request:  walker_id u32, iteration u32, n_params u32, n_params f64,
-          key_len u32, key bytes (UTF-8).
-Response: walker_id u32, iteration u32, log_likelihood f64, cold u8,
-          compute_start_ts f64, compute_end_ts f64.
+Request:  n_params u32, n_params f64, key_len u32, key bytes (UTF-8).
+Response: log_likelihood f64, cold u8, compute_start_ts f64,
+          compute_end_ts f64.
 
 Control payloads used for surfaced worker errors are ASCII
 ``ERR:<code>:<detail>``.
@@ -20,23 +21,18 @@ import numpy as np
 
 from .errors import WireFormatError
 
-_REQ_HEAD = struct.Struct("<III")
-_REQ_KEYLEN = struct.Struct("<I")
-_RESP = struct.Struct("<IIdBdd")
+_U32 = struct.Struct("<I")
+_RESP = struct.Struct("<dBdd")
 
 
 @dataclass(frozen=True)
 class LikelihoodRequest:
-    walker_id: int
-    iteration: int
     params: np.ndarray
     dataset_key: str
 
 
 @dataclass(frozen=True)
 class LikelihoodResponse:
-    walker_id: int
-    iteration: int
     log_likelihood: float
     cold: bool
     compute_start_ts: float
@@ -46,38 +42,36 @@ class LikelihoodResponse:
 def pack_request(req: LikelihoodRequest) -> bytes:
     params = np.asarray(req.params, dtype=np.float64)
     key = req.dataset_key.encode("utf-8")
-    return (_REQ_HEAD.pack(req.walker_id, req.iteration, params.size)
-            + params.tobytes()
-            + _REQ_KEYLEN.pack(len(key)) + key)
+    return _U32.pack(params.size) + params.tobytes() + _U32.pack(len(key)) + key
 
 
 def unpack_request(payload: bytes) -> LikelihoodRequest:
     try:
-        walker_id, iteration, n = _REQ_HEAD.unpack_from(payload, 0)
-        off = _REQ_HEAD.size
+        (n,) = _U32.unpack_from(payload, 0)
+        off = _U32.size
         params = np.frombuffer(payload, dtype="<f8", count=n, offset=off).copy()
         off += 8 * n
-        (key_len,) = _REQ_KEYLEN.unpack_from(payload, off)
-        off += _REQ_KEYLEN.size
+        (key_len,) = _U32.unpack_from(payload, off)
+        off += _U32.size
         key = payload[off:off + key_len].decode("utf-8")
         if len(key.encode("utf-8")) != key_len:
             raise ValueError("truncated dataset key")
     except (struct.error, ValueError, UnicodeDecodeError) as exc:
         raise WireFormatError(f"bad request payload: {exc}") from exc
-    return LikelihoodRequest(walker_id, iteration, params, key)
+    return LikelihoodRequest(params, key)
 
 
 def pack_response(resp: LikelihoodResponse) -> bytes:
-    return _RESP.pack(resp.walker_id, resp.iteration, resp.log_likelihood,
-                      1 if resp.cold else 0, resp.compute_start_ts, resp.compute_end_ts)
+    return _RESP.pack(resp.log_likelihood, 1 if resp.cold else 0,
+                      resp.compute_start_ts, resp.compute_end_ts)
 
 
 def unpack_response(payload: bytes) -> LikelihoodResponse:
     try:
-        walker_id, iteration, loglik, cold, t0, t1 = _RESP.unpack(payload)
+        loglik, cold, t0, t1 = _RESP.unpack(payload)
     except struct.error as exc:
         raise WireFormatError(f"bad response payload: {exc}") from exc
-    return LikelihoodResponse(walker_id, iteration, loglik, bool(cold), t0, t1)
+    return LikelihoodResponse(loglik, bool(cold), t0, t1)
 
 
 def pack_error(code: str, detail: str) -> bytes:

@@ -168,11 +168,9 @@ def respond(msg: Message, result: float | tuple[str, str],
     else:
         kind = MessageKind.LIKELIHOOD_RESPONSE
         payload = pack_response(LikelihoodResponse(
-            walker_id=msg.walker_id, iteration=msg.iteration,
             log_likelihood=result, cold=rec.cold,
             compute_start_ts=rec.start_ts, compute_end_ts=rec.end_ts))
-    return Message(msg_id=msg.msg_id, kind=kind, walker_id=msg.walker_id,
-                   iteration=msg.iteration, payload=payload)
+    return Message(msg_id=msg.msg_id, kind=kind, payload=payload)
 
 
 def execute(runner: TaskRunner, clock, msg: Message) -> tuple[Message, InvocationRecord]:

@@ -8,9 +8,14 @@ executor as the local pool (:func:`queuemc.plane.execute`); errors are
 control messages with payload ``ERR:<code>:<detail>``. A malformed frame
 draws an error frame and closes the connection.
 
-The client reports a connection that ends other than through its own
-``close()`` as one ``connection-lost`` control message on the output
-queue, so a run fails at once instead of waiting out its timeout.
+A response frame carries the msg_id of the request it answers and nothing
+else of its identity. A fault of the connection itself answers no request
+and carries an empty msg_id. There are two: a malformed frame, and a
+connection that ends other than through the client's own ``close()``. The
+client reports the latter as one ``connection-lost`` control message on
+the output queue, so a run fails at once instead of waiting out its
+timeout. The client keeps each request's dispatch stamp until the worker
+answers it, error frames included.
 """
 
 from __future__ import annotations
@@ -66,9 +71,9 @@ def read_frame(rfile) -> bytes | None:
     return body
 
 
-def _malformed_frame(detail: str) -> Message:
-    return Message(msg_id="error", kind=MessageKind.CONTROL, walker_id=0,
-                   iteration=0, payload=pack_error("malformed-frame", detail))
+def _connection_fault(code: str, detail: str) -> Message:
+    """A control message that answers no request: its msg_id is empty."""
+    return Message(msg_id="", kind=MessageKind.CONTROL, payload=pack_error(code, detail))
 
 
 class _WorkerHandler(socketserver.StreamRequestHandler):
@@ -77,14 +82,14 @@ class _WorkerHandler(socketserver.StreamRequestHandler):
             try:
                 frame = read_frame(self.rfile)
             except WireFormatError as exc:
-                self._try_send(_malformed_frame(str(exc)))
+                self._try_send(_connection_fault("malformed-frame", str(exc)))
                 return
             if frame is None:
                 return
             try:
                 msg = decode_message(frame)
             except WireFormatError as exc:
-                self._try_send(_malformed_frame(str(exc)))
+                self._try_send(_connection_fault("malformed-frame", str(exc)))
                 return
             self._try_send(self.server.process(msg))
 
@@ -164,9 +169,9 @@ class RemoteWorkerClient(_PlaneBase):
                 except WireFormatError:
                     log.warning("dropping undecodable response frame")
                     continue
+                dispatch = self._dispatch_ts.pop(msg.msg_id, 0.0)
                 if msg.kind is MessageKind.LIKELIHOOD_RESPONSE:
                     resp = unpack_response(msg.payload)
-                    dispatch = self._dispatch_ts.pop(msg.msg_id, 0.0)
                     self._record(InvocationRecord(
                         msg_id=msg.msg_id, worker_id="remote",
                         dispatch_ts=dispatch, start_ts=resp.compute_start_ts,
@@ -179,9 +184,7 @@ class RemoteWorkerClient(_PlaneBase):
         if self._closing.is_set():
             return
         try:
-            self._output_q.push(Message(
-                msg_id="connection-lost", kind=MessageKind.CONTROL, walker_id=0,
-                iteration=0, payload=pack_error("connection-lost", detail)))
+            self._output_q.push(_connection_fault("connection-lost", detail))
         except QueueClosedError:
             pass
 

@@ -34,8 +34,9 @@ def sim_setup(fast_model):
 
 @pytest.fixture
 def local_setup(fast_model):
-    def build(model=None, likelihood_fn=None, store=None, pool_size=4):
-        fabric = QueueFabric(WallClock())
+    def build(model=None, likelihood_fn=None, store=None, pool_size=4,
+              record_deliveries=False):
+        fabric = QueueFabric(WallClock(), record_deliveries=record_deliveries)
         input_q = fabric.create_queue("input")
         output_q = fabric.create_queue("output")
         plane = attach_backend(input_q, output_q, "local",

@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 
 from queuemc.bench import run_stub_chain
+from queuemc.clocks import VirtualClock
 from queuemc.datasets import make_synthetic, write_container
 from queuemc.diagnostics import discard_burn_in
 from queuemc.engine import (ChainConfig, exchange_step, mh_step, propose,
                             run_chains, write_chain_csv)
 from queuemc.errors import (DuplicateResponseError, MissingResponseError,
-                            WorkerCrashError)
-from queuemc.fabric import Message, MessageKind
+                            NotFoundError, WorkerCrashError)
+from queuemc.fabric import Message, MessageKind, QueueFabric
 from queuemc.kernel import hierarchical_log_prior
 from queuemc.payloads import LikelihoodResponse, pack_response, parse_error
 from queuemc.plane import BackendModel
@@ -111,7 +112,7 @@ def run_gaussian(setup, w, n, seed=0, backend_kwargs=None, **kwargs):
                          seed=seed)
     init = kwargs.pop("init", np.zeros((w, 1)))
     out = run_chains(config, plane, input_q, output_q, init_positions=init,
-                     dataset_key="", response_timeout_s=10_000.0, **kwargs)
+                     dataset_key="", **kwargs)
     plane.close()
     return out, plane
 
@@ -165,7 +166,7 @@ def test_request_response_bijection(sim_setup):
                                                  record_deliveries=True)
     config = ChainConfig(n_walkers=5, n_iterations=4, proposal_scale=1.0, seed=3)
     run_chains(config, plane, input_q, output_q, init_positions=np.zeros((5, 1)),
-               dataset_key="", response_timeout_s=10_000.0)
+               dataset_key="")
     assert sorted(input_q.push_log) == sorted(output_q.push_log)
     assert input_q.push_log == input_q.delivery_log  # trigger keeps FIFO order
     assert output_q.delivery_log == output_q.push_log  # single consumer FIFO
@@ -206,37 +207,164 @@ def test_exchange_disabled_produces_no_log(sim_setup):
 def test_unexpected_response_rejected(sim_setup):
     fabric, input_q, output_q, plane = sim_setup(likelihood_fn=gaussian_target)
     rogue = Message(msg_id="not-a-request", kind=MessageKind.LIKELIHOOD_RESPONSE,
-                    walker_id=0, iteration=0,
-                    payload=pack_response(LikelihoodResponse(0, 0, 0.0, False, 0, 0)))
+                    payload=pack_response(LikelihoodResponse(0.0, False, 0, 0)))
     output_q.push(rogue)
     config = ChainConfig(n_walkers=2, n_iterations=1, proposal_scale=1.0, seed=0)
-    with pytest.raises(DuplicateResponseError):
+    with pytest.raises(DuplicateResponseError) as err:
         run_chains(config, plane, input_q, output_q,
                    init_positions=np.zeros((2, 1)), dataset_key="")
+    assert err.value.partial_output.n_iterations == 0
+
+
+class BlackHolePlane:
+    """A plane attached to nothing: requests pushed to its queues vanish."""
+
+    backend = "hole"
+    model = BackendModel(likelihood_duration_s=0.01)
+
+    def close(self):
+        pass
 
 
 def test_missing_response_times_out_with_partial_output(local_setup):
-    class BlackHolePlane:
-        backend = "hole"
-        model = BackendModel(likelihood_duration_s=0.01)
-
-        def close(self):
-            pass
-
     fabric, input_q, output_q, _ = local_setup()
-    hole = BlackHolePlane()
     # A fresh queue pair with no compute attached: requests vanish.
     dead_in = fabric.create_queue("dead-in")
     dead_out = fabric.create_queue("dead-out")
     config = ChainConfig(n_walkers=3, n_iterations=2, proposal_scale=1.0, seed=0)
     with pytest.raises(MissingResponseError) as err:
-        run_chains(config, hole, dead_in, dead_out,
+        run_chains(config, BlackHolePlane(), dead_in, dead_out,
                    init_positions=np.zeros((3, 1)), dataset_key="",
                    response_timeout_s=0.1)
     assert len(err.value.missing_ids) == 3
     assert err.value.partial_output is not None
     assert not err.value.partial_output.complete
     assert err.value.partial_output.samples.shape == (3, 0, 1)
+
+
+def test_unanswered_request_on_virtual_time_fails_fast():
+    # With no timeout a virtual-time run waits for its responses; once the
+    # clock has no event left, none can arrive and the run fails at once.
+    fabric = QueueFabric(VirtualClock())
+    dead_in, dead_out = fabric.create_queue("dead-in"), fabric.create_queue("dead-out")
+    config = ChainConfig(n_walkers=3, n_iterations=2, proposal_scale=1.0, seed=0)
+    with pytest.raises(MissingResponseError) as err:
+        run_chains(config, BlackHolePlane(), dead_in, dead_out,
+                   init_positions=np.zeros((3, 1)), dataset_key="")
+    assert len(err.value.missing_ids) == 3
+    assert err.value.partial_output.samples.shape == (3, 0, 1)
+
+
+def test_sim_waits_out_the_provisioning_ramp():
+    # Ramping to 64 instances takes about 31 virtual seconds, three times
+    # the old default timeout of ten likelihood durations.
+    out = run_stub_chain(64, 10, BackendModel(likelihood_duration_s=1.0))
+    assert out.complete and out.n_iterations == 10
+
+
+def test_worker_crash_carries_partial_output(sim_setup):
+    calls = itertools.count(1)
+
+    def ninth_call_fails(params, datasets):
+        if next(calls) == 9:
+            raise RuntimeError("deliberate")
+        return gaussian_target(params, datasets)
+
+    fabric, input_q, output_q, plane = sim_setup(likelihood_fn=ninth_call_fails)
+    config = ChainConfig(n_walkers=4, n_iterations=5, proposal_scale=1.0, seed=0)
+    with pytest.raises(WorkerCrashError) as err:
+        run_chains(config, plane, input_q, output_q,
+                   init_positions=np.zeros((4, 1)), dataset_key="")
+    partial = err.value.partial_output
+    assert partial.n_iterations == 2 and not partial.complete
+    assert len(partial.timeline) == 8
+
+
+def test_missing_dataset_carries_partial_output(sim_setup):
+    fabric, input_q, output_q, plane = sim_setup(store=MemoryObjectStore())
+    config = ChainConfig(n_walkers=2, n_iterations=3, proposal_scale=1.0, seed=0)
+    with pytest.raises(NotFoundError) as err:
+        run_chains(config, plane, input_q, output_q,
+                   init_positions=np.zeros((2, 1)), dataset_key="absent")
+    assert err.value.partial_output.n_iterations == 0
+
+
+# -------------------------------------------------------------- request identity
+
+
+def drain_answers(input_q, output_q):
+    """Pop every response still owed to requests already pushed."""
+    while output_q.pushed_count < input_q.pushed_count or output_q.pending_count:
+        output_q.pop(timeout=30.0)
+
+
+@pytest.mark.parametrize("backend", ["sim", "local"])
+def test_leftover_responses_are_never_used(backend, sim_setup, local_setup):
+    # The first run aborts on a crash with two answers still owed; they
+    # carry -123, every later answer -1.
+    calls = itertools.count()
+
+    def crash_then_constant(params, datasets):
+        n = next(calls)
+        if n == 0:
+            raise RuntimeError("deliberate")
+        return -123.0 if n < 3 else -1.0
+
+    setup = sim_setup if backend == "sim" else local_setup
+    fabric, input_q, output_q, plane = setup(likelihood_fn=crash_then_constant)
+    config = ChainConfig(n_walkers=3, n_iterations=1, proposal_scale=1.0, seed=0)
+
+    def run():
+        return run_chains(config, plane, input_q, output_q,
+                          init_positions=np.zeros((3, 1)), dataset_key="")
+
+    try:
+        with pytest.raises(WorkerCrashError):
+            run()
+        for _ in range(2):
+            try:
+                out = run()
+            except DuplicateResponseError as exc:
+                assert exc.partial_output.n_iterations == 0
+            else:
+                assert np.all(out.log_posts == -1.0)
+        drain_answers(input_q, output_q)
+        out = run()
+    finally:
+        plane.close()
+    assert np.all(out.log_posts == -1.0)
+
+
+def test_stale_response_raises_on_sim(sim_setup):
+    # On virtual time the aborted run's answers arrive before the next
+    # run's, so the next run meets one and stops.
+    calls = itertools.count()
+
+    def crash_first(params, datasets):
+        if next(calls) == 0:
+            raise RuntimeError("deliberate")
+        return -1.0
+
+    fabric, input_q, output_q, plane = sim_setup(likelihood_fn=crash_first)
+    config = ChainConfig(n_walkers=3, n_iterations=1, proposal_scale=1.0, seed=0)
+    for expected in (WorkerCrashError, DuplicateResponseError):
+        with pytest.raises(expected):
+            run_chains(config, plane, input_q, output_q,
+                       init_positions=np.zeros((3, 1)), dataset_key="")
+
+
+@pytest.mark.parametrize("backend", ["sim", "local"])
+def test_msg_ids_never_repeat_across_runs(backend, sim_setup, local_setup):
+    setup = sim_setup if backend == "sim" else local_setup
+    fabric, input_q, output_q, plane = setup(likelihood_fn=gaussian_target,
+                                             record_deliveries=True)
+    config = ChainConfig(n_walkers=3, n_iterations=2, proposal_scale=1.0, seed=0)
+    for _ in range(2):
+        run_chains(config, plane, input_q, output_q,
+                   init_positions=np.zeros((3, 1)), dataset_key="")
+    plane.close()
+    assert len(set(input_q.push_log)) == len(input_q.push_log) == 12
+    assert sorted(output_q.push_log) == sorted(input_q.push_log)
 
 
 def test_gaussian_target_moments_small(local_setup):
@@ -295,8 +423,8 @@ def test_parse_error(payload, expected):
 @pytest.mark.parametrize("payload", [b"ERR:worker-crash", b"ERR:"])
 def test_control_without_detail_raises_worker_crash(sim_setup, payload):
     fabric, input_q, output_q, plane = sim_setup(likelihood_fn=gaussian_target)
-    output_q.push(Message(msg_id="ctl", kind=MessageKind.CONTROL, walker_id=0,
-                          iteration=0, payload=payload))
+    # An empty msg_id marks a control message that answers no request.
+    output_q.push(Message(msg_id="", kind=MessageKind.CONTROL, payload=payload))
     config = ChainConfig(n_walkers=2, n_iterations=1, proposal_scale=1.0, seed=0)
     with pytest.raises(WorkerCrashError):
         run_chains(config, plane, input_q, output_q,
@@ -342,8 +470,7 @@ def test_golden_kernel_chain(backend, sim_setup, local_setup):
                      init_positions=np.tile(start, (walkers, 1)), dataset_key="bundle",
                      data_param_count=n_clusters * n_coeffs,
                      log_prior=functools.partial(hierarchical_log_prior,
-                                                 n_clusters=n_clusters),
-                     response_timeout_s=10_000.0)
+                                                 n_clusters=n_clusters))
     plane.close()
     assert 0 < out.accepted.sum() < out.accepted.size
     assert chain_digest(out) == "6da5ca408e3852c6"

@@ -9,12 +9,11 @@ from queuemc.clocks import VirtualClock, WallClock
 from queuemc.errors import (ConfigurationError, DuplicateQueueError, QueueClosedError,
                             WireFormatError)
 from queuemc.fabric import (Message, MessageKind, QueueFabric, decode_message,
-                            dump_messages, encode_message, load_messages)
+                            encode_message)
 
 
-def msg(i, kind=MessageKind.LIKELIHOOD_REQUEST, payload=b"", walker=0, iteration=0):
-    return Message(msg_id=f"m{i}", kind=kind, walker_id=walker,
-                   iteration=iteration, payload=payload)
+def msg(i, kind=MessageKind.LIKELIHOOD_REQUEST, payload=b""):
+    return Message(msg_id=f"m{i}", kind=kind, payload=payload)
 
 
 @pytest.fixture
@@ -94,8 +93,7 @@ def test_thousand_messages_delivered_exactly_once(fabric):
     q = fabric.create_queue("q")
     ids = {f"id-{i}" for i in range(1000)}
     for i in range(1000):
-        q.push(Message(msg_id=f"id-{i}", kind=MessageKind.CONTROL,
-                       walker_id=0, iteration=0, payload=b""))
+        q.push(Message(msg_id=f"id-{i}", kind=MessageKind.CONTROL, payload=b""))
     seen = []
     while (m := q.pop(0)) is not None:
         seen.append(m.msg_id)
@@ -194,21 +192,17 @@ def test_fifo_and_conservation_property(payloads):
 
 
 def test_message_validation():
+    assert Message(msg_id="x", kind="control", payload=b"").kind is MessageKind.CONTROL
     with pytest.raises(ValueError):
-        Message(msg_id="x", kind=MessageKind.CONTROL, walker_id=-1,
-                iteration=0, payload=b"")
-    with pytest.raises(ValueError):
-        Message(msg_id="x", kind="no_such_kind", walker_id=0,
-                iteration=0, payload=b"")
+        Message(msg_id="x", kind="no_such_kind", payload=b"")
 
 
 # Wire format
 
 
 def test_wire_round_trip():
-    m = Message(msg_id="abc", kind=MessageKind.LIKELIHOOD_RESPONSE, walker_id=7,
-                iteration=42, payload=b"\x00\xffbinary", enqueue_ts=1.5,
-                reply_to="output")
+    m = Message(msg_id="abc", kind=MessageKind.LIKELIHOOD_RESPONSE,
+                payload=b"\x00\xffbinary", enqueue_ts=1.5)
     line = encode_message(m)
     assert "\n" not in line
     back = decode_message(line)
@@ -216,19 +210,15 @@ def test_wire_round_trip():
 
 
 def test_wire_key_order_is_fixed():
-    m = Message(msg_id="a", kind=MessageKind.CONTROL, walker_id=0, iteration=0,
-                payload=b"hi", enqueue_ts=2.0, reply_to="r")
+    m = Message(msg_id="a", kind=MessageKind.CONTROL, payload=b"hi", enqueue_ts=2.0)
     line = encode_message(m)
     keys = list(json.loads(line).keys())
-    assert keys == ["msg_id", "kind", "walker_id", "iteration", "reply_to",
-                    "enqueue_ts", "payload_b64"]
-    assert line == ('{"msg_id":"a","kind":"control","walker_id":0,"iteration":0,'
-                    '"reply_to":"r","enqueue_ts":2.0,"payload_b64":"aGk="}')
+    assert keys == ["msg_id", "kind", "enqueue_ts", "payload_b64"]
+    assert line == '{"msg_id":"a","kind":"control","enqueue_ts":2.0,"payload_b64":"aGk="}'
 
 
 def test_wire_rejects_unknown_keys():
-    m = Message(msg_id="a", kind=MessageKind.CONTROL, walker_id=0, iteration=0,
-                payload=b"")
+    m = Message(msg_id="a", kind=MessageKind.CONTROL, payload=b"")
     record = json.loads(encode_message(m))
     record["extra"] = 1
     with pytest.raises(WireFormatError):
@@ -236,8 +226,7 @@ def test_wire_rejects_unknown_keys():
 
 
 def test_wire_rejects_missing_keys():
-    m = Message(msg_id="a", kind=MessageKind.CONTROL, walker_id=0, iteration=0,
-                payload=b"")
+    m = Message(msg_id="a", kind=MessageKind.CONTROL, payload=b"")
     record = json.loads(encode_message(m))
     del record["payload_b64"]
     with pytest.raises(WireFormatError):
@@ -249,9 +238,3 @@ def test_wire_rejects_malformed(bad):
     with pytest.raises(WireFormatError):
         decode_message(bad)
 
-
-def test_trace_dump_round_trip(tmp_path):
-    msgs = [msg(i, payload=bytes(range(i))) for i in range(4)]
-    path = tmp_path / "trace.log"
-    dump_messages(path, msgs)
-    assert load_messages(path) == msgs

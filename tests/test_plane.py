@@ -18,13 +18,11 @@ from queuemc.remote import WorkerServer
 from queuemc.store import MemoryObjectStore
 
 
-def request_msg(i, key, params=(), walker=None, iteration=0):
+def request_msg(i, key, params=()):
     payload = pack_request(LikelihoodRequest(
-        walker_id=walker if walker is not None else i, iteration=iteration,
         params=np.asarray(params, dtype=np.float64), dataset_key=key))
     return Message(msg_id=f"r{i:05d}", kind=MessageKind.LIKELIHOOD_REQUEST,
-                   walker_id=walker if walker is not None else i,
-                   iteration=iteration, payload=payload)
+                   payload=payload)
 
 
 def push_stub_wave(input_q, n, duration):
@@ -371,8 +369,7 @@ def test_backends_answer_alike(backend, case):
     store.put("bundle", write_container(datasets))
     request = request_msg(0, key, params=truths.ravel())
     if payload is not None:
-        request = Message(msg_id=request.msg_id, kind=request.kind, walker_id=0,
-                          iteration=0, payload=payload)
+        request = Message(msg_id=request.msg_id, kind=request.kind, payload=payload)
 
     server = thread = None
     if backend == "remote":

@@ -9,7 +9,7 @@ import pytest
 from queuemc.clocks import WallClock
 from queuemc.datasets import make_synthetic, write_container
 from queuemc.engine import ChainConfig, run_chains
-from queuemc.errors import WorkerCrashError
+from queuemc.errors import DuplicateResponseError, NotFoundError, WorkerCrashError
 from queuemc.fabric import (Message, MessageKind, QueueFabric, decode_message,
                             encode_message)
 from queuemc.kernel import evaluate
@@ -41,10 +41,8 @@ def worker_env(tmp_path):
 
 def request_message(msg_id, params, key):
     payload = pack_request(LikelihoodRequest(
-        walker_id=0, iteration=0, params=np.asarray(params, dtype=np.float64),
-        dataset_key=key))
-    return Message(msg_id=msg_id, kind=MessageKind.LIKELIHOOD_REQUEST,
-                   walker_id=0, iteration=0, payload=payload)
+        params=np.asarray(params, dtype=np.float64), dataset_key=key))
+    return Message(msg_id=msg_id, kind=MessageKind.LIKELIHOOD_REQUEST, payload=payload)
 
 
 def send_raw(addr, data: bytes, framed=True) -> bytes:
@@ -157,11 +155,7 @@ def test_remote_stub_tasks(worker_env):
     fabric = QueueFabric(WallClock())
     rin, rout = fabric.create_queue("in"), fabric.create_queue("out")
     client = attach_backend(rin, rout, "remote", BackendModel(), remote_addr=addr)
-    payload = pack_request(LikelihoodRequest(
-        walker_id=0, iteration=0, params=np.empty(0),
-        dataset_key=make_stub_key(0.01)))
-    rin.push(Message(msg_id="s0", kind=MessageKind.LIKELIHOOD_REQUEST,
-                     walker_id=0, iteration=0, payload=payload))
+    rin.push(request_message("s0", [], make_stub_key(0.01)))
     resp = rout.pop(timeout=10.0)
     assert unpack_response(resp.payload).log_likelihood == 0.0
     client.close()
@@ -194,3 +188,24 @@ def test_dropped_connection_fails_fast():
         acceptor.join(timeout=5)
     assert not acceptor.is_alive()
     assert elapsed < 2.0
+
+
+def test_error_frames_release_dispatch_stamps(worker_env):
+    # Each run stops at its first error; the answers still owed arrive
+    # afterwards, and a later run meets them as stale responses.
+    addr, _, _ = worker_env
+    fabric = QueueFabric(WallClock())
+    rin, rout = fabric.create_queue("in"), fabric.create_queue("out")
+    client = attach_backend(rin, rout, "remote", BackendModel(), remote_addr=addr)
+    config = ChainConfig(n_walkers=2, n_iterations=1, proposal_scale=1.0, seed=0)
+    try:
+        for _ in range(3):
+            with pytest.raises((NotFoundError, DuplicateResponseError)) as err:
+                run_chains(config, client, rin, rout, init_positions=np.zeros((2, 1)),
+                           dataset_key="no-such-bundle", response_timeout_s=30.0)
+            assert err.value.partial_output.n_iterations == 0
+        while rout.pushed_count < rin.pushed_count:
+            rout.pop(timeout=30.0)
+    finally:
+        client.close()
+    assert client._dispatch_ts == {}
