@@ -14,21 +14,21 @@ from .bench import (OverheadReport, bench_overhead, bench_timeline,
 from .clocks import VirtualClock, WallClock
 from .datasets import (ClusterDataset, load_container, make_synthetic,
                        read_container, save_container, write_container)
-from .diagnostics import effective_sample_size, pooled, split_rhat, summarize
+from .diagnostics import effective_sample_size, split_rhat, summarize
 from .engine import (ChainConfig, ChainOutput, TimelineRecord, exchange_step,
                      mh_step, propose, run_chains, write_chain_csv,
                      write_timeline_csv)
 from .fabric import (Message, MessageKind, Queue, QueueFabric, decode_message,
                      encode_message)
-from .kernel import (HierarchicalParams, ProfileParams, abel_project,
-                     chi_square, cluster_log_likelihood, convolve_beam,
-                     eval_profile, evaluate, forward_abel,
-                     hierarchical_log_prior, project_to_map)
+from .kernel import (ProfileParams, abel_project, chi_square,
+                     cluster_log_likelihood, convolve_beam, eval_profile,
+                     evaluate, forward_abel, hierarchical_log_prior,
+                     project_to_map)
 from .payloads import (LikelihoodRequest, LikelihoodResponse, pack_request,
                        pack_response, unpack_request, unpack_response)
 from .plane import (BackendModel, InvocationRecord, SimScheduler,
                     attach_backend, make_stub_key, simulate)
 from .remote import RemoteWorkerClient, WorkerServer, serve
-from .store import DirectoryObjectStore, MemoryObjectStore, StoredObject
+from .store import DirectoryObjectStore, MemoryObjectStore
 
 __version__ = "0.1.0"

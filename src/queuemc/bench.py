@@ -24,14 +24,12 @@ import numpy as np
 from .clocks import VirtualClock
 from .engine import ChainConfig, ChainOutput, run_chains
 from .errors import ConfigurationError
-from .fabric import Message, MessageKind, QueueFabric
-from .payloads import LikelihoodRequest, pack_request
+from .fabric import QueueFabric
 from .plane import BackendModel, InvocationRecord, SimulatedPlane, make_stub_key
 
 log = logging.getLogger(__name__)
 
 OVERHEAD_CSV_HEADER = "n_parallel,overhead_s,overhead_ratio,seed"
-TIMELINE_CSV_HEADER = "walker,iteration,dispatch_ts,complete_ts"
 
 JITTER_REPEAT_SEEDS = 5
 
@@ -63,25 +61,12 @@ def run_overhead_wave(n: int, model: BackendModel, seed: int = 0,
                       ) -> tuple[float, list[InvocationRecord], list[float]]:
     """One independent wave of n simultaneous stub requests.
 
-    Returns (overhead_s, invocation records, output arrival times).
+    The wave is the single iteration of an n-walker stub chain. Returns
+    (overhead_s, invocation records, output arrival times by walker).
     """
-    if n < 1:
-        raise ConfigurationError("wave size must be at least 1")
-    fabric = QueueFabric(VirtualClock())
-    input_q = fabric.create_queue("input")
-    output_q = fabric.create_queue("output")
-    plane = SimulatedPlane(input_q, output_q, model, seed=seed)
-    key = make_stub_key(model.likelihood_duration_s)
-    payload = pack_request(LikelihoodRequest(params=np.empty(0), dataset_key=key))
-    for i in range(n):
-        input_q.push(Message(msg_id=f"wave-{i:06d}", kind=MessageKind.LIKELIHOOD_REQUEST,
-                             payload=payload))
-    arrivals = []
-    for _ in range(n):
-        msg = output_q.pop(timeout=None)
-        arrivals.append(msg.enqueue_ts)
+    output, records = _stub_chain(n, 1, model, seed)
+    arrivals = [rec.complete_ts for rec in output.timeline]
     overhead = max(arrivals) - min(arrivals)
-    records = plane.records
     recomputed = max(r.end_ts for r in records) - min(r.end_ts for r in records)
     if abs(recomputed - overhead) > 1e-9:
         raise RuntimeError(
@@ -100,7 +85,6 @@ def bench_overhead(n_list: list[int], model: BackendModel, seed: int = 0, *,
     """
     if not n_list:
         raise ConfigurationError("n_list must not be empty")
-    model.validate()
     reference = reference_total_time(model, ratio_reference, ref_iterations)
     seeds = [seed] if model.jitter_std_s == 0 else [seed + k for k in range(JITTER_REPEAT_SEEDS)]
     reports: list[OverheadReport] = []
@@ -136,9 +120,10 @@ def write_events_csv(path, records: dict[tuple[int, int], list[InvocationRecord]
                          f"{r.dispatch_ts!r},{r.start_ts!r},{r.end_ts!r},{int(r.cold)}\n")
 
 
-def run_stub_chain(n_walkers: int, n_iterations: int, model: BackendModel,
-                   seed: int = 0) -> ChainOutput:
-    """Full lockstep sampler on the simulated backend with a stub target."""
+def _stub_chain(n_walkers: int, n_iterations: int, model: BackendModel,
+                seed: int) -> tuple[ChainOutput, list[InvocationRecord]]:
+    """A stub-target chain on a fresh simulated plane; returns the chain
+    and the plane's invocation records."""
     fabric = QueueFabric(VirtualClock())
     input_q = fabric.create_queue("input")
     output_q = fabric.create_queue("output")
@@ -146,8 +131,15 @@ def run_stub_chain(n_walkers: int, n_iterations: int, model: BackendModel,
     config = ChainConfig(n_walkers=n_walkers, n_iterations=n_iterations,
                          proposal_scale=1.0, seed=seed)
     init = np.zeros((n_walkers, 1))
-    return run_chains(config, plane, input_q, output_q, init_positions=init,
-                      dataset_key=make_stub_key(model.likelihood_duration_s))
+    output = run_chains(config, plane, input_q, output_q, init_positions=init,
+                        dataset_key=make_stub_key(model.likelihood_duration_s))
+    return output, plane.records
+
+
+def run_stub_chain(n_walkers: int, n_iterations: int, model: BackendModel,
+                   seed: int = 0) -> ChainOutput:
+    """Full lockstep sampler on the simulated backend with a stub target."""
+    return _stub_chain(n_walkers, n_iterations, model, seed)[0]
 
 
 def total_time(output: ChainOutput) -> float:
@@ -193,7 +185,6 @@ def bench_timeline(w_list: list[int], n_iterations: int, model: BackendModel,
     """Timeline runs for each walker count, same model and seed."""
     if not w_list:
         raise ConfigurationError("w_list must not be empty")
-    model.validate()
     return {w: run_stub_chain(w, n_iterations, model, seed=seed) for w in w_list}
 
 

@@ -38,6 +38,12 @@ EXIT_DATA = 2
 EXIT_BACKEND = 3
 EXIT_TIMEOUT = 4
 
+# fit's response timeout on the wall-clock backends when --timeout is not
+# given: a worker that never answers would otherwise stall the run for
+# good. 1000 s is far above one kernel evaluation and is the bound fit has
+# always applied there.
+FIT_WALL_TIMEOUT_S = 1000.0
+
 _LOG_LEVELS = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
 
 
@@ -98,8 +104,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="initial coefficient vector (one cluster row, broadcast)")
     fit.add_argument("--pool-size", type=int, default=4, help="local backend pool size")
     fit.add_argument("--timeout", type=float, default=None,
-                     help="response collection timeout, seconds (default: none on "
-                          "sim, ten likelihood durations elsewhere)")
+                     help="response collection timeout per iteration, seconds "
+                          f"(default: none on sim, {FIT_WALL_TIMEOUT_S:g} elsewhere)")
     fit.set_defaults(func=_cmd_fit)
 
     bench_parser = sub.add_parser("bench", help="simulated-backend benchmarks")
@@ -171,24 +177,24 @@ def _cmd_fit(args) -> int:
         config = ChainConfig(n_walkers=args.walkers, n_iterations=args.iterations,
                              proposal_scale=_broadcast_scale(args.proposal_scale, dim),
                              exchange_period=args.exchange_period, seed=args.seed)
-        config.validate()
-        model = BackendModel()
+        init = _initial_positions(args, n_clusters, n_coeff, dim, config)
         clock = VirtualClock() if args.backend == "sim" else WallClock()
         fabric = QueueFabric(clock)
         input_q = fabric.create_queue("input")
         output_q = fabric.create_queue("output")
         store = MemoryObjectStore()
         store.put(key, blob)
-        plane = attach_backend(input_q, output_q, args.backend, model,
-                               store=store, pool_size=args.pool_size,
-                               remote_addr=args.remote_addr)
+        plane = attach_backend(input_q, output_q, args.backend, store=store,
+                               pool_size=args.pool_size, remote_addr=args.remote_addr)
     except ConfigurationError as exc:
         return _fail("config", EXIT_CONFIG, str(exc))
     except (ConnectionError, OSError) as exc:
         return _fail("backend", EXIT_BACKEND, f"cannot attach backend: {exc}")
 
-    init = _initial_positions(args, n_clusters, n_coeff, dim, config)
     prior = functools.partial(hierarchical_log_prior, n_clusters=n_clusters)
+    timeout = args.timeout
+    if timeout is None and args.backend != "sim":
+        timeout = FIT_WALL_TIMEOUT_S
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -197,7 +203,7 @@ def _cmd_fit(args) -> int:
                             init_positions=init, dataset_key=key,
                             data_param_count=data_params,
                             log_prior=lambda pos: prior(pos),
-                            response_timeout_s=args.timeout)
+                            response_timeout_s=timeout)
     except MissingResponseError as exc:
         return _fail("timeout", EXIT_TIMEOUT, str(exc))
     except NotFoundError as exc:

@@ -55,8 +55,8 @@ class VirtualClock:
     queue.
     """
 
-    def __init__(self, start: float = 0.0) -> None:
-        self._now = float(start)
+    def __init__(self) -> None:
+        self._now = 0.0
         self._events: list[tuple[float, int, Callable[[], None]]] = []
         self._seq = itertools.count()
 
@@ -68,9 +68,6 @@ class VirtualClock:
         if when < self._now:
             raise ValueError(f"cannot schedule at {when}: clock is already at {self._now}")
         heapq.heappush(self._events, (float(when), next(self._seq), action))
-
-    def pending_events(self) -> int:
-        return len(self._events)
 
     def wait(self, cond: threading.Condition, timeout: float | None) -> None:
         deadline = None if timeout is None else self._now + timeout

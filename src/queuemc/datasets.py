@@ -28,9 +28,9 @@ _U32 = struct.Struct("<I")
 _F64 = struct.Struct("<d")
 
 # Population used by the synthetic generator: a decreasing cubic profile
-# with unit central value, p(1) = 0 at the truncation radius.
-DEFAULT_POPULATION_MEAN = (1.0, -0.5, -0.5, 0.0)
-DEFAULT_POPULATION_STD = 0.05
+# with unit central value, p(1) = 0 at the truncation radius r_max = 1.
+POPULATION_MEAN = (1.0, -0.5, -0.5, 0.0)
+POPULATION_STD = 0.05
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,8 +66,9 @@ class ClusterDataset:
             raise ValueError("radial_grid must have at least two points")
         if np.any(np.diff(radial) <= 0):
             raise ValueError("radial_grid must be strictly increasing")
-        if radial[0] < 0 or radial[-1] > self.r_max:
-            raise ValueError("radial_grid must lie in [0, r_max]")
+        if radial[0] < 0 or radial[-1] >= self.r_max:
+            # The projection of the profile is defined only inside r_max.
+            raise ValueError("radial_grid must lie in [0, r_max)")
 
     @property
     def grid_size(self) -> int:
@@ -150,16 +151,13 @@ def save_container(path, datasets: Sequence[ClusterDataset]) -> None:
 
 def make_synthetic(n_clusters: int, grid_size: int = 64, seed: int = 0, *,
                    n_radial: int | None = None, noise_level: float = 0.05,
-                   degree: int = 3, r_max: float = 1.0,
-                   population_mean: Sequence[float] | None = None,
-                   population_std: float = DEFAULT_POPULATION_STD,
-                   n_quad: int = kernel.DEFAULT_N_QUAD,
-                   ) -> tuple[list[ClusterDataset], np.ndarray]:
+                   degree: int = 3) -> tuple[list[ClusterDataset], np.ndarray]:
     """Generate clusters with known ground truth.
 
     Each cluster's true coefficient vector is drawn from a Gaussian
-    population around a decreasing cubic profile; the observed map is the
-    full forward pipeline at the truth plus Gaussian pixel noise with
+    population around a decreasing cubic profile with r_max = 1 (its
+    leading ``degree + 1`` coefficients, zero-padded); the observed map is
+    the full forward pipeline at the truth plus Gaussian pixel noise with
     standard deviation ``noise_level`` times the peak model value
     (``noise_level=0`` gives noise-free maps with unit sigma).
 
@@ -171,14 +169,10 @@ def make_synthetic(n_clusters: int, grid_size: int = 64, seed: int = 0, *,
         raise ValueError("grid_size must be even")
     rng = np.random.default_rng(seed)
     n_coeff = degree + 1
-    if population_mean is None:
-        mean = np.zeros(n_coeff)
-        base = np.asarray(DEFAULT_POPULATION_MEAN)
-        mean[: min(n_coeff, base.size)] = base[: min(n_coeff, base.size)]
-    else:
-        mean = np.asarray(population_mean, dtype=np.float64)
-        if mean.size != n_coeff:
-            raise ValueError("population_mean length must equal degree + 1")
+    mean = np.zeros(n_coeff)
+    base = np.asarray(POPULATION_MEAN)
+    mean[: min(n_coeff, base.size)] = base[: min(n_coeff, base.size)]
+    r_max = 1.0
 
     # Map half-width 1.2 r_max leaves margin for the beam wings.
     pixel_size = 2.4 * r_max / grid_size
@@ -186,7 +180,7 @@ def make_synthetic(n_clusters: int, grid_size: int = 64, seed: int = 0, *,
     m = n_radial if n_radial is not None else 2 * grid_size
     radial_grid = np.linspace(0.0, 0.97 * r_max, m)
 
-    truths = mean[None, :] + population_std * rng.standard_normal((n_clusters, n_coeff))
+    truths = mean[None, :] + POPULATION_STD * rng.standard_normal((n_clusters, n_coeff))
     geometry = dict(pixel_size=pixel_size, beam_fwhm=beam_fwhm, r_max=r_max,
                     radial_grid=radial_grid)
     # Geometry alone, for the forward pipeline at the truth.
@@ -194,7 +188,7 @@ def make_synthetic(n_clusters: int, grid_size: int = 64, seed: int = 0, *,
     template = ClusterDataset(cluster_id="", obs_map=unit, sigma_map=unit, **geometry)
     datasets: list[ClusterDataset] = []
     for c in range(n_clusters):
-        probe = kernel.cluster_model_map(truths[c], template, n_quad=n_quad)
+        probe = kernel.cluster_model_map(truths[c], template)
         peak = float(np.max(np.abs(probe)))
         if noise_level > 0 and peak > 0:
             sigma = np.full_like(probe, noise_level * peak)

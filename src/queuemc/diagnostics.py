@@ -83,13 +83,6 @@ def effective_sample_size(samples: np.ndarray) -> np.ndarray:
     return out
 
 
-def pooled(samples: np.ndarray, burn_in: float = DEFAULT_BURN_IN) -> np.ndarray:
-    """Post-burn-in samples flattened over walkers: (kept * walkers, dim)."""
-    s = _as_3d(samples)
-    drop = int(burn_in * s.shape[1])
-    return s[:, drop:, :].reshape(-1, s.shape[2])
-
-
 def discard_burn_in(samples: np.ndarray, burn_in: float = DEFAULT_BURN_IN) -> np.ndarray:
     s = _as_3d(samples)
     drop = int(burn_in * s.shape[1])
@@ -97,9 +90,18 @@ def discard_burn_in(samples: np.ndarray, burn_in: float = DEFAULT_BURN_IN) -> np
 
 
 def summarize(output, burn_in: float = DEFAULT_BURN_IN) -> dict:
-    """Plain-type diagnostic summary of a chain output, JSON-friendly."""
+    """Plain-type diagnostic summary of a chain output, JSON-friendly.
+
+    ``split_rhat`` is null for a coordinate whose chains have no variance,
+    and for every coordinate when fewer than 2 walkers or 4 kept
+    iterations leave nothing to compare.
+    """
     kept = discard_burn_in(output.samples, burn_in)
-    rhat = split_rhat(kept)
+    n_walkers, n_kept, dim = kept.shape
+    if n_walkers >= 2 and n_kept >= 4:
+        rhat = [None if math.isinf(v) else float(v) for v in split_rhat(kept)]
+    else:
+        rhat = [None] * dim
     ess = effective_sample_size(kept)
     counts = output.accept_counts
     return {
@@ -110,6 +112,6 @@ def summarize(output, burn_in: float = DEFAULT_BURN_IN) -> dict:
         "complete": bool(output.complete),
         "acceptance_rate": float(counts.sum() / output.accepted.size),
         "per_walker_acceptance": [float(c) / output.n_iterations for c in counts],
-        "split_rhat": [None if math.isinf(v) else float(v) for v in rhat],
+        "split_rhat": rhat,
         "ess": [float(v) for v in ess],
     }

@@ -20,16 +20,20 @@ accepted and doubles as the initialization evaluation.
 A request's only identity is its msg_id, ``req-<n>``, where n counts on
 from ``input_q.pushed_count`` at the start of the run, so no id repeats
 across runs on one queue pair. Responses are matched to walkers through a
-per-iteration msg_id map, so arrival order is irrelevant. A response that
-matches no pending request, such as a leftover from an aborted earlier
-run, raises :class:`DuplicateResponseError` and is never used; a control
-message with an empty msg_id reports a transport fault and aborts the run.
-Any package error that aborts a run carries the iterations completed
-before it as ``partial_output``.
+per-iteration msg_id map, so arrival order is irrelevant. An answer to
+``req-<n>`` with n below the run's first id is owed to an earlier run that
+aborted before collecting it: it is logged, dropped and never used. Any
+other response that matches no pending request raises
+:class:`DuplicateResponseError`; a control message with an empty msg_id
+reports a transport fault and aborts the run. Any package error that
+aborts a run carries the iterations completed before it as
+``partial_output``.
 
-On a virtual clock a run with no ``response_timeout_s`` waits until its
-responses arrive; if the clock runs out of events first, no response can
-arrive any more and the run raises :class:`MissingResponseError`.
+With no ``response_timeout_s`` a run waits for every response, on any
+clock. On a virtual clock that wait is finite: once the clock runs out of
+events, no response can arrive any more and the run raises
+:class:`MissingResponseError`. On the wall clock a worker that never
+answers stalls the run, so callers that must finish pass a timeout.
 """
 
 from __future__ import annotations
@@ -41,10 +45,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .clocks import VirtualClock
-from .errors import (DuplicateResponseError, MissingResponseError,
-                     NotFoundError, QueueMCError, SimulationStalledError,
-                     WorkerCrashError)
+from .errors import (ConfigurationError, DuplicateResponseError,
+                     MissingResponseError, NotFoundError, QueueMCError,
+                     SimulationStalledError, WorkerCrashError)
 from .fabric import Message, MessageKind, Queue
 from .payloads import (LikelihoodRequest, pack_request, parse_error,
                        unpack_response)
@@ -54,19 +57,23 @@ log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class ChainConfig:
+    """Sampler settings; invalid values raise :class:`ConfigurationError`
+    at construction."""
+
     n_walkers: int
     n_iterations: int
     proposal_scale: float | Sequence[float] = 1.0
     exchange_period: int = 0  # 0 disables exchange
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.n_walkers < 1 or self.n_iterations < 1:
-            raise ValueError("n_walkers and n_iterations must be at least 1")
-        if np.any(np.asarray(self.proposal_scale, dtype=np.float64) <= 0):
-            raise ValueError("proposal_scale entries must be positive")
+            raise ConfigurationError("n_walkers and n_iterations must be at least 1")
+        scale = np.asarray(self.proposal_scale, dtype=np.float64)
+        if not np.all((0 < scale) & (scale < np.inf)):
+            raise ConfigurationError("proposal_scale entries must be finite and positive")
         if self.exchange_period < 0:
-            raise ValueError("exchange_period must be >= 0")
+            raise ConfigurationError("exchange_period must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -135,6 +142,12 @@ def exchange_step(positions: np.ndarray, log_posts: np.ndarray,
     return positions[perm], log_posts[perm], perm
 
 
+def _owed_to_earlier_run(msg_id: str, first_id: int) -> bool:
+    """Whether ``msg_id`` names a request a run before this one sent."""
+    prefix, _, n = msg_id.partition("-")
+    return prefix == "req" and n.isdecimal() and int(n) < first_id
+
+
 def run_chains(config: ChainConfig, plane, input_q: Queue, output_q: Queue, *,
                init_positions: np.ndarray,
                dataset_key: str = "",
@@ -154,11 +167,9 @@ def run_chains(config: ChainConfig, plane, input_q: Queue, output_q: Queue, *,
         defaults to the full position.
     log_prior : coordinator-side log prior over the full position vector
         (default flat).
-    response_timeout_s : per-iteration collection timeout; on a virtual
-        clock the default is to wait until the responses arrive, elsewhere
-        ten times the backend's modeled likelihood duration.
+    response_timeout_s : per-iteration collection timeout; None waits for
+        every response (see the module docstring).
     """
-    config.validate()
     w_count, n_iter = config.n_walkers, config.n_iterations
     init = np.asarray(init_positions, dtype=np.float64)
     if init.ndim == 1:
@@ -173,9 +184,6 @@ def run_chains(config: ChainConfig, plane, input_q: Queue, output_q: Queue, *,
         raise ValueError("data_param_count must be in [1, dim]")
     prior = log_prior if log_prior is not None else (lambda pos: 0.0)
     clock = output_q.clock
-    timeout = response_timeout_s
-    if timeout is None and not isinstance(clock, VirtualClock):
-        timeout = 10.0 * plane.model.likelihood_duration_s
 
     root = np.random.SeedSequence(config.seed)
     streams = root.spawn(w_count + 1)
@@ -208,7 +216,8 @@ def run_chains(config: ChainConfig, plane, input_q: Queue, output_q: Queue, *,
                 dispatch_ts[w] = ack.enqueue_ts
 
             replies: list[Message | None] = [None] * w_count
-            deadline = None if timeout is None else clock.now() + timeout
+            deadline = (None if response_timeout_s is None
+                        else clock.now() + response_timeout_s)
             while walker_of:
                 try:
                     msg = output_q.pop(
@@ -218,6 +227,9 @@ def run_chains(config: ChainConfig, plane, input_q: Queue, output_q: Queue, *,
                 if msg is None:
                     raise MissingResponseError(walker_of)
                 w = walker_of.pop(msg.msg_id, None)
+                if w is None and _owed_to_earlier_run(msg.msg_id, first_id):
+                    log.info("dropping %s, owed to an earlier run", msg.msg_id)
+                    continue
                 if msg.kind is MessageKind.CONTROL and (w is not None or not msg.msg_id):
                     err = parse_error(msg.payload)
                     code, detail = err if err else ("worker-crash", "unexpected control message")

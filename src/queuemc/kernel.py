@@ -11,7 +11,7 @@ is bit-reproducible across backends.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -180,24 +180,23 @@ def chi_square(model: np.ndarray, obs_map: np.ndarray, sigma_map: np.ndarray) ->
     return float(np.sum(resid * resid))
 
 
-def cluster_model_map(theta: np.ndarray, dataset, n_quad: int = DEFAULT_N_QUAD) -> np.ndarray:
+def cluster_model_map(theta: np.ndarray, dataset) -> np.ndarray:
     """Run stages one to four for a single cluster: profile, projection,
     map expansion, beam smoothing."""
     params = ProfileParams(theta=np.asarray(theta, dtype=np.float64), r_max=dataset.r_max)
-    projected = forward_abel(params, dataset.radial_grid, n_quad=n_quad)
+    projected = forward_abel(params, dataset.radial_grid)
     image = project_to_map(dataset.radial_grid, projected,
                            dataset.grid_size, dataset.pixel_size)
     return convolve_beam(image, dataset.beam_fwhm, dataset.pixel_size)
 
 
-def cluster_log_likelihood(theta: np.ndarray, dataset,
-                           n_quad: int = DEFAULT_N_QUAD) -> float:
+def cluster_log_likelihood(theta: np.ndarray, dataset) -> float:
     """-chi^2 / 2 for one cluster."""
-    model = cluster_model_map(theta, dataset, n_quad=n_quad)
+    model = cluster_model_map(theta, dataset)
     return -0.5 * chi_square(model, dataset.obs_map, dataset.sigma_map)
 
 
-def evaluate(thetas: np.ndarray, datasets: Sequence, n_quad: int = DEFAULT_N_QUAD) -> float:
+def evaluate(thetas: np.ndarray, datasets: Sequence) -> float:
     """Joint data log-likelihood over all clusters.
 
     Parameters
@@ -220,37 +219,19 @@ def evaluate(thetas: np.ndarray, datasets: Sequence, n_quad: int = DEFAULT_N_QUA
     total = 0.0
     for row, ds in zip(thetas, datasets):
         try:
-            total += cluster_log_likelihood(row, ds, n_quad=n_quad)
+            total += cluster_log_likelihood(row, ds)
         except Exception as exc:
             raise ClusterEvalError(ds.cluster_id, exc) from exc
     return total
 
 
-@dataclass(frozen=True)
-class HierarchicalParams:
-    """Population-level location and log-scale for the per-cluster coefficients."""
+def split_position(position: np.ndarray, n_clusters: int,
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Split a flat sampler position into (thetas, mu, log_s).
 
-    mu: np.ndarray
-    log_s: np.ndarray
-
-    def __post_init__(self) -> None:
-        mu = np.atleast_1d(np.asarray(self.mu, dtype=np.float64))
-        log_s = np.atleast_1d(np.asarray(self.log_s, dtype=np.float64))
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "log_s", log_s)
-        if mu.shape != log_s.shape:
-            raise ValueError("mu and log_s must have the same length")
-
-    @property
-    def s(self) -> np.ndarray:
-        return np.exp(self.log_s)
-
-
-def split_position(position: np.ndarray, n_clusters: int) -> tuple[np.ndarray, HierarchicalParams]:
-    """Split a flat sampler position into per-cluster rows and hyperparameters.
-
-    Layout: n_clusters * k cluster coefficients, then k population means,
-    then k population log-scales, where k divides the length accordingly.
+    Layout: n_clusters * k cluster coefficients, then k population means
+    ``mu``, then k population log-scales ``log_s``, where k divides the
+    length accordingly.
     """
     position = np.asarray(position, dtype=np.float64)
     if position.size % (n_clusters + 2) != 0:
@@ -261,7 +242,7 @@ def split_position(position: np.ndarray, n_clusters: int) -> tuple[np.ndarray, H
     thetas = position[: n_clusters * k].reshape(n_clusters, k)
     mu = position[n_clusters * k: (n_clusters + 1) * k]
     log_s = position[(n_clusters + 1) * k:]
-    return thetas, HierarchicalParams(mu=mu, log_s=log_s)
+    return thetas, mu, log_s
 
 
 def hierarchical_log_prior(position: np.ndarray, n_clusters: int) -> float:
@@ -272,9 +253,9 @@ def hierarchical_log_prior(position: np.ndarray, n_clusters: int) -> float:
     log_s a standard normal one. Normalization constants independent of the
     parameters are dropped.
     """
-    thetas, hyper = split_position(position, n_clusters)
-    s = hyper.s
-    resid = (thetas - hyper.mu[None, :]) / s[None, :]
-    level_two = -0.5 * float(np.sum(resid * resid)) - n_clusters * float(np.sum(hyper.log_s))
-    hyper_prior = -0.5 * float(np.sum(hyper.log_s ** 2))
+    thetas, mu, log_s = split_position(position, n_clusters)
+    s = np.exp(log_s)
+    resid = (thetas - mu[None, :]) / s[None, :]
+    level_two = -0.5 * float(np.sum(resid * resid)) - n_clusters * float(np.sum(log_s))
+    hyper_prior = -0.5 * float(np.sum(log_s ** 2))
     return level_two + hyper_prior

@@ -54,7 +54,12 @@ STUB_KEY_PREFIX = "stub:"
 
 @dataclass(frozen=True)
 class BackendModel:
-    """Latency parameters of the simulated elastic platform."""
+    """Latency parameters of the simulated elastic platform.
+
+    Only the ``sim`` backend reads a model; ``local`` and ``remote`` run
+    on the wall clock and take none. Invalid values raise
+    :class:`ConfigurationError` at construction.
+    """
 
     cold_start_s: float = 2.0
     warm_invoke_s: float = 0.05
@@ -64,19 +69,20 @@ class BackendModel:
     likelihood_duration_s: float = 100.0
     jitter_std_s: float = 0.0
 
-    def validate(self) -> None:
-        if self.cold_start_s < 0 or self.warm_invoke_s < 0:
-            raise ConfigurationError("latencies must be non-negative")
+    def __post_init__(self) -> None:
+        # Written so that NaN fails every check.
+        if not (0 <= self.cold_start_s < math.inf and 0 <= self.warm_invoke_s < math.inf):
+            raise ConfigurationError("latencies must be finite and non-negative")
         if self.initial_capacity < 1:
             raise ConfigurationError("initial_capacity must be at least 1")
-        if self.scale_doubling_interval_s <= 0:
-            raise ConfigurationError("scale_doubling_interval_s must be positive")
+        if not 0 < self.scale_doubling_interval_s < math.inf:
+            raise ConfigurationError("scale_doubling_interval_s must be finite and positive")
         if self.max_concurrency is not None and self.max_concurrency < 1:
             raise ConfigurationError("max_concurrency must be at least 1 or None")
-        if self.likelihood_duration_s <= 0:
-            raise ConfigurationError("likelihood_duration_s must be positive")
-        if self.jitter_std_s < 0:
-            raise ConfigurationError("jitter_std_s must be non-negative")
+        if not 0 < self.likelihood_duration_s < math.inf:
+            raise ConfigurationError("likelihood_duration_s must be finite and positive")
+        if not 0 <= self.jitter_std_s < math.inf:
+            raise ConfigurationError("jitter_std_s must be finite and non-negative")
 
     def ramp_delay(self, n: int) -> float:
         """Seconds after the ramp origin at which instance ``n`` (1-based)
@@ -123,14 +129,18 @@ class TaskRunner:
         the task failed: ``dataset-not-found`` for an unresolvable key,
         ``worker-crash`` for anything else. Keys of the form
         ``stub:<seconds>`` are stub tasks: they return a log-likelihood of
-        0 and ``stub_s``, the seconds the caller keeps the worker busy;
+        0 and ``stub_s``, the seconds the caller keeps the worker busy; a
+        duration that is not finite and >= 0 is a ``worker-crash``.
         ``stub_s`` is None for every other task.
         """
         try:
             req = unpack_request(msg.payload)
             key = req.dataset_key
             if key.startswith(STUB_KEY_PREFIX):
-                return 0.0, False, float(key[len(STUB_KEY_PREFIX):])
+                stub_s = float(key[len(STUB_KEY_PREFIX):])
+                if not 0.0 <= stub_s < math.inf:
+                    raise ValueError(f"stub duration {stub_s!r} is not finite and >= 0")
+                return 0.0, False, stub_s
             datasets, cold = self._load(key) if key else (None, False)
             if self._fn is not None:
                 return float(self._fn(req.params, datasets)), cold, None
@@ -199,7 +209,6 @@ class SimScheduler:
     """
 
     def __init__(self, model: BackendModel, seed: int = 0):
-        model.validate()
         self._model = model
         self._rng = np.random.default_rng(seed)
         self._free: list[tuple[float, int]] = []  # (next_free_ts, instance number)
@@ -289,11 +298,10 @@ class SimulatedPlane(_PlaneBase):
     def __init__(self, input_q: Queue, output_q: Queue, model: BackendModel, *,
                  store=None, likelihood_fn=None, seed: int = 0):
         super().__init__()
-        model.validate()
         clock = input_q.clock
         if not isinstance(clock, VirtualClock):
             raise ConfigurationError("simulated backend requires a VirtualClock fabric")
-        self.model = model
+        self._model = model
         self._clock = clock
         self._output_q = output_q
         self._runner = TaskRunner(store, likelihood_fn)
@@ -302,7 +310,7 @@ class SimulatedPlane(_PlaneBase):
 
     def _on_message(self, msg: Message) -> None:
         result, _, stub_s = self._runner.run(msg)
-        duration = self.model.likelihood_duration_s if stub_s is None else stub_s
+        duration = self._model.likelihood_duration_s if stub_s is None else stub_s
         rec = self._sched.assign(msg.msg_id, msg.enqueue_ts, duration)
         self._record(rec)
         resp = respond(msg, result, rec)
@@ -314,13 +322,11 @@ class LocalPoolPlane(_PlaneBase):
 
     backend = "local"
 
-    def __init__(self, input_q: Queue, output_q: Queue, model: BackendModel, *,
+    def __init__(self, input_q: Queue, output_q: Queue, *,
                  store=None, likelihood_fn=None, pool_size: int = 4):
         super().__init__()
-        model.validate()
         if pool_size < 1:
             raise ConfigurationError("pool_size must be at least 1")
-        self.model = model
         self._clock = output_q.clock
         self._output_q = output_q
         self._runner = TaskRunner(store, likelihood_fn)
@@ -341,24 +347,28 @@ class LocalPoolPlane(_PlaneBase):
 
 
 def attach_backend(input_q: Queue, output_q: Queue, backend: str,
-                   model: BackendModel, *, store=None, likelihood_fn=None,
+                   model: BackendModel | None = None, *, store=None, likelihood_fn=None,
                    pool_size: int = 4, remote_addr=None, seed: int = 0):
     """Wire a compute backend to a queue pair.
 
     After this call every message delivered on ``input_q`` produces
     exactly one message on ``output_q``: a likelihood response carrying
     the request's msg_id, or a control message surfacing a worker error.
+
+    ``model`` and ``seed`` configure the simulated platform and reach
+    ``sim`` only, where ``model`` defaults to ``BackendModel()``; the
+    wall-clock backends ignore them.
     """
-    model.validate()
     if backend == "sim":
+        model = BackendModel() if model is None else model
         return SimulatedPlane(input_q, output_q, model, store=store,
                               likelihood_fn=likelihood_fn, seed=seed)
     if backend == "local":
-        return LocalPoolPlane(input_q, output_q, model, store=store,
+        return LocalPoolPlane(input_q, output_q, store=store,
                               likelihood_fn=likelihood_fn, pool_size=pool_size)
     if backend == "remote":
         if remote_addr is None:
             raise ConfigurationError("remote backend requires remote_addr")
         from .remote import RemoteWorkerClient
-        return RemoteWorkerClient(input_q, output_q, model, remote_addr)
+        return RemoteWorkerClient(input_q, output_q, remote_addr)
     raise ConfigurationError(f"unknown backend {backend!r}")

@@ -135,10 +135,8 @@ class RemoteWorkerClient(_PlaneBase):
 
     backend = "remote"
 
-    def __init__(self, input_q, output_q, model, addr: str | tuple[str, int]):
+    def __init__(self, input_q, output_q, addr: str | tuple[str, int]):
         super().__init__()
-        model.validate()
-        self.model = model
         self._output_q = output_q
         self._clock = output_q.clock
         self._sock = socket.create_connection(parse_addr(addr))

@@ -18,7 +18,6 @@ import os
 import tempfile
 import threading
 import urllib.parse
-from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import CorruptionError, KeyExistsError, NotFoundError, StorageFullError
@@ -31,20 +30,11 @@ def content_digest(data: bytes) -> str:
     return hashlib.blake2b(data, digest_size=8).hexdigest()
 
 
-@dataclass(frozen=True)
-class StoredObject:
-    key: str
-    size: int
-    content_hash: str
-
-
 class MemoryObjectStore:
     """Dict-backed store; safe for concurrent readers, single writer per key."""
 
-    def __init__(self, capacity_bytes: int | None = None) -> None:
+    def __init__(self) -> None:
         self._objects: dict[str, tuple[bytes, str]] = {}
-        self._used = 0
-        self._capacity = capacity_bytes
         self._lock = threading.Lock()
 
     def put(self, key: str, data: bytes) -> str:
@@ -52,12 +42,8 @@ class MemoryObjectStore:
         with self._lock:
             if key in self._objects:
                 raise KeyExistsError(f"key {key!r} already written")
-            if self._capacity is not None and self._used + len(data) > self._capacity:
-                raise StorageFullError(
-                    f"putting {len(data)} bytes would exceed capacity {self._capacity}")
             digest = content_digest(data)
             self._objects[key] = (data, digest)
-            self._used += len(data)
         return digest
 
     def get(self, key: str) -> bytes:
@@ -69,18 +55,6 @@ class MemoryObjectStore:
         if content_digest(data) != digest:
             raise CorruptionError(f"digest mismatch for key {key!r}")
         return data
-
-    def stat(self, key: str) -> StoredObject:
-        with self._lock:
-            try:
-                data, digest = self._objects[key]
-            except KeyError:
-                raise NotFoundError(f"key {key!r} not found") from None
-        return StoredObject(key=key, size=len(data), content_hash=digest)
-
-    def contains(self, key: str) -> bool:
-        with self._lock:
-            return key in self._objects
 
 
 class DirectoryObjectStore:
@@ -138,16 +112,3 @@ class DirectoryObjectStore:
         if content_digest(data) != digest or int(size) != len(data):
             raise CorruptionError(f"digest mismatch for key {key!r}")
         return data
-
-    def stat(self, key: str) -> StoredObject:
-        target = self._path(key)
-        side = target.with_name(target.name + _SIDE_SUFFIX)
-        try:
-            recorded = side.read_text(encoding="ascii")
-        except FileNotFoundError:
-            raise NotFoundError(f"key {key!r} not found") from None
-        digest, _, size = recorded.strip().partition(" ")
-        return StoredObject(key=key, size=int(size), content_hash=digest)
-
-    def contains(self, key: str) -> bool:
-        return self._path(key).exists()

@@ -33,14 +33,12 @@ def sim_setup(fast_model):
 
 
 @pytest.fixture
-def local_setup(fast_model):
-    def build(model=None, likelihood_fn=None, store=None, pool_size=4,
-              record_deliveries=False):
+def local_setup():
+    def build(likelihood_fn=None, store=None, pool_size=4, record_deliveries=False):
         fabric = QueueFabric(WallClock(), record_deliveries=record_deliveries)
         input_q = fabric.create_queue("input")
         output_q = fabric.create_queue("output")
         plane = attach_backend(input_q, output_q, "local",
-                               model if model is not None else fast_model,
                                likelihood_fn=likelihood_fn, store=store,
                                pool_size=pool_size)
         return fabric, input_q, output_q, plane

@@ -1,0 +1,90 @@
+import json
+import struct
+
+import pytest
+
+from queuemc import cli
+from queuemc.datasets import make_synthetic, save_container, write_container
+
+
+@pytest.fixture
+def dataset_path(tmp_path):
+    datasets, _ = make_synthetic(1, grid_size=16, seed=0)
+    path = tmp_path / "one.qmc"
+    save_container(path, datasets)
+    return path
+
+
+def fit(dataset_path, out_dir, *extra):
+    return cli.main(["fit", "--dataset", str(dataset_path), "--out-dir", str(out_dir),
+                     "--backend", "sim", *extra])
+
+
+@pytest.mark.parametrize("extra", [
+    ["--walkers", "0", "--iterations", "2"],
+    ["--walkers", "2", "--iterations", "2", "--exchange-period", "-1"],
+    ["--walkers", "2", "--iterations", "2", "--proposal-scale", "0"],
+    ["--walkers", "2", "--iterations", "2", "--proposal-scale", "nan"],
+])
+def test_fit_config_errors_are_classified(dataset_path, tmp_path, capsys, extra):
+    assert fit(dataset_path, tmp_path / "out", *extra) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error (config): ") and "Traceback" not in err
+
+
+def test_fit_bad_init_fails_before_attaching_a_backend(dataset_path, tmp_path, capsys,
+                                                      monkeypatch):
+    attached = []
+    monkeypatch.setattr(cli, "attach_backend", lambda *a, **k: attached.append(a))
+    code = cli.main(["fit", "--dataset", str(dataset_path), "--out-dir", str(tmp_path / "out"),
+                     "--backend", "remote", "--remote-addr", "127.0.0.1:9",
+                     "--walkers", "2", "--iterations", "1", "--init", "1,2"])
+    assert code == cli.EXIT_CONFIG and attached == []
+    assert capsys.readouterr().err.startswith("error (config): --init needs 4")
+
+
+@pytest.mark.parametrize("walkers,iterations", [(1, 5), (2, 3)])
+def test_fit_with_few_walkers_or_iterations_writes_diagnostics(
+        dataset_path, tmp_path, walkers, iterations):
+    out = tmp_path / "out"
+    assert fit(dataset_path, out, "--walkers", str(walkers),
+               "--iterations", str(iterations)) == 0
+    summary = json.loads((out / "diagnostics.json").read_text())
+    assert summary["n_walkers"] == walkers
+    assert summary["split_rhat"] == [None] * (3 * 4)
+
+
+@pytest.mark.parametrize("backend,extra,expected", [
+    ("sim", [], None),
+    ("local", [], cli.FIT_WALL_TIMEOUT_S),
+    ("local", ["--timeout", "5"], 5.0),
+])
+def test_fit_response_timeout(dataset_path, tmp_path, monkeypatch, backend, extra, expected):
+    seen = []
+    real = cli.run_chains
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs["response_timeout_s"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_chains", spy)
+    code = cli.main(["fit", "--dataset", str(dataset_path), "--out-dir", str(tmp_path / "out"),
+                     "--backend", backend, "--walkers", "2", "--iterations", "1",
+                     "--pool-size", "1", *extra])
+    assert code == 0
+    assert seen == [expected]
+    assert cli.FIT_WALL_TIMEOUT_S == 1000.0
+
+
+def test_fit_rejects_grid_reaching_r_max_as_data_error(tmp_path, capsys):
+    # The container format can carry a radial grid that reaches r_max,
+    # where no projection is defined; reading it is a data error.
+    (ds,), _ = make_synthetic(1, grid_size=16, seed=0)
+    blob = bytearray(write_container([ds]))
+    r_max_at = 4 + 4 + 4 + len(ds.cluster_id) + 4 + 4 + 8 + 8
+    struct.pack_into("<d", blob, r_max_at, ds.radial_grid[-1])
+    path = tmp_path / "edge.qmc"
+    path.write_bytes(bytes(blob))
+    code = fit(path, tmp_path / "out", "--walkers", "2", "--iterations", "1")
+    assert code == cli.EXIT_DATA
+    assert capsys.readouterr().err.startswith("error (data): ")

@@ -58,7 +58,9 @@ def test_virtual_clock_does_not_fire_beyond_deadline():
     with cond:
         clock.wait(cond, timeout=2.0)
     assert fired == [] and clock.now() == 2.0
-    assert clock.pending_events() == 1
+    with cond:
+        clock.wait(cond, timeout=None)  # the event is still pending
+    assert fired == ["x"] and clock.now() == 10.0
 
 
 def test_virtual_clock_indefinite_wait_without_events_raises():

@@ -87,6 +87,11 @@ def test_dataset_validation():
                        sigma_map=np.ones((4, 4)), pixel_size=1.0,
                        beam_fwhm=1.0, r_max=0.5,
                        radial_grid=good.radial_grid)  # grid beyond r_max
+    with pytest.raises(ValueError):
+        ClusterDataset(cluster_id="x", obs_map=np.zeros((4, 4)),
+                       sigma_map=np.ones((4, 4)), pixel_size=1.0,
+                       beam_fwhm=1.0, r_max=good.radial_grid[-1],
+                       radial_grid=good.radial_grid)  # grid reaching r_max
 
 
 def test_synthetic_generator_deterministic():

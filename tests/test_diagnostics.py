@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from queuemc.diagnostics import (discard_burn_in, effective_sample_size,
-                                 pooled, split_rhat)
+from queuemc.diagnostics import discard_burn_in, effective_sample_size, split_rhat
 
 
 def test_rhat_degenerate_constant_chains():
@@ -73,6 +72,4 @@ def test_burn_in_helpers():
     samples = np.arange(40.0).reshape(2, 20)
     kept = discard_burn_in(samples, burn_in=0.2)
     assert kept.shape == (2, 16, 1)
-    flat = pooled(samples, burn_in=0.2)
-    assert flat.shape == (32, 1)
-    assert flat.min() == 4.0
+    assert kept.min() == 4.0

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import logging
 import math
 
 import numpy as np
@@ -11,8 +12,8 @@ from queuemc.datasets import make_synthetic, write_container
 from queuemc.diagnostics import discard_burn_in
 from queuemc.engine import (ChainConfig, exchange_step, mh_step, propose,
                             run_chains, write_chain_csv)
-from queuemc.errors import (DuplicateResponseError, MissingResponseError,
-                            NotFoundError, WorkerCrashError)
+from queuemc.errors import (ConfigurationError, DuplicateResponseError,
+                            MissingResponseError, NotFoundError, WorkerCrashError)
 from queuemc.fabric import Message, MessageKind, QueueFabric
 from queuemc.kernel import hierarchical_log_prior
 from queuemc.payloads import LikelihoodResponse, pack_response, parse_error
@@ -220,7 +221,6 @@ class BlackHolePlane:
     """A plane attached to nothing: requests pushed to its queues vanish."""
 
     backend = "hole"
-    model = BackendModel(likelihood_duration_s=0.01)
 
     def close(self):
         pass
@@ -292,16 +292,10 @@ def test_missing_dataset_carries_partial_output(sim_setup):
 # -------------------------------------------------------------- request identity
 
 
-def drain_answers(input_q, output_q):
-    """Pop every response still owed to requests already pushed."""
-    while output_q.pushed_count < input_q.pushed_count or output_q.pending_count:
-        output_q.pop(timeout=30.0)
-
-
 @pytest.mark.parametrize("backend", ["sim", "local"])
 def test_leftover_responses_are_never_used(backend, sim_setup, local_setup):
     # The first run aborts on a crash with two answers still owed; they
-    # carry -123, every later answer -1.
+    # carry -123, every later answer -1. Later runs drop them unused.
     calls = itertools.count()
 
     def crash_then_constant(params, datasets):
@@ -321,23 +315,16 @@ def test_leftover_responses_are_never_used(backend, sim_setup, local_setup):
     try:
         with pytest.raises(WorkerCrashError):
             run()
-        for _ in range(2):
-            try:
-                out = run()
-            except DuplicateResponseError as exc:
-                assert exc.partial_output.n_iterations == 0
-            else:
-                assert np.all(out.log_posts == -1.0)
-        drain_answers(input_q, output_q)
-        out = run()
+        outs = [run(), run()]
     finally:
         plane.close()
-    assert np.all(out.log_posts == -1.0)
+    for out in outs:
+        assert np.all(out.log_posts == -1.0)
 
 
-def test_stale_response_raises_on_sim(sim_setup):
+def test_stale_response_dropped_on_sim(sim_setup, caplog):
     # On virtual time the aborted run's answers arrive before the next
-    # run's, so the next run meets one and stops.
+    # run's; the next run drops them and completes with its own.
     calls = itertools.count()
 
     def crash_first(params, datasets):
@@ -347,10 +334,27 @@ def test_stale_response_raises_on_sim(sim_setup):
 
     fabric, input_q, output_q, plane = sim_setup(likelihood_fn=crash_first)
     config = ChainConfig(n_walkers=3, n_iterations=1, proposal_scale=1.0, seed=0)
-    for expected in (WorkerCrashError, DuplicateResponseError):
-        with pytest.raises(expected):
-            run_chains(config, plane, input_q, output_q,
-                       init_positions=np.zeros((3, 1)), dataset_key="")
+    with pytest.raises(WorkerCrashError):
+        run_chains(config, plane, input_q, output_q,
+                   init_positions=np.zeros((3, 1)), dataset_key="")
+    with caplog.at_level(logging.INFO, logger="queuemc.engine"):
+        out = run_chains(config, plane, input_q, output_q,
+                         init_positions=np.zeros((3, 1)), dataset_key="")
+    assert np.all(out.log_posts == -1.0)
+    dropped = [r.getMessage() for r in caplog.records if "earlier run" in r.getMessage()]
+    assert dropped == [f"dropping req-{n}, owed to an earlier run" for n in (1, 2)]
+
+
+def test_duplicate_within_a_run_still_raises(sim_setup):
+    # An id at or above the run's first id that matches no pending request
+    # is not an earlier run's leftover.
+    fabric, input_q, output_q, plane = sim_setup(likelihood_fn=gaussian_target)
+    output_q.push(Message(msg_id="req-5", kind=MessageKind.LIKELIHOOD_RESPONSE,
+                          payload=pack_response(LikelihoodResponse(0.0, False, 0, 0))))
+    config = ChainConfig(n_walkers=2, n_iterations=1, proposal_scale=1.0, seed=0)
+    with pytest.raises(DuplicateResponseError):
+        run_chains(config, plane, input_q, output_q,
+                   init_positions=np.zeros((2, 1)), dataset_key="")
 
 
 @pytest.mark.parametrize("backend", ["sim", "local"])
@@ -398,12 +402,15 @@ def test_chain_csv_layout(tmp_path, sim_setup):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        ChainConfig(n_walkers=0, n_iterations=1).validate()
-    with pytest.raises(ValueError):
-        ChainConfig(n_walkers=1, n_iterations=1, proposal_scale=0.0).validate()
-    with pytest.raises(ValueError):
-        ChainConfig(n_walkers=1, n_iterations=1, exchange_period=-1).validate()
+    with pytest.raises(ConfigurationError):
+        ChainConfig(n_walkers=0, n_iterations=1)
+    with pytest.raises(ConfigurationError):
+        ChainConfig(n_walkers=1, n_iterations=0)
+    for scale in (0.0, math.nan, math.inf, [1.0, math.nan]):
+        with pytest.raises(ConfigurationError):
+            ChainConfig(n_walkers=1, n_iterations=1, proposal_scale=scale)
+    with pytest.raises(ConfigurationError):
+        ChainConfig(n_walkers=1, n_iterations=1, exchange_period=-1)
 
 
 # -------------------------------------------------------------- error payloads

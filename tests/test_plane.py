@@ -45,12 +45,19 @@ def drain(output_q, n, timeout=None):
 
 def test_model_validation():
     with pytest.raises(ConfigurationError):
-        BackendModel(scale_doubling_interval_s=0.0).validate()
+        BackendModel(scale_doubling_interval_s=0.0)
     with pytest.raises(ConfigurationError):
-        BackendModel(initial_capacity=0).validate()
+        BackendModel(scale_doubling_interval_s=-1.0)
     with pytest.raises(ConfigurationError):
-        BackendModel(cold_start_s=-1.0).validate()
-    BackendModel().validate()
+        BackendModel(initial_capacity=0)
+    with pytest.raises(ConfigurationError):
+        BackendModel(cold_start_s=-1.0)
+    for field in ("cold_start_s", "scale_doubling_interval_s",
+                  "likelihood_duration_s", "jitter_std_s"):
+        for value in (math.nan, math.inf):
+            with pytest.raises(ConfigurationError):
+                BackendModel(**{field: value})
+    BackendModel()
 
 
 def test_ramp_delay_doubling():
@@ -336,8 +343,6 @@ def test_attach_backend_rejects_unknown(fast_model):
     q1, q2 = fabric.create_queue("a"), fabric.create_queue("b")
     with pytest.raises(ConfigurationError):
         attach_backend(q1, q2, "gpu", fast_model)
-    with pytest.raises(ConfigurationError):
-        attach_backend(q1, q2, "sim", BackendModel(scale_doubling_interval_s=-1))
 
 
 # -------------------------------------------------------------- backend contract
@@ -354,6 +359,10 @@ CONTRACT_CASES = {
     # case: (dataset key, likelihood_fn, payload override, kind, error code)
     "kernel": ("bundle", None, None, MessageKind.LIKELIHOOD_RESPONSE, None),
     "stub": (make_stub_key(0.01), None, None, MessageKind.LIKELIHOOD_RESPONSE, None),
+    # A stub duration that is not finite and >= 0 cannot be slept out.
+    "stub-negative": (make_stub_key(-1.0), None, None, MessageKind.CONTROL, "worker-crash"),
+    "stub-nan": (make_stub_key(math.nan), None, None, MessageKind.CONTROL, "worker-crash"),
+    "stub-inf": (make_stub_key(math.inf), None, None, MessageKind.CONTROL, "worker-crash"),
     "missing-dataset": ("absent", None, None, MessageKind.CONTROL, "dataset-not-found"),
     "crashing-likelihood": ("bundle", boom, None, MessageKind.CONTROL, "worker-crash"),
     "malformed-payload": ("bundle", None, b"\x00\x01", MessageKind.CONTROL, "worker-crash"),

@@ -9,13 +9,13 @@ import pytest
 from queuemc.clocks import WallClock
 from queuemc.datasets import make_synthetic, write_container
 from queuemc.engine import ChainConfig, run_chains
-from queuemc.errors import DuplicateResponseError, NotFoundError, WorkerCrashError
+from queuemc.errors import NotFoundError, WorkerCrashError
 from queuemc.fabric import (Message, MessageKind, QueueFabric, decode_message,
                             encode_message)
 from queuemc.kernel import evaluate
 from queuemc.payloads import (LikelihoodRequest, pack_request, parse_error,
                               unpack_response)
-from queuemc.plane import BackendModel, attach_backend, make_stub_key
+from queuemc.plane import attach_backend, make_stub_key
 from queuemc.remote import WorkerServer
 from queuemc.store import DirectoryObjectStore
 
@@ -128,7 +128,7 @@ def test_remote_matches_local_and_in_process(worker_env, local_setup):
     # remote route
     fabric2 = QueueFabric(WallClock())
     rin, rout = fabric2.create_queue("in"), fabric2.create_queue("out")
-    client = attach_backend(rin, rout, "remote", BackendModel(), remote_addr=addr)
+    client = attach_backend(rin, rout, "remote", remote_addr=addr)
     rin.push(request_message("m-remote", params.ravel(), "bundle"))
     remote_val = unpack_response(rout.pop(timeout=30.0).payload).log_likelihood
     client.close()
@@ -141,7 +141,7 @@ def test_remote_pipelines_multiple_requests(worker_env):
     addr, datasets, truths = worker_env
     fabric = QueueFabric(WallClock())
     rin, rout = fabric.create_queue("in"), fabric.create_queue("out")
-    client = attach_backend(rin, rout, "remote", BackendModel(), remote_addr=addr)
+    client = attach_backend(rin, rout, "remote", remote_addr=addr)
     for i in range(8):
         rin.push(request_message(f"p{i}", truths.ravel(), "bundle"))
     got = {rout.pop(timeout=30.0).msg_id for _ in range(8)}
@@ -154,7 +154,7 @@ def test_remote_stub_tasks(worker_env):
     addr, _, _ = worker_env
     fabric = QueueFabric(WallClock())
     rin, rout = fabric.create_queue("in"), fabric.create_queue("out")
-    client = attach_backend(rin, rout, "remote", BackendModel(), remote_addr=addr)
+    client = attach_backend(rin, rout, "remote", remote_addr=addr)
     rin.push(request_message("s0", [], make_stub_key(0.01)))
     resp = rout.pop(timeout=10.0)
     assert unpack_response(resp.payload).log_likelihood == 0.0
@@ -173,8 +173,7 @@ def test_dropped_connection_fails_fast():
     acceptor.start()
     fabric = QueueFabric(WallClock())
     rin, rout = fabric.create_queue("in"), fabric.create_queue("out")
-    client = attach_backend(rin, rout, "remote", BackendModel(),
-                            remote_addr=listener.getsockname())
+    client = attach_backend(rin, rout, "remote", remote_addr=listener.getsockname())
     config = ChainConfig(n_walkers=4, n_iterations=3, proposal_scale=1.0, seed=0)
     t0 = time.monotonic()
     try:
@@ -192,15 +191,15 @@ def test_dropped_connection_fails_fast():
 
 def test_error_frames_release_dispatch_stamps(worker_env):
     # Each run stops at its first error; the answers still owed arrive
-    # afterwards, and a later run meets them as stale responses.
+    # afterwards, and the next run drops them before meeting its own error.
     addr, _, _ = worker_env
     fabric = QueueFabric(WallClock())
     rin, rout = fabric.create_queue("in"), fabric.create_queue("out")
-    client = attach_backend(rin, rout, "remote", BackendModel(), remote_addr=addr)
+    client = attach_backend(rin, rout, "remote", remote_addr=addr)
     config = ChainConfig(n_walkers=2, n_iterations=1, proposal_scale=1.0, seed=0)
     try:
         for _ in range(3):
-            with pytest.raises((NotFoundError, DuplicateResponseError)) as err:
+            with pytest.raises(NotFoundError) as err:
                 run_chains(config, client, rin, rout, init_positions=np.zeros((2, 1)),
                            dataset_key="no-such-bundle", response_timeout_s=30.0)
             assert err.value.partial_output.n_iterations == 0
