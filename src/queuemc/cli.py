@@ -24,8 +24,9 @@ import numpy as np
 from . import bench, datasets, diagnostics, remote
 from .clocks import VirtualClock, WallClock
 from .engine import ChainConfig, run_chains, write_chain_csv, write_timeline_csv
-from .errors import (ConfigurationError, MissingResponseError, NotFoundError,
-                     QueueMCError, WireFormatError)
+from .errors import (ConfigurationError, MissingResponseError,
+                     NonFiniteDensityError, NotFoundError, QueueMCError,
+                     WireFormatError)
 from .fabric import QueueFabric
 from .kernel import hierarchical_log_prior
 from .plane import BackendModel, attach_backend
@@ -206,7 +207,7 @@ def _cmd_fit(args) -> int:
                             response_timeout_s=timeout)
     except MissingResponseError as exc:
         return _fail("timeout", EXIT_TIMEOUT, str(exc))
-    except NotFoundError as exc:
+    except (NotFoundError, NonFiniteDensityError) as exc:
         return _fail("data", EXIT_DATA, str(exc))
     except (ConnectionError, OSError, QueueMCError) as exc:
         return _fail("backend", EXIT_BACKEND, str(exc))

@@ -15,7 +15,10 @@ exchange draws from one further stream. Exchange runs between iterations, when n
 request is in flight.
 
 Walker log-posteriors start at -inf, so the first proposal is always
-accepted and doubles as the initialization evaluation.
+accepted and doubles as the initialization evaluation. A log-likelihood or
+log-prior of -inf is a legal zero density and is rejected; NaN or +inf (a
+worker's ``non-finite-likelihood`` answer, or the prior evaluated on the
+coordinator) aborts the run with :class:`NonFiniteDensityError`.
 
 A request's only identity is its msg_id, ``req-<n>``, where n counts on
 from ``input_q.pushed_count`` at the start of the run, so no id repeats
@@ -46,8 +49,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import (ConfigurationError, DuplicateResponseError,
-                     MissingResponseError, NotFoundError, QueueMCError,
-                     SimulationStalledError, WorkerCrashError)
+                     MissingResponseError, NonFiniteDensityError, NotFoundError,
+                     QueueMCError, SimulationStalledError, WorkerCrashError)
 from .fabric import Message, MessageKind, Queue
 from .payloads import (LikelihoodRequest, pack_request, parse_error,
                        unpack_response)
@@ -112,8 +115,11 @@ class ChainOutput:
 def mh_step(log_post: float, proposed_log_post: float, u: float) -> bool:
     """One Metropolis-Hastings decision for a symmetric proposal.
 
-    Accepts iff ln(u) < proposed_log_post - log_post.
+    Accepts iff ln(u) < proposed_log_post - log_post. A proposal of zero
+    density (-inf) is rejected, also from a state of zero density.
     """
+    if proposed_log_post == -math.inf:
+        return False
     log_u = math.log(u) if u > 0.0 else -math.inf
     return log_u < (proposed_log_post - log_post)
 
@@ -235,6 +241,8 @@ def run_chains(config: ChainConfig, plane, input_q: Queue, output_q: Queue, *,
                     code, detail = err if err else ("worker-crash", "unexpected control message")
                     if code == "dataset-not-found":
                         raise NotFoundError(detail)
+                    if code == "non-finite-likelihood":
+                        raise NonFiniteDensityError(f"log-likelihood {detail}")
                     raise WorkerCrashError(f"{code}: {detail}")
                 if w is None:
                     raise DuplicateResponseError(
@@ -243,7 +251,12 @@ def run_chains(config: ChainConfig, plane, input_q: Queue, output_q: Queue, *,
 
             for w, msg in enumerate(replies):
                 resp = unpack_response(msg.payload)
-                proposed_lp = resp.log_likelihood + float(prior(proposals[w]))
+                lp_prior = float(prior(proposals[w]))
+                proposed_lp = resp.log_likelihood + lp_prior
+                if math.isnan(proposed_lp) or proposed_lp == math.inf:
+                    raise NonFiniteDensityError(
+                        f"log-posterior {proposed_lp!r} for walker {w}: log-likelihood "
+                        f"{resp.log_likelihood!r}, log-prior {lp_prior!r}")
                 u = float(rngs[w].random())
                 if mh_step(current_lp[w], proposed_lp, u):
                     positions[w] = proposals[w]

@@ -54,6 +54,14 @@ class WorkerCrashError(QueueMCError):
     """A worker failed while executing a task; the task is not retried."""
 
 
+class NonFiniteDensityError(QueueMCError):
+    """A likelihood or prior evaluated to NaN or +inf.
+
+    -inf is a legal zero density and is rejected by the sampler like any
+    other proposal; NaN and +inf have no meaning and abort the run.
+    """
+
+
 class InvalidGridError(QueueMCError, ValueError):
     """Radial evaluation grid is outside the profile support."""
 

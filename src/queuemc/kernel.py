@@ -4,13 +4,29 @@ The expensive model-vs-data evaluation at the heart of each sampler step,
 in five stages per cluster: a clamped polynomial radial pressure profile,
 a line-of-sight projection (forward Abel transform), interpolation of the
 projected profile onto a square pixel grid, smoothing with the instrument
-beam via FFT convolution, and a chi-square comparison against the observed
-map. The per-cluster contributions are summed in list order so the total
-is bit-reproducible across backends.
+beam, and a chi-square comparison against the observed map. The
+per-cluster contributions are summed in list order so the total is
+bit-reproducible across backends.
+
+Each stage does only the work that depends on the profile coefficients.
+What depends on a dataset's geometry alone is built on first use and
+reused: the Abel quadrature nodes per ``(r_max, radial grid, n_quad)``,
+the pixel radii per ``(grid_size, pixel_size)`` and the beam matrix per
+``(grid_size, beam_fwhm, pixel_size)``. The caches are keyed on those
+values, not on dataset objects, so clusters that share a geometry share
+one entry, and each cache holds its ``GEOMETRY_CACHE_SIZE`` most recently
+used entries. An Abel entry holds about 8·m·(n + 1) bytes for m radial
+points and n Simpson intervals, a map or beam entry 8·G² bytes for a
+G × G map. So the caches hold at most 32 × (8·m·(n + 1) + 16·G²) bytes,
+taking the largest m, n and G in use: 19 MB at m = 128, n = 512, G = 64
+(one entry, 0.6 MB, when all clusters share that geometry) and 42 MB at
+m = 256, G = 128. A process that cycles through more geometries than
+that rebuilds an entry on each miss.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -19,8 +35,15 @@ import numpy as np
 from .errors import ClusterEvalError, InvalidGridError, ShapeMismatchError
 
 DEFAULT_N_QUAD = 512
+GEOMETRY_CACHE_SIZE = 32
 
 _FWHM_TO_SIGMA = 1.0 / (2.0 * np.sqrt(2.0 * np.log(2.0)))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """Mark a cached array read-only: every caller shares it."""
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True)
@@ -44,44 +67,39 @@ class ProfileParams:
             raise ValueError("r_max must be positive")
 
 
-def eval_profile(params: ProfileParams, radii: np.ndarray) -> np.ndarray:
-    """Evaluate the clamped polynomial profile at the given radii.
+def _clamped_polynomial(theta: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """max(0, sum_k theta[k] x**k) by Horner's rule in a fixed order, so the
+    arithmetic is identical across platforms and call sites."""
+    if theta.size == 1:
+        acc = np.full_like(x, theta[0])
+    else:
+        acc = np.multiply(x, theta[-1], out=np.empty_like(x))
+        for k in range(theta.size - 2, 0, -1):
+            acc += theta[k]
+            acc *= x
+        acc += theta[0]
+    return np.maximum(acc, 0.0, out=acc)
 
-    Horner evaluation with a fixed coefficient order keeps the arithmetic
-    identical across platforms and call sites.
-    """
+
+def eval_profile(params: ProfileParams, radii: np.ndarray) -> np.ndarray:
+    """Evaluate the clamped polynomial profile at the given radii."""
     r = np.asarray(radii, dtype=np.float64)
     if np.any(r < 0):
         raise ValueError("radii must be non-negative")
-    x = r / params.r_max
-    acc = np.full_like(x, params.theta[-1])
-    for k in range(params.theta.size - 2, -1, -1):
-        acc = acc * x + params.theta[k]
-    acc = np.maximum(acc, 0.0)
+    acc = _clamped_polynomial(params.theta, r / params.r_max)
     return np.where(r <= params.r_max, acc, 0.0)
 
 
-def abel_project(profile: Callable[[np.ndarray], np.ndarray], r_max: float,
-                 y_grid: np.ndarray, n_quad: int) -> np.ndarray:
-    """Forward Abel transform of an arbitrary radial function.
+@functools.lru_cache(maxsize=GEOMETRY_CACHE_SIZE)
+def _abel_nodes(r_max: float, y_bytes: bytes, n_quad: int,
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Simpson quadrature of the Abel transform on one projected grid.
 
-    Computes F(y) = 2 * integral_y^r_max profile(r) r dr / sqrt(r^2 - y^2).
-    The substitution r = sqrt(y^2 + t^2) removes the inverse-square-root
-    endpoint singularity exactly, leaving
-    F(y) = 2 * integral_0^sqrt(r_max^2 - y^2) profile(sqrt(y^2 + t^2)) dt,
-    which is evaluated with composite Simpson quadrature on n_quad
-    intervals (forced even).
-
-    Parameters
-    ----------
-    profile : callable mapping radii to values, vectorized.
-    r_max : truncation radius of the integrand.
-    y_grid : strictly increasing projected radii in [0, r_max).
-    n_quad : number of Simpson intervals, at least 16.
+    Returns the node radii as fractions x = r / r_max, shape
+    (len(y), n + 1), the step over three per projected radius, and the
+    Simpson weights.
     """
-    y = np.asarray(y_grid, dtype=np.float64)
-    if y.ndim != 1 or y.size == 0:
-        raise InvalidGridError("y_grid must be a non-empty vector")
+    y = np.frombuffer(y_bytes, dtype=np.float64)
     if np.any(np.diff(y) <= 0):
         raise InvalidGridError("y_grid must be strictly increasing")
     if y[0] < 0:
@@ -99,20 +117,61 @@ def abel_project(profile: Callable[[np.ndarray], np.ndarray], r_max: float,
     r = np.sqrt(y[:, None] ** 2 + t ** 2)
     # Guard rounding: t <= t_upper implies r <= r_max mathematically.
     np.minimum(r, r_max, out=r)
-    f = profile(r)
-
-    h = t_upper / n
     weights = np.ones(n + 1)
     weights[1:-1:2] = 4.0
     weights[2:-1:2] = 2.0
-    integral = (h / 3.0) * (f @ weights)
-    return 2.0 * integral
+    return _read_only(r / r_max), _read_only((t_upper / n) / 3.0), _read_only(weights)
+
+
+def _simpson_nodes(r_max: float, y_grid: np.ndarray, n_quad: int,
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The cached :func:`_abel_nodes` of ``y_grid``, keyed by value."""
+    y = np.asarray(y_grid, dtype=np.float64)
+    if y.ndim != 1 or y.size == 0:
+        raise InvalidGridError("y_grid must be a non-empty vector")
+    return _abel_nodes(float(r_max), y.tobytes(), int(n_quad))
+
+
+def abel_project(profile: Callable[[np.ndarray], np.ndarray], r_max: float,
+                 y_grid: np.ndarray, n_quad: int) -> np.ndarray:
+    """Forward Abel transform of an arbitrary radial function.
+
+    Computes F(y) = 2 * integral_y^r_max profile(r) r dr / sqrt(r^2 - y^2).
+    The substitution r = sqrt(y^2 + t^2) removes the inverse-square-root
+    endpoint singularity exactly, leaving
+    F(y) = 2 * integral_0^sqrt(r_max^2 - y^2) profile(sqrt(y^2 + t^2)) dt,
+    which is evaluated with composite Simpson quadrature on n_quad
+    intervals (forced even). The nodes are built once per
+    ``(r_max, y_grid, n_quad)``; ``profile`` sees them as r_max times the
+    cached fractions r / r_max.
+
+    Parameters
+    ----------
+    profile : callable mapping radii to values, vectorized.
+    r_max : truncation radius of the integrand.
+    y_grid : strictly increasing projected radii in [0, r_max).
+    n_quad : number of Simpson intervals, at least 16.
+    """
+    x, h3, weights = _simpson_nodes(r_max, y_grid, n_quad)
+    return 2.0 * (h3 * (profile(x * r_max) @ weights))
 
 
 def forward_abel(params: ProfileParams, y_grid: np.ndarray,
                  n_quad: int = DEFAULT_N_QUAD) -> np.ndarray:
-    """Forward Abel transform of the polynomial profile on ``y_grid``."""
-    return abel_project(lambda r: eval_profile(params, r), params.r_max, y_grid, n_quad)
+    """Forward Abel transform of the polynomial profile on ``y_grid``.
+
+    The same quadrature as :func:`abel_project`, with the profile
+    evaluated directly on the cached node fractions r / r_max.
+    """
+    x, h3, weights = _simpson_nodes(params.r_max, y_grid, n_quad)
+    return 2.0 * (h3 * (_clamped_polynomial(params.theta, x) @ weights))
+
+
+@functools.lru_cache(maxsize=GEOMETRY_CACHE_SIZE)
+def _pixel_radii(grid_size: int, pixel_size: float) -> np.ndarray:
+    c = (grid_size - 1) / 2.0
+    idx = np.arange(grid_size, dtype=np.float64) - c
+    return _read_only(pixel_size * np.sqrt(idx[:, None] ** 2 + idx[None, :] ** 2))
 
 
 def project_to_map(radial_grid: np.ndarray, values: np.ndarray,
@@ -130,44 +189,45 @@ def project_to_map(radial_grid: np.ndarray, values: np.ndarray,
     vals = np.asarray(values, dtype=np.float64)
     if radial.shape != vals.shape:
         raise ShapeMismatchError("radial_grid and values must have the same length")
-    c = (grid_size - 1) / 2.0
-    idx = np.arange(grid_size, dtype=np.float64) - c
-    rho = pixel_size * np.sqrt(idx[:, None] ** 2 + idx[None, :] ** 2)
+    rho = _pixel_radii(int(grid_size), float(pixel_size))
     return np.interp(rho, radial, vals, right=0.0)
 
 
-def gaussian_beam_kernel(grid_size: int, beam_fwhm: float, pixel_size: float) -> np.ndarray:
-    """Unit-sum 2D Gaussian kernel sampled on the map grid, centered at
-    (grid_size/2, grid_size/2)."""
+@functools.lru_cache(maxsize=GEOMETRY_CACHE_SIZE)
+def _beam_matrix(grid_size: int, beam_fwhm: float, pixel_size: float) -> np.ndarray:
+    """The 1-D beam as a banded (grid_size, grid_size) matrix B.
+
+    B[i, j] = k[i - j + grid_size // 2] for the unit-sum 1-D Gaussian k
+    centred at index grid_size // 2, and 0 where that index leaves
+    [0, grid_size): one axis of the zero-padded linear convolution,
+    cropped to the centred grid_size window.
+    """
     if beam_fwhm <= 0:
         raise ValueError("beam_fwhm must be positive")
     sigma_pix = beam_fwhm * _FWHM_TO_SIGMA / pixel_size
-    center = grid_size // 2
-    idx = np.arange(grid_size, dtype=np.float64) - center
-    d2 = idx[:, None] ** 2 + idx[None, :] ** 2
-    kern = np.exp(-0.5 * d2 / (sigma_pix * sigma_pix))
-    return kern / kern.sum()
+    half = grid_size // 2
+    idx = np.arange(grid_size, dtype=np.float64) - half
+    kern = np.exp(-0.5 * idx * idx / (sigma_pix * sigma_pix))
+    kern /= kern.sum()
+    offset = np.arange(grid_size)[:, None] - np.arange(grid_size)[None, :] + half
+    inside = (offset >= 0) & (offset < grid_size)
+    return _read_only(np.where(inside, kern[np.clip(offset, 0, grid_size - 1)], 0.0))
 
 
 def convolve_beam(image: np.ndarray, beam_fwhm: float, pixel_size: float) -> np.ndarray:
     """Smooth a map with the instrument beam.
 
     Linear (not circular) convolution with a unit-sum Gaussian kernel of
-    the given FWHM: both operands are zero-padded to twice the map size,
-    multiplied in Fourier space, and the centered region is cropped back
-    out.
+    the given FWHM, centred at pixel (G/2, G/2) of a G × G map, keeping
+    the centred G × G window of the result: what lies beyond the map's
+    edge counts as zero. The Gaussian is separable, so the convolution is
+    B · image · Bᵀ with the banded 1-D beam matrix B.
     """
     img = np.asarray(image, dtype=np.float64)
     if img.ndim != 2 or img.shape[0] != img.shape[1]:
         raise ShapeMismatchError("image must be a square matrix")
-    g = img.shape[0]
-    kern = gaussian_beam_kernel(g, beam_fwhm, pixel_size)
-    size = 2 * g
-    fa = np.fft.rfft2(img, s=(size, size))
-    fb = np.fft.rfft2(kern, s=(size, size))
-    full = np.fft.irfft2(fa * fb, s=(size, size))
-    half = g // 2
-    return full[half:half + g, half:half + g]
+    beam = _beam_matrix(img.shape[0], float(beam_fwhm), float(pixel_size))
+    return beam @ img @ beam.T
 
 
 def chi_square(model: np.ndarray, obs_map: np.ndarray, sigma_map: np.ndarray) -> float:

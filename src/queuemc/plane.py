@@ -127,10 +127,12 @@ class TaskRunner:
 
         ``result`` is the log-likelihood, or a ``(code, detail)`` pair when
         the task failed: ``dataset-not-found`` for an unresolvable key,
-        ``worker-crash`` for anything else. Keys of the form
-        ``stub:<seconds>`` are stub tasks: they return a log-likelihood of
-        0 and ``stub_s``, the seconds the caller keeps the worker busy; a
-        duration that is not finite and >= 0 is a ``worker-crash``.
+        ``non-finite-likelihood`` for a NaN or +inf log-likelihood (-inf is
+        a legal zero likelihood), ``worker-crash`` for anything else. Keys
+        of the form ``stub:<seconds>`` are stub tasks: they return a
+        log-likelihood of 0 and ``stub_s``, the seconds the caller keeps the
+        worker busy; a duration that is not finite and >= 0 is a
+        ``worker-crash``.
         ``stub_s`` is None for every other task.
         """
         try:
@@ -143,19 +145,26 @@ class TaskRunner:
                 return 0.0, False, stub_s
             datasets, cold = self._load(key) if key else (None, False)
             if self._fn is not None:
-                return float(self._fn(req.params, datasets)), cold, None
-            if datasets is None:
+                value = float(self._fn(req.params, datasets))
+            elif datasets is None:
                 raise ConfigurationError(
                     "kernel task carries no dataset key and no likelihood override")
-            n = len(datasets)
-            if req.params.size % n != 0:
-                raise ValueError(f"{req.params.size} parameters do not split over {n} clusters")
-            return kernel.evaluate(req.params.reshape(n, -1), datasets), cold, None
+            else:
+                n = len(datasets)
+                if req.params.size % n != 0:
+                    raise ValueError(
+                        f"{req.params.size} parameters do not split over {n} clusters")
+                value = kernel.evaluate(req.params.reshape(n, -1), datasets)
         except NotFoundError as exc:
             return ("dataset-not-found", str(exc)), False, None
         except Exception as exc:  # surfaced, never retried
-            log.exception("worker failed on %s", msg.msg_id)
+            # The detail travels in the control message; a failing wave
+            # would otherwise log one traceback per walker.
+            log.debug("worker failed on %s", msg.msg_id, exc_info=True)
             return ("worker-crash", repr(exc)), False, None
+        if math.isnan(value) or value == math.inf:
+            return ("non-finite-likelihood", repr(value)), False, None
+        return value, cold, None
 
     def _load(self, key: str) -> tuple[list, bool]:
         with self._lock:

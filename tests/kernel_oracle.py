@@ -1,0 +1,96 @@
+"""Reference implementations of the kernel stages, for the tests only.
+
+Here the quadrature and the map expansion rebuild their geometry on every
+call, and the beam is the zero-padded FFT convolution with the full 2-D
+Gaussian. ``queuemc.kernel`` builds each geometry once and applies the
+beam as two matrix products; the tests hold it to these references, the
+Abel stage bit for bit, the beam and the likelihood to a relative
+tolerance.
+"""
+
+import numpy as np
+
+from queuemc.kernel import ProfileParams, chi_square
+
+FWHM_TO_SIGMA = 1.0 / (2.0 * np.sqrt(2.0 * np.log(2.0)))
+
+
+def eval_profile(params, radii):
+    """The clamped polynomial profile by Horner's rule, out of place."""
+    r = np.asarray(radii, dtype=np.float64)
+    x = r / params.r_max
+    acc = np.full_like(x, params.theta[-1])
+    for k in range(params.theta.size - 2, -1, -1):
+        acc = acc * x + params.theta[k]
+    acc = np.maximum(acc, 0.0)
+    return np.where(r <= params.r_max, acc, 0.0)
+
+
+def abel_quadrature(profile, r_max, y_grid, n_quad):
+    """Composite Simpson quadrature of the Abel transform, nodes rebuilt
+    on every call."""
+    y = np.asarray(y_grid, dtype=np.float64)
+    n = n_quad + (n_quad % 2)
+    t_upper = np.sqrt(r_max * r_max - y * y)
+    frac = np.linspace(0.0, 1.0, n + 1)
+    t = t_upper[:, None] * frac[None, :]
+    r = np.sqrt(y[:, None] ** 2 + t ** 2)
+    np.minimum(r, r_max, out=r)
+    f = profile(r)
+    h = t_upper / n
+    weights = np.ones(n + 1)
+    weights[1:-1:2] = 4.0
+    weights[2:-1:2] = 2.0
+    integral = (h / 3.0) * (f @ weights)
+    return 2.0 * integral
+
+
+def forward_abel(params, y_grid, n_quad=512):
+    return abel_quadrature(lambda r: eval_profile(params, r), params.r_max, y_grid, n_quad)
+
+
+def project_to_map(radial_grid, values, grid_size, pixel_size):
+    """Linear interpolation of the radial function at each pixel's radius."""
+    c = (grid_size - 1) / 2.0
+    idx = np.arange(grid_size, dtype=np.float64) - c
+    rho = pixel_size * np.sqrt(idx[:, None] ** 2 + idx[None, :] ** 2)
+    return np.interp(rho, radial_grid, values, right=0.0)
+
+
+def gaussian_beam_kernel(grid_size, beam_fwhm, pixel_size):
+    """Unit-sum 2D Gaussian kernel sampled on the map grid, centered at
+    (grid_size/2, grid_size/2)."""
+    sigma_pix = beam_fwhm * FWHM_TO_SIGMA / pixel_size
+    center = grid_size // 2
+    idx = np.arange(grid_size, dtype=np.float64) - center
+    d2 = idx[:, None] ** 2 + idx[None, :] ** 2
+    kern = np.exp(-0.5 * d2 / (sigma_pix * sigma_pix))
+    return kern / kern.sum()
+
+
+def convolve_beam(image, beam_fwhm, pixel_size):
+    """Linear convolution by zero-padded FFT, cropped to the centred window."""
+    img = np.asarray(image, dtype=np.float64)
+    g = img.shape[0]
+    kern = gaussian_beam_kernel(g, beam_fwhm, pixel_size)
+    size = 2 * g
+    fa = np.fft.rfft2(img, s=(size, size))
+    fb = np.fft.rfft2(kern, s=(size, size))
+    full = np.fft.irfft2(fa * fb, s=(size, size))
+    half = g // 2
+    return full[half:half + g, half:half + g]
+
+
+def model_map(theta, ds):
+    """Profile, projection, map expansion and beam for one cluster."""
+    projected = forward_abel(ProfileParams(theta=theta, r_max=ds.r_max), ds.radial_grid)
+    image = project_to_map(ds.radial_grid, projected, ds.grid_size, ds.pixel_size)
+    return convolve_beam(image, ds.beam_fwhm, ds.pixel_size)
+
+
+def evaluate(thetas, datasets):
+    """Joint log-likelihood through the reference stages, in list order."""
+    total = 0.0
+    for theta, ds in zip(np.asarray(thetas, dtype=np.float64), datasets):
+        total += -0.5 * chi_square(model_map(theta, ds), ds.obs_map, ds.sigma_map)
+    return total

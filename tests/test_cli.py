@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import struct
 
@@ -88,3 +89,16 @@ def test_fit_rejects_grid_reaching_r_max_as_data_error(tmp_path, capsys):
     code = fit(path, tmp_path / "out", "--walkers", "2", "--iterations", "1")
     assert code == cli.EXIT_DATA
     assert capsys.readouterr().err.startswith("error (data): ")
+
+
+def test_fit_nan_in_observed_map_is_a_data_error(tmp_path, capsys):
+    # The container format can carry a NaN pixel; every likelihood on it is
+    # NaN, which aborts the run instead of rejecting every proposal.
+    (ds,), _ = make_synthetic(1, grid_size=16, seed=0)
+    obs = ds.obs_map.copy()
+    obs[3, 5] = float("nan")
+    path = tmp_path / "nan.qmc"
+    save_container(path, [dataclasses.replace(ds, obs_map=obs)])
+    code = fit(path, tmp_path / "out", "--walkers", "2", "--iterations", "1")
+    assert code == cli.EXIT_DATA
+    assert capsys.readouterr().err.startswith("error (data): log-likelihood nan")

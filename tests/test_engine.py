@@ -2,6 +2,7 @@ import functools
 import itertools
 import logging
 import math
+import time
 
 import numpy as np
 import pytest
@@ -13,12 +14,14 @@ from queuemc.diagnostics import discard_burn_in
 from queuemc.engine import (ChainConfig, exchange_step, mh_step, propose,
                             run_chains, write_chain_csv)
 from queuemc.errors import (ConfigurationError, DuplicateResponseError,
-                            MissingResponseError, NotFoundError, WorkerCrashError)
+                            MissingResponseError, NonFiniteDensityError,
+                            NotFoundError, WorkerCrashError)
 from queuemc.fabric import Message, MessageKind, QueueFabric
 from queuemc.kernel import hierarchical_log_prior
 from queuemc.payloads import LikelihoodResponse, pack_response, parse_error
 from queuemc.plane import BackendModel
 from queuemc.store import MemoryObjectStore, content_digest
+from tests import kernel_oracle as oracle
 from tests.conftest import gaussian_target
 
 # -------------------------------------------------------------- mh_step
@@ -289,6 +292,69 @@ def test_missing_dataset_carries_partial_output(sim_setup):
     assert err.value.partial_output.n_iterations == 0
 
 
+def boom(params, datasets):
+    raise RuntimeError("deliberate")
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("backend", ["sim", "local"])
+def test_non_finite_likelihood_aborts_with_partial_output(backend, value, sim_setup,
+                                                         local_setup):
+    calls = itertools.count(1)
+
+    def fifth_call_non_finite(params, datasets):
+        return value if next(calls) == 5 else gaussian_target(params, datasets)
+
+    setup = sim_setup if backend == "sim" else local_setup
+    fabric, input_q, output_q, plane = setup(likelihood_fn=fifth_call_non_finite)
+    config = ChainConfig(n_walkers=4, n_iterations=3, proposal_scale=1.0, seed=0)
+    try:
+        with pytest.raises(NonFiniteDensityError, match=f"log-likelihood {value!r}") as err:
+            run_chains(config, plane, input_q, output_q,
+                       init_positions=np.zeros((4, 1)), dataset_key="")
+    finally:
+        plane.close()
+    partial = err.value.partial_output
+    assert partial.n_iterations == 1 and not partial.complete
+    assert np.all(np.isfinite(partial.log_posts))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_non_finite_prior_aborts_with_partial_output(value, sim_setup):
+    calls = itertools.count(1)
+
+    def prior(position):
+        return value if next(calls) == 7 else 0.0
+
+    fabric, input_q, output_q, plane = sim_setup(likelihood_fn=gaussian_target)
+    config = ChainConfig(n_walkers=3, n_iterations=4, proposal_scale=1.0, seed=0)
+    with pytest.raises(NonFiniteDensityError, match=f"log-prior {value!r}") as err:
+        run_chains(config, plane, input_q, output_q, init_positions=np.zeros((3, 1)),
+                   dataset_key="", log_prior=prior)
+    assert err.value.partial_output.n_iterations == 2
+
+
+def test_minus_inf_prior_is_a_legal_zero_density(sim_setup):
+    fabric, input_q, output_q, plane = sim_setup(likelihood_fn=gaussian_target)
+    config = ChainConfig(n_walkers=3, n_iterations=4, proposal_scale=1.0, seed=0)
+    out = run_chains(config, plane, input_q, output_q, init_positions=np.zeros((3, 1)),
+                     dataset_key="", log_prior=lambda position: -math.inf)
+    assert out.complete and not out.accepted.any()
+    assert np.all(out.log_posts == -math.inf)
+
+
+def test_failed_wave_logs_no_traceback_per_request(sim_setup, caplog):
+    fabric, input_q, output_q, plane = sim_setup(likelihood_fn=boom)
+    config = ChainConfig(n_walkers=8, n_iterations=2, proposal_scale=1.0, seed=0)
+    with caplog.at_level(logging.DEBUG):
+        with pytest.raises(WorkerCrashError, match="deliberate"):
+            run_chains(config, plane, input_q, output_q,
+                       init_positions=np.zeros((8, 1)), dataset_key="")
+    # All eight requests failed, each traceback at DEBUG only.
+    assert len([r for r in caplog.records if r.exc_info]) == 8
+    assert not [r for r in caplog.records if r.levelno >= logging.WARNING and r.exc_info]
+
+
 # -------------------------------------------------------------- request identity
 
 
@@ -320,6 +386,40 @@ def test_leftover_responses_are_never_used(backend, sim_setup, local_setup):
         plane.close()
     for out in outs:
         assert np.all(out.log_posts == -1.0)
+
+
+def test_late_response_after_timeout_is_dropped_on_local(local_setup, caplog):
+    # One pool thread runs requests in push order, so the first run's two
+    # answers, late past its timeout, reach the output queue before any
+    # answer of the second run; the second run drops them and uses its own.
+    calls = itertools.count()
+
+    def slow_first_run(params, datasets):
+        if next(calls) < 2:
+            time.sleep(0.3)
+            return -123.0
+        return -1.0
+
+    fabric, input_q, output_q, plane = local_setup(likelihood_fn=slow_first_run,
+                                                   pool_size=1)
+    config = ChainConfig(n_walkers=2, n_iterations=1, proposal_scale=1.0, seed=0)
+
+    def run(timeout):
+        return run_chains(config, plane, input_q, output_q,
+                          init_positions=np.zeros((2, 1)), dataset_key="",
+                          response_timeout_s=timeout)
+
+    try:
+        with pytest.raises(MissingResponseError) as err:
+            run(0.05)
+        assert err.value.missing_ids == {"req-0", "req-1"}
+        with caplog.at_level(logging.INFO, logger="queuemc.engine"):
+            out = run(30.0)
+    finally:
+        plane.close()
+    assert np.all(out.log_posts == -1.0)
+    dropped = [r.getMessage() for r in caplog.records if "earlier run" in r.getMessage()]
+    assert dropped == [f"dropping req-{n}, owed to an earlier run" for n in (0, 1)]
 
 
 def test_stale_response_dropped_on_sim(sim_setup, caplog):
@@ -480,4 +580,11 @@ def test_golden_kernel_chain(backend, sim_setup, local_setup):
                                                  n_clusters=n_clusters))
     plane.close()
     assert 0 < out.accepted.sum() < out.accepted.size
-    assert chain_digest(out) == "6da5ca408e3852c6"
+    # The walk itself, as recorded before the beam became two matrix products.
+    assert content_digest(out.samples.tobytes() + out.accepted.tobytes()) == "d2f05b2ca7abd2c8"
+    # Each kept log-posterior against the FFT-beam reference pipeline.
+    expected = [[oracle.evaluate(pos[:n_clusters * n_coeffs].reshape(n_clusters, n_coeffs),
+                                 datasets) + hierarchical_log_prior(pos, n_clusters)
+                 for pos in walker] for walker in out.samples]
+    np.testing.assert_allclose(out.log_posts, expected, rtol=1e-12, atol=0)
+    assert chain_digest(out) == "a5f61e1b4ce7687e"

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import time
 import types
@@ -7,13 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from queuemc.datasets import make_synthetic
+from queuemc.datasets import POPULATION_MEAN, ClusterDataset, make_synthetic
 from queuemc.errors import ClusterEvalError, InvalidGridError, ShapeMismatchError
-from queuemc.kernel import (ProfileParams, abel_project, chi_square,
+from queuemc.kernel import (DEFAULT_N_QUAD, ProfileParams, abel_project, chi_square,
                             cluster_log_likelihood, convolve_beam, eval_profile,
-                            evaluate, forward_abel, gaussian_beam_kernel,
-                            hierarchical_log_prior, project_to_map,
-                            split_position)
+                            evaluate, forward_abel, hierarchical_log_prior,
+                            project_to_map, split_position)
+from tests import kernel_oracle as oracle
+from tests.kernel_oracle import gaussian_beam_kernel
 
 # ---------------------------------------------------------------- profile
 
@@ -220,7 +222,10 @@ def test_convolve_preserves_sum_of_compact_map():
 
 
 def test_beam_kernel_unit_sum_and_fwhm():
-    kern = gaussian_beam_kernel(64, beam_fwhm=4.0, pixel_size=1.0)
+    # The beam's response to a point at the kernel centre is the kernel.
+    point = np.zeros((64, 64))
+    point[32, 32] = 1.0
+    kern = convolve_beam(point, beam_fwhm=4.0, pixel_size=1.0)
     assert kern.sum() == pytest.approx(1.0, rel=1e-12)
     # Half maximum at half the FWHM from the center.
     center = kern[32, 32]
@@ -363,3 +368,103 @@ def test_hierarchical_prior_matches_scalar_formula():
 def test_hierarchical_prior_rejects_bad_length():
     with pytest.raises(ValueError):
         hierarchical_log_prior(np.zeros(7), n_clusters=2)
+
+
+# ---------------------------------------------------------------- fast path
+#
+# The kernel builds each geometry's quadrature nodes, pixel radii and beam
+# matrix once and caches them by value. Several geometries alternate in
+# one process, each differing from the first in one value, so an entry
+# keyed on too little would hand one cluster another's geometry.
+
+
+def geometry_dataset(name, *, r_max=1.0, radial_grid=None, grid_size=32,
+                     pixel_size=0.075, beam_fwhm=0.225, seed=0):
+    """A cluster whose observed map is the reference model at the
+    population mean plus 5% noise."""
+    if radial_grid is None:
+        radial_grid = np.linspace(0.0, 0.97 * r_max, 64)
+    unit = np.ones((grid_size, grid_size))
+    template = ClusterDataset(cluster_id=name, obs_map=unit, sigma_map=unit,
+                              pixel_size=pixel_size, beam_fwhm=beam_fwhm, r_max=r_max,
+                              radial_grid=radial_grid)
+    model = oracle.model_map(np.asarray(POPULATION_MEAN), template)
+    sigma = np.full_like(model, 0.05 * np.max(np.abs(model)))
+    obs = model + sigma * np.random.default_rng(seed).standard_normal(model.shape)
+    return dataclasses.replace(template, obs_map=obs, sigma_map=sigma)
+
+
+GEOMETRIES = [
+    geometry_dataset("base"),
+    geometry_dataset("radial-grid", radial_grid=np.linspace(0.0, 0.9, 64)),
+    geometry_dataset("r-max", r_max=1.2, radial_grid=np.linspace(0.0, 0.97, 64)),
+    geometry_dataset("pixel-size", pixel_size=0.06, seed=1),
+    geometry_dataset("beam-fwhm", beam_fwhm=0.4, seed=2),
+    geometry_dataset("grid-size", grid_size=24, pixel_size=0.1, seed=3),
+    geometry_dataset("log-grid", r_max=2.5, seed=4,
+                     radial_grid=np.concatenate([[0.0], np.geomspace(0.01, 2.4, 40)])),
+]
+
+
+def node_fraction(ds, n_quad, row, col):
+    """x = r / r_max at one Simpson node of the reference quadrature."""
+    seen = []
+    oracle.abel_quadrature(lambda r: seen.append(r) or r, ds.r_max, ds.radial_grid, n_quad)
+    return seen[0][row, col] / ds.r_max
+
+
+unit_coeff = st.floats(min_value=0.05, max_value=2.0)
+clamp_rows = st.one_of(
+    # Clamp-free: positive coefficients keep the profile above zero.
+    st.tuples(st.just("free"), st.tuples(unit_coeff, unit_coeff, unit_coeff, unit_coeff)),
+    # Clamp-active: negative at the centre.
+    st.tuples(st.just("active"), st.tuples(unit_coeff.map(lambda c: -c), unit_coeff,
+                                           unit_coeff, unit_coeff)),
+    # Clamp boundary: (x0 - x) q(x) with q > 0 has its root on a node x0
+    # and is clamped beyond it.
+    st.tuples(st.just("boundary"),
+              st.tuples(unit_coeff, unit_coeff, unit_coeff,
+                        st.integers(0, 47), st.integers(1, 512))),
+)
+
+
+def profile_row(kind, values, ds, n_quad):
+    if kind != "boundary":
+        return np.asarray(values)
+    q0, q1, q2, row, col = values
+    x0 = node_fraction(ds, n_quad, row % ds.n_radial, col % (n_quad + 1))
+    return np.array([x0 * q0, x0 * q1 - q0, x0 * q2 - q1, -q2])
+
+
+@settings(max_examples=30, deadline=None)
+@given(rows=st.lists(clamp_rows, min_size=len(GEOMETRIES), max_size=len(GEOMETRIES)),
+       n_quad=st.sampled_from([16, 64, 511, 512]))
+def test_abel_fast_path_is_bit_identical_to_reference(rows, n_quad):
+    for (kind, values), ds in zip(rows, GEOMETRIES):
+        params = ProfileParams(theta=profile_row(kind, values, ds, n_quad), r_max=ds.r_max)
+        got = forward_abel(params, ds.radial_grid, n_quad=n_quad)
+        expected = oracle.forward_abel(params, ds.radial_grid, n_quad=n_quad)
+        assert got.tobytes() == expected.tobytes(), (kind, ds.cluster_id)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_beam_matches_fft_reference(seed):
+    rng = np.random.default_rng(seed)
+    for ds in GEOMETRIES:
+        image = rng.standard_normal((ds.grid_size, ds.grid_size))
+        got = convolve_beam(image, ds.beam_fwhm, ds.pixel_size)
+        expected = oracle.convolve_beam(image, ds.beam_fwhm, ds.pixel_size)
+        assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+@settings(max_examples=20, deadline=None)
+@given(rows=st.lists(clamp_rows, min_size=len(GEOMETRIES), max_size=len(GEOMETRIES)),
+       order=st.permutations(range(len(GEOMETRIES))))
+def test_evaluate_matches_reference_across_geometries(rows, order):
+    clusters = [GEOMETRIES[i] for i in order]
+    thetas = np.array([profile_row(kind, values, ds, DEFAULT_N_QUAD)
+                       for (kind, values), ds in zip(rows, clusters)])
+    got = evaluate(thetas, clusters)
+    expected = oracle.evaluate(thetas, clusters)
+    assert got == pytest.approx(expected, rel=1e-12, abs=0)

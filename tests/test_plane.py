@@ -355,6 +355,12 @@ def boom(params, datasets):
     raise RuntimeError("deliberate")
 
 
+def constant(value):
+    def likelihood(params, datasets):
+        return value
+    return likelihood
+
+
 CONTRACT_CASES = {
     # case: (dataset key, likelihood_fn, payload override, kind, error code)
     "kernel": ("bundle", None, None, MessageKind.LIKELIHOOD_RESPONSE, None),
@@ -365,6 +371,10 @@ CONTRACT_CASES = {
     "stub-inf": (make_stub_key(math.inf), None, None, MessageKind.CONTROL, "worker-crash"),
     "missing-dataset": ("absent", None, None, MessageKind.CONTROL, "dataset-not-found"),
     "crashing-likelihood": ("bundle", boom, None, MessageKind.CONTROL, "worker-crash"),
+    # -inf is a legal zero likelihood; NaN and +inf are not likelihoods.
+    "minus-inf": ("bundle", constant(-math.inf), None, MessageKind.LIKELIHOOD_RESPONSE, None),
+    "nan": ("bundle", constant(math.nan), None, MessageKind.CONTROL, "non-finite-likelihood"),
+    "+inf": ("bundle", constant(math.inf), None, MessageKind.CONTROL, "non-finite-likelihood"),
     "malformed-payload": ("bundle", None, b"\x00\x01", MessageKind.CONTROL, "worker-crash"),
 }
 
@@ -408,4 +418,5 @@ def test_backends_answer_alike(backend, case):
         got = unpack_response(resp.payload).log_likelihood
         assert got == pytest.approx(evaluate(truths, datasets), rel=1e-12)
     else:
-        assert unpack_response(resp.payload).log_likelihood == 0.0
+        expected = 0.0 if fn is None else fn(truths.ravel(), datasets)
+        assert unpack_response(resp.payload).log_likelihood == expected
