@@ -65,7 +65,7 @@ def run_overhead_wave(n: int, model: BackendModel, seed: int = 0,
     (overhead_s, invocation records, output arrival times by walker).
     """
     output, records = _stub_chain(n, 1, model, seed)
-    arrivals = [rec.complete_ts for rec in output.timeline]
+    arrivals = output.complete_ts[:, 0].tolist()
     overhead = max(arrivals) - min(arrivals)
     recomputed = max(r.end_ts for r in records) - min(r.end_ts for r in records)
     if abs(recomputed - overhead) > 1e-9:
@@ -143,19 +143,13 @@ def run_stub_chain(n_walkers: int, n_iterations: int, model: BackendModel,
 
 
 def total_time(output: ChainOutput) -> float:
-    return max(rec.complete_ts for rec in output.timeline)
+    return float(output.complete_ts.max())
 
 
 def iteration_spreads(output: ChainOutput) -> np.ndarray:
     """Per-iteration completion spread (max - min) across walkers."""
-    spreads = np.empty(output.n_iterations)
-    by_iter: dict[int, list[float]] = {}
-    for rec in output.timeline:
-        by_iter.setdefault(rec.iteration, []).append(rec.complete_ts)
-    for it in range(output.n_iterations):
-        ts = by_iter[it]
-        spreads[it] = max(ts) - min(ts)
-    return spreads
+    complete = output.complete_ts
+    return complete.max(axis=0) - complete.min(axis=0)
 
 
 def verticality(output: ChainOutput) -> float:
@@ -169,15 +163,9 @@ def verticality(output: ChainOutput) -> float:
 
 def quartile_times(output: ChainOutput, fractions=(0.25, 0.5, 0.75)) -> dict[float, float]:
     """Virtual time at which the given fractions of iterations completed."""
-    by_iter: dict[int, float] = {}
-    for rec in output.timeline:
-        by_iter[rec.iteration] = max(by_iter.get(rec.iteration, -np.inf), rec.complete_ts)
+    last = output.complete_ts.max(axis=0)
     n = output.n_iterations
-    out = {}
-    for f in fractions:
-        idx = max(0, int(np.ceil(f * n)) - 1)
-        out[f] = by_iter[idx]
-    return out
+    return {f: float(last[max(0, int(np.ceil(f * n)) - 1)]) for f in fractions}
 
 
 def bench_timeline(w_list: list[int], n_iterations: int, model: BackendModel,

@@ -57,26 +57,26 @@ class VirtualClock:
 
     def __init__(self) -> None:
         self._now = 0.0
-        self._events: list[tuple[float, int, Callable[[], None]]] = []
+        self._events: list[tuple[float, int, Callable[..., object], tuple]] = []
         self._seq = itertools.count()
 
     def now(self) -> float:
         return self._now
 
-    def schedule(self, when: float, action: Callable[[], None]) -> None:
-        """Arrange for ``action()`` to run when virtual time reaches ``when``."""
+    def schedule(self, when: float, action: Callable[..., object], *args) -> None:
+        """Arrange for ``action(*args)`` to run when virtual time reaches ``when``."""
         if when < self._now:
             raise ValueError(f"cannot schedule at {when}: clock is already at {self._now}")
-        heapq.heappush(self._events, (float(when), next(self._seq), action))
+        heapq.heappush(self._events, (float(when), next(self._seq), action, args))
 
     def wait(self, cond: threading.Condition, timeout: float | None) -> None:
         deadline = None if timeout is None else self._now + timeout
         if self._events and (deadline is None or self._events[0][0] <= deadline):
-            when, _, action = heapq.heappop(self._events)
+            when, _, action, args = heapq.heappop(self._events)
             self._now = max(self._now, when)
             cond.release()
             try:
-                action()
+                action(*args)
             finally:
                 cond.acquire()
         elif deadline is None:

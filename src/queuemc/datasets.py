@@ -13,6 +13,7 @@ point count u32, pixel_size f64, beam_fwhm f64, r_max f64, radial grid
 from __future__ import annotations
 
 import io
+import math
 import struct
 from dataclasses import dataclass
 from typing import Sequence
@@ -56,17 +57,20 @@ class ClusterDataset:
             raise ValueError("obs_map must be square")
         if obs.shape[0] % 2 != 0:
             raise ValueError("grid size must be even")
+        # Every check below is written so that NaN fails it.
         if sig.shape != obs.shape:
             raise ValueError("sigma_map must match obs_map shape")
-        if not np.all(sig > 0):
-            raise ValueError("sigma_map entries must be positive")
-        if self.pixel_size <= 0 or self.beam_fwhm <= 0 or self.r_max <= 0:
-            raise ValueError("pixel_size, beam_fwhm and r_max must be positive")
+        if not np.all(np.isfinite(obs)):
+            raise ValueError("obs_map entries must be finite")
+        if not np.all((0 < sig) & (sig < np.inf)):
+            raise ValueError("sigma_map entries must be finite and positive")
+        if not all(0 < v < math.inf for v in (self.pixel_size, self.beam_fwhm, self.r_max)):
+            raise ValueError("pixel_size, beam_fwhm and r_max must be finite and positive")
         if radial.ndim != 1 or radial.size < 2:
             raise ValueError("radial_grid must have at least two points")
-        if np.any(np.diff(radial) <= 0):
+        if not np.all(np.diff(radial) > 0):
             raise ValueError("radial_grid must be strictly increasing")
-        if radial[0] < 0 or radial[-1] >= self.r_max:
+        if not (0 <= radial[0] and radial[-1] < self.r_max):
             # The projection of the profile is defined only inside r_max.
             raise ValueError("radial_grid must lie in [0, r_max)")
 

@@ -54,6 +54,7 @@ from .errors import (ConfigurationError, DuplicateResponseError,
 from .fabric import Message, MessageKind, Queue
 from .payloads import (LikelihoodRequest, pack_request, parse_error,
                        unpack_response)
+from .streams import spawn_generators
 
 log = logging.getLogger(__name__)
 
@@ -77,9 +78,11 @@ class ChainConfig:
             raise ConfigurationError("proposal_scale entries must be finite and positive")
         if self.exchange_period < 0:
             raise ConfigurationError("exchange_period must be >= 0")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ConfigurationError("seed must be a non-negative integer")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TimelineRecord:
     walker_id: int
     iteration: int
@@ -89,15 +92,24 @@ class TimelineRecord:
 
 @dataclass
 class ChainOutput:
-    """Everything a run produced: samples, acceptance, and the timeline."""
+    """Everything a run produced: samples, acceptance, and request stamps."""
 
     samples: np.ndarray          # (n_walkers, n_iterations, dim)
     log_posts: np.ndarray        # (n_walkers, n_iterations)
     accepted: np.ndarray         # (n_walkers, n_iterations) bool
-    timeline: list[TimelineRecord]
+    dispatch_ts: np.ndarray      # (n_walkers, n_iterations) request push stamps
+    complete_ts: np.ndarray      # (n_walkers, n_iterations) response arrival stamps
     exchange_log: list[tuple[int, np.ndarray]] = field(default_factory=list)
     backend: str = "?"
     complete: bool = True
+
+    @property
+    def timeline(self) -> tuple[TimelineRecord, ...]:
+        """One record per request, iteration-major then walker, built on each access."""
+        dispatch, complete = self.dispatch_ts.T.tolist(), self.complete_ts.T.tolist()
+        return tuple(TimelineRecord(w, it, d, c)
+                     for it, (d_row, c_row) in enumerate(zip(dispatch, complete))
+                     for w, (d, c) in enumerate(zip(d_row, c_row)))
 
     @property
     def accept_counts(self) -> np.ndarray:
@@ -126,8 +138,13 @@ def mh_step(log_post: float, proposed_log_post: float, u: float) -> bool:
 
 def propose(position: np.ndarray, proposal_scale: np.ndarray,
             rng: np.random.Generator) -> np.ndarray:
-    """Symmetric Gaussian random-walk proposal from the walker's own stream."""
-    return position + rng.normal(0.0, proposal_scale)
+    """Symmetric Gaussian random-walk proposal from the walker's own stream.
+
+    The same draws and bits as ``position + rng.normal(0.0, proposal_scale)``,
+    without ``normal``'s per-call check of the scale's sign. The ``+ 0.0``
+    is ``normal``'s zero location: it turns a step of -0.0 into +0.0.
+    """
+    return position + (rng.standard_normal(proposal_scale.shape) * proposal_scale + 0.0)
 
 
 def exchange_step(positions: np.ndarray, log_posts: np.ndarray,
@@ -188,46 +205,40 @@ def run_chains(config: ChainConfig, plane, input_q: Queue, output_q: Queue, *,
     n_send = dim if data_param_count is None else int(data_param_count)
     if not 0 < n_send <= dim:
         raise ValueError("data_param_count must be in [1, dim]")
-    prior = log_prior if log_prior is not None else (lambda pos: 0.0)
     clock = output_q.clock
+    push, pop = input_q.push, output_q.pop
 
-    root = np.random.SeedSequence(config.seed)
-    streams = root.spawn(w_count + 1)
-    rngs = [np.random.default_rng(s) for s in streams[:w_count]]
-    exchange_rng = np.random.default_rng(streams[w_count])
+    *rngs, exchange_rng = spawn_generators(config.seed, w_count + 1)
 
     positions = init.copy()
     current_lp = np.full(w_count, -math.inf)
-    proposals = np.empty_like(positions)
     samples = np.empty((w_count, n_iter, dim))
     log_posts = np.empty((w_count, n_iter))
     accepted = np.zeros((w_count, n_iter), dtype=bool)
-    timeline: list[TimelineRecord] = []
+    dispatch_ts = np.empty((w_count, n_iter))
+    complete_ts = np.empty((w_count, n_iter))
     exchange_log: list[tuple[int, np.ndarray]] = []
     first_id = input_q.pushed_count
 
     try:
         for it in range(n_iter):
-            for w in range(w_count):
-                proposals[w] = propose(positions[w], scale, rngs[w])
+            proposals = [propose(positions[w], scale, rngs[w]) for w in range(w_count)]
+            base = first_id + it * w_count
             walker_of: dict[str, int] = {}
-            dispatch_ts = [0.0] * w_count
-            for w in range(w_count):
-                msg_id = f"req-{first_id + it * w_count + w}"
-                payload = pack_request(LikelihoodRequest(
-                    params=proposals[w, :n_send], dataset_key=dataset_key))
-                ack = input_q.push(Message(
-                    msg_id=msg_id, kind=MessageKind.LIKELIHOOD_REQUEST, payload=payload))
+            dispatched: list[float] = []
+            for w, proposal in enumerate(proposals):
+                msg_id = f"req-{base + w}"
                 walker_of[msg_id] = w
-                dispatch_ts[w] = ack.enqueue_ts
+                payload = pack_request(LikelihoodRequest(proposal[:n_send], dataset_key))
+                dispatched.append(push(Message(
+                    msg_id, MessageKind.LIKELIHOOD_REQUEST, payload)).enqueue_ts)
 
             replies: list[Message | None] = [None] * w_count
             deadline = (None if response_timeout_s is None
                         else clock.now() + response_timeout_s)
             while walker_of:
                 try:
-                    msg = output_q.pop(
-                        timeout=None if deadline is None else deadline - clock.now())
+                    msg = pop(None if deadline is None else deadline - clock.now())
                 except SimulationStalledError:  # no event left can answer
                     msg = None
                 if msg is None:
@@ -250,23 +261,21 @@ def run_chains(config: ChainConfig, plane, input_q: Queue, output_q: Queue, *,
                 replies[w] = msg
 
             for w, msg in enumerate(replies):
-                resp = unpack_response(msg.payload)
-                lp_prior = float(prior(proposals[w]))
-                proposed_lp = resp.log_likelihood + lp_prior
+                log_lik = unpack_response(msg.payload).log_likelihood
+                lp_prior = 0.0 if log_prior is None else float(log_prior(proposals[w]))
+                proposed_lp = log_lik + lp_prior
                 if math.isnan(proposed_lp) or proposed_lp == math.inf:
                     raise NonFiniteDensityError(
                         f"log-posterior {proposed_lp!r} for walker {w}: log-likelihood "
-                        f"{resp.log_likelihood!r}, log-prior {lp_prior!r}")
-                u = float(rngs[w].random())
-                if mh_step(current_lp[w], proposed_lp, u):
+                        f"{log_lik!r}, log-prior {lp_prior!r}")
+                if mh_step(current_lp[w], proposed_lp, rngs[w].random()):
                     positions[w] = proposals[w]
                     current_lp[w] = proposed_lp
                     accepted[w, it] = True
-                timeline.append(TimelineRecord(
-                    walker_id=w, iteration=it, dispatch_ts=dispatch_ts[w],
-                    complete_ts=msg.enqueue_ts))
             samples[:, it] = positions
             log_posts[:, it] = current_lp
+            dispatch_ts[:, it] = dispatched
+            complete_ts[:, it] = [msg.enqueue_ts for msg in replies]
 
             if config.exchange_period and (it + 1) % config.exchange_period == 0:
                 positions, current_lp, perm = exchange_step(positions, current_lp, exchange_rng)
@@ -274,13 +283,14 @@ def run_chains(config: ChainConfig, plane, input_q: Queue, output_q: Queue, *,
     except QueueMCError as exc:
         exc.partial_output = ChainOutput(
             samples=samples[:, :it].copy(), log_posts=log_posts[:, :it].copy(),
-            accepted=accepted[:, :it].copy(), timeline=timeline[:it * w_count],
-            exchange_log=exchange_log, backend=plane.backend, complete=False)
+            accepted=accepted[:, :it].copy(), dispatch_ts=dispatch_ts[:, :it].copy(),
+            complete_ts=complete_ts[:, :it].copy(), exchange_log=exchange_log,
+            backend=plane.backend, complete=False)
         raise
 
     return ChainOutput(samples=samples, log_posts=log_posts, accepted=accepted,
-                       timeline=timeline, exchange_log=exchange_log,
-                       backend=plane.backend)
+                       dispatch_ts=dispatch_ts, complete_ts=complete_ts,
+                       exchange_log=exchange_log, backend=plane.backend)
 
 
 def write_chain_csv(output: ChainOutput, path) -> None:

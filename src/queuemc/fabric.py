@@ -21,7 +21,7 @@ import enum
 import json
 import threading
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 from .clocks import Clock, WallClock
@@ -112,17 +112,18 @@ class Queue:
     for a backlog.
     """
 
-    def __init__(self, name: str, clock: Clock, record_deliveries: bool = False) -> None:
+    def __init__(self, name: str, clock: Clock) -> None:
         self._name = name
         self._clock = clock
-        self._cond = threading.Condition()
+        # Holding the lock directly skips the condition's Python-level
+        # __enter__/__exit__ on every push and pop.
+        self._lock = threading.RLock()
+        self._cond = threading.Condition(self._lock)
         self._items: deque[Message] = deque()
         self._trigger: Callable[[Message], None] | None = None
         self._closed = False
         self._pushed = 0
         self._delivered = 0
-        self.push_log: list[str] | None = [] if record_deliveries else None
-        self.delivery_log: list[str] | None = [] if record_deliveries else None
 
     @property
     def name(self) -> str:
@@ -134,22 +135,22 @@ class Queue:
 
     @property
     def pending_count(self) -> int:
-        with self._cond:
+        with self._lock:
             return len(self._items)
 
     @property
     def pushed_count(self) -> int:
-        with self._cond:
+        with self._lock:
             return self._pushed
 
     @property
     def delivered_count(self) -> int:
-        with self._cond:
+        with self._lock:
             return self._delivered
 
     @property
     def closed(self) -> bool:
-        with self._cond:
+        with self._lock:
             return self._closed
 
     def push(self, m: Message) -> Message:
@@ -159,18 +160,14 @@ class Queue:
         registered the message is handed to it instead of being queued;
         the callback runs in the pushing thread, outside the queue lock.
         """
-        with self._cond:
+        with self._lock:
             if self._closed:
                 raise QueueClosedError(f"queue {self._name!r} is closed")
-            stamped = replace(m, enqueue_ts=self._clock.now())
+            stamped = Message(m.msg_id, m.kind, m.payload, self._clock.now())
             self._pushed += 1
-            if self.push_log is not None:
-                self.push_log.append(stamped.msg_id)
             action = self._trigger
             if action is not None:
                 self._delivered += 1
-                if self.delivery_log is not None:
-                    self.delivery_log.append(stamped.msg_id)
             else:
                 self._items.append(stamped)
                 self._cond.notify()
@@ -186,21 +183,19 @@ class Queue:
         indefinitely. Raises :class:`QueueClosedError` once the queue is
         closed and drained.
         """
-        deadline = None if timeout is None else self._clock.now() + timeout
-        with self._cond:
+        clock = self._clock
+        deadline = None if timeout is None else clock.now() + timeout
+        with self._lock:
             while True:
                 if self._items:
-                    m = self._items.popleft()
                     self._delivered += 1
-                    if self.delivery_log is not None:
-                        self.delivery_log.append(m.msg_id)
-                    return m
+                    return self._items.popleft()
                 if self._closed:
                     raise QueueClosedError(f"queue {self._name!r} is closed")
-                remaining = None if deadline is None else deadline - self._clock.now()
+                remaining = None if deadline is None else deadline - clock.now()
                 if remaining is not None and remaining <= 0:
                     return None
-                self._clock.wait(self._cond, remaining)
+                clock.wait(self._cond, remaining)
 
     def register_trigger(self, action: Callable[[Message], None]) -> None:
         """Invoke ``action`` exactly once for every message delivered from now on.
@@ -209,7 +204,7 @@ class Queue:
         takes one trigger; registering a second raises
         :class:`ConfigurationError`.
         """
-        with self._cond:
+        with self._lock:
             if self._closed:
                 raise QueueClosedError(f"queue {self._name!r} is closed")
             if self._trigger is not None:
@@ -218,13 +213,11 @@ class Queue:
             backlog = list(self._items)
             self._items.clear()
             self._delivered += len(backlog)
-            if self.delivery_log is not None:
-                self.delivery_log.extend(m.msg_id for m in backlog)
         for m in backlog:
             action(m)
 
     def close(self) -> None:
-        with self._cond:
+        with self._lock:
             self._closed = True
             self._cond.notify_all()
 
@@ -232,9 +225,8 @@ class Queue:
 class QueueFabric:
     """Registry of named queues sharing one clock."""
 
-    def __init__(self, clock: Clock | None = None, record_deliveries: bool = False) -> None:
+    def __init__(self, clock: Clock | None = None) -> None:
         self.clock = clock if clock is not None else WallClock()
-        self._record = record_deliveries
         self._queues: dict[str, Queue] = {}
         self._lock = threading.Lock()
 
@@ -242,7 +234,7 @@ class QueueFabric:
         with self._lock:
             if name in self._queues:
                 raise DuplicateQueueError(f"queue {name!r} already exists")
-            q = Queue(name, self.clock, record_deliveries=self._record)
+            q = Queue(name, self.clock)
             self._queues[name] = q
             return q
 

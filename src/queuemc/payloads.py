@@ -25,13 +25,13 @@ _U32 = struct.Struct("<I")
 _RESP = struct.Struct("<dBdd")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LikelihoodRequest:
     params: np.ndarray
     dataset_key: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LikelihoodResponse:
     log_likelihood: float
     cold: bool
@@ -46,19 +46,19 @@ def pack_request(req: LikelihoodRequest) -> bytes:
 
 
 def unpack_request(payload: bytes) -> LikelihoodRequest:
+    """Parse a request payload; its ``params`` is a read-only view of it."""
     try:
         (n,) = _U32.unpack_from(payload, 0)
-        off = _U32.size
-        params = np.frombuffer(payload, dtype="<f8", count=n, offset=off).copy()
-        off += 8 * n
+        params = np.frombuffer(payload, dtype="<f8", count=n, offset=_U32.size)
+        off = _U32.size + 8 * n
         (key_len,) = _U32.unpack_from(payload, off)
         off += _U32.size
-        key = payload[off:off + key_len].decode("utf-8")
-        if len(key.encode("utf-8")) != key_len:
+        key = payload[off:off + key_len]
+        if len(key) != key_len:
             raise ValueError("truncated dataset key")
+        return LikelihoodRequest(params, key.decode("utf-8"))
     except (struct.error, ValueError, UnicodeDecodeError) as exc:
         raise WireFormatError(f"bad request payload: {exc}") from exc
-    return LikelihoodRequest(params, key)
 
 
 def pack_response(resp: LikelihoodResponse) -> bytes:

@@ -92,7 +92,7 @@ class BackendModel:
         return self.scale_doubling_interval_s * math.log2(n / self.initial_capacity)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InvocationRecord:
     msg_id: str
     worker_id: str
@@ -183,13 +183,9 @@ def respond(msg: Message, result: float | tuple[str, str],
     """The one response to ``msg``: a likelihood response stamped from
     ``rec``, or a control message carrying the ``(code, detail)`` error."""
     if isinstance(result, tuple):
-        kind, payload = MessageKind.CONTROL, pack_error(*result)
-    else:
-        kind = MessageKind.LIKELIHOOD_RESPONSE
-        payload = pack_response(LikelihoodResponse(
-            log_likelihood=result, cold=rec.cold,
-            compute_start_ts=rec.start_ts, compute_end_ts=rec.end_ts))
-    return Message(msg_id=msg.msg_id, kind=kind, payload=payload)
+        return Message(msg.msg_id, MessageKind.CONTROL, pack_error(*result))
+    return Message(msg.msg_id, MessageKind.LIKELIHOOD_RESPONSE, pack_response(
+        LikelihoodResponse(result, rec.cold, rec.start_ts, rec.end_ts)))
 
 
 def execute(runner: TaskRunner, clock, msg: Message) -> tuple[Message, InvocationRecord]:
@@ -220,9 +216,11 @@ class SimScheduler:
     def __init__(self, model: BackendModel, seed: int = 0):
         self._model = model
         self._rng = np.random.default_rng(seed)
-        self._free: list[tuple[float, int]] = []  # (next_free_ts, instance number)
+        # (next_free_ts, instance number, worker id)
+        self._free: list[tuple[float, int, str]] = []
         self._provisioned = 0
         self._origin: float | None = None
+        self._next_ramp: float | None = None  # when the next instance is provisioned
 
     def assign(self, msg_id: str, dispatch_ts: float, duration: float) -> InvocationRecord:
         m = self._model
@@ -232,32 +230,28 @@ class SimScheduler:
         if m.jitter_std_s > 0:
             jitter = max(0.0, m.jitter_std_s * float(self._rng.standard_normal()))
 
-        reuse_ready = math.inf
-        if self._free:
-            free_at, _ = self._free[0]
-            reuse_ready = max(dispatch_ts, free_at) + m.warm_invoke_s
+        free = self._free
+        reuse_ready = max(dispatch_ts, free[0][0]) + m.warm_invoke_s if free else math.inf
         fresh_ready = math.inf
         if m.max_concurrency is None or self._provisioned < m.max_concurrency:
-            n = self._provisioned + 1
-            avail = max(dispatch_ts, self._origin + m.ramp_delay(n))
-            fresh_ready = avail + m.cold_start_s + m.warm_invoke_s
+            if self._next_ramp is None:
+                self._next_ramp = self._origin + m.ramp_delay(self._provisioned + 1)
+            fresh_ready = max(dispatch_ts, self._next_ramp) + m.cold_start_s + m.warm_invoke_s
         if not math.isfinite(reuse_ready) and not math.isfinite(fresh_ready):
             raise ConfigurationError("no instance available and concurrency limit reached")
 
         if reuse_ready <= fresh_ready:
-            _, wid = heapq.heappop(self._free)
-            ready, cold = reuse_ready, False
+            _, wid, worker_id = heapq.heappop(free)
+            start, cold = reuse_ready + jitter, False
         else:
             self._provisioned += 1
+            self._next_ramp = None
             wid = self._provisioned
-            ready, cold = fresh_ready, True
-
-        start = ready + jitter
+            worker_id = f"sim-{wid:05d}"
+            start, cold = fresh_ready + jitter, True
         end = start + duration
-        heapq.heappush(self._free, (end, wid))
-        return InvocationRecord(msg_id=msg_id, worker_id=f"sim-{wid:05d}",
-                                dispatch_ts=dispatch_ts, start_ts=start,
-                                end_ts=end, cold=cold)
+        heapq.heappush(free, (end, wid, worker_id))
+        return InvocationRecord(msg_id, worker_id, dispatch_ts, start, end, cold)
 
 
 def simulate(requests: Iterable[tuple[str, float, float]], model: BackendModel,
@@ -319,11 +313,11 @@ class SimulatedPlane(_PlaneBase):
 
     def _on_message(self, msg: Message) -> None:
         result, _, stub_s = self._runner.run(msg)
-        duration = self._model.likelihood_duration_s if stub_s is None else stub_s
-        rec = self._sched.assign(msg.msg_id, msg.enqueue_ts, duration)
+        rec = self._sched.assign(
+            msg.msg_id, msg.enqueue_ts,
+            self._model.likelihood_duration_s if stub_s is None else stub_s)
         self._record(rec)
-        resp = respond(msg, result, rec)
-        self._clock.schedule(rec.end_ts, lambda: self._output_q.push(resp))
+        self._clock.schedule(rec.end_ts, self._output_q.push, respond(msg, result, rec))
 
 
 class LocalPoolPlane(_PlaneBase):

@@ -20,9 +20,8 @@ def fast_model():
 @pytest.fixture
 def sim_setup(fast_model):
     """(fabric, input_q, output_q, plane) on a virtual clock, stub-friendly."""
-    def build(model=None, likelihood_fn=None, store=None, seed=0,
-              record_deliveries=False):
-        fabric = QueueFabric(VirtualClock(), record_deliveries=record_deliveries)
+    def build(model=None, likelihood_fn=None, store=None, seed=0):
+        fabric = QueueFabric(VirtualClock())
         input_q = fabric.create_queue("input")
         output_q = fabric.create_queue("output")
         plane = attach_backend(input_q, output_q, "sim",
@@ -34,8 +33,8 @@ def sim_setup(fast_model):
 
 @pytest.fixture
 def local_setup():
-    def build(likelihood_fn=None, store=None, pool_size=4, record_deliveries=False):
-        fabric = QueueFabric(WallClock(), record_deliveries=record_deliveries)
+    def build(likelihood_fn=None, store=None, pool_size=4):
+        fabric = QueueFabric(WallClock())
         input_q = fabric.create_queue("input")
         output_q = fabric.create_queue("output")
         plane = attach_backend(input_q, output_q, "local",

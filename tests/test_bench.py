@@ -6,10 +6,13 @@ import pytest
 from queuemc.bench import (OVERHEAD_CSV_HEADER, bench_overhead, bench_timeline,
                            iteration_spreads, quartile_times,
                            reference_total_time, run_overhead_wave,
-                           total_time, verticality, write_events_csv,
-                           write_overhead_csv, write_timeline_summary_csv)
+                           run_stub_chain, total_time, verticality,
+                           write_events_csv, write_overhead_csv,
+                           write_timeline_summary_csv)
+from queuemc.engine import write_timeline_csv
 from queuemc.errors import ConfigurationError
 from queuemc.plane import BackendModel
+from queuemc.store import content_digest
 
 
 def overheads(reports):
@@ -145,3 +148,34 @@ def test_timeline_budget(timeline_outputs):
     out = timeline_outputs[10]
     assert len(out.timeline) == 10 * 100
     assert out.samples.shape == (10, 100, 1)
+
+
+# ---------------------------------------------------------------- pinned bytes
+#
+# Digests of the CSV files the bench commands write, for fixed seeds and a
+# jittered model, so every stamp differs. Any change to a stamp, to the row
+# order or to the float spelling shows here.
+
+
+def file_digest(path):
+    return content_digest(path.read_bytes())
+
+
+def test_timeline_csv_bytes_pinned(tmp_path):
+    out = run_stub_chain(40, 5, BackendModel(jitter_std_s=0.3), seed=3)
+    write_timeline_csv(out, tmp_path / "timeline.csv")
+    assert file_digest(tmp_path / "timeline.csv") == "3a184e83d6f0831f"
+
+
+def test_timeline_summary_csv_bytes_pinned(tmp_path):
+    outputs = bench_timeline([5, 30], 12, BackendModel(jitter_std_s=0.3), seed=2)
+    write_timeline_summary_csv(tmp_path / "summary.csv", outputs)
+    assert file_digest(tmp_path / "summary.csv") == "5f0342284a89d837"
+
+
+def test_overhead_and_events_csv_bytes_pinned(tmp_path):
+    reports, records = bench_overhead([4, 16, 64], BackendModel(jitter_std_s=0.5), seed=5)
+    write_overhead_csv(tmp_path / "overhead.csv", reports)
+    write_events_csv(tmp_path / "events.csv", records)
+    assert file_digest(tmp_path / "overhead.csv") == "531185156847c951"
+    assert file_digest(tmp_path / "events.csv") == "9839e79ae719bf6d"

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import struct
 
@@ -6,6 +5,7 @@ import pytest
 
 from queuemc import cli
 from queuemc.datasets import make_synthetic, save_container, write_container
+from tests.test_datasets import corrupt
 
 
 @pytest.fixture
@@ -92,13 +92,23 @@ def test_fit_rejects_grid_reaching_r_max_as_data_error(tmp_path, capsys):
 
 
 def test_fit_nan_in_observed_map_is_a_data_error(tmp_path, capsys):
-    # The container format can carry a NaN pixel; every likelihood on it is
-    # NaN, which aborts the run instead of rejecting every proposal.
+    # The container format can carry a NaN pixel; reading it is a data
+    # error, before any likelihood runs.
     (ds,), _ = make_synthetic(1, grid_size=16, seed=0)
-    obs = ds.obs_map.copy()
-    obs[3, 5] = float("nan")
     path = tmp_path / "nan.qmc"
-    save_container(path, [dataclasses.replace(ds, obs_map=obs)])
+    path.write_bytes(corrupt(write_container([ds]), ds, "obs_map"))
     code = fit(path, tmp_path / "out", "--walkers", "2", "--iterations", "1")
     assert code == cli.EXIT_DATA
-    assert capsys.readouterr().err.startswith("error (data): log-likelihood nan")
+    assert capsys.readouterr().err.startswith(
+        "error (data): cannot read dataset: truncated or invalid container: "
+        "obs_map entries must be finite")
+
+
+@pytest.mark.parametrize("field", ["r_max", "beam_fwhm", "pixel_size"])
+def test_fit_nan_geometry_is_a_data_error(tmp_path, capsys, field):
+    (ds,), _ = make_synthetic(1, grid_size=16, seed=0)
+    path = tmp_path / "nan.qmc"
+    path.write_bytes(corrupt(write_container([ds]), ds, field))
+    code = fit(path, tmp_path / "out", "--walkers", "2", "--iterations", "1")
+    assert code == cli.EXIT_DATA
+    assert capsys.readouterr().err.startswith("error (data): cannot read dataset: ")

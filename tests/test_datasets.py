@@ -1,3 +1,5 @@
+import dataclasses
+import math
 import struct
 
 import numpy as np
@@ -92,6 +94,41 @@ def test_dataset_validation():
                        sigma_map=np.ones((4, 4)), pixel_size=1.0,
                        beam_fwhm=1.0, r_max=good.radial_grid[-1],
                        radial_grid=good.radial_grid)  # grid reaching r_max
+
+
+def corrupt(blob: bytes, ds: ClusterDataset, field: str) -> bytes:
+    """``blob`` (a one-cluster container of ``ds``) with NaN in ``field``."""
+    geometry = 4 + 4 + 4 + len(ds.cluster_id.encode("utf-8")) + 4 + 4
+    offsets = {"pixel_size": geometry, "beam_fwhm": geometry + 8, "r_max": geometry + 16,
+               "obs_map": geometry + 24 + 8 * ds.n_radial + 8 * 5,
+               "sigma_map": geometry + 24 + 8 * ds.n_radial + 8 * ds.grid_size ** 2}
+    out = bytearray(blob)
+    struct.pack_into("<d", out, offsets[field], math.nan)
+    return bytes(out)
+
+
+@pytest.mark.parametrize("field", ["pixel_size", "beam_fwhm", "r_max", "obs_map",
+                                   "sigma_map"])
+def test_container_with_nan_is_rejected(field):
+    ds = tiny_dataset()
+    with pytest.raises(WireFormatError, match="finite"):
+        read_container(corrupt(write_container([ds]), ds, field))
+
+
+@pytest.mark.parametrize("radial", [[0.0, math.nan, 0.9], [math.nan, 0.5, 0.9],
+                                    [0.0, 0.5, math.nan]])
+def test_nan_radial_grid_is_rejected(radial):
+    good = tiny_dataset()
+    with pytest.raises(ValueError):
+        dataclasses.replace(good, radial_grid=np.array(radial))
+
+
+def test_infinite_sigma_is_rejected():
+    good = tiny_dataset()
+    sigma = good.sigma_map.copy()
+    sigma[0, 0] = math.inf
+    with pytest.raises(ValueError, match="finite"):
+        dataclasses.replace(good, sigma_map=sigma)
 
 
 def test_synthetic_generator_deterministic():

@@ -6,6 +6,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from queuemc.bench import run_stub_chain
 from queuemc.clocks import VirtualClock
@@ -71,6 +73,26 @@ def test_propose_moments():
     draws = np.array([propose(position, scale, rng) for _ in range(100_000)])
     stds = draws.std(axis=0, ddof=1)
     assert np.all(np.abs(stds - scale) / scale < 0.01)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_propose_matches_reference_bit_for_bit(seed, data):
+    # The reference draw is position + rng.normal(0.0, scale); -0.0
+    # positions and subnormal scales are in range.
+    dim = data.draw(st.integers(1, 6))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    position = np.array(data.draw(st.lists(finite, min_size=dim, max_size=dim)))
+    scale = np.array(data.draw(st.lists(
+        st.floats(min_value=0.0, max_value=1e300, exclude_min=True),
+        min_size=dim, max_size=dim)))
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    with np.errstate(over="ignore"):
+        for _ in range(3):
+            got = propose(position, scale, rng)
+            want = position + ref.normal(0.0, scale)
+            assert got.tobytes() == want.tobytes()
+    assert rng.random() == ref.random()  # both streams advanced alike
 
 
 # -------------------------------------------------------------- exchange
@@ -166,18 +188,15 @@ def test_likelihood_budget_is_walkers_times_iterations(sim_setup):
 
 
 def test_request_response_bijection(sim_setup):
-    fabric, input_q, output_q, plane = sim_setup(likelihood_fn=gaussian_target,
-                                                 record_deliveries=True)
+    fabric, input_q, output_q, plane = sim_setup(likelihood_fn=gaussian_target)
     config = ChainConfig(n_walkers=5, n_iterations=4, proposal_scale=1.0, seed=3)
     run_chains(config, plane, input_q, output_q, init_positions=np.zeros((5, 1)),
                dataset_key="")
-    assert sorted(input_q.push_log) == sorted(output_q.push_log)
-    assert input_q.push_log == input_q.delivery_log  # trigger keeps FIFO order
-    assert output_q.delivery_log == output_q.push_log  # single consumer FIFO
+    # The trigger runs requests in push order, which is msg_id order.
+    assert [r.msg_id for r in plane.records] == [f"req-{n}" for n in range(20)]
     stats = fabric.stats()
     for name in ("input", "output"):
-        s = stats[name]
-        assert s["pushed"] == s["delivered"] + s["pending"] == 20
+        assert stats[name] == {"pushed": 20, "delivered": 20, "pending": 0}
 
 
 def test_fixed_seed_reproducible_on_sim(sim_setup):
@@ -281,6 +300,33 @@ def test_worker_crash_carries_partial_output(sim_setup):
     partial = err.value.partial_output
     assert partial.n_iterations == 2 and not partial.complete
     assert len(partial.timeline) == 8
+
+
+def test_partial_timeline_keeps_length_and_order(sim_setup):
+    # An aborted run's timeline is the full run's, cut before the failed
+    # iteration: iteration-major, then walker.
+    def stamps(output):
+        return [(r.walker_id, r.iteration, r.dispatch_ts, r.complete_ts)
+                for r in output.timeline]
+
+    calls = itertools.count(1)
+
+    def ninth_call_fails(params, datasets):
+        if next(calls) == 9:
+            raise RuntimeError("deliberate")
+        return gaussian_target(params, datasets)
+
+    full, _ = run_gaussian(sim_setup, w=4, n=5, seed=0)
+    fabric, input_q, output_q, plane = sim_setup(likelihood_fn=ninth_call_fails)
+    config = ChainConfig(n_walkers=4, n_iterations=5, proposal_scale=1.0, seed=0)
+    with pytest.raises(WorkerCrashError) as err:
+        run_chains(config, plane, input_q, output_q,
+                   init_positions=np.zeros((4, 1)), dataset_key="")
+    partial = stamps(err.value.partial_output)
+    assert [(w, it) for w, it, _, _ in partial] == [(w, it) for it in range(2)
+                                                     for w in range(4)]
+    assert partial == stamps(full)[:8]
+    assert len({ts for _, _, ts, _ in partial}) > 1
 
 
 def test_missing_dataset_carries_partial_output(sim_setup):
@@ -460,15 +506,17 @@ def test_duplicate_within_a_run_still_raises(sim_setup):
 @pytest.mark.parametrize("backend", ["sim", "local"])
 def test_msg_ids_never_repeat_across_runs(backend, sim_setup, local_setup):
     setup = sim_setup if backend == "sim" else local_setup
-    fabric, input_q, output_q, plane = setup(likelihood_fn=gaussian_target,
-                                             record_deliveries=True)
+    fabric, input_q, output_q, plane = setup(likelihood_fn=gaussian_target)
     config = ChainConfig(n_walkers=3, n_iterations=2, proposal_scale=1.0, seed=0)
     for _ in range(2):
         run_chains(config, plane, input_q, output_q,
                    init_positions=np.zeros((3, 1)), dataset_key="")
     plane.close()
-    assert len(set(input_q.push_log)) == len(input_q.push_log) == 12
-    assert sorted(output_q.push_log) == sorted(input_q.push_log)
+    ids = [r.msg_id for r in plane.records]
+    assert sorted(ids) == sorted(f"req-{n}" for n in range(12))
+    stats = fabric.stats()
+    for name in ("input", "output"):
+        assert stats[name] == {"pushed": 12, "delivered": 12, "pending": 0}
 
 
 def test_gaussian_target_moments_small(local_setup):
@@ -511,6 +559,9 @@ def test_config_validation():
             ChainConfig(n_walkers=1, n_iterations=1, proposal_scale=scale)
     with pytest.raises(ConfigurationError):
         ChainConfig(n_walkers=1, n_iterations=1, exchange_period=-1)
+    for seed in (-1, 1.5, "7"):
+        with pytest.raises(ConfigurationError):
+            ChainConfig(n_walkers=1, n_iterations=1, seed=seed)
 
 
 # -------------------------------------------------------------- error payloads
