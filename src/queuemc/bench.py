@@ -184,4 +184,4 @@ def write_timeline_summary_csv(path, outputs: dict[int, ChainOutput]) -> None:
             out = outputs[w]
             q = quartile_times(out)
             fh.write(f"{w},{total_time(out)!r},{q[0.25]!r},{q[0.5]!r},{q[0.75]!r},"
-                     f"{verticality(out)!r},{iteration_spreads(out).max()!r}\n")
+                     f"{verticality(out)!r},{float(iteration_spreads(out).max())!r}\n")

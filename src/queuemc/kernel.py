@@ -22,11 +22,28 @@ taking the largest m, n and G in use: 19 MB at m = 128, n = 512, G = 64
 (one entry, 0.6 MB, when all clusters share that geometry) and 42 MB at
 m = 256, G = 128. A process that cycles through more geometries than
 that rebuilds an entry on each miss.
+
+Where the clamp is inactive the first four stages are linear in the
+coefficients, so the model map is sum_j theta_j times the model map of
+the monomial x**j. :func:`evaluate` tests every row once per call: it
+takes the row's coefficients to the Bernstein basis of its degree on
+[0, 1], and if none of them is negative, the polynomial is >= 0 on
+[0, 1], where every Abel node r / r_max lies, so the clamp is inactive.
+Such a row costs one product with its geometry's monomial maps and a
+chi-square against the data. The maps are built by the stages
+themselves and cached per ``(r_max, radial grid, grid_size, pixel_size,
+beam_fwhm, k)`` for k coefficients: 8·G²·k bytes per entry, so at most
+32 × 8·G²·k bytes, 128 KB per entry and 4 MB in all at G = 64, k = 4.
+Every other row, and any row with a NaN or infinite coefficient, runs
+the five stages. The two paths agree to the last few bits, not bit for
+bit.
 """
 
 from __future__ import annotations
 
 import functools
+import math
+import types
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -256,6 +273,61 @@ def cluster_log_likelihood(theta: np.ndarray, dataset) -> float:
     return -0.5 * chi_square(model, dataset.obs_map, dataset.sigma_map)
 
 
+@functools.lru_cache(maxsize=GEOMETRY_CACHE_SIZE)
+def _bernstein_matrix(k: int) -> np.ndarray:
+    """Change of basis from the k monomials x**j to the Bernstein basis of
+    degree k - 1 on [0, 1]: b_i = sum_{j <= i} C(i, j) / C(k - 1, j) theta_j."""
+    return _read_only(np.array([[math.comb(i, j) / math.comb(k - 1, j) for j in range(k)]
+                                for i in range(k)]))
+
+
+def _clamp_free(thetas: np.ndarray) -> np.ndarray:
+    """Rows whose profile polynomial is >= 0 on all of [0, 1].
+
+    A polynomial is a convex combination of its Bernstein coefficients at
+    every x in [0, 1], so if none is negative, neither is the polynomial,
+    and the clamp changes no Abel node. The criterion is sufficient, not
+    necessary: a row it misses only takes the slower path. A row with a
+    NaN or infinite coefficient, or with no coefficient at all, is never
+    clamp-free.
+    """
+    n, k = thetas.shape
+    if k == 0:
+        return np.zeros(n, dtype=bool)
+    with np.errstate(all="ignore"):
+        bern = thetas @ _bernstein_matrix(k).T
+    return np.isfinite(thetas).all(axis=1) & (bern >= 0.0).all(axis=1)
+
+
+@functools.lru_cache(maxsize=GEOMETRY_CACHE_SIZE)
+def _monomial_maps(r_max: float, y_bytes: bytes, grid_size: int, pixel_size: float,
+                   beam_fwhm: float, k: int) -> np.ndarray:
+    """Model maps of the k monomial profiles x**j as the columns of a
+    (grid_size**2, k) matrix, built by stages one to four.
+
+    Where the clamp is inactive the model map is linear in theta, so it
+    is this matrix times theta.
+    """
+    geometry = types.SimpleNamespace(
+        r_max=r_max, radial_grid=np.frombuffer(y_bytes, dtype=np.float64),
+        grid_size=grid_size, pixel_size=pixel_size, beam_fwhm=beam_fwhm)
+    maps = np.empty((grid_size * grid_size, k))
+    for j, unit in enumerate(np.eye(k)):
+        maps[:, j] = cluster_model_map(unit, geometry).ravel()
+    return _read_only(maps)
+
+
+def _clamp_free_log_likelihood(theta: np.ndarray, dataset) -> float:
+    """:func:`cluster_log_likelihood` of a clamp-free row, from the cached
+    monomial maps of the dataset's geometry."""
+    g = dataset.grid_size
+    maps = _monomial_maps(float(dataset.r_max),
+                          np.asarray(dataset.radial_grid, dtype=np.float64).tobytes(),
+                          int(g), float(dataset.pixel_size), float(dataset.beam_fwhm),
+                          theta.size)
+    return -0.5 * chi_square((maps @ theta).reshape(g, g), dataset.obs_map, dataset.sigma_map)
+
+
 def evaluate(thetas: np.ndarray, datasets: Sequence) -> float:
     """Joint data log-likelihood over all clusters.
 
@@ -265,8 +337,10 @@ def evaluate(thetas: np.ndarray, datasets: Sequence) -> float:
         per cluster, matched to ``datasets`` by position.
     datasets : sequence of ClusterDataset.
 
-    Cluster contributions are accumulated in list order; a failure inside
-    one cluster raises :class:`ClusterEvalError` naming it.
+    A clamp-free row costs one product with its geometry's monomial maps
+    and a chi-square; every other row runs the five stages. Cluster
+    contributions are accumulated in list order; a failure inside one
+    cluster raises :class:`ClusterEvalError` naming it.
     """
     thetas = np.asarray(thetas, dtype=np.float64)
     if thetas.ndim != 2:
@@ -277,9 +351,12 @@ def evaluate(thetas: np.ndarray, datasets: Sequence) -> float:
         raise ValueError(
             f"{thetas.shape[0]} parameter rows for {len(datasets)} datasets")
     total = 0.0
-    for row, ds in zip(thetas, datasets):
+    for row, ds, free in zip(thetas, datasets, _clamp_free(thetas).tolist()):
         try:
-            total += cluster_log_likelihood(row, ds)
+            if free:
+                total += _clamp_free_log_likelihood(row, ds)
+            else:
+                total += cluster_log_likelihood(row, ds)
         except Exception as exc:
             raise ClusterEvalError(ds.cluster_id, exc) from exc
     return total

@@ -142,6 +142,8 @@ def test_timeline_summary_csv(tmp_path, timeline_outputs):
     assert len(lines) == 3
     assert lines[1].split(",")[0] == "10"
     assert lines[2].split(",")[0] == "100"
+    for line in lines[1:]:
+        assert all(math.isfinite(float(cell)) for cell in line.split(","))
 
 
 def test_timeline_budget(timeline_outputs):
@@ -170,7 +172,7 @@ def test_timeline_csv_bytes_pinned(tmp_path):
 def test_timeline_summary_csv_bytes_pinned(tmp_path):
     outputs = bench_timeline([5, 30], 12, BackendModel(jitter_std_s=0.3), seed=2)
     write_timeline_summary_csv(tmp_path / "summary.csv", outputs)
-    assert file_digest(tmp_path / "summary.csv") == "5f0342284a89d837"
+    assert file_digest(tmp_path / "summary.csv") == "c6f304c1f3c372eb"
 
 
 def test_overhead_and_events_csv_bytes_pinned(tmp_path):

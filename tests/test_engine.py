@@ -9,9 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from queuemc import kernel
 from queuemc.bench import run_stub_chain
 from queuemc.clocks import VirtualClock
-from queuemc.datasets import make_synthetic, write_container
+from queuemc.datasets import POPULATION_MEAN, make_synthetic, write_container
 from queuemc.diagnostics import discard_burn_in
 from queuemc.engine import (ChainConfig, exchange_step, mh_step, propose,
                             run_chains, write_chain_csv)
@@ -611,16 +612,17 @@ def test_golden_stub_chain():
     assert chain_digest(run_stub_chain(64, 3, BackendModel())) == "da611e85373a9825"
 
 
-@pytest.mark.parametrize("backend", ["sim", "local"])
-def test_golden_kernel_chain(backend, sim_setup, local_setup):
+def run_kernel_chain(setup, start_rows):
+    """A fixed-seed hierarchical chain over two synthetic clusters from
+    ``start_rows``; returns the output once every kept log-posterior has
+    been checked against the FFT-beam reference pipeline."""
     n_clusters, n_coeffs, walkers = 2, 4, 4
-    datasets, truths = make_synthetic(n_clusters, grid_size=32, seed=5)
+    datasets, _ = make_synthetic(n_clusters, grid_size=32, seed=5)
     store = MemoryObjectStore()
     store.put("bundle", write_container(datasets))
-    start = np.concatenate([truths.ravel(), [1.0, -0.5, -0.5, 0.0],
+    start = np.concatenate([np.ravel(start_rows), [1.0, -0.5, -0.5, 0.0],
                             np.full(n_coeffs, math.log(0.05))])
     dim = start.size
-    setup = sim_setup if backend == "sim" else local_setup
     fabric, input_q, output_q, plane = setup(store=store)
     config = ChainConfig(n_walkers=walkers, n_iterations=6,
                          proposal_scale=np.full(dim, 0.01), exchange_period=2, seed=21)
@@ -631,11 +633,42 @@ def test_golden_kernel_chain(backend, sim_setup, local_setup):
                                                  n_clusters=n_clusters))
     plane.close()
     assert 0 < out.accepted.sum() < out.accepted.size
-    # The walk itself, as recorded before the beam became two matrix products.
-    assert content_digest(out.samples.tobytes() + out.accepted.tobytes()) == "d2f05b2ca7abd2c8"
-    # Each kept log-posterior against the FFT-beam reference pipeline.
     expected = [[oracle.evaluate(pos[:n_clusters * n_coeffs].reshape(n_clusters, n_coeffs),
                                  datasets) + hierarchical_log_prior(pos, n_clusters)
                  for pos in walker] for walker in out.samples]
     np.testing.assert_allclose(out.log_posts, expected, rtol=1e-12, atol=0)
+    return out
+
+
+@pytest.mark.parametrize("backend", ["sim", "local"])
+def test_golden_kernel_chain(backend, sim_setup, local_setup):
+    truths = make_synthetic(2, grid_size=32, seed=5)[1]
+    out = run_kernel_chain(sim_setup if backend == "sim" else local_setup, truths)
+    # The walk itself, as recorded before the beam became two matrix products.
+    assert content_digest(out.samples.tobytes() + out.accepted.tobytes()) == "d2f05b2ca7abd2c8"
     assert chain_digest(out) == "a5f61e1b4ce7687e"
+
+
+@pytest.mark.parametrize("backend", ["sim", "local"])
+def test_golden_kernel_chain_from_a_clamp_free_point(backend, sim_setup, local_setup,
+                                                     monkeypatch):
+    # p(1) = 0.01 at the start, so the proposals fall on both sides of the
+    # clamp: some rows take the monomial-map product, the others every stage.
+    rows = {"all": [], "reference": []}
+
+    def counted(path, fn):
+        def wrapper(*args):
+            rows[path].append(None)
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(kernel, "chi_square", counted("all", kernel.chi_square))
+    monkeypatch.setattr(kernel, "cluster_log_likelihood",
+                        counted("reference", kernel.cluster_log_likelihood))
+    start = np.add(POPULATION_MEAN, (0.01, 0.0, 0.0, 0.0))
+    out = run_kernel_chain(sim_setup if backend == "sim" else local_setup, [start, start])
+    assert 0 < len(rows["reference"]) < len(rows["all"])
+    # The walk is the one the five stages take for every row; the
+    # log-posteriors differ from theirs in the last bits.
+    assert content_digest(out.samples.tobytes() + out.accepted.tobytes()) == "4fb072443fce8b98"
+    assert chain_digest(out) == "6ba3612691b2e2f1"

@@ -8,12 +8,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from queuemc.datasets import POPULATION_MEAN, ClusterDataset, make_synthetic
+from queuemc import kernel
+from queuemc.datasets import POPULATION_MEAN, ClusterDataset, make_synthetic, write_container
 from queuemc.errors import ClusterEvalError, InvalidGridError, ShapeMismatchError
+from queuemc.fabric import Message, MessageKind
 from queuemc.kernel import (DEFAULT_N_QUAD, ProfileParams, abel_project, chi_square,
                             cluster_log_likelihood, convolve_beam, eval_profile,
                             evaluate, forward_abel, hierarchical_log_prior,
                             project_to_map, split_position)
+from queuemc.payloads import LikelihoodRequest, pack_request
+from queuemc.plane import TaskRunner
+from queuemc.store import MemoryObjectStore
 from tests import kernel_oracle as oracle
 from tests.kernel_oracle import gaussian_beam_kernel
 
@@ -318,6 +323,8 @@ def test_evaluate_shape_checks():
         evaluate(truths[0], datasets)  # 1-d thetas
     with pytest.raises(ValueError):
         evaluate(truths, [])
+    with pytest.raises(ClusterEvalError):
+        evaluate(np.empty((1, 0)), datasets)  # no coefficients: no profile
 
 
 def test_single_cluster_loglik_is_half_chi_square():
@@ -468,3 +475,143 @@ def test_evaluate_matches_reference_across_geometries(rows, order):
     got = evaluate(thetas, clusters)
     expected = oracle.evaluate(thetas, clusters)
     assert got == pytest.approx(expected, rel=1e-12, abs=0)
+
+
+# ---------------------------------------------------------------- clamp-free rows
+#
+# A row whose Bernstein coefficients on [0, 1] are all >= 0 never trips the
+# clamp, and evaluate prices it as one product with the cached model maps
+# of the monomials x**j. Every other row runs the five stages. Both must
+# agree with the reference pipeline, including rows on the boundary.
+
+
+def non_uniform_synthetic(degree, noise):
+    """Three synthetic clusters of the given degree, each sigma scaled
+    pixel by pixel into [0.5, 2) of itself, and their truths."""
+    datasets, truths = make_synthetic(3, grid_size=32, seed=degree, noise_level=noise,
+                                      degree=degree)
+    rng = np.random.default_rng(degree)
+    scaled = [dataclasses.replace(ds, sigma_map=ds.sigma_map * rng.uniform(0.5, 2.0, (32, 32)))
+              for ds in datasets]
+    return scaled, truths
+
+
+SYNTHETIC = {(degree, noise): non_uniform_synthetic(degree, noise)
+             for degree in range(5) for noise in (0.05, 1e-3)}
+
+
+def boundary_row(degree):
+    """A profile with p(1) = 0 and one zero Bernstein coefficient:
+    ``POPULATION_MEAN`` for the cubic, 1 - x**degree otherwise."""
+    if degree == 3:
+        return np.asarray(POPULATION_MEAN)
+    row = np.zeros(degree + 1)
+    row[0] = 1.0
+    row[-1] -= 1.0
+    return row
+
+
+def degree_rows(degree):
+    k = degree + 1
+    coeffs = st.lists(st.floats(-2.0, 2.0), min_size=k, max_size=k)
+    positive = st.lists(st.floats(0.0, 2.0), min_size=k, max_size=k)
+    # p(1) moves by the offset: 0 is the boundary, -1e-12 just clamps.
+    at_boundary = st.sampled_from([0.0, 1e-12, -1e-12]).map(
+        lambda off: boundary_row(degree) + np.eye(k)[0] * off)
+    return st.one_of(coeffs.map(np.array), positive.map(np.array), at_boundary)
+
+
+@settings(max_examples=60, deadline=None)
+@given(degree=st.integers(0, 4), noise=st.sampled_from([0.05, 1e-3]), data=st.data())
+def test_evaluate_matches_reference_on_both_paths(degree, noise, data):
+    datasets, _ = SYNTHETIC[degree, noise]
+    thetas = np.array(data.draw(st.lists(degree_rows(degree), min_size=len(datasets),
+                                         max_size=len(datasets))))
+    got = evaluate(thetas, datasets)
+    expected = oracle.evaluate(thetas, datasets)
+    assert got == pytest.approx(expected, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("degree", range(5))
+@pytest.mark.parametrize("noise", [0.05, 1e-3])
+def test_evaluate_matches_reference_near_the_truth(degree, noise):
+    # Close to the truth, chi-square is smallest, so its relative error is largest.
+    datasets, truths = SYNTHETIC[degree, noise]
+    rng = np.random.default_rng(degree)
+    for _ in range(5):
+        thetas = truths + 1e-4 * rng.standard_normal(truths.shape)
+        assert evaluate(thetas, datasets) == pytest.approx(
+            oracle.evaluate(thetas, datasets), rel=1e-12, abs=0)
+
+
+# (0.5, 1, -1, 0.25) has a negative coefficient and no negative Bernstein
+# coefficient. (0.3, -1, 1, 0) is >= 0 on [0, 1] and has one, so it runs
+# the stages: the criterion is sufficient, not necessary.
+CLAMP_FREE_ROWS = [POPULATION_MEAN, np.add(POPULATION_MEAN, (1e-12, 0, 0, 0)),
+                   (1.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0), (0.5, 1.0, -1.0, 0.25)]
+CLAMP_ACTIVE_ROWS = [np.add(POPULATION_MEAN, (-1e-12, 0, 0, 0)), (-0.1, 1.0, 0.0, 0.0),
+                     (1.0, -1.5, 0.0, 0.0), (0.3, -1.0, 1.0, 0.0)]
+
+
+def stage_calls(monkeypatch, fail=()):
+    """Count calls to the kernel's stages through its module attributes;
+    the stages named in ``fail`` raise instead."""
+    calls = {name: 0 for name in ("forward_abel", "project_to_map", "convolve_beam",
+                                  "chi_square")}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            if name in fail:
+                raise AssertionError(f"{name} called on the clamp-free path")
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(kernel, name, counted(name, getattr(kernel, name)))
+    return calls
+
+
+@pytest.mark.parametrize("row", CLAMP_FREE_ROWS)
+def test_clamp_free_row_skips_the_stages(row, monkeypatch):
+    datasets, _ = make_synthetic(1, grid_size=32, seed=4)
+    thetas = np.array([row], dtype=np.float64)
+    expected = oracle.evaluate(thetas, datasets)
+    evaluate(thetas, datasets)  # builds the geometry's monomial maps
+    calls = stage_calls(monkeypatch, fail=("forward_abel", "project_to_map", "convolve_beam"))
+    assert evaluate(thetas, datasets) == pytest.approx(expected, rel=1e-12, abs=0)
+    assert calls["chi_square"] == 1
+
+
+@pytest.mark.parametrize("row", CLAMP_ACTIVE_ROWS)
+def test_clamp_active_row_runs_every_stage(row, monkeypatch):
+    datasets, _ = make_synthetic(1, grid_size=32, seed=4)
+    thetas = np.array([row], dtype=np.float64)
+    calls = stage_calls(monkeypatch)
+    assert evaluate(thetas, datasets) == pytest.approx(
+        oracle.evaluate(thetas, datasets), rel=1e-12, abs=0)
+    assert calls == {"forward_abel": 1, "project_to_map": 1, "convolve_beam": 1,
+                     "chi_square": 1}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("col", range(4))
+def test_non_finite_coefficients_keep_their_outcome(bad, col):
+    # Non-finite rows run the five stages: NaN and +inf end in a NaN
+    # likelihood, which the runner reports, and -inf clamps to a zero
+    # profile with a finite likelihood.
+    datasets, _ = make_synthetic(2, grid_size=32, seed=5)
+    store = MemoryObjectStore()
+    store.put("bundle", write_container(datasets))
+    row = np.array(POPULATION_MEAN)
+    row[col] = bad
+    params = np.concatenate([row, np.add(POPULATION_MEAN, (0.01, 0, 0, 0))])
+    msg = Message("req-0", MessageKind.LIKELIHOOD_REQUEST,
+                  pack_request(LikelihoodRequest(params, "bundle")))
+    with np.errstate(all="ignore"):
+        result, _, _ = TaskRunner(store=store).run(msg)
+        expected = oracle.evaluate(params.reshape(2, 4), datasets)
+    if bad == -math.inf:
+        assert result == pytest.approx(expected, rel=1e-12, abs=0)
+    else:
+        assert result == ("non-finite-likelihood", "nan")
