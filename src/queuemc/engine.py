@@ -9,10 +9,13 @@ values, and optionally permutes walker states between iterations.
 Iterations are lockstep: all walkers' responses are collected before any
 acceptance decision, which keeps the total likelihood budget at exactly
 n_walkers * n_iterations and makes the sampler bit-reproducible for a
-fixed seed on any backend computing identical likelihood values. Walker w
-draws its proposal and its acceptance uniform from its own RNG stream w;
-exchange draws from one further stream. Exchange runs between iterations, when no
-request is in flight.
+fixed seed on any backend computing identical likelihood values. A run
+draws from one stream, child 0 of ``SeedSequence(seed)`` (not
+``default_rng(seed)``, which ``qmc fit`` draws start points from), in a
+fixed order per iteration: all proposals as one ``(W, dim)`` draw, then W
+acceptance uniforms, then on an exchange iteration the permutation, so
+``exchange_period`` changes every later draw. Exchange runs between
+iterations, when no request is in flight.
 
 Walker log-posteriors start at -inf, so the first proposal is always
 accepted and doubles as the initialization evaluation. A log-likelihood or
@@ -54,7 +57,6 @@ from .errors import (ConfigurationError, DuplicateResponseError,
 from .fabric import Message, MessageKind, Queue
 from .payloads import (LikelihoodRequest, pack_request, parse_error,
                        unpack_response)
-from .streams import spawn_generators
 
 log = logging.getLogger(__name__)
 
@@ -138,13 +140,15 @@ def mh_step(log_post: float, proposed_log_post: float, u: float) -> bool:
 
 def propose(position: np.ndarray, proposal_scale: np.ndarray,
             rng: np.random.Generator) -> np.ndarray:
-    """Symmetric Gaussian random-walk proposal from the walker's own stream.
+    """Symmetric Gaussian random-walk proposal for one position or a
+    ``(W, dim)`` array of them, one row per walker, drawn in row order.
 
-    The same draws and bits as ``position + rng.normal(0.0, proposal_scale)``,
+    The same draws and bits as ``position + rng.normal(0.0, scale)`` with
+    ``scale`` the ``proposal_scale`` broadcast to ``position``'s shape,
     without ``normal``'s per-call check of the scale's sign. The ``+ 0.0``
     is ``normal``'s zero location: it turns a step of -0.0 into +0.0.
     """
-    return position + (rng.standard_normal(proposal_scale.shape) * proposal_scale + 0.0)
+    return position + (rng.standard_normal(position.shape) * proposal_scale + 0.0)
 
 
 def exchange_step(positions: np.ndarray, log_posts: np.ndarray,
@@ -208,7 +212,7 @@ def run_chains(config: ChainConfig, plane, input_q: Queue, output_q: Queue, *,
     clock = output_q.clock
     push, pop = input_q.push, output_q.pop
 
-    *rngs, exchange_rng = spawn_generators(config.seed, w_count + 1)
+    rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(0,)))
 
     positions = init.copy()
     current_lp = np.full(w_count, -math.inf)
@@ -222,7 +226,7 @@ def run_chains(config: ChainConfig, plane, input_q: Queue, output_q: Queue, *,
 
     try:
         for it in range(n_iter):
-            proposals = [propose(positions[w], scale, rngs[w]) for w in range(w_count)]
+            proposals = propose(positions, scale, rng)
             base = first_id + it * w_count
             walker_of: dict[str, int] = {}
             dispatched: list[float] = []
@@ -260,6 +264,7 @@ def run_chains(config: ChainConfig, plane, input_q: Queue, output_q: Queue, *,
                         f"response {msg.msg_id!r} matches no pending request")
                 replies[w] = msg
 
+            uniforms = rng.random(w_count).tolist()
             for w, msg in enumerate(replies):
                 log_lik = unpack_response(msg.payload).log_likelihood
                 lp_prior = 0.0 if log_prior is None else float(log_prior(proposals[w]))
@@ -268,7 +273,7 @@ def run_chains(config: ChainConfig, plane, input_q: Queue, output_q: Queue, *,
                     raise NonFiniteDensityError(
                         f"log-posterior {proposed_lp!r} for walker {w}: log-likelihood "
                         f"{log_lik!r}, log-prior {lp_prior!r}")
-                if mh_step(current_lp[w], proposed_lp, rngs[w].random()):
+                if mh_step(current_lp[w], proposed_lp, uniforms[w]):
                     positions[w] = proposals[w]
                     current_lp[w] = proposed_lp
                     accepted[w, it] = True
@@ -278,7 +283,7 @@ def run_chains(config: ChainConfig, plane, input_q: Queue, output_q: Queue, *,
             complete_ts[:, it] = [msg.enqueue_ts for msg in replies]
 
             if config.exchange_period and (it + 1) % config.exchange_period == 0:
-                positions, current_lp, perm = exchange_step(positions, current_lp, exchange_rng)
+                positions, current_lp, perm = exchange_step(positions, current_lp, rng)
                 exchange_log.append((it, perm))
     except QueueMCError as exc:
         exc.partial_output = ChainOutput(

@@ -21,8 +21,7 @@ import enum
 import json
 import threading
 from collections import deque
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .clocks import Clock, WallClock
 from .errors import (ConfigurationError, DuplicateQueueError, QueueClosedError,
@@ -35,8 +34,7 @@ class MessageKind(str, enum.Enum):
     CONTROL = "control"
 
 
-@dataclass(frozen=True, slots=True)
-class Message:
+class Message(NamedTuple):
     """One unit of work or one result crossing a queue.
 
     ``enqueue_ts`` is stamped by the queue at push time from the fabric's
@@ -49,10 +47,6 @@ class Message:
     kind: MessageKind
     payload: bytes
     enqueue_ts: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.kind, MessageKind):
-            object.__setattr__(self, "kind", MessageKind(self.kind))
 
 
 # Wire field order is fixed; decoders reject unknown keys.

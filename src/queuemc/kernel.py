@@ -36,7 +36,8 @@ beam_fwhm, k)`` for k coefficients: 8·G²·k bytes per entry, so at most
 32 × 8·G²·k bytes, 128 KB per entry and 4 MB in all at G = 64, k = 4.
 Every other row, and any row with a NaN or infinite coefficient, runs
 the five stages. The two paths agree to the last few bits, not bit for
-bit.
+bit. A row with finite coefficients whose model overflows is a zero
+density (-inf) on either path.
 """
 
 from __future__ import annotations
@@ -267,10 +268,22 @@ def cluster_model_map(theta: np.ndarray, dataset) -> np.ndarray:
     return convolve_beam(image, dataset.beam_fwhm, dataset.pixel_size)
 
 
+def _log_likelihood(model: np.ndarray, theta: np.ndarray, dataset) -> float:
+    """-chi^2 / 2 of ``model``, or -inf where finite ``theta`` overflowed.
+
+    Finite coefficients and data reach NaN only through an overflow
+    (inf - inf) on the way to the model map, which is then infinitely far
+    from the data: a zero density. A non-finite row keeps its NaN.
+    """
+    value = -0.5 * chi_square(model, dataset.obs_map, dataset.sigma_map)
+    if math.isnan(value) and np.isfinite(theta).all():
+        return -math.inf
+    return value
+
+
 def cluster_log_likelihood(theta: np.ndarray, dataset) -> float:
     """-chi^2 / 2 for one cluster."""
-    model = cluster_model_map(theta, dataset)
-    return -0.5 * chi_square(model, dataset.obs_map, dataset.sigma_map)
+    return _log_likelihood(cluster_model_map(theta, dataset), theta, dataset)
 
 
 @functools.lru_cache(maxsize=GEOMETRY_CACHE_SIZE)
@@ -325,7 +338,7 @@ def _clamp_free_log_likelihood(theta: np.ndarray, dataset) -> float:
                           np.asarray(dataset.radial_grid, dtype=np.float64).tobytes(),
                           int(g), float(dataset.pixel_size), float(dataset.beam_fwhm),
                           theta.size)
-    return -0.5 * chi_square((maps @ theta).reshape(g, g), dataset.obs_map, dataset.sigma_map)
+    return _log_likelihood((maps @ theta).reshape(g, g), theta, dataset)
 
 
 def evaluate(thetas: np.ndarray, datasets: Sequence) -> float:

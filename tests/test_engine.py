@@ -1,3 +1,4 @@
+import argparse
 import functools
 import itertools
 import logging
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from queuemc import kernel
 from queuemc.bench import run_stub_chain
+from queuemc.cli import _initial_positions
 from queuemc.clocks import VirtualClock
 from queuemc.datasets import POPULATION_MEAN, make_synthetic, write_container
 from queuemc.diagnostics import discard_burn_in
@@ -22,7 +24,7 @@ from queuemc.errors import (ConfigurationError, DuplicateResponseError,
 from queuemc.fabric import Message, MessageKind, QueueFabric
 from queuemc.kernel import hierarchical_log_prior
 from queuemc.payloads import LikelihoodResponse, pack_response, parse_error
-from queuemc.plane import BackendModel
+from queuemc.plane import BackendModel, make_stub_key
 from queuemc.store import MemoryObjectStore, content_digest
 from tests import kernel_oracle as oracle
 from tests.conftest import gaussian_target
@@ -79,11 +81,15 @@ def test_propose_moments():
 @settings(max_examples=200, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), data=st.data())
 def test_propose_matches_reference_bit_for_bit(seed, data):
-    # The reference draw is position + rng.normal(0.0, scale); -0.0
+    # The reference draw is position + rng.normal(0.0, scale), the scale
+    # broadcast to one position or to a (W, dim) array of them; -0.0
     # positions and subnormal scales are in range.
     dim = data.draw(st.integers(1, 6))
+    walkers = data.draw(st.integers(0, 5))  # 0: a single position
+    shape = (dim,) if walkers == 0 else (walkers, dim)
     finite = st.floats(allow_nan=False, allow_infinity=False)
-    position = np.array(data.draw(st.lists(finite, min_size=dim, max_size=dim)))
+    size = math.prod(shape)
+    position = np.array(data.draw(st.lists(finite, min_size=size, max_size=size))).reshape(shape)
     scale = np.array(data.draw(st.lists(
         st.floats(min_value=0.0, max_value=1e300, exclude_min=True),
         min_size=dim, max_size=dim)))
@@ -91,7 +97,7 @@ def test_propose_matches_reference_bit_for_bit(seed, data):
     with np.errstate(over="ignore"):
         for _ in range(3):
             got = propose(position, scale, rng)
-            want = position + ref.normal(0.0, scale)
+            want = position + ref.normal(0.0, np.broadcast_to(scale, shape))
             assert got.tobytes() == want.tobytes()
     assert rng.random() == ref.random()  # both streams advanced alike
 
@@ -226,6 +232,52 @@ def test_exchange_period_runs_and_logs(sim_setup):
 def test_exchange_disabled_produces_no_log(sim_setup):
     out, _ = run_gaussian(sim_setup, w=6, n=10, exchange_period=0, seed=1)
     assert out.exchange_log == []
+
+
+# -------------------------------------------------------------- random stream
+
+
+def test_chain_draws_from_one_stream_in_a_fixed_order(sim_setup):
+    # Per iteration: all proposals, then the acceptance uniforms, then the
+    # exchange permutation, all from child 0 of SeedSequence(seed).
+    w_count, n_iter, period, seed = 5, 7, 2, 13
+    scale = np.array([0.5, 2.0])
+    init = np.arange(2.0 * w_count).reshape(w_count, 2)
+    out, _ = run_gaussian(sim_setup, w=w_count, n=n_iter, seed=seed, proposal_scale=scale,
+                          exchange_period=period, init=init)
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
+    positions, current = init.copy(), np.full(w_count, -math.inf)
+    for it in range(n_iter):
+        proposals = positions + rng.normal(0.0, np.broadcast_to(scale, positions.shape))
+        uniforms = rng.random(w_count)
+        for w in range(w_count):
+            proposed = gaussian_target(proposals[w], None)
+            if mh_step(current[w], proposed, uniforms[w]):
+                positions[w], current[w] = proposals[w], proposed
+        assert np.array_equal(out.samples[:, it], positions)
+        assert np.array_equal(out.log_posts[:, it], current)
+        if (it + 1) % period == 0:
+            positions, current, _ = exchange_step(positions, current, rng)
+
+
+def test_one_walker_chain_without_exchange_keeps_its_digest():
+    # Child 0 of SeedSequence(seed): one normal and one uniform per iteration.
+    out = run_stub_chain(1, 5, BackendModel(), seed=3)
+    assert chain_digest(out) == "6d6ccc6706f960e2"
+
+
+def test_chain_stream_is_not_the_start_point_stream(sim_setup):
+    # qmc fit draws start points from default_rng(seed). Were the chain's
+    # stream the same, its first step would repeat the start noise.
+    seed, w_count, dim = 4, 6, 3
+    config = ChainConfig(n_walkers=w_count, n_iterations=1, proposal_scale=1.0, seed=seed)
+    center = np.zeros(dim)
+    init = _initial_positions(argparse.Namespace(init=None), 1, dim, dim, config)
+    fabric, input_q, output_q, plane = sim_setup()
+    out = run_chains(config, plane, input_q, output_q, init_positions=init,
+                     dataset_key=make_stub_key(1.0))
+    assert out.accepted[:, 0].all()
+    assert not np.allclose(out.samples[:, 0] - init, init - center)
 
 
 def test_unexpected_response_rejected(sim_setup):
@@ -605,11 +657,11 @@ def chain_digest(out):
 def test_golden_gaussian_chain(backend, sim_setup, local_setup):
     setup = sim_setup if backend == "sim" else local_setup
     out, _ = run_gaussian(setup, w=6, n=40, seed=9, exchange_period=3)
-    assert chain_digest(out) == "5251e7c205fbdd7c"
+    assert chain_digest(out) == "2d4309ba806e29c7"
 
 
 def test_golden_stub_chain():
-    assert chain_digest(run_stub_chain(64, 3, BackendModel())) == "da611e85373a9825"
+    assert chain_digest(run_stub_chain(64, 3, BackendModel())) == "0c2188b58722bcee"
 
 
 def run_kernel_chain(setup, start_rows):
@@ -644,9 +696,9 @@ def run_kernel_chain(setup, start_rows):
 def test_golden_kernel_chain(backend, sim_setup, local_setup):
     truths = make_synthetic(2, grid_size=32, seed=5)[1]
     out = run_kernel_chain(sim_setup if backend == "sim" else local_setup, truths)
-    # The walk itself, as recorded before the beam became two matrix products.
-    assert content_digest(out.samples.tobytes() + out.accepted.tobytes()) == "d2f05b2ca7abd2c8"
-    assert chain_digest(out) == "a5f61e1b4ce7687e"
+    # The walk itself, without the log-posteriors' last bits.
+    assert content_digest(out.samples.tobytes() + out.accepted.tobytes()) == "c72225494935a790"
+    assert chain_digest(out) == "e11fe10998bd3e48"
 
 
 @pytest.mark.parametrize("backend", ["sim", "local"])
@@ -670,5 +722,5 @@ def test_golden_kernel_chain_from_a_clamp_free_point(backend, sim_setup, local_s
     assert 0 < len(rows["reference"]) < len(rows["all"])
     # The walk is the one the five stages take for every row; the
     # log-posteriors differ from theirs in the last bits.
-    assert content_digest(out.samples.tobytes() + out.accepted.tobytes()) == "4fb072443fce8b98"
-    assert chain_digest(out) == "6ba3612691b2e2f1"
+    assert content_digest(out.samples.tobytes() + out.accepted.tobytes()) == "c08d3687143cd43a"
+    assert chain_digest(out) == "ee33ba94d6212290"

@@ -191,12 +191,6 @@ def test_fifo_and_conservation_property(payloads):
     assert fabric.stats() == {"q": {"pushed": n, "delivered": n, "pending": 0}}
 
 
-def test_message_validation():
-    assert Message(msg_id="x", kind="control", payload=b"").kind is MessageKind.CONTROL
-    with pytest.raises(ValueError):
-        Message(msg_id="x", kind="no_such_kind", payload=b"")
-
-
 # Wire format
 
 
@@ -233,7 +227,11 @@ def test_wire_rejects_missing_keys():
         decode_message(json.dumps(record))
 
 
-@pytest.mark.parametrize("bad", ["not json", "[1,2]", '{"msg_id": 1}'])
+@pytest.mark.parametrize("bad", [
+    "not json", "[1,2]", '{"msg_id": 1}',
+    pytest.param('{"msg_id":"x","kind":"no_such_kind","enqueue_ts":0.0,"payload_b64":""}',
+                 id="unknown-kind"),
+])
 def test_wire_rejects_malformed(bad):
     with pytest.raises(WireFormatError):
         decode_message(bad)

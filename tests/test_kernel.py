@@ -615,3 +615,22 @@ def test_non_finite_coefficients_keep_their_outcome(bad, col):
         assert result == pytest.approx(expected, rel=1e-12, abs=0)
     else:
         assert result == ("non-finite-likelihood", "nan")
+
+
+@pytest.mark.parametrize("row", [
+    (1e308, 1e308, 0, 0), (1e306, -1e306, 0, 0),       # clamp-free
+    (1e308, -1.5e308, 0, 0), (1e307, -3e307, 0, 0),    # clamp-active
+    (1e308, -1.7e308, 1e308, 0),                        # clamp-free, inf - inf in the product
+])
+def test_overflowing_finite_row_is_a_zero_density(row):
+    # A finite row whose model overflows ends in inf - inf on the way to
+    # the model map; on either path it is -inf, not a NaN that aborts the run.
+    datasets, _ = make_synthetic(1, grid_size=32, seed=5)
+    store = MemoryObjectStore()
+    store.put("bundle", write_container(datasets))
+    theta = np.array(row, dtype=np.float64)
+    msg = Message("req-0", MessageKind.LIKELIHOOD_REQUEST,
+                  pack_request(LikelihoodRequest(theta, "bundle")))
+    with np.errstate(all="ignore"):
+        assert TaskRunner(store=store).run(msg)[0] == -math.inf
+        assert cluster_log_likelihood(theta, datasets[0]) == -math.inf
