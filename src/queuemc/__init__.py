@@ -12,18 +12,17 @@ projection, map expansion, beam convolution, chi-square).
 from .bench import (OverheadReport, bench_overhead, bench_timeline,
                     run_overhead_wave, run_stub_chain, total_time, verticality)
 from .clocks import VirtualClock, WallClock
-from .datasets import (ClusterDataset, load_container, make_synthetic,
-                       read_container, save_container, write_container)
+from .datasets import (ClusterDataset, make_synthetic, read_container,
+                       write_container)
 from .diagnostics import effective_sample_size, split_rhat, summarize
 from .engine import (ChainConfig, ChainOutput, TimelineRecord, exchange_step,
                      mh_step, propose, run_chains, write_chain_csv,
                      write_timeline_csv)
 from .fabric import (Message, MessageKind, Queue, QueueFabric, decode_message,
                      encode_message)
-from .kernel import (ProfileParams, abel_project, chi_square,
-                     cluster_log_likelihood, convolve_beam, eval_profile,
-                     evaluate, forward_abel, hierarchical_log_prior,
-                     project_to_map)
+from .kernel import (ProfileParams, chi_square, cluster_log_likelihood,
+                     convolve_beam, evaluate, forward_abel,
+                     hierarchical_log_prior, project_to_map)
 from .payloads import (LikelihoodRequest, LikelihoodResponse, pack_request,
                        pack_response, unpack_request, unpack_response)
 from .plane import (BackendModel, InvocationRecord, SimScheduler,

@@ -24,13 +24,13 @@ import numpy as np
 from . import bench, datasets, diagnostics, remote
 from .clocks import VirtualClock, WallClock
 from .engine import ChainConfig, run_chains, write_chain_csv, write_timeline_csv
-from .errors import (ConfigurationError, MissingResponseError,
+from .errors import (ConfigurationError, KeyExistsError, MissingResponseError,
                      NonFiniteDensityError, NotFoundError, QueueMCError,
                      WireFormatError)
 from .fabric import QueueFabric
 from .kernel import hierarchical_log_prior
 from .plane import BackendModel, attach_backend
-from .store import MemoryObjectStore
+from .store import DirectoryObjectStore, MemoryObjectStore
 
 log = logging.getLogger(__name__)
 
@@ -203,7 +203,7 @@ def _cmd_fit(args) -> int:
         output = run_chains(config, plane, input_q, output_q,
                             init_positions=init, dataset_key=key,
                             data_param_count=data_params,
-                            log_prior=lambda pos: prior(pos),
+                            log_prior=prior,
                             response_timeout_s=timeout)
     except MissingResponseError as exc:
         return _fail("timeout", EXIT_TIMEOUT, str(exc))
@@ -294,9 +294,17 @@ def _cmd_dataset_synth(args) -> int:
             degree=args.degree)
     except ValueError as exc:
         return _fail("config", EXIT_CONFIG, str(exc))
+    # The file is published as an object-store key, its own name, so a
+    # worker serving the directory resolves the key that fit sends.
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    datasets.save_container(out, cluster_list)
+    store = DirectoryObjectStore(out.parent)
+    if store.path(out.name) != out:
+        return _fail("config", EXIT_CONFIG,
+                     f"--out file name {out.name!r} must use only letters, digits and '_.-~'")
+    try:
+        store.put(out.name, datasets.write_container(cluster_list))
+    except KeyExistsError as exc:
+        return _fail("config", EXIT_CONFIG, str(exc))
     truth_path = out.with_suffix(out.suffix + ".truth.csv")
     with open(truth_path, "w", encoding="utf-8") as fh:
         fh.write(",".join(f"theta_{k}" for k in range(truths.shape[1])) + "\n")

@@ -143,16 +143,6 @@ def read_container(data: bytes) -> list[ClusterDataset]:
     return out
 
 
-def load_container(path) -> list[ClusterDataset]:
-    with open(path, "rb") as fh:
-        return read_container(fh.read())
-
-
-def save_container(path, datasets: Sequence[ClusterDataset]) -> None:
-    with open(path, "wb") as fh:
-        fh.write(write_container(datasets))
-
-
 def make_synthetic(n_clusters: int, grid_size: int = 64, seed: int = 0, *,
                    n_radial: int | None = None, noise_level: float = 0.05,
                    degree: int = 3) -> tuple[list[ClusterDataset], np.ndarray]:

@@ -9,16 +9,16 @@ a function per delivered message.
 A message's only identity is its ``msg_id``: a response carries the id of
 the request it answers, and that id is all a consumer matches on.
 
-Messages serialize to a line-oriented wire format used by the remote worker
-protocol: one flat JSON object per line with the keys ``msg_id``, ``kind``,
-``enqueue_ts`` and ``payload_b64`` (the payload in base64), in that order.
+Messages serialize to the binary body of one remote worker frame
+(little-endian): ``kind u8 | msg_id length u16 | msg_id (UTF-8) | payload``,
+the kind byte being the :class:`MessageKind` value. ``enqueue_ts`` does not
+cross the wire: the receiving queue stamps its own clock on push.
 """
 
 from __future__ import annotations
 
-import base64
 import enum
-import json
+import struct
 import threading
 from collections import deque
 from typing import Callable, NamedTuple
@@ -28,10 +28,10 @@ from .errors import (ConfigurationError, DuplicateQueueError, QueueClosedError,
                      WireFormatError)
 
 
-class MessageKind(str, enum.Enum):
-    LIKELIHOOD_REQUEST = "likelihood_request"
-    LIKELIHOOD_RESPONSE = "likelihood_response"
-    CONTROL = "control"
+class MessageKind(enum.IntEnum):
+    LIKELIHOOD_REQUEST = 0
+    LIKELIHOOD_RESPONSE = 1
+    CONTROL = 2
 
 
 class Message(NamedTuple):
@@ -49,50 +49,31 @@ class Message(NamedTuple):
     enqueue_ts: float = 0.0
 
 
-# Wire field order is fixed; decoders reject unknown keys.
-_WIRE_KEYS = ("msg_id", "kind", "enqueue_ts", "payload_b64")
+_WIRE_HEAD = struct.Struct("<BH")
 
 
-def encode_message(m: Message) -> str:
-    """Serialize one message to a single UTF-8 line (no trailing newline)."""
-    record = {
-        "msg_id": m.msg_id,
-        "kind": m.kind.value,
-        "enqueue_ts": m.enqueue_ts,
-        "payload_b64": base64.b64encode(m.payload).decode("ascii"),
-    }
-    return json.dumps(record, separators=(",", ":"))
+def encode_message(m: Message) -> bytes:
+    """Serialize one message to a frame body; ``enqueue_ts`` is not sent."""
+    ident = m.msg_id.encode("utf-8")
+    return _WIRE_HEAD.pack(m.kind, len(ident)) + ident + m.payload
 
 
-def decode_message(line: str | bytes) -> Message:
-    """Parse one wire line back into a :class:`Message`.
+def decode_message(frame: bytes) -> Message:
+    """Parse one frame body back into a :class:`Message` with ``enqueue_ts`` 0.0.
 
-    Raises :class:`WireFormatError` on malformed JSON, missing fields, or
-    unknown keys.
+    Raises :class:`WireFormatError` on a short header, an unknown kind, an
+    id running past the frame, or an id that is not UTF-8.
     """
-    if isinstance(line, bytes):
-        try:
-            line = line.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise WireFormatError(f"wire line is not UTF-8: {exc}") from exc
+    if len(frame) < _WIRE_HEAD.size:
+        raise WireFormatError(f"frame of {len(frame)} bytes has no message header")
+    code, id_len = _WIRE_HEAD.unpack_from(frame)
+    id_end = _WIRE_HEAD.size + id_len
+    if id_end > len(frame):
+        raise WireFormatError(f"msg_id of {id_len} bytes runs past a {len(frame)}-byte frame")
     try:
-        record = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise WireFormatError(f"wire line is not valid JSON: {exc}") from exc
-    if not isinstance(record, dict):
-        raise WireFormatError("wire record must be a flat object")
-    if set(record) != set(_WIRE_KEYS):
-        unknown = set(record) - set(_WIRE_KEYS)
-        missing = set(_WIRE_KEYS) - set(record)
-        raise WireFormatError(f"bad wire keys: unknown={sorted(unknown)} missing={sorted(missing)}")
-    try:
-        return Message(
-            msg_id=str(record["msg_id"]),
-            kind=MessageKind(record["kind"]),
-            payload=base64.b64decode(record["payload_b64"], validate=True),
-            enqueue_ts=float(record["enqueue_ts"]),
-        )
-    except (ValueError, TypeError, KeyError) as exc:
+        return Message(frame[_WIRE_HEAD.size:id_end].decode("utf-8"), MessageKind(code),
+                       frame[id_end:])
+    except ValueError as exc:  # an unknown kind, or UnicodeDecodeError
         raise WireFormatError(f"bad wire field: {exc}") from exc
 
 
@@ -141,11 +122,6 @@ class Queue:
     def delivered_count(self) -> int:
         with self._lock:
             return self._delivered
-
-    @property
-    def closed(self) -> bool:
-        with self._lock:
-            return self._closed
 
     def push(self, m: Message) -> Message:
         """Append ``m``, stamped with the current clock time.

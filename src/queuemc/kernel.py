@@ -46,7 +46,7 @@ import functools
 import math
 import types
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -99,15 +99,6 @@ def _clamped_polynomial(theta: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.maximum(acc, 0.0, out=acc)
 
 
-def eval_profile(params: ProfileParams, radii: np.ndarray) -> np.ndarray:
-    """Evaluate the clamped polynomial profile at the given radii."""
-    r = np.asarray(radii, dtype=np.float64)
-    if np.any(r < 0):
-        raise ValueError("radii must be non-negative")
-    acc = _clamped_polynomial(params.theta, r / params.r_max)
-    return np.where(r <= params.r_max, acc, 0.0)
-
-
 @functools.lru_cache(maxsize=GEOMETRY_CACHE_SIZE)
 def _abel_nodes(r_max: float, y_bytes: bytes, n_quad: int,
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -150,36 +141,18 @@ def _simpson_nodes(r_max: float, y_grid: np.ndarray, n_quad: int,
     return _abel_nodes(float(r_max), y.tobytes(), int(n_quad))
 
 
-def abel_project(profile: Callable[[np.ndarray], np.ndarray], r_max: float,
-                 y_grid: np.ndarray, n_quad: int) -> np.ndarray:
-    """Forward Abel transform of an arbitrary radial function.
-
-    Computes F(y) = 2 * integral_y^r_max profile(r) r dr / sqrt(r^2 - y^2).
-    The substitution r = sqrt(y^2 + t^2) removes the inverse-square-root
-    endpoint singularity exactly, leaving
-    F(y) = 2 * integral_0^sqrt(r_max^2 - y^2) profile(sqrt(y^2 + t^2)) dt,
-    which is evaluated with composite Simpson quadrature on n_quad
-    intervals (forced even). The nodes are built once per
-    ``(r_max, y_grid, n_quad)``; ``profile`` sees them as r_max times the
-    cached fractions r / r_max.
-
-    Parameters
-    ----------
-    profile : callable mapping radii to values, vectorized.
-    r_max : truncation radius of the integrand.
-    y_grid : strictly increasing projected radii in [0, r_max).
-    n_quad : number of Simpson intervals, at least 16.
-    """
-    x, h3, weights = _simpson_nodes(r_max, y_grid, n_quad)
-    return 2.0 * (h3 * (profile(x * r_max) @ weights))
-
-
 def forward_abel(params: ProfileParams, y_grid: np.ndarray,
                  n_quad: int = DEFAULT_N_QUAD) -> np.ndarray:
     """Forward Abel transform of the polynomial profile on ``y_grid``.
 
-    The same quadrature as :func:`abel_project`, with the profile
-    evaluated directly on the cached node fractions r / r_max.
+    Computes F(y) = 2 * integral_y^r_max p(r) r dr / sqrt(r^2 - y^2).
+    The substitution r = sqrt(y^2 + t^2) removes the inverse-square-root
+    endpoint singularity exactly, leaving
+    F(y) = 2 * integral_0^sqrt(r_max^2 - y^2) p(sqrt(y^2 + t^2)) dt,
+    which is evaluated with composite Simpson quadrature on ``n_quad``
+    intervals (forced even, at least 16). The profile is evaluated on the
+    cached node fractions r / r_max of ``(r_max, y_grid, n_quad)``;
+    ``y_grid`` must be strictly increasing in [0, r_max).
     """
     x, h3, weights = _simpson_nodes(params.r_max, y_grid, n_quad)
     return 2.0 * (h3 * (_clamped_polynomial(params.theta, x) @ weights))

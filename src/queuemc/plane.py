@@ -94,6 +94,14 @@ class BackendModel:
 
 @dataclass(frozen=True, slots=True)
 class InvocationRecord:
+    """One executed request: when it was dispatched, started and finished.
+
+    On ``sim`` every stamp is on the virtual clock and on ``local`` every
+    stamp is on the fabric's wall clock. On ``remote`` ``dispatch_ts`` is
+    on the coordinator's clock, while ``start_ts`` and ``end_ts`` are on the
+    worker's, which has its own origin: compare them only with each other.
+    """
+
     msg_id: str
     worker_id: str
     dispatch_ts: float

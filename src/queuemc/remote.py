@@ -2,7 +2,10 @@
 
 Cloud-agnostic stand-in for running likelihood workers on other machines.
 Frames are a 4-byte big-endian unsigned length followed by that many
-bytes of one serialized message (the queue wire format). Workers answer
+bytes of one message in the fabric's binary layout, ``kind u8 | msg_id
+length u16 | msg_id (UTF-8) | payload`` (see :func:`queuemc.fabric.encode_message`);
+each frame goes out in one ``sendall``. A message's ``enqueue_ts`` does not
+cross the wire: each side's queue stamps its own clock. Workers answer
 each request frame with one response frame, produced by the same
 executor as the local pool (:func:`queuemc.plane.execute`); errors are
 control messages with payload ``ERR:<code>:<detail>``. A malformed frame
@@ -50,9 +53,8 @@ def parse_addr(addr: str | tuple[str, int]) -> tuple[str, int]:
     return host, int(port)
 
 
-def write_frame(wfile, data: bytes) -> None:
-    wfile.write(_HEADER.pack(len(data)) + data)
-    wfile.flush()
+def write_frame(sock: socket.socket, data: bytes) -> None:
+    sock.sendall(_HEADER.pack(len(data)) + data)
 
 
 def read_frame(rfile) -> bytes | None:
@@ -78,24 +80,15 @@ def _connection_fault(code: str, detail: str) -> Message:
 
 class _WorkerHandler(socketserver.StreamRequestHandler):
     def handle(self) -> None:
-        while True:
-            try:
-                frame = read_frame(self.rfile)
-            except WireFormatError as exc:
-                self._try_send(_connection_fault("malformed-frame", str(exc)))
-                return
-            if frame is None:
-                return
-            try:
-                msg = decode_message(frame)
-            except WireFormatError as exc:
-                self._try_send(_connection_fault("malformed-frame", str(exc)))
-                return
-            self._try_send(self.server.process(msg))
+        try:
+            while (frame := read_frame(self.rfile)) is not None:
+                self._try_send(self.server.process(decode_message(frame)))
+        except WireFormatError as exc:
+            self._try_send(_connection_fault("malformed-frame", str(exc)))
 
     def _try_send(self, msg: Message) -> None:
         try:
-            write_frame(self.wfile, encode_message(msg).encode("utf-8"))
+            write_frame(self.connection, encode_message(msg))
         except OSError:
             pass
 
@@ -140,7 +133,6 @@ class RemoteWorkerClient(_PlaneBase):
         self._output_q = output_q
         self._clock = output_q.clock
         self._sock = socket.create_connection(parse_addr(addr))
-        self._wfile = self._sock.makefile("wb")
         self._rfile = self._sock.makefile("rb")
         self._send_lock = threading.Lock()
         self._dispatch_ts: dict[str, float] = {}
@@ -154,7 +146,7 @@ class RemoteWorkerClient(_PlaneBase):
         with self._send_lock:
             self._dispatch_ts[msg.msg_id] = msg.enqueue_ts
             try:
-                write_frame(self._wfile, encode_message(msg).encode("utf-8"))
+                write_frame(self._sock, encode_message(msg))
             except OSError as exc:
                 raise WorkerCrashError(f"connection-lost: {exc}") from exc
 
@@ -193,9 +185,5 @@ class RemoteWorkerClient(_PlaneBase):
         except OSError:
             pass
         self._reader.join(timeout=5)
-        for stream in (self._wfile, self._rfile):
-            try:
-                stream.close()
-            except OSError:  # requests still buffered for a dropped connection
-                pass
+        self._rfile.close()
         self._sock.close()

@@ -68,12 +68,13 @@ class DirectoryObjectStore:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
 
-    def _path(self, key: str) -> Path:
+    def path(self, key: str) -> Path:
+        """The file that holds the bytes of ``key``."""
         return self.root / urllib.parse.quote(key, safe="")
 
     def put(self, key: str, data: bytes) -> str:
         data = bytes(data)
-        target = self._path(key)
+        target = self.path(key)
         side = target.with_name(target.name + _SIDE_SUFFIX)
         digest = content_digest(data)
         try:
@@ -101,7 +102,7 @@ class DirectoryObjectStore:
             os.unlink(tmp)
 
     def get(self, key: str) -> bytes:
-        target = self._path(key)
+        target = self.path(key)
         side = target.with_name(target.name + _SIDE_SUFFIX)
         try:
             data = target.read_bytes()

@@ -1,10 +1,13 @@
 import json
 import struct
+import threading
 
 import pytest
 
 from queuemc import cli
-from queuemc.datasets import make_synthetic, save_container, write_container
+from queuemc.datasets import make_synthetic, write_container
+from queuemc.remote import WorkerServer
+from queuemc.store import DirectoryObjectStore
 from tests.test_datasets import corrupt
 
 
@@ -12,7 +15,7 @@ from tests.test_datasets import corrupt
 def dataset_path(tmp_path):
     datasets, _ = make_synthetic(1, grid_size=16, seed=0)
     path = tmp_path / "one.qmc"
-    save_container(path, datasets)
+    path.write_bytes(write_container(datasets))
     return path
 
 
@@ -112,3 +115,43 @@ def test_fit_nan_geometry_is_a_data_error(tmp_path, capsys, field):
     code = fit(path, tmp_path / "out", "--walkers", "2", "--iterations", "1")
     assert code == cli.EXIT_DATA
     assert capsys.readouterr().err.startswith("error (data): cannot read dataset: ")
+
+
+def synth(out, *extra):
+    return cli.main(["dataset", "synth", "--clusters", "1", "--grid", "16",
+                     "--out", str(out), *extra])
+
+
+def test_synth_output_serves_a_remote_fit(tmp_path):
+    assert synth(tmp_path / "c.qmc") == 0
+    server = WorkerServer(("127.0.0.1", 0), DirectoryObjectStore(tmp_path))
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    host, port = server.server_address
+    out = tmp_path / "out"
+    try:
+        code = cli.main(["fit", "--dataset", str(tmp_path / "c.qmc"), "--out-dir", str(out),
+                         "--backend", "remote", "--remote-addr", f"{host}:{port}",
+                         "--walkers", "2", "--iterations", "2"])
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+    assert code == 0
+    assert (out / "chain.csv").is_file()
+
+
+@pytest.mark.parametrize("name,message", [
+    ("c.qmc", "error (config): key 'c.qmc' already written"),
+    ("my data.qmc", "error (config): --out file name 'my data.qmc' must use only"),
+])
+def test_synth_refuses_an_unpublishable_output(tmp_path, capsys, name, message):
+    assert synth(tmp_path / "c.qmc") == 0
+    before = (tmp_path / "c.qmc").read_bytes()
+    capsys.readouterr()
+    assert synth(tmp_path / name, "--seed", "1") == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(message) and "Traceback" not in err
+    assert (tmp_path / "c.qmc").read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "c.qmc", "c.qmc.sha", "c.qmc.truth.csv"]

@@ -5,8 +5,8 @@ import struct
 import numpy as np
 import pytest
 
-from queuemc.datasets import (ClusterDataset, load_container, make_synthetic,
-                              read_container, save_container, write_container)
+from queuemc.datasets import (ClusterDataset, make_synthetic, read_container,
+                              write_container)
 from queuemc.errors import WireFormatError
 
 
@@ -22,11 +22,9 @@ def tiny_dataset(cluster_id="t0", grid=4):
         radial_grid=np.linspace(0.0, 0.9, 6))
 
 
-def test_container_round_trip(tmp_path):
+def test_container_round_trip():
     datasets = [tiny_dataset("a"), tiny_dataset("b", grid=6)]
-    path = tmp_path / "bundle.qmc"
-    save_container(path, datasets)
-    back = load_container(path)
+    back = read_container(write_container(datasets))
     assert len(back) == 2
     for orig, copy in zip(datasets, back):
         assert copy.cluster_id == orig.cluster_id

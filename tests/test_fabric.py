@@ -1,8 +1,7 @@
-import json
 import threading
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from queuemc.clocks import VirtualClock, WallClock
@@ -194,45 +193,29 @@ def test_fifo_and_conservation_property(payloads):
 # Wire format
 
 
-def test_wire_round_trip():
-    m = Message(msg_id="abc", kind=MessageKind.LIKELIHOOD_RESPONSE,
-                payload=b"\x00\xffbinary", enqueue_ts=1.5)
-    line = encode_message(m)
-    assert "\n" not in line
-    back = decode_message(line)
-    assert back == m
+@settings(max_examples=200, deadline=None)
+@given(st.text(), st.sampled_from(MessageKind), st.binary(), st.floats(allow_nan=False))
+@example("", MessageKind.CONTROL, b"", 0.0)
+@example("réq-\U0001f600", MessageKind.LIKELIHOOD_RESPONSE, b"\x00\xffbinary", 1.5)
+def test_wire_round_trip(msg_id, kind, payload, enqueue_ts):
+    m = Message(msg_id=msg_id, kind=kind, payload=payload, enqueue_ts=enqueue_ts)
+    back = decode_message(encode_message(m))
+    assert back == m._replace(enqueue_ts=0.0)
+    assert back.kind is kind
 
 
-def test_wire_key_order_is_fixed():
+def test_wire_frame_bytes_are_fixed():
     m = Message(msg_id="a", kind=MessageKind.CONTROL, payload=b"hi", enqueue_ts=2.0)
-    line = encode_message(m)
-    keys = list(json.loads(line).keys())
-    assert keys == ["msg_id", "kind", "enqueue_ts", "payload_b64"]
-    assert line == '{"msg_id":"a","kind":"control","enqueue_ts":2.0,"payload_b64":"aGk="}'
-
-
-def test_wire_rejects_unknown_keys():
-    m = Message(msg_id="a", kind=MessageKind.CONTROL, payload=b"")
-    record = json.loads(encode_message(m))
-    record["extra"] = 1
-    with pytest.raises(WireFormatError):
-        decode_message(json.dumps(record))
-
-
-def test_wire_rejects_missing_keys():
-    m = Message(msg_id="a", kind=MessageKind.CONTROL, payload=b"")
-    record = json.loads(encode_message(m))
-    del record["payload_b64"]
-    with pytest.raises(WireFormatError):
-        decode_message(json.dumps(record))
+    assert encode_message(m) == b"\x02\x01\x00ahi"
 
 
 @pytest.mark.parametrize("bad", [
-    "not json", "[1,2]", '{"msg_id": 1}',
-    pytest.param('{"msg_id":"x","kind":"no_such_kind","enqueue_ts":0.0,"payload_b64":""}',
-                 id="unknown-kind"),
+    pytest.param(b"", id="empty"),
+    pytest.param(b"\x00\x00", id="short-header"),
+    pytest.param(b"\x07\x00\x00", id="unknown-kind"),
+    pytest.param(b"\x00\x05\x00abc", id="id-past-frame"),
+    pytest.param(b"\x00\x02\x00\xff\xfe", id="id-not-utf8"),
 ])
 def test_wire_rejects_malformed(bad):
     with pytest.raises(WireFormatError):
         decode_message(bad)
-

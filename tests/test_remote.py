@@ -72,7 +72,7 @@ def parse_frames(raw: bytes):
 def test_response_echoes_request_id(worker_env):
     addr, datasets, truths = worker_env
     msg = request_message("req-1", truths.ravel(), "bundle")
-    raw = send_raw(addr, encode_message(msg).encode())
+    raw = send_raw(addr, encode_message(msg))
     (frame,) = parse_frames(raw)
     resp = decode_message(frame)
     assert resp.msg_id == "req-1"
@@ -97,10 +97,25 @@ def test_garbage_frame_body_rejected(worker_env):
     assert code == "malformed-frame"
 
 
+def test_frame_with_id_past_its_end_gets_error_and_close(worker_env):
+    addr, _, truths = worker_env
+    good = encode_message(request_message("req-3", truths.ravel(), "bundle"))
+    # The id claims 0xffff bytes, past the frame's end; the worker closes
+    # without answering the valid request sent after it.
+    bad = good[:1] + b"\xff\xff" + good[3:]
+    raw = send_raw(addr, b"".join(HEADER.pack(len(b)) + b for b in (bad, good)),
+                   framed=False)
+    (frame,) = parse_frames(raw)
+    resp = decode_message(frame)
+    assert resp.kind is MessageKind.CONTROL and resp.msg_id == ""
+    code, _ = parse_error(resp.payload)
+    assert code == "malformed-frame"
+
+
 def test_missing_dataset_error_frame(worker_env):
     addr, _, truths = worker_env
     msg = request_message("req-2", truths.ravel(), "no-such-bundle")
-    raw = send_raw(addr, encode_message(msg).encode())
+    raw = send_raw(addr, encode_message(msg))
     (frame,) = parse_frames(raw)
     resp = decode_message(frame)
     assert resp.kind is MessageKind.CONTROL
