@@ -11,7 +11,8 @@ Two experiments, both on the virtual clock and both emitting CSV:
   vertical iteration bands mean adding walkers barely stretches the run.
 
 Every emitted overhead row is cross-checked against the raw invocation
-records before it is written.
+records before it is written. The events CSV lists those records; its
+``msg_id`` column is each request's sequence number on its chain's queues.
 """
 
 from __future__ import annotations

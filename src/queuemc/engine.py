@@ -23,17 +23,17 @@ log-prior of -inf is a legal zero density and is rejected; NaN or +inf (a
 worker's ``non-finite-likelihood`` answer, or the prior evaluated on the
 coordinator) aborts the run with :class:`NonFiniteDensityError`.
 
-A request's only identity is its msg_id, ``req-<n>``, where n counts on
-from ``input_q.pushed_count`` at the start of the run, so no id repeats
-across runs on one queue pair. Responses are matched to walkers through a
-per-iteration msg_id map, so arrival order is irrelevant. An answer to
-``req-<n>`` with n below the run's first id is owed to an earlier run that
-aborted before collecting it: it is logged, dropped and never used. Any
-other response that matches no pending request raises
-:class:`DuplicateResponseError`; a control message with an empty msg_id
-reports a transport fault and aborts the run. Any package error that
-aborts a run carries the iterations completed before it as
-``partial_output``.
+A request's only identity is its msg_id, the int ``first_id + it * W + w``
+for walker w of iteration it, where ``first_id`` is ``input_q.pushed_count``
+at the start of the run, so no id repeats across runs on one queue pair.
+A response's walker is its msg_id minus the iteration's first id, so
+arrival order is irrelevant. An answer with ``0 <= msg_id < first_id`` is
+owed to an earlier run that aborted before collecting it: it is logged,
+dropped and never used. Any other response that matches no pending request
+raises :class:`DuplicateResponseError`; a control message with msg_id
+:data:`~queuemc.fabric.NO_REQUEST` reports a transport fault and aborts the
+run. Any package error that aborts a run carries the iterations completed
+before it as ``partial_output``.
 
 With no ``response_timeout_s`` a run waits for every response, on any
 clock. On a virtual clock that wait is finite: once the clock runs out of
@@ -54,7 +54,7 @@ import numpy as np
 from .errors import (ConfigurationError, DuplicateResponseError,
                      MissingResponseError, NonFiniteDensityError, NotFoundError,
                      QueueMCError, SimulationStalledError, WorkerCrashError)
-from .fabric import Message, MessageKind, Queue
+from .fabric import NO_REQUEST, Message, MessageKind, Queue
 from .payloads import (LikelihoodRequest, pack_request, parse_error,
                        unpack_response)
 
@@ -169,12 +169,6 @@ def exchange_step(positions: np.ndarray, log_posts: np.ndarray,
     return positions[perm], log_posts[perm], perm
 
 
-def _owed_to_earlier_run(msg_id: str, first_id: int) -> bool:
-    """Whether ``msg_id`` names a request a run before this one sent."""
-    prefix, _, n = msg_id.partition("-")
-    return prefix == "req" and n.isdecimal() and int(n) < first_id
-
-
 def run_chains(config: ChainConfig, plane, input_q: Queue, output_q: Queue, *,
                init_positions: np.ndarray,
                dataset_key: str = "",
@@ -228,30 +222,30 @@ def run_chains(config: ChainConfig, plane, input_q: Queue, output_q: Queue, *,
         for it in range(n_iter):
             proposals = propose(positions, scale, rng)
             base = first_id + it * w_count
-            walker_of: dict[str, int] = {}
             dispatched: list[float] = []
             for w, proposal in enumerate(proposals):
-                msg_id = f"req-{base + w}"
-                walker_of[msg_id] = w
                 payload = pack_request(LikelihoodRequest(proposal[:n_send], dataset_key))
                 dispatched.append(push(Message(
-                    msg_id, MessageKind.LIKELIHOOD_REQUEST, payload)).enqueue_ts)
+                    base + w, MessageKind.LIKELIHOOD_REQUEST, payload)).enqueue_ts)
 
             replies: list[Message | None] = [None] * w_count
+            owed = w_count
             deadline = (None if response_timeout_s is None
                         else clock.now() + response_timeout_s)
-            while walker_of:
+            while owed:
                 try:
                     msg = pop(None if deadline is None else deadline - clock.now())
                 except SimulationStalledError:  # no event left can answer
                     msg = None
                 if msg is None:
-                    raise MissingResponseError(walker_of)
-                w = walker_of.pop(msg.msg_id, None)
-                if w is None and _owed_to_earlier_run(msg.msg_id, first_id):
-                    log.info("dropping %s, owed to an earlier run", msg.msg_id)
+                    raise MissingResponseError(
+                        [base + w for w, reply in enumerate(replies) if reply is None])
+                if 0 <= msg.msg_id < first_id:
+                    log.info("dropping response %d, owed to an earlier run", msg.msg_id)
                     continue
-                if msg.kind is MessageKind.CONTROL and (w is not None or not msg.msg_id):
+                w = msg.msg_id - base
+                pending = 0 <= w < w_count and replies[w] is None
+                if msg.kind is MessageKind.CONTROL and (pending or msg.msg_id == NO_REQUEST):
                     err = parse_error(msg.payload)
                     code, detail = err if err else ("worker-crash", "unexpected control message")
                     if code == "dataset-not-found":
@@ -259,10 +253,11 @@ def run_chains(config: ChainConfig, plane, input_q: Queue, output_q: Queue, *,
                     if code == "non-finite-likelihood":
                         raise NonFiniteDensityError(f"log-likelihood {detail}")
                     raise WorkerCrashError(f"{code}: {detail}")
-                if w is None:
+                if not pending:
                     raise DuplicateResponseError(
-                        f"response {msg.msg_id!r} matches no pending request")
+                        f"response {msg.msg_id} matches no pending request")
                 replies[w] = msg
+                owed -= 1
 
             uniforms = rng.random(w_count).tolist()
             for w, msg in enumerate(replies):

@@ -15,10 +15,6 @@ class DuplicateQueueError(QueueMCError):
     """A queue with this name already exists in the fabric."""
 
 
-class QueueClosedError(QueueMCError):
-    """Operation attempted on a closed queue."""
-
-
 class WireFormatError(QueueMCError, ValueError):
     """A serialized message or frame could not be decoded."""
 
@@ -84,7 +80,8 @@ class ClusterEvalError(QueueMCError):
 
 class MissingResponseError(QueueMCError):
     """A likelihood response did not arrive within the timeout, or, on
-    virtual time, will never arrive."""
+    virtual time, will never arrive. ``missing_ids`` holds the msg_ids of
+    the unanswered requests."""
 
     def __init__(self, missing_ids):
         super().__init__(f"timed out waiting for {len(missing_ids)} response(s): "

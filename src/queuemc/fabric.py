@@ -6,12 +6,14 @@ in push order, either to a blocking consumer (:meth:`Queue.pop`) or to a
 registered trigger callback, mirroring a queue service that instantiates
 a function per delivered message.
 
-A message's only identity is its ``msg_id``: a response carries the id of
-the request it answers, and that id is all a consumer matches on.
+A message's only identity is its ``msg_id``, an int: the sequence number
+of the request it is or answers, and all a consumer matches on. A control
+message with msg_id :data:`NO_REQUEST` answers no request: it reports a
+fault of the transport itself.
 
 Messages serialize to the binary body of one remote worker frame
-(little-endian): ``kind u8 | msg_id length u16 | msg_id (UTF-8) | payload``,
-the kind byte being the :class:`MessageKind` value. ``enqueue_ts`` does not
+(little-endian): ``kind u8 | msg_id i64 | payload``, a fixed 9-byte header
+whose kind byte is the :class:`MessageKind` value. ``enqueue_ts`` does not
 cross the wire: the receiving queue stamps its own clock on push.
 """
 
@@ -24,8 +26,10 @@ from collections import deque
 from typing import Callable, NamedTuple
 
 from .clocks import Clock, WallClock
-from .errors import (ConfigurationError, DuplicateQueueError, QueueClosedError,
-                     WireFormatError)
+from .errors import ConfigurationError, DuplicateQueueError, WireFormatError
+
+NO_REQUEST = -1
+"""The msg_id of a control message that answers no request."""
 
 
 class MessageKind(enum.IntEnum):
@@ -39,42 +43,44 @@ class Message(NamedTuple):
 
     ``enqueue_ts`` is stamped by the queue at push time from the fabric's
     clock; the value passed at construction is a placeholder. A control
-    message with an empty ``msg_id`` answers no request: it reports a fault
-    of the transport itself, such as a lost worker connection.
+    message with ``msg_id`` :data:`NO_REQUEST` answers no request: it
+    reports a fault of the transport itself, such as a lost worker
+    connection.
     """
 
-    msg_id: str
+    msg_id: int
     kind: MessageKind
     payload: bytes
     enqueue_ts: float = 0.0
 
 
-_WIRE_HEAD = struct.Struct("<BH")
+_WIRE_HEAD = struct.Struct("<Bq")
 
 
 def encode_message(m: Message) -> bytes:
-    """Serialize one message to a frame body; ``enqueue_ts`` is not sent."""
-    ident = m.msg_id.encode("utf-8")
-    return _WIRE_HEAD.pack(m.kind, len(ident)) + ident + m.payload
+    """Serialize one message to a frame body; ``enqueue_ts`` is not sent.
+
+    Raises :class:`WireFormatError` for a msg_id that is not an int64.
+    """
+    try:
+        return _WIRE_HEAD.pack(m.kind, m.msg_id) + m.payload
+    except struct.error as exc:
+        raise WireFormatError(f"msg_id {m.msg_id!r} is not an int64: {exc}") from exc
 
 
 def decode_message(frame: bytes) -> Message:
     """Parse one frame body back into a :class:`Message` with ``enqueue_ts`` 0.0.
 
-    Raises :class:`WireFormatError` on a short header, an unknown kind, an
-    id running past the frame, or an id that is not UTF-8.
+    Raises :class:`WireFormatError` on a short header or an unknown kind.
     """
     if len(frame) < _WIRE_HEAD.size:
         raise WireFormatError(f"frame of {len(frame)} bytes has no message header")
-    code, id_len = _WIRE_HEAD.unpack_from(frame)
-    id_end = _WIRE_HEAD.size + id_len
-    if id_end > len(frame):
-        raise WireFormatError(f"msg_id of {id_len} bytes runs past a {len(frame)}-byte frame")
+    code, msg_id = _WIRE_HEAD.unpack_from(frame)
     try:
-        return Message(frame[_WIRE_HEAD.size:id_end].decode("utf-8"), MessageKind(code),
-                       frame[id_end:])
-    except ValueError as exc:  # an unknown kind, or UnicodeDecodeError
-        raise WireFormatError(f"bad wire field: {exc}") from exc
+        kind = MessageKind(code)
+    except ValueError as exc:
+        raise WireFormatError(f"unknown message kind {code}") from exc
+    return Message(msg_id, kind, frame[_WIRE_HEAD.size:])
 
 
 class Queue:
@@ -96,7 +102,6 @@ class Queue:
         self._cond = threading.Condition(self._lock)
         self._items: deque[Message] = deque()
         self._trigger: Callable[[Message], None] | None = None
-        self._closed = False
         self._pushed = 0
         self._delivered = 0
 
@@ -131,8 +136,6 @@ class Queue:
         the callback runs in the pushing thread, outside the queue lock.
         """
         with self._lock:
-            if self._closed:
-                raise QueueClosedError(f"queue {self._name!r} is closed")
             stamped = Message(m.msg_id, m.kind, m.payload, self._clock.now())
             self._pushed += 1
             action = self._trigger
@@ -150,8 +153,7 @@ class Queue:
 
         Returns ``None`` (the timeout signal) if nothing arrives within
         ``timeout`` seconds on the queue's clock. ``timeout=None`` blocks
-        indefinitely. Raises :class:`QueueClosedError` once the queue is
-        closed and drained.
+        indefinitely.
         """
         clock = self._clock
         deadline = None if timeout is None else clock.now() + timeout
@@ -160,8 +162,6 @@ class Queue:
                 if self._items:
                     self._delivered += 1
                     return self._items.popleft()
-                if self._closed:
-                    raise QueueClosedError(f"queue {self._name!r} is closed")
                 remaining = None if deadline is None else deadline - clock.now()
                 if remaining is not None and remaining <= 0:
                     return None
@@ -175,8 +175,6 @@ class Queue:
         :class:`ConfigurationError`.
         """
         with self._lock:
-            if self._closed:
-                raise QueueClosedError(f"queue {self._name!r} is closed")
             if self._trigger is not None:
                 raise ConfigurationError(f"queue {self._name!r} already has a trigger")
             self._trigger = action
@@ -185,11 +183,6 @@ class Queue:
             self._delivered += len(backlog)
         for m in backlog:
             action(m)
-
-    def close(self) -> None:
-        with self._lock:
-            self._closed = True
-            self._cond.notify_all()
 
 
 class QueueFabric:

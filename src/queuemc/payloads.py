@@ -2,7 +2,7 @@
 
 Both payloads are little-endian and live inside ``Message.payload``. They
 say nothing of which walker or iteration they belong to: the enclosing
-message's ``msg_id`` is the request's only identity.
+message's ``msg_id``, the request's sequence number, is its only identity.
 
 Request:  n_params u32, n_params f64, key_len u32, key bytes (UTF-8).
 Response: log_likelihood f64, cold u8, compute_start_ts f64,

@@ -100,9 +100,10 @@ class InvocationRecord:
     stamp is on the fabric's wall clock. On ``remote`` ``dispatch_ts`` is
     on the coordinator's clock, while ``start_ts`` and ``end_ts`` are on the
     worker's, which has its own origin: compare them only with each other.
+    ``msg_id`` is the request's sequence number (see :mod:`queuemc.engine`).
     """
 
-    msg_id: str
+    msg_id: int
     worker_id: str
     dispatch_ts: float
     start_ts: float
@@ -230,7 +231,7 @@ class SimScheduler:
         self._origin: float | None = None
         self._next_ramp: float | None = None  # when the next instance is provisioned
 
-    def assign(self, msg_id: str, dispatch_ts: float, duration: float) -> InvocationRecord:
+    def assign(self, msg_id: int, dispatch_ts: float, duration: float) -> InvocationRecord:
         m = self._model
         if self._origin is None:
             self._origin = dispatch_ts
@@ -262,13 +263,15 @@ class SimScheduler:
         return InvocationRecord(msg_id, worker_id, dispatch_ts, start, end, cold)
 
 
-def simulate(requests: Iterable[tuple[str, float, float]], model: BackendModel,
+def simulate(requests: Iterable[tuple[int, float, float]], model: BackendModel,
              seed: int = 0) -> list[InvocationRecord]:
     """Schedule a set of pending requests on a fresh simulated platform.
 
     ``requests`` yields ``(msg_id, dispatch_ts, duration_s)`` triples;
-    they are processed in dispatch order (stable for ties). Deterministic
-    given the model, the request set, and the jitter seed.
+    they are processed in dispatch order (stable for ties). Each msg_id is
+    copied to its record unchanged, whatever its type: the schedule never
+    reads it. Deterministic given the model, the request set, and the
+    jitter seed.
     """
     sched = SimScheduler(model, seed=seed)
     ordered = sorted(enumerate(requests), key=lambda kv: (kv[1][1], kv[0]))

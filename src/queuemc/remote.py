@@ -2,23 +2,25 @@
 
 Cloud-agnostic stand-in for running likelihood workers on other machines.
 Frames are a 4-byte big-endian unsigned length followed by that many
-bytes of one message in the fabric's binary layout, ``kind u8 | msg_id
-length u16 | msg_id (UTF-8) | payload`` (see :func:`queuemc.fabric.encode_message`);
-each frame goes out in one ``sendall``. A message's ``enqueue_ts`` does not
-cross the wire: each side's queue stamps its own clock. Workers answer
-each request frame with one response frame, produced by the same
-executor as the local pool (:func:`queuemc.plane.execute`); errors are
-control messages with payload ``ERR:<code>:<detail>``. A malformed frame
-draws an error frame and closes the connection.
+bytes of one message in the fabric's binary layout, ``kind u8 | msg_id i64
+| payload`` (see :func:`queuemc.fabric.encode_message`); each frame goes out
+in one ``sendall``. A message's ``enqueue_ts`` does not cross the wire:
+each side's queue stamps its own clock. Workers answer each request frame
+with one response frame, produced by the same executor as the local pool
+(:func:`queuemc.plane.execute`); errors are control messages with payload
+``ERR:<code>:<detail>``. A malformed frame draws an error frame and closes
+the connection.
 
 A response frame carries the msg_id of the request it answers and nothing
 else of its identity. A fault of the connection itself answers no request
-and carries an empty msg_id. There are two: a malformed frame, and a
-connection that ends other than through the client's own ``close()``. The
-client reports the latter as one ``connection-lost`` control message on
-the output queue, so a run fails at once instead of waiting out its
-timeout. The client keeps each request's dispatch stamp until the worker
-answers it, error frames included.
+and carries msg_id :data:`~queuemc.fabric.NO_REQUEST`. There are two: a
+malformed frame, and a connection that breaks other than through the
+client's own ``close()``. The client counts a response frame it cannot
+decode or unpack as a broken connection. It reports the break as one
+``connection-lost`` control message on the output queue, so a run fails at
+once instead of waiting out its timeout, and shuts the socket, so a later
+send fails at once too. The client keeps each request's dispatch stamp
+until the worker answers it, error frames included.
 """
 
 from __future__ import annotations
@@ -31,9 +33,9 @@ import threading
 from typing import Callable
 
 from .clocks import WallClock
-from .errors import (ConfigurationError, QueueClosedError, WireFormatError,
-                     WorkerCrashError)
-from .fabric import Message, MessageKind, decode_message, encode_message
+from .errors import ConfigurationError, WireFormatError, WorkerCrashError
+from .fabric import (NO_REQUEST, Message, MessageKind, decode_message,
+                     encode_message)
 from .payloads import pack_error, unpack_response
 from .plane import InvocationRecord, TaskRunner, _PlaneBase, execute
 from .store import DirectoryObjectStore
@@ -74,8 +76,8 @@ def read_frame(rfile) -> bytes | None:
 
 
 def _connection_fault(code: str, detail: str) -> Message:
-    """A control message that answers no request: its msg_id is empty."""
-    return Message(msg_id="", kind=MessageKind.CONTROL, payload=pack_error(code, detail))
+    """A control message that answers no request."""
+    return Message(NO_REQUEST, MessageKind.CONTROL, pack_error(code, detail))
 
 
 class _WorkerHandler(socketserver.StreamRequestHandler):
@@ -135,7 +137,7 @@ class RemoteWorkerClient(_PlaneBase):
         self._sock = socket.create_connection(parse_addr(addr))
         self._rfile = self._sock.makefile("rb")
         self._send_lock = threading.Lock()
-        self._dispatch_ts: dict[str, float] = {}
+        self._dispatch_ts: dict[int, float] = {}
         self._closing = threading.Event()
         self._reader = threading.Thread(target=self._read_loop, daemon=True,
                                         name="qmc-remote-reader")
@@ -143,10 +145,11 @@ class RemoteWorkerClient(_PlaneBase):
         input_q.register_trigger(self._send)
 
     def _send(self, msg: Message) -> None:
+        body = encode_message(msg)
         with self._send_lock:
             self._dispatch_ts[msg.msg_id] = msg.enqueue_ts
             try:
-                write_frame(self._sock, encode_message(msg))
+                write_frame(self._sock, body)
             except OSError as exc:
                 raise WorkerCrashError(f"connection-lost: {exc}") from exc
 
@@ -154,11 +157,7 @@ class RemoteWorkerClient(_PlaneBase):
         detail = "worker closed the connection"
         try:
             while (frame := read_frame(self._rfile)) is not None:
-                try:
-                    msg = decode_message(frame)
-                except WireFormatError:
-                    log.warning("dropping undecodable response frame")
-                    continue
+                msg = decode_message(frame)
                 dispatch = self._dispatch_ts.pop(msg.msg_id, 0.0)
                 if msg.kind is MessageKind.LIKELIHOOD_RESPONSE:
                     resp = unpack_response(msg.payload)
@@ -169,21 +168,20 @@ class RemoteWorkerClient(_PlaneBase):
                 self._output_q.push(msg)
         except (WireFormatError, OSError, ValueError) as exc:
             detail = f"connection failed: {exc}"
-        except QueueClosedError:
-            return
         if self._closing.is_set():
             return
-        try:
-            self._output_q.push(_connection_fault("connection-lost", detail))
-        except QueueClosedError:
-            pass
+        self._output_q.push(_connection_fault("connection-lost", detail))
+        self._shutdown()
 
-    def close(self) -> None:
-        self._closing.set()
+    def _shutdown(self) -> None:
         try:
             self._sock.shutdown(socket.SHUT_RDWR)
         except OSError:
             pass
+
+    def close(self) -> None:
+        self._closing.set()
+        self._shutdown()
         self._reader.join(timeout=5)
         self._rfile.close()
         self._sock.close()

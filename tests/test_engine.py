@@ -21,7 +21,7 @@ from queuemc.engine import (ChainConfig, exchange_step, mh_step, propose,
 from queuemc.errors import (ConfigurationError, DuplicateResponseError,
                             MissingResponseError, NonFiniteDensityError,
                             NotFoundError, WorkerCrashError)
-from queuemc.fabric import Message, MessageKind, QueueFabric
+from queuemc.fabric import NO_REQUEST, Message, MessageKind, QueueFabric
 from queuemc.kernel import hierarchical_log_prior
 from queuemc.payloads import LikelihoodResponse, pack_response, parse_error
 from queuemc.plane import BackendModel, make_stub_key
@@ -200,7 +200,7 @@ def test_request_response_bijection(sim_setup):
     run_chains(config, plane, input_q, output_q, init_positions=np.zeros((5, 1)),
                dataset_key="")
     # The trigger runs requests in push order, which is msg_id order.
-    assert [r.msg_id for r in plane.records] == [f"req-{n}" for n in range(20)]
+    assert [r.msg_id for r in plane.records] == list(range(20))
     stats = fabric.stats()
     for name in ("input", "output"):
         assert stats[name] == {"pushed": 20, "delivered": 20, "pending": 0}
@@ -282,7 +282,7 @@ def test_chain_stream_is_not_the_start_point_stream(sim_setup):
 
 def test_unexpected_response_rejected(sim_setup):
     fabric, input_q, output_q, plane = sim_setup(likelihood_fn=gaussian_target)
-    rogue = Message(msg_id="not-a-request", kind=MessageKind.LIKELIHOOD_RESPONSE,
+    rogue = Message(msg_id=99, kind=MessageKind.LIKELIHOOD_RESPONSE,
                     payload=pack_response(LikelihoodResponse(0.0, False, 0, 0)))
     output_q.push(rogue)
     config = ChainConfig(n_walkers=2, n_iterations=1, proposal_scale=1.0, seed=0)
@@ -311,7 +311,7 @@ def test_missing_response_times_out_with_partial_output(local_setup):
         run_chains(config, BlackHolePlane(), dead_in, dead_out,
                    init_positions=np.zeros((3, 1)), dataset_key="",
                    response_timeout_s=0.1)
-    assert len(err.value.missing_ids) == 3
+    assert err.value.missing_ids == {0, 1, 2}
     assert err.value.partial_output is not None
     assert not err.value.partial_output.complete
     assert err.value.partial_output.samples.shape == (3, 0, 1)
@@ -511,14 +511,14 @@ def test_late_response_after_timeout_is_dropped_on_local(local_setup, caplog):
     try:
         with pytest.raises(MissingResponseError) as err:
             run(0.05)
-        assert err.value.missing_ids == {"req-0", "req-1"}
+        assert err.value.missing_ids == {0, 1}
         with caplog.at_level(logging.INFO, logger="queuemc.engine"):
             out = run(30.0)
     finally:
         plane.close()
     assert np.all(out.log_posts == -1.0)
     dropped = [r.getMessage() for r in caplog.records if "earlier run" in r.getMessage()]
-    assert dropped == [f"dropping req-{n}, owed to an earlier run" for n in (0, 1)]
+    assert dropped == [f"dropping response {n}, owed to an earlier run" for n in (0, 1)]
 
 
 def test_stale_response_dropped_on_sim(sim_setup, caplog):
@@ -541,19 +541,44 @@ def test_stale_response_dropped_on_sim(sim_setup, caplog):
                          init_positions=np.zeros((3, 1)), dataset_key="")
     assert np.all(out.log_posts == -1.0)
     dropped = [r.getMessage() for r in caplog.records if "earlier run" in r.getMessage()]
-    assert dropped == [f"dropping req-{n}, owed to an earlier run" for n in (1, 2)]
+    assert dropped == [f"dropping response {n}, owed to an earlier run" for n in (1, 2)]
 
 
 def test_duplicate_within_a_run_still_raises(sim_setup):
     # An id at or above the run's first id that matches no pending request
-    # is not an earlier run's leftover.
-    fabric, input_q, output_q, plane = sim_setup(likelihood_fn=gaussian_target)
-    output_q.push(Message(msg_id="req-5", kind=MessageKind.LIKELIHOOD_RESPONSE,
-                          payload=pack_response(LikelihoodResponse(0.0, False, 0, 0))))
+    # is not an earlier run's leftover: id 0 is answered first by the
+    # rogue, then by the plane; id 5 is never sent.
     config = ChainConfig(n_walkers=2, n_iterations=1, proposal_scale=1.0, seed=0)
-    with pytest.raises(DuplicateResponseError):
-        run_chains(config, plane, input_q, output_q,
-                   init_positions=np.zeros((2, 1)), dataset_key="")
+    for rogue_id in (0, 5):
+        fabric, input_q, output_q, plane = sim_setup(likelihood_fn=gaussian_target)
+        output_q.push(Message(msg_id=rogue_id, kind=MessageKind.LIKELIHOOD_RESPONSE,
+                              payload=pack_response(LikelihoodResponse(0.0, False, 0, 0))))
+        with pytest.raises(DuplicateResponseError, match=f"response {rogue_id} "):
+            run_chains(config, plane, input_q, output_q,
+                       init_positions=np.zeros((2, 1)), dataset_key="")
+
+
+def test_missing_ids_are_the_unanswered_numbers(local_setup):
+    # One pool thread answers in push order; the second iteration's last
+    # request, id 5, outlasts the timeout while 3 and 4 are answered.
+    calls = itertools.count()
+
+    def last_call_slow(params, datasets):
+        if next(calls) == 5:
+            time.sleep(0.5)
+        return -1.0
+
+    fabric, input_q, output_q, plane = local_setup(likelihood_fn=last_call_slow,
+                                                   pool_size=1)
+    config = ChainConfig(n_walkers=3, n_iterations=2, proposal_scale=1.0, seed=0)
+    try:
+        with pytest.raises(MissingResponseError) as err:
+            run_chains(config, plane, input_q, output_q, init_positions=np.zeros((3, 1)),
+                       dataset_key="", response_timeout_s=0.25)
+    finally:
+        plane.close()
+    assert err.value.missing_ids == {5}
+    assert err.value.partial_output.n_iterations == 1
 
 
 @pytest.mark.parametrize("backend", ["sim", "local"])
@@ -566,7 +591,7 @@ def test_msg_ids_never_repeat_across_runs(backend, sim_setup, local_setup):
                    init_positions=np.zeros((3, 1)), dataset_key="")
     plane.close()
     ids = [r.msg_id for r in plane.records]
-    assert sorted(ids) == sorted(f"req-{n}" for n in range(12))
+    assert sorted(ids) == list(range(12))
     stats = fabric.stats()
     for name in ("input", "output"):
         assert stats[name] == {"pushed": 12, "delivered": 12, "pending": 0}
@@ -634,8 +659,7 @@ def test_parse_error(payload, expected):
 @pytest.mark.parametrize("payload", [b"ERR:worker-crash", b"ERR:"])
 def test_control_without_detail_raises_worker_crash(sim_setup, payload):
     fabric, input_q, output_q, plane = sim_setup(likelihood_fn=gaussian_target)
-    # An empty msg_id marks a control message that answers no request.
-    output_q.push(Message(msg_id="", kind=MessageKind.CONTROL, payload=payload))
+    output_q.push(Message(msg_id=NO_REQUEST, kind=MessageKind.CONTROL, payload=payload))
     config = ChainConfig(n_walkers=2, n_iterations=1, proposal_scale=1.0, seed=0)
     with pytest.raises(WorkerCrashError):
         run_chains(config, plane, input_q, output_q,

@@ -5,14 +5,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from queuemc.clocks import VirtualClock, WallClock
-from queuemc.errors import (ConfigurationError, DuplicateQueueError, QueueClosedError,
-                            WireFormatError)
-from queuemc.fabric import (Message, MessageKind, QueueFabric, decode_message,
-                            encode_message)
+from queuemc.errors import ConfigurationError, DuplicateQueueError, WireFormatError
+from queuemc.fabric import (NO_REQUEST, Message, MessageKind, QueueFabric,
+                            decode_message, encode_message)
 
 
 def msg(i, kind=MessageKind.LIKELIHOOD_REQUEST, payload=b""):
-    return Message(msg_id=f"m{i}", kind=kind, payload=payload)
+    return Message(msg_id=i, kind=kind, payload=payload)
 
 
 @pytest.fixture
@@ -41,10 +40,10 @@ def test_pending_counts_pushes(fabric):
 
 def test_fifo_order(fabric):
     q = fabric.create_queue("q")
-    q.push(msg("A"))
-    q.push(msg("B"))
-    assert q.pop(0).msg_id == "mA"
-    assert q.pop(0).msg_id == "mB"
+    q.push(msg(7))
+    q.push(msg(3))
+    assert q.pop(0).msg_id == 7
+    assert q.pop(0).msg_id == 3
 
 
 def test_pop_empty_times_out(fabric):
@@ -54,26 +53,10 @@ def test_pop_empty_times_out(fabric):
 
 def test_push_pop_round_trip(fabric):
     q = fabric.create_queue("q")
-    sent = msg("X", payload=b"\x00\x01data")
+    sent = msg(5, payload=b"\x00\x01data")
     q.push(sent)
     got = q.pop(0)
     assert got.msg_id == sent.msg_id and got.payload == sent.payload
-
-
-def test_push_to_closed_queue_raises(fabric):
-    q = fabric.create_queue("q")
-    q.close()
-    with pytest.raises(QueueClosedError):
-        q.push(msg(1))
-
-
-def test_closed_queue_drains_then_raises(fabric):
-    q = fabric.create_queue("q")
-    q.push(msg(1))
-    q.close()
-    assert q.pop(0).msg_id == "m1"
-    with pytest.raises(QueueClosedError):
-        q.pop(0)
 
 
 def test_enqueue_ts_stamped_and_non_decreasing():
@@ -90,9 +73,9 @@ def test_enqueue_ts_stamped_and_non_decreasing():
 
 def test_thousand_messages_delivered_exactly_once(fabric):
     q = fabric.create_queue("q")
-    ids = {f"id-{i}" for i in range(1000)}
+    ids = set(range(1000))
     for i in range(1000):
-        q.push(Message(msg_id=f"id-{i}", kind=MessageKind.CONTROL, payload=b""))
+        q.push(Message(msg_id=i, kind=MessageKind.CONTROL, payload=b""))
     seen = []
     while (m := q.pop(0)) is not None:
         seen.append(m.msg_id)
@@ -113,7 +96,7 @@ def test_concurrent_consumers_partition_messages(fabric):
     ta = threading.Thread(target=drain, args=(got_a,))
     tb = threading.Thread(target=drain, args=(got_b,))
     ta.start(); tb.start(); ta.join(); tb.join()
-    assert set(got_a) | set(got_b) == {f"m{i}" for i in range(100)}
+    assert set(got_a) | set(got_b) == set(range(100))
     assert set(got_a) & set(got_b) == set()
 
 
@@ -123,7 +106,7 @@ def test_trigger_invoked_once_per_message(fabric):
     q.register_trigger(lambda m: seen.append(m.msg_id))
     for i in range(5):
         q.push(msg(i))
-    assert seen == [f"m{i}" for i in range(5)]
+    assert seen == list(range(5))
 
 
 def test_trigger_on_empty_queue_no_invocations(fabric):
@@ -139,7 +122,7 @@ def test_trigger_drains_backlog(fabric):
     q.push(msg(1))
     seen = []
     q.register_trigger(lambda m: seen.append(m.msg_id))
-    assert seen == ["m0", "m1"]
+    assert seen == [0, 1]
     assert q.pending_count == 0
 
 
@@ -150,7 +133,7 @@ def test_second_trigger_rejected(fabric):
     with pytest.raises(ConfigurationError):
         q.register_trigger(lambda m: None)
     q.push(msg(0))
-    assert seen == ["m0"]
+    assert seen == [0]
 
 
 def test_trigger_multiset_matches_pushes(fabric):
@@ -160,7 +143,7 @@ def test_trigger_multiset_matches_pushes(fabric):
     pushed = []
     for i in range(200):
         q.push(msg(i % 50, payload=bytes([i % 256])))
-        pushed.append(f"m{i % 50}")
+        pushed.append(i % 50)
     assert sorted(seen) == sorted(pushed)
 
 
@@ -184,7 +167,7 @@ def test_fifo_and_conservation_property(payloads):
     out = []
     while (m := q.pop(0)) is not None:
         out.append(m)
-    assert [m.msg_id for m in out] == [f"m{i}" for i in range(len(payloads))]
+    assert [m.msg_id for m in out] == list(range(len(payloads)))
     assert [m.payload for m in out] == payloads
     n = len(payloads)
     assert fabric.stats() == {"q": {"pushed": n, "delivered": n, "pending": 0}}
@@ -193,10 +176,15 @@ def test_fifo_and_conservation_property(payloads):
 # Wire format
 
 
+INT64 = st.integers(min_value=-2**63, max_value=2**63 - 1)
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.text(), st.sampled_from(MessageKind), st.binary(), st.floats(allow_nan=False))
-@example("", MessageKind.CONTROL, b"", 0.0)
-@example("réq-\U0001f600", MessageKind.LIKELIHOOD_RESPONSE, b"\x00\xffbinary", 1.5)
+@given(INT64, st.sampled_from(MessageKind), st.binary(), st.floats(allow_nan=False))
+@example(0, MessageKind.LIKELIHOOD_REQUEST, b"", 0.0)
+@example(NO_REQUEST, MessageKind.CONTROL, b"", 0.0)
+@example(2**63 - 1, MessageKind.LIKELIHOOD_RESPONSE, b"\x00\xffbinary", 1.5)
+@example(-2**63, MessageKind.CONTROL, b"ERR:x:y", 2.0)
 def test_wire_round_trip(msg_id, kind, payload, enqueue_ts):
     m = Message(msg_id=msg_id, kind=kind, payload=payload, enqueue_ts=enqueue_ts)
     back = decode_message(encode_message(m))
@@ -205,16 +193,23 @@ def test_wire_round_trip(msg_id, kind, payload, enqueue_ts):
 
 
 def test_wire_frame_bytes_are_fixed():
-    m = Message(msg_id="a", kind=MessageKind.CONTROL, payload=b"hi", enqueue_ts=2.0)
-    assert encode_message(m) == b"\x02\x01\x00ahi"
+    # kind u8 | msg_id i64 | payload, little-endian.
+    m = Message(msg_id=258, kind=MessageKind.CONTROL, payload=b"hi", enqueue_ts=2.0)
+    assert encode_message(m) == b"\x02\x02\x01\x00\x00\x00\x00\x00\x00hi"
+    fault = Message(msg_id=NO_REQUEST, kind=MessageKind.CONTROL, payload=b"")
+    assert encode_message(fault) == b"\x02" + b"\xff" * 8
+
+
+@pytest.mark.parametrize("msg_id", [2**63, -2**63 - 1, "req-1", 1.0, None])
+def test_wire_refuses_an_id_that_is_no_int64(msg_id):
+    with pytest.raises(WireFormatError):
+        encode_message(Message(msg_id=msg_id, kind=MessageKind.CONTROL, payload=b""))
 
 
 @pytest.mark.parametrize("bad", [
     pytest.param(b"", id="empty"),
-    pytest.param(b"\x00\x00", id="short-header"),
-    pytest.param(b"\x07\x00\x00", id="unknown-kind"),
-    pytest.param(b"\x00\x05\x00abc", id="id-past-frame"),
-    pytest.param(b"\x00\x02\x00\xff\xfe", id="id-not-utf8"),
+    pytest.param(b"\x00" * 8, id="short-header"),
+    pytest.param(b"\x07" + b"\x00" * 8, id="unknown-kind"),
 ])
 def test_wire_rejects_malformed(bad):
     with pytest.raises(WireFormatError):

@@ -600,7 +600,7 @@ def test_non_finite_coefficients_keep_their_outcome(bad, col):
     row = np.array(POPULATION_MEAN)
     row[col] = bad
     params = np.concatenate([row, np.add(POPULATION_MEAN, (0.01, 0, 0, 0))])
-    msg = Message("req-0", MessageKind.LIKELIHOOD_REQUEST,
+    msg = Message(0, MessageKind.LIKELIHOOD_REQUEST,
                   pack_request(LikelihoodRequest(params, "bundle")))
     with np.errstate(all="ignore"):
         result, _, _ = TaskRunner(store=store).run(msg)
@@ -623,7 +623,7 @@ def test_overflowing_finite_row_is_a_zero_density(row):
     store = MemoryObjectStore()
     store.put("bundle", write_container(datasets))
     theta = np.array(row, dtype=np.float64)
-    msg = Message("req-0", MessageKind.LIKELIHOOD_REQUEST,
+    msg = Message(0, MessageKind.LIKELIHOOD_REQUEST,
                   pack_request(LikelihoodRequest(theta, "bundle")))
     with np.errstate(all="ignore"):
         assert TaskRunner(store=store).run(msg)[0] == -math.inf

@@ -21,7 +21,7 @@ from queuemc.store import MemoryObjectStore
 def request_msg(i, key, params=()):
     payload = pack_request(LikelihoodRequest(
         params=np.asarray(params, dtype=np.float64), dataset_key=key))
-    return Message(msg_id=f"r{i:05d}", kind=MessageKind.LIKELIHOOD_REQUEST,
+    return Message(msg_id=i, kind=MessageKind.LIKELIHOOD_REQUEST,
                    payload=payload)
 
 
@@ -88,7 +88,7 @@ def test_sim_single_invocation_timing(sim_setup):
     assert rec.cold
     assert rec.end_ts - rec.dispatch_ts >= 1.0 + 2.0 + 0.05
     assert resp.enqueue_ts == rec.end_ts
-    assert resp.msg_id == "r00000"
+    assert resp.msg_id == 0
 
 
 def test_sim_zero_requests_zero_responses(sim_setup):
@@ -227,7 +227,7 @@ def test_sim_response_completeness(sim_setup):
     fabric, input_q, output_q, plane = sim_setup()
     push_stub_wave(input_q, 25, duration=1.0)
     responses = drain(output_q, 25)
-    assert {m.msg_id for m in responses} == {f"r{i:05d}" for i in range(25)}
+    assert {m.msg_id for m in responses} == set(range(25))
     assert output_q.pop(timeout=0) is None
 
 
@@ -252,11 +252,15 @@ def test_sim_requires_virtual_clock(fast_model):
 
 def test_standalone_simulate_matches_queue_wave(sim_setup):
     model = BackendModel()
-    records = simulate(((f"r{i:05d}", 0.0, 100.0) for i in range(50)), model)
+    records = simulate(((i, 0.0, 100.0) for i in range(50)), model)
     fabric, input_q, output_q, plane = sim_setup(model=model)
     push_stub_wave(input_q, 50, duration=100.0)
     drain(output_q, 50)
     assert records == plane.records
+    # simulate copies each id unchanged, whatever its type.
+    replay = simulate(((f"{i}/0", 0.0, 100.0) for i in range(50)), model)
+    assert [r.msg_id for r in replay] == [f"{i}/0" for i in range(50)]
+    assert [r.end_ts for r in replay] == [r.end_ts for r in records]
 
 
 def test_scheduler_capacity_exhaustion():
