@@ -20,8 +20,7 @@ from .engine import (ChainConfig, ChainOutput, TimelineRecord, exchange_step,
                      write_timeline_csv)
 from .fabric import (Message, MessageKind, Queue, QueueFabric, decode_message,
                      encode_message)
-from .kernel import (ProfileParams, chi_square, cluster_log_likelihood,
-                     convolve_beam, evaluate, forward_abel,
+from .kernel import (chi_square, convolve_beam, evaluate, forward_abel,
                      hierarchical_log_prior, project_to_map)
 from .payloads import (LikelihoodRequest, LikelihoodResponse, pack_request,
                        pack_response, unpack_request, unpack_response)

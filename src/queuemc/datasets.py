@@ -181,8 +181,7 @@ def make_synthetic(n_clusters: int, grid_size: int = 64, seed: int = 0, *,
     unit = np.ones((grid_size, grid_size))
     template = ClusterDataset(cluster_id="", obs_map=unit, sigma_map=unit, **geometry)
     datasets: list[ClusterDataset] = []
-    for c in range(n_clusters):
-        probe = kernel.cluster_model_map(truths[c], template)
+    for c, probe in enumerate(kernel.cluster_model_map(truths, template)):
         peak = float(np.max(np.abs(probe)))
         if noise_level > 0 and peak > 0:
             sigma = np.full_like(probe, noise_level * peak)

@@ -8,34 +8,55 @@ beam, and a chi-square comparison against the observed map. The
 per-cluster contributions are summed in list order so the total is
 bit-reproducible across backends.
 
-Each stage does only the work that depends on the profile coefficients.
+:func:`forward_abel`, :func:`project_to_map` and :func:`convolve_beam`
+take a stack of rows along their leading axes (a single row is a stack
+of one) and do only the work that depends on the profile coefficients.
+:func:`evaluate` groups its clusters by geometry and sends each group
+through them once; :func:`chi_square` runs per cluster.
+
 What depends on a dataset's geometry alone is built on first use and
-reused: the Abel quadrature nodes per ``(r_max, radial grid, n_quad)``,
-the pixel radii per ``(grid_size, pixel_size)`` and the beam matrix per
-``(grid_size, beam_fwhm, pixel_size)``. The caches are keyed on those
-values, not on dataset objects, so clusters that share a geometry share
-one entry, and each cache holds its ``GEOMETRY_CACHE_SIZE`` most recently
-used entries. An Abel entry holds about 8·m·(n + 1) bytes for m radial
-points and n Simpson intervals, a map or beam entry 8·G² bytes for a
-G × G map. So the caches hold at most 32 × (8·m·(n + 1) + 16·G²) bytes,
-taking the largest m, n and G in use: 19 MB at m = 128, n = 512, G = 64
-(one entry, 0.6 MB, when all clusters share that geometry) and 42 MB at
-m = 256, G = 128. A process that cycles through more geometries than
-that rebuilds an entry on each miss.
+reused. The caches are keyed on values, not on dataset objects, so
+clusters that share a geometry share one entry, and each cache holds its
+``GEOMETRY_CACHE_SIZE`` most recently used entries; a process that
+cycles through more geometries rebuilds an entry on each miss. For m
+radial points, n Simpson intervals, k coefficients and a G × G map, an
+entry takes:
+
+- Abel tables, per ``(r_max, radial grid, n_quad, k)``:
+  8·((k - 1)·m·(n + 2) + (n + 2) + 3·m) bytes;
+- the map gather, per ``(radial grid, grid_size, pixel_size)``: 16·G²;
+- the beam matrix, per ``(grid_size, beam_fwhm, pixel_size)``: 8·G²;
+- the monomial maps, per ``(r_max, radial grid, grid_size, pixel_size,
+  beam_fwhm, k)``: 8·k·G².
+
+At m = 128, n = 512, k = 4 and G = 64 that is 1.59 MB + 64 KB + 32 KB +
+128 KB = 1.82 MB for one geometry, and at most 32 × 1.82 = 58 MB when
+every cache is full of such entries.
+
+The profile is p(x) = max(0, sum_j theta_j x**j) at x = r / r_max. For
+each projected radius y the Simpson nodes x_i = sqrt(y² + t_i²) / r_max
+increase with i, so the nodes where p > 0 form index ranges bounded by
+p's real roots in (0, 1), which one batched ``eigvals`` of the companion
+matrices gives. Over such a range [lo, hi),
+sum_i w_i p(x_i) = sum_j theta_j (S_j[y, hi] - S_j[y, lo]) for the
+cached prefix sums S_j of w_i x_i**j, and x_i <= c exactly when
+i <= n·sqrt(c² - (y / r_max)²)·r_max / t_up(y). That is the clamped
+Simpson sum up to rounding, not a new quadrature: it agrees with Horner's
+rule on every node to a few ulps of the terms summed, and a node that a
+root's rounding puts on the wrong side holds p ≈ 0. A row with a NaN or
+infinite coefficient, or whose leading coefficient is below 1e-6 of
+another (where the companion matrix's eigenvalues lose their accuracy),
+runs Horner's rule on every node, as the quadrature is defined.
 
 Where the clamp is inactive the first four stages are linear in the
 coefficients, so the model map is sum_j theta_j times the model map of
 the monomial x**j. :func:`evaluate` tests every row once per call: it
 takes the row's coefficients to the Bernstein basis of its degree on
 [0, 1], and if none of them is negative, the polynomial is >= 0 on
-[0, 1], where every Abel node r / r_max lies, so the clamp is inactive.
-Such a row costs one product with its geometry's monomial maps and a
-chi-square against the data. The maps are built by the stages
-themselves and cached per ``(r_max, radial grid, grid_size, pixel_size,
-beam_fwhm, k)`` for k coefficients: 8·G²·k bytes per entry, so at most
-32 × 8·G²·k bytes, 128 KB per entry and 4 MB in all at G = 64, k = 4.
-Every other row, and any row with a NaN or infinite coefficient, runs
-the five stages. The two paths agree to the last few bits, not bit for
+[0, 1], where every Abel node lies, so the clamp is inactive. Such rows
+cost one product per geometry with the monomial maps, which the stages
+build. Every other row, and any row with a NaN or infinite coefficient,
+runs the stages. The two paths agree to the last few bits, not bit for
 bit. A row with finite coefficients whose model overflows is a zero
 density (-inf) on either path.
 """
@@ -43,9 +64,9 @@ density (-inf) on either path.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import types
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -54,6 +75,7 @@ from .errors import ClusterEvalError, InvalidGridError, ShapeMismatchError
 
 DEFAULT_N_QUAD = 512
 GEOMETRY_CACHE_SIZE = 32
+_MONIC_LIMIT = 1e6
 
 _FWHM_TO_SIGMA = 1.0 / (2.0 * np.sqrt(2.0 * np.log(2.0)))
 
@@ -64,25 +86,11 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
-class ProfileParams:
-    """Coefficients of the radial profile p(r).
-
-    p(r) = max(0, sum_k theta[k] * (r / r_max)**k) on [0, r_max] and 0
-    beyond, so the profile is non-negative with compact support. theta has
-    degree + 1 entries (default cubic).
-    """
-
-    theta: np.ndarray
-    r_max: float
-
-    def __post_init__(self) -> None:
-        theta = np.atleast_1d(np.asarray(self.theta, dtype=np.float64))
-        object.__setattr__(self, "theta", theta)
-        if theta.ndim != 1 or theta.size == 0:
-            raise ValueError("theta must be a non-empty vector")
-        if not self.r_max > 0:
-            raise ValueError("r_max must be positive")
+def _positive(name: str, value: float) -> float:
+    """``value``, checked to be finite and positive, so that NaN fails."""
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be finite and positive, not {value}")
+    return value
 
 
 def _clamped_polynomial(theta: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -99,21 +107,20 @@ def _clamped_polynomial(theta: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.maximum(acc, 0.0, out=acc)
 
 
-@functools.lru_cache(maxsize=GEOMETRY_CACHE_SIZE)
-def _abel_nodes(r_max: float, y_bytes: bytes, n_quad: int,
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _simpson_nodes(r_max: float, y: np.ndarray, n_quad: int,
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Simpson quadrature of the Abel transform on one projected grid.
 
     Returns the node radii as fractions x = r / r_max, shape
     (len(y), n + 1), the step over three per projected radius, and the
-    Simpson weights.
+    Simpson weights. Every check fails on NaN.
     """
-    y = np.frombuffer(y_bytes, dtype=np.float64)
-    if np.any(np.diff(y) <= 0):
+    _positive("r_max", r_max)
+    if not np.all(np.diff(y) > 0):
         raise InvalidGridError("y_grid must be strictly increasing")
-    if y[0] < 0:
+    if not y[0] >= 0:
         raise InvalidGridError("y_grid must be non-negative")
-    if y[-1] >= r_max:
+    if not y[-1] < r_max:
         raise InvalidGridError(f"y_grid reaches {y[-1]}, beyond support r_max={r_max}")
     if n_quad < 16:
         raise ValueError("n_quad must be at least 16")
@@ -129,47 +136,177 @@ def _abel_nodes(r_max: float, y_bytes: bytes, n_quad: int,
     weights = np.ones(n + 1)
     weights[1:-1:2] = 4.0
     weights[2:-1:2] = 2.0
-    return _read_only(r / r_max), _read_only((t_upper / n) / 3.0), _read_only(weights)
-
-
-def _simpson_nodes(r_max: float, y_grid: np.ndarray, n_quad: int,
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The cached :func:`_abel_nodes` of ``y_grid``, keyed by value."""
-    y = np.asarray(y_grid, dtype=np.float64)
-    if y.ndim != 1 or y.size == 0:
-        raise InvalidGridError("y_grid must be a non-empty vector")
-    return _abel_nodes(float(r_max), y.tobytes(), int(n_quad))
-
-
-def forward_abel(params: ProfileParams, y_grid: np.ndarray,
-                 n_quad: int = DEFAULT_N_QUAD) -> np.ndarray:
-    """Forward Abel transform of the polynomial profile on ``y_grid``.
-
-    Computes F(y) = 2 * integral_y^r_max p(r) r dr / sqrt(r^2 - y^2).
-    The substitution r = sqrt(y^2 + t^2) removes the inverse-square-root
-    endpoint singularity exactly, leaving
-    F(y) = 2 * integral_0^sqrt(r_max^2 - y^2) p(sqrt(y^2 + t^2)) dt,
-    which is evaluated with composite Simpson quadrature on ``n_quad``
-    intervals (forced even, at least 16). The profile is evaluated on the
-    cached node fractions r / r_max of ``(r_max, y_grid, n_quad)``;
-    ``y_grid`` must be strictly increasing in [0, r_max).
-    """
-    x, h3, weights = _simpson_nodes(params.r_max, y_grid, n_quad)
-    return 2.0 * (h3 * (_clamped_polynomial(params.theta, x) @ weights))
+    return r / r_max, (t_upper / n) / 3.0, weights
 
 
 @functools.lru_cache(maxsize=GEOMETRY_CACHE_SIZE)
-def _pixel_radii(grid_size: int, pixel_size: float) -> np.ndarray:
+def _abel_tables(r_max: float, y_bytes: bytes, n_quad: int, k: int,
+                 ) -> tuple[np.ndarray, ...]:
+    """Prefix sums of the Simpson terms on one projected grid, for
+    profiles of k coefficients.
+
+    Returns ``(s0, s, h3, y2, scale)``: ``s0[i]`` is the sum of the first
+    i weights, shape (n + 2,); ``s[j - 1, y, i]`` the sum of the first i
+    terms w x**j at radius y, for j = 1 .. k - 1; ``h3`` the step over
+    three; and ``y2 = (y / r_max)**2`` and ``scale = n·r_max / t_up(y)``,
+    which count the nodes of y at or below a fraction c.
+    """
+    y = np.frombuffer(y_bytes, dtype=np.float64)
+    x, h3, weights = _simpson_nodes(r_max, y, n_quad)
+    m, nodes = x.shape
+    s0 = np.zeros(nodes + 1)
+    np.cumsum(weights, out=s0[1:])
+    s = np.zeros((k - 1, m, nodes + 1))
+    term = weights * x
+    for j in range(k - 1):
+        np.cumsum(term, axis=1, out=s[j, :, 1:])
+        term *= x
+    scale = (nodes - 1) * r_max / np.sqrt(r_max * r_max - y * y)
+    return tuple(_read_only(a) for a in (s0, s, h3, (y / r_max) ** 2, scale))
+
+
+def _clamp_breaks(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where each row's profile changes sign on [0, 1].
+
+    Returns ``(breaks, steps, rooted)`` for rows of k coefficients.
+    ``breaks`` holds k + 1 sorted fractions from 0 to 1: the row's real
+    roots, clipped to [0, 1], with 1 in the slots of the roots it lacks;
+    p keeps one sign between neighbours. ``steps[b]`` is on(b - 1) -
+    on(b), where on(b) is 1 when p > 0 between breaks b and b + 1, so the
+    clamped sum of any prefix-summed term is the sum of ``steps[b]``
+    times that term's prefix sum up to break b. A row with a zero leading
+    coefficient takes the companion matrix of its true degree. ``rooted``
+    is False for a row with a NaN or infinite coefficient, or whose monic
+    form has a coefficient beyond ``_MONIC_LIMIT`` (a leading coefficient
+    tiny next to the others, where the eigenvalues lose their accuracy,
+    or an all-zero row's 0 / 0); its breaks and steps mean nothing.
+    """
+    count, k = rows.shape
+    roots = np.ones((count, k - 1))
+    rooted = np.isfinite(rows).all(axis=1)
+    degree = k - 1 - np.argmax(rows[:, ::-1] != 0, axis=1)
+    for d in set(degree[rooted].tolist()) - {0}:
+        sel = rooted & (degree == d)
+        with np.errstate(all="ignore"):
+            monic = rows[sel, :d] / rows[sel, d, None]
+        finite = (np.abs(monic) <= _MONIC_LIMIT).all(axis=1)
+        rooted[sel] = finite
+        sel[sel] = finite
+        # The companion matrix in numpy.roots' layout: the top row carries
+        # the coefficients, which eigvals' balancing handles better when
+        # they span many orders of magnitude.
+        companion = np.zeros((monic.shape[0], d, d))
+        companion[:, 1:, :-1] = np.eye(d - 1)
+        companion[:, 0, :] = -monic[:, ::-1]
+        eig = np.linalg.eigvals(companion[finite])
+        roots[sel, :d] = np.where(eig.imag == 0, eig.real, 1.0)
+    np.clip(roots, 0.0, 1.0, out=roots)
+    roots.sort(axis=1)
+    breaks = np.concatenate([np.zeros((count, 1)), roots, np.ones((count, 1))], axis=1)
+    mids = breaks[:, :-1] + breaks[:, 1:]
+    mids *= 0.5
+    with np.errstate(all="ignore"):
+        on = np.einsum("rbj,rj->rb", np.power.outer(mids, np.arange(k)), rows) > 0
+    steps = np.zeros((count, k + 1))
+    steps[:, :-1] -= on
+    steps[:, 1:] += on
+    return breaks, steps, rooted
+
+
+def forward_abel(thetas: np.ndarray, r_max: float, y_grid: np.ndarray,
+                 n_quad: int = DEFAULT_N_QUAD) -> np.ndarray:
+    """Forward Abel transform of polynomial profiles on ``y_grid``.
+
+    ``thetas`` holds profile coefficients along its last axis, one
+    profile p(r) = max(0, sum_j theta_j (r / r_max)**j) per row; the
+    result replaces that axis with one of ``len(y_grid)``. Computes
+    F(y) = 2 * integral_y^r_max p(r) r dr / sqrt(r^2 - y^2). The
+    substitution r = sqrt(y^2 + t^2) removes the inverse-square-root
+    endpoint singularity exactly, leaving
+    F(y) = 2 * integral_0^sqrt(r_max^2 - y^2) p(sqrt(y^2 + t^2)) dt,
+    which is evaluated with composite Simpson quadrature on ``n_quad``
+    intervals (forced even, at least 16), by the cached prefix sums of
+    ``(r_max, y_grid, n_quad, k)``; ``y_grid`` must be strictly
+    increasing in [0, r_max).
+    """
+    thetas = np.asarray(thetas, dtype=np.float64)
+    if thetas.ndim == 0 or thetas.shape[-1] == 0:
+        raise ValueError("each profile needs at least one coefficient")
+    y = np.asarray(y_grid, dtype=np.float64)
+    if y.ndim != 1 or y.size == 0:
+        raise InvalidGridError("y_grid must be a non-empty vector")
+    k = thetas.shape[-1]
+    rows = thetas.reshape(-1, k)
+    s0, s, h3, y2, scale = _abel_tables(float(r_max), y.tobytes(), int(n_quad), k)
+    n, m = s0.size - 2, y.size
+    breaks, steps, rooted = _clamp_breaks(rows)
+    # The nodes of each radius at or below each break after the first
+    # (which has none): the count is 0 short of the radius, else
+    # floor(sqrt(c^2 - y2)·scale) + 1, and the last break, 1, is past
+    # every node. Then the prefix sums up to them: terms[0] from s0,
+    # terms[j] from s[j - 1].
+    gap = np.square(breaks[:, 1:, None]) - y2
+    reached = gap >= 0
+    np.maximum(gap, 0.0, out=gap)
+    np.sqrt(gap, out=gap)
+    gap *= scale
+    np.minimum(gap, n, out=gap)
+    nodes = gap.astype(np.intp)
+    nodes += reached
+    nodes[:, -1] = n + 1
+    terms = np.empty((k,) + nodes.shape)
+    np.take(s0, nodes, out=terms[0])
+    nodes += np.arange(0, m * (n + 2), n + 2)
+    np.take(s.reshape(k - 1, m * (n + 2)), nodes, axis=1, out=terms[1:])
+    # Summed along the small axes in a fixed order, so a row's result does
+    # not depend on the other rows of the stack; rows without roots count
+    # as zero here and take Horner's rule below.
+    theta = np.where(rooted[:, None], rows, 0.0)
+    terms *= (theta[:, :, None] * steps[:, None, 1:]).swapaxes(0, 1)[..., None]
+    out = terms.sum(axis=0).sum(axis=1)
+    out *= 2.0 * h3
+    if not rooted.all():
+        x, _, weights = _simpson_nodes(float(r_max), y, int(n_quad))
+        for i in np.flatnonzero(~rooted):
+            out[i] = 2.0 * (h3 * (_clamped_polynomial(rows[i], x) @ weights))
+    return out.reshape(thetas.shape[:-1] + (m,))
+
+
+@functools.lru_cache(maxsize=GEOMETRY_CACHE_SIZE)
+def _map_gather(y_bytes: bytes, grid_size: int, pixel_size: float,
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """``np.interp(rho, radial, v, right=0)`` at every pixel radius rho, as
+    a two-point gather.
+
+    Returns ``(lo, w)``, flat over the pixels: the map is
+    v[lo] + w·(v[lo + 1] - v[lo]) for v padded with two zeros. Inside
+    the first grid point lo = 0 and w = 0, at the last one lo = m - 1 and
+    w = 0, and beyond it lo = m, a padding zero.
+    """
+    radial = np.frombuffer(y_bytes, dtype=np.float64)
+    _positive("pixel_size", pixel_size)
+    if radial.size == 0 or not np.all(np.diff(radial) > 0):
+        raise InvalidGridError("radial_grid must be non-empty and strictly increasing")
     c = (grid_size - 1) / 2.0
     idx = np.arange(grid_size, dtype=np.float64) - c
-    return _read_only(pixel_size * np.sqrt(idx[:, None] ** 2 + idx[None, :] ** 2))
+    rho = (pixel_size * np.sqrt(idx[:, None] ** 2 + idx[None, :] ** 2)).ravel()
+    lo = np.searchsorted(radial, rho, side="right") - 1
+    inside = (lo >= 0) & (lo < radial.size - 1)
+    left = lo[inside]
+    w = np.zeros_like(rho)
+    w[inside] = (rho[inside] - radial[left]) / (radial[left + 1] - radial[left])
+    lo[lo < 0] = 0
+    lo[rho > radial[-1]] = radial.size
+    return _read_only(lo), _read_only(w)
 
 
 def project_to_map(radial_grid: np.ndarray, values: np.ndarray,
                    grid_size: int, pixel_size: float) -> np.ndarray:
-    """Expand a radial function to a square map by linear interpolation.
+    """Expand radial functions to square maps by linear interpolation.
 
-    Pixel (i, j) takes the value of the radial function at
+    ``values`` holds one radial function per row along its last axis,
+    which the result replaces with the two map axes. Pixel (i, j) takes
+    the value of the radial function at
     rho = pixel_size * sqrt((i - c)^2 + (j - c)^2) with c = (grid_size - 1) / 2.
     Radii beyond the last grid point map to 0; radii inside the first grid
     point clamp to the first value.
@@ -178,10 +315,17 @@ def project_to_map(radial_grid: np.ndarray, values: np.ndarray,
         raise ValueError("grid_size must be even")
     radial = np.asarray(radial_grid, dtype=np.float64)
     vals = np.asarray(values, dtype=np.float64)
-    if radial.shape != vals.shape:
-        raise ShapeMismatchError("radial_grid and values must have the same length")
-    rho = _pixel_radii(int(grid_size), float(pixel_size))
-    return np.interp(rho, radial, vals, right=0.0)
+    if radial.ndim != 1 or vals.shape[-1:] != radial.shape:
+        raise ShapeMismatchError("values must end in an axis as long as radial_grid")
+    lo, w = _map_gather(radial.tobytes(), int(grid_size), float(pixel_size))
+    padded = np.zeros(vals.shape[:-1] + (radial.size + 2,))
+    padded[..., :-2] = vals
+    out = np.take(padded, lo, axis=-1)
+    upper = np.take(padded[..., 1:], lo, axis=-1)
+    upper -= out
+    upper *= w
+    out += upper
+    return out.reshape(vals.shape[:-1] + (grid_size, grid_size))
 
 
 @functools.lru_cache(maxsize=GEOMETRY_CACHE_SIZE)
@@ -193,9 +337,8 @@ def _beam_matrix(grid_size: int, beam_fwhm: float, pixel_size: float) -> np.ndar
     [0, grid_size): one axis of the zero-padded linear convolution,
     cropped to the centred grid_size window.
     """
-    if beam_fwhm <= 0:
-        raise ValueError("beam_fwhm must be positive")
-    sigma_pix = beam_fwhm * _FWHM_TO_SIGMA / pixel_size
+    sigma_pix = (_positive("beam_fwhm", beam_fwhm) * _FWHM_TO_SIGMA
+                 / _positive("pixel_size", pixel_size))
     half = grid_size // 2
     idx = np.arange(grid_size, dtype=np.float64) - half
     kern = np.exp(-0.5 * idx * idx / (sigma_pix * sigma_pix))
@@ -206,57 +349,47 @@ def _beam_matrix(grid_size: int, beam_fwhm: float, pixel_size: float) -> np.ndar
 
 
 def convolve_beam(image: np.ndarray, beam_fwhm: float, pixel_size: float) -> np.ndarray:
-    """Smooth a map with the instrument beam.
+    """Smooth maps with the instrument beam.
 
+    ``image`` is a G × G map or a stack of them along its leading axes.
     Linear (not circular) convolution with a unit-sum Gaussian kernel of
     the given FWHM, centred at pixel (G/2, G/2) of a G × G map, keeping
     the centred G × G window of the result: what lies beyond the map's
     edge counts as zero. The Gaussian is separable, so the convolution is
-    B · image · Bᵀ with the banded 1-D beam matrix B.
+    B · image · Bᵀ with the banded 1-D beam matrix B, one product per map
+    of a stack, so a map's result does not depend on the others.
     """
     img = np.asarray(image, dtype=np.float64)
-    if img.ndim != 2 or img.shape[0] != img.shape[1]:
-        raise ShapeMismatchError("image must be a square matrix")
-    beam = _beam_matrix(img.shape[0], float(beam_fwhm), float(pixel_size))
+    if img.ndim < 2 or img.shape[-1] != img.shape[-2]:
+        raise ShapeMismatchError("image must be a square matrix or a stack of them")
+    beam = _beam_matrix(img.shape[-1], float(beam_fwhm), float(pixel_size))
     return beam @ img @ beam.T
 
 
-def chi_square(model: np.ndarray, obs_map: np.ndarray, sigma_map: np.ndarray) -> float:
-    """Sum of squared noise-weighted residuals over all pixels."""
+def chi_square(model: np.ndarray, obs_map: np.ndarray, sigma_map: np.ndarray):
+    """Sum of squared noise-weighted residuals over all pixels: a float for
+    one map, and one per map, as an array, for stacks of maps along the
+    leading axes. Each map's sum runs along its own pixels only, so it
+    does not depend on the other maps of the stack."""
     model = np.asarray(model, dtype=np.float64)
-    if model.shape != obs_map.shape or model.shape != sigma_map.shape:
+    if model.ndim < 2 or model.shape != obs_map.shape or model.shape != sigma_map.shape:
         raise ShapeMismatchError(
             f"shape mismatch: model {model.shape}, obs {obs_map.shape}, sigma {sigma_map.shape}")
-    resid = (obs_map - model) / sigma_map
-    return float(np.sum(resid * resid))
+    resid = np.subtract(obs_map, model)
+    resid /= sigma_map
+    np.square(resid, out=resid)
+    total = resid.reshape(model.shape[:-2] + (-1,)).sum(axis=-1)
+    return float(total) if model.ndim == 2 else total
 
 
-def cluster_model_map(theta: np.ndarray, dataset) -> np.ndarray:
-    """Run stages one to four for a single cluster: profile, projection,
-    map expansion, beam smoothing."""
-    params = ProfileParams(theta=np.asarray(theta, dtype=np.float64), r_max=dataset.r_max)
-    projected = forward_abel(params, dataset.radial_grid)
+def cluster_model_map(thetas: np.ndarray, dataset) -> np.ndarray:
+    """Run stages one to four on the rows of ``thetas`` with ``dataset``'s
+    geometry: profile, projection, map expansion, beam smoothing. One row
+    gives one map, a stack of rows a stack of maps."""
+    projected = forward_abel(thetas, dataset.r_max, dataset.radial_grid)
     image = project_to_map(dataset.radial_grid, projected,
                            dataset.grid_size, dataset.pixel_size)
     return convolve_beam(image, dataset.beam_fwhm, dataset.pixel_size)
-
-
-def _log_likelihood(model: np.ndarray, theta: np.ndarray, dataset) -> float:
-    """-chi^2 / 2 of ``model``, or -inf where finite ``theta`` overflowed.
-
-    Finite coefficients and data reach NaN only through an overflow
-    (inf - inf) on the way to the model map, which is then infinitely far
-    from the data: a zero density. A non-finite row keeps its NaN.
-    """
-    value = -0.5 * chi_square(model, dataset.obs_map, dataset.sigma_map)
-    if math.isnan(value) and np.isfinite(theta).all():
-        return -math.inf
-    return value
-
-
-def cluster_log_likelihood(theta: np.ndarray, dataset) -> float:
-    """-chi^2 / 2 for one cluster."""
-    return _log_likelihood(cluster_model_map(theta, dataset), theta, dataset)
 
 
 @functools.lru_cache(maxsize=GEOMETRY_CACHE_SIZE)
@@ -288,30 +421,45 @@ def _clamp_free(thetas: np.ndarray) -> np.ndarray:
 @functools.lru_cache(maxsize=GEOMETRY_CACHE_SIZE)
 def _monomial_maps(r_max: float, y_bytes: bytes, grid_size: int, pixel_size: float,
                    beam_fwhm: float, k: int) -> np.ndarray:
-    """Model maps of the k monomial profiles x**j as the columns of a
-    (grid_size**2, k) matrix, built by stages one to four.
+    """Model maps of the k monomial profiles x**j as the rows of a
+    (k, grid_size**2) matrix, built by stages one to four.
 
     Where the clamp is inactive the model map is linear in theta, so it
-    is this matrix times theta.
+    is theta times this matrix.
     """
     geometry = types.SimpleNamespace(
         r_max=r_max, radial_grid=np.frombuffer(y_bytes, dtype=np.float64),
         grid_size=grid_size, pixel_size=pixel_size, beam_fwhm=beam_fwhm)
-    maps = np.empty((grid_size * grid_size, k))
-    for j, unit in enumerate(np.eye(k)):
-        maps[:, j] = cluster_model_map(unit, geometry).ravel()
-    return _read_only(maps)
+    return _read_only(cluster_model_map(np.eye(k), geometry).reshape(k, grid_size * grid_size))
 
 
-def _clamp_free_log_likelihood(theta: np.ndarray, dataset) -> float:
-    """:func:`cluster_log_likelihood` of a clamp-free row, from the cached
-    monomial maps of the dataset's geometry."""
-    g = dataset.grid_size
-    maps = _monomial_maps(float(dataset.r_max),
-                          np.asarray(dataset.radial_grid, dtype=np.float64).tobytes(),
-                          int(g), float(dataset.pixel_size), float(dataset.beam_fwhm),
-                          theta.size)
-    return _log_likelihood((maps @ theta).reshape(g, g), theta, dataset)
+def _geometry(dataset) -> tuple:
+    """The values a cluster's model map depends on besides its row."""
+    return (float(dataset.r_max),
+            np.asarray(dataset.radial_grid, dtype=np.float64).tobytes(),
+            int(dataset.grid_size), float(dataset.pixel_size), float(dataset.beam_fwhm))
+
+
+def _group_chi_square(thetas: np.ndarray, group: list, geometry: tuple) -> np.ndarray:
+    """Chi-square of each row against its cluster in ``group``, all of
+    ``geometry``: the clamp-free rows from one product with the monomial
+    maps, the others from one pass through the stages."""
+    g = geometry[2]
+    free = _clamp_free(thetas)
+    chi = np.empty(len(group))
+    for rows in (free, ~free):
+        if not rows.any():
+            continue
+        if rows is free:
+            maps = _monomial_maps(*geometry, thetas.shape[1])
+            # One (1, k) @ (k, G²) product per row, as for a stack of one.
+            models = np.matmul(thetas[rows, None, :], maps).reshape(-1, g, g)
+        else:
+            models = cluster_model_map(thetas[rows], group[0])
+        clusters = list(itertools.compress(group, rows))
+        chi[rows] = chi_square(models, np.array([ds.obs_map for ds in clusters]),
+                               np.array([ds.sigma_map for ds in clusters]))
+    return chi
 
 
 def evaluate(thetas: np.ndarray, datasets: Sequence) -> float:
@@ -323,10 +471,16 @@ def evaluate(thetas: np.ndarray, datasets: Sequence) -> float:
         per cluster, matched to ``datasets`` by position.
     datasets : sequence of ClusterDataset.
 
-    A clamp-free row costs one product with its geometry's monomial maps
-    and a chi-square; every other row runs the five stages. Cluster
-    contributions are accumulated in list order; a failure inside one
-    cluster raises :class:`ClusterEvalError` naming it.
+    Clusters that share a geometry are modelled together: the clamp-free
+    rows as one product with the geometry's monomial maps, the rest in
+    one pass through the stages, each followed by one chi-square on the
+    stack. Cluster contributions, -chi^2 / 2, are accumulated in list
+    order. Finite coefficients and data reach NaN only through an
+    overflow (inf - inf) on the way to the model map, which is then
+    infinitely far from the data: such a cluster contributes -inf, a zero
+    density, while a non-finite row keeps its NaN. A group that fails is
+    run again one cluster at a time, and the first cluster in list order
+    that fails raises :class:`ClusterEvalError` naming it.
     """
     thetas = np.asarray(thetas, dtype=np.float64)
     if thetas.ndim != 2:
@@ -336,15 +490,31 @@ def evaluate(thetas: np.ndarray, datasets: Sequence) -> float:
     if thetas.shape[0] != len(datasets):
         raise ValueError(
             f"{thetas.shape[0]} parameter rows for {len(datasets)} datasets")
-    total = 0.0
-    for row, ds, free in zip(thetas, datasets, _clamp_free(thetas).tolist()):
+    groups: dict[tuple, list[int]] = {}
+    failed: dict[int, Exception] = {}
+    for i, ds in enumerate(datasets):
         try:
-            if free:
-                total += _clamp_free_log_likelihood(row, ds)
-            else:
-                total += cluster_log_likelihood(row, ds)
+            groups.setdefault(_geometry(ds), []).append(i)
         except Exception as exc:
-            raise ClusterEvalError(ds.cluster_id, exc) from exc
+            failed[i] = exc
+    chi = np.empty(len(datasets))
+    for geometry, members in groups.items():
+        try:
+            chi[members] = _group_chi_square(thetas[members],
+                                             [datasets[i] for i in members], geometry)
+        except Exception:
+            for i in members:
+                try:
+                    chi[i] = _group_chi_square(thetas[i:i + 1], [datasets[i]], geometry)[0]
+                except Exception as exc:
+                    failed[i] = exc
+    total = 0.0
+    for i, (ds, value) in enumerate(zip(datasets, (-0.5 * chi).tolist())):
+        if i in failed:
+            raise ClusterEvalError(ds.cluster_id, failed[i]) from failed[i]
+        if math.isnan(value) and np.isfinite(thetas[i]).all():
+            value = -math.inf
+        total += value
     return total
 
 

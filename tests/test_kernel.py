@@ -12,8 +12,7 @@ from queuemc import kernel
 from queuemc.datasets import POPULATION_MEAN, ClusterDataset, make_synthetic, write_container
 from queuemc.errors import ClusterEvalError, InvalidGridError, ShapeMismatchError
 from queuemc.fabric import Message, MessageKind
-from queuemc.kernel import (DEFAULT_N_QUAD, ProfileParams, chi_square,
-                            cluster_log_likelihood, convolve_beam, evaluate,
+from queuemc.kernel import (DEFAULT_N_QUAD, chi_square, convolve_beam, evaluate,
                             forward_abel, hierarchical_log_prior, project_to_map,
                             split_position)
 from queuemc.payloads import LikelihoodRequest, pack_request
@@ -26,43 +25,40 @@ from tests.kernel_oracle import gaussian_beam_kernel
 
 
 def test_constant_profile():
-    p = ProfileParams(theta=(1.0, 0.0, 0.0, 0.0), r_max=2.0)
-    assert oracle.eval_profile(p, np.array([1.0])) == pytest.approx(1.0, abs=0)
+    assert oracle.eval_profile((1.0, 0.0, 0.0, 0.0), 2.0, np.array([1.0])) == pytest.approx(
+        1.0, abs=0)
 
 
 def test_negative_polynomial_clamped_to_zero():
-    p = ProfileParams(theta=(0.0, -1.0, 0.0, 0.0), r_max=1.0)
     r = np.linspace(0.01, 1.0, 25)
-    assert np.all(oracle.eval_profile(p, r) == 0.0)
+    assert np.all(oracle.eval_profile((0.0, -1.0, 0.0, 0.0), 1.0, r) == 0.0)
 
 
 def test_linear_profile_hand_value():
     # p(r) = 1 - r/r_max at r = 0.25 r_max is 0.75
-    p = ProfileParams(theta=(1.0, -1.0, 0.0, 0.0), r_max=4.0)
-    assert oracle.eval_profile(p, np.array([1.0]))[0] == pytest.approx(0.75, rel=1e-15)
+    assert oracle.eval_profile((1.0, -1.0, 0.0, 0.0), 4.0, np.array([1.0]))[0] == pytest.approx(
+        0.75, rel=1e-15)
 
 
 def test_profile_zero_beyond_support():
-    p = ProfileParams(theta=(1.0, 1.0, 1.0, 1.0), r_max=1.0)
-    assert np.all(oracle.eval_profile(p, np.array([1.0 + 1e-12, 5.0])) == 0.0)
+    assert np.all(oracle.eval_profile((1.0, 1.0, 1.0, 1.0), 1.0,
+                                      np.array([1.0 + 1e-12, 5.0])) == 0.0)
 
 
 # ---------------------------------------------------------------- Abel
 
 
 def test_abel_zero_profile():
-    p = ProfileParams(theta=(0.0, 0.0), r_max=1.0)
     y = np.linspace(0.0, 0.9, 10)
-    assert np.all(forward_abel(p, y, n_quad=64) == 0.0)
+    assert np.all(forward_abel((0.0, 0.0), 1.0, y, n_quad=64) == 0.0)
 
 
 def test_abel_constant_profile_closed_form():
     # p = 1 on [0, R] projects to 2 sqrt(R^2 - y^2).
     r_cap = 1.5
-    p = ProfileParams(theta=(1.0, 0.0, 0.0, 0.0), r_max=r_cap)
     y = np.linspace(0.0, 0.99 * r_cap, 40)
     expected = 2.0 * np.sqrt(r_cap ** 2 - y ** 2)
-    got = forward_abel(p, y, n_quad=1024)
+    got = forward_abel((1.0, 0.0, 0.0, 0.0), r_cap, y, n_quad=1024)
     assert np.max(np.abs(got - expected)) < 1e-6
     assert got[0] == pytest.approx(2.0 * r_cap, abs=1e-9)
 
@@ -77,19 +73,30 @@ def test_abel_gaussian_analytic_pair():
 
 
 def test_abel_rejects_grid_at_or_beyond_support():
-    p = ProfileParams(theta=(1.0,), r_max=1.0)
     with pytest.raises(InvalidGridError):
-        forward_abel(p, np.array([0.0, 1.0]), n_quad=64)
+        forward_abel((1.0,), 1.0, np.array([0.0, 1.0]), n_quad=64)
     with pytest.raises(InvalidGridError):
-        forward_abel(p, np.array([0.5, 0.4]), n_quad=64)
+        forward_abel((1.0,), 1.0, np.array([0.5, 0.4]), n_quad=64)
     with pytest.raises(InvalidGridError):
-        forward_abel(p, np.array([-0.1, 0.4]), n_quad=64)
+        forward_abel((1.0,), 1.0, np.array([-0.1, 0.4]), n_quad=64)
+
+
+@pytest.mark.parametrize("r_max, y", [
+    (1.0, [0.0, math.nan, 0.5]), (1.0, [math.nan, 0.5]), (1.0, [0.0, math.nan]),
+    (math.nan, [0.0, 0.5]), (math.inf, [0.0, 0.5]), (0.0, [0.0])])
+def test_abel_rejects_nan_geometry(r_max, y):
+    with pytest.raises(ValueError):
+        forward_abel((1.0,), r_max, np.array(y), n_quad=64)
 
 
 def test_abel_rejects_tiny_quadrature():
-    p = ProfileParams(theta=(1.0,), r_max=1.0)
     with pytest.raises(ValueError):
-        forward_abel(p, np.array([0.0, 0.5]), n_quad=8)
+        forward_abel((1.0,), 1.0, np.array([0.0, 0.5]), n_quad=8)
+
+
+def test_abel_rejects_empty_profile():
+    with pytest.raises(ValueError):
+        forward_abel(np.empty((2, 0)), 1.0, np.array([0.0, 0.5]), n_quad=64)
 
 
 coeff = st.floats(min_value=0.0, max_value=2.0, allow_nan=False)
@@ -103,20 +110,17 @@ def test_abel_linearity_on_clamp_free_profiles(t1, t2, a, b):
     # Non-negative coefficients keep the clamp inactive, where the
     # transform is linear in the profile.
     y = np.linspace(0.0, 0.9, 12)
-    p1 = ProfileParams(theta=t1, r_max=1.0)
-    p2 = ProfileParams(theta=t2, r_max=1.0)
-    combined = ProfileParams(theta=a * np.asarray(t1) + b * np.asarray(t2), r_max=1.0)
-    f_comb = forward_abel(combined, y, n_quad=128)
-    f_sum = a * forward_abel(p1, y, n_quad=128) + b * forward_abel(p2, y, n_quad=128)
+    combined = a * np.asarray(t1) + b * np.asarray(t2)
+    f_comb = forward_abel(combined, 1.0, y, n_quad=128)
+    f_sum = a * forward_abel(t1, 1.0, y, n_quad=128) + b * forward_abel(t2, 1.0, y, n_quad=128)
     assert np.allclose(f_comb, f_sum, rtol=1e-12, atol=1e-12)
 
 
 def test_abel_zero_beyond_profile_support():
     # p(r) = max(0, 1 - 2 r/r_max) vanishes for r >= r_max/2, so the
     # projection is exactly zero there too.
-    p = ProfileParams(theta=(1.0, -2.0, 0.0, 0.0), r_max=1.0)
     y = np.array([0.5, 0.7, 0.95])
-    assert np.all(forward_abel(p, y, n_quad=256) == 0.0)
+    assert np.all(forward_abel((1.0, -2.0, 0.0, 0.0), 1.0, y, n_quad=256) == 0.0)
 
 
 # ---------------------------------------------------------------- projection
@@ -165,6 +169,15 @@ def test_project_requires_even_grid():
     with pytest.raises(ValueError):
         project_to_map(np.array([0.0, 1.0]), np.array([1.0, 1.0]),
                        grid_size=7, pixel_size=1.0)
+
+
+@pytest.mark.parametrize("radial, pixel_size", [
+    ([0.0, 1.0], math.nan), ([0.0, 1.0], 0.0), ([0.0, 1.0], math.inf),
+    ([0.0, math.nan], 1.0), ([1.0, 0.5], 1.0)])
+def test_project_rejects_nan_geometry(radial, pixel_size):
+    with pytest.raises(ValueError):
+        project_to_map(np.array(radial), np.array([1.0, 1.0]), grid_size=8,
+                       pixel_size=pixel_size)
 
 
 # ---------------------------------------------------------------- convolution
@@ -239,6 +252,13 @@ def test_convolve_matches_direct_oracle(fwhm):
     fft_out = convolve_beam(img, beam_fwhm=fwhm, pixel_size=1.0)
     direct = direct_convolve(img, kern)
     assert np.max(np.abs(fft_out - direct)) < 1e-10
+
+
+@pytest.mark.parametrize("fwhm, pixel_size", [
+    (math.nan, 1.0), (1.0, math.nan), (0.0, 1.0), (math.inf, 1.0)])
+def test_beam_rejects_nan_geometry(fwhm, pixel_size):
+    with pytest.raises(ValueError):
+        convolve_beam(np.ones((4, 4)), fwhm, pixel_size)
 
 
 # ---------------------------------------------------------------- chi-square
@@ -323,9 +343,11 @@ def test_evaluate_shape_checks():
 
 def test_single_cluster_loglik_is_half_chi_square():
     datasets, truths = make_synthetic(1, grid_size=32, seed=9, noise_level=0.1)
-    ll = cluster_log_likelihood(truths[0], datasets[0])
+    ds = datasets[0]
+    ll = evaluate(truths, datasets)
     assert ll <= 0.0
-    assert evaluate(truths, datasets) == ll
+    assert ll == pytest.approx(-0.5 * chi_square(oracle.model_map(truths[0], ds),
+                                                 ds.obs_map, ds.sigma_map), rel=1e-12, abs=0)
 
 
 def test_evaluate_200_clusters_runtime_reported():
@@ -426,6 +448,9 @@ clamp_rows = st.one_of(
     st.tuples(st.just("boundary"),
               st.tuples(unit_coeff, unit_coeff, unit_coeff,
                         st.integers(0, 47), st.integers(1, 512))),
+    # Zero leading coefficient: the root finder takes the true degree.
+    st.tuples(st.just("lower"), st.tuples(unit_coeff.map(lambda c: -c), unit_coeff,
+                                          st.one_of(st.just(0.0), unit_coeff), st.just(0.0))),
 )
 
 
@@ -437,15 +462,86 @@ def profile_row(kind, values, ds, n_quad):
     return np.array([x0 * q0, x0 * q1 - q0, x0 * q2 - q1, -q2])
 
 
+def abel_bound(theta, ds, n_quad):
+    """A float64 rounding bound on the prefix-sum Abel stage, per radius.
+
+    Both it and the reference sum at most n + 2 terms, each at most
+    w_i sum_j |theta_j| x_i**j, the reference node by node and the prefix
+    sums once per term and break (2k of them per row), so each result is
+    within (n + 2)·k·eps of A = the quadrature of sum_j |theta_j| x**j. A
+    node that a root's rounding puts on the wrong side holds p within
+    rounding of 0, inside the same bound.
+    """
+    n = n_quad + n_quad % 2
+    magnitude = np.abs(np.asarray(theta))
+    scale = oracle.abel_quadrature(
+        lambda r: np.polynomial.polynomial.polyval(r / ds.r_max, magnitude),
+        ds.r_max, ds.radial_grid, n_quad)
+    return 2 * (n + 2) * magnitude.size * np.finfo(np.float64).eps * scale
+
+
 @settings(max_examples=30, deadline=None)
 @given(rows=st.lists(clamp_rows, min_size=len(GEOMETRIES), max_size=len(GEOMETRIES)),
        n_quad=st.sampled_from([16, 64, 511, 512]))
-def test_abel_fast_path_is_bit_identical_to_reference(rows, n_quad):
+def test_abel_prefix_sums_match_reference_within_rounding(rows, n_quad):
     for (kind, values), ds in zip(rows, GEOMETRIES):
-        params = ProfileParams(theta=profile_row(kind, values, ds, n_quad), r_max=ds.r_max)
-        got = forward_abel(params, ds.radial_grid, n_quad=n_quad)
-        expected = oracle.forward_abel(params, ds.radial_grid, n_quad=n_quad)
-        assert got.tobytes() == expected.tobytes(), (kind, ds.cluster_id)
+        theta = profile_row(kind, values, ds, n_quad)
+        got = forward_abel(theta, ds.r_max, ds.radial_grid, n_quad=n_quad)
+        expected = oracle.forward_abel(theta, ds.r_max, ds.radial_grid, n_quad=n_quad)
+        assert np.all(np.abs(got - expected) <= abel_bound(theta, ds, n_quad)), (
+            kind, ds.cluster_id)
+
+
+@pytest.mark.parametrize("row", [(-0.5, 1.0, 1.0, 5e-324), (0.3, -1.0, 0.0, 1e-310),
+                                 (-1.0, 2.0, 1.8762734065372046e-119)])
+def test_abel_row_without_usable_roots_runs_horner(row):
+    # A leading coefficient this small leaves the companion matrix's
+    # eigenvalues inaccurate, so the row takes Horner's rule on every node,
+    # as the reference does.
+    for ds in GEOMETRIES:
+        got = forward_abel(row, ds.r_max, ds.radial_grid)
+        assert got.tobytes() == oracle.forward_abel(row, ds.r_max, ds.radial_grid).tobytes()
+
+
+def test_stages_on_a_stack_match_each_row_bit_for_bit():
+    # A row's result does not depend on the other rows of its stack, so a
+    # cluster's term in evaluate does not depend on the clusters batched with it.
+    rng = np.random.default_rng(0)
+    thetas = np.asarray(POPULATION_MEAN) + 0.3 * rng.standard_normal((6, 4))
+    thetas[0, 3] = 0.0
+    for ds in GEOMETRIES:
+        projected = forward_abel(thetas, ds.r_max, ds.radial_grid)
+        images = project_to_map(ds.radial_grid, projected, ds.grid_size, ds.pixel_size)
+        maps = convolve_beam(images, ds.beam_fwhm, ds.pixel_size)
+        assert maps.shape == (6, ds.grid_size, ds.grid_size)
+        for i, theta in enumerate(thetas):
+            one = forward_abel(theta, ds.r_max, ds.radial_grid)
+            image = project_to_map(ds.radial_grid, one, ds.grid_size, ds.pixel_size)
+            smoothed = convolve_beam(image, ds.beam_fwhm, ds.pixel_size)
+            assert one.tobytes() == projected[i].tobytes()
+            assert image.tobytes() == images[i].tobytes()
+            assert smoothed.tobytes() == maps[i].tobytes()
+    stacked = forward_abel(thetas.reshape(2, 3, 4), ds.r_max, ds.radial_grid)
+    assert stacked.tobytes() == forward_abel(thetas, ds.r_max, ds.radial_grid).tobytes()
+
+
+def test_geometry_tables_of_fit_local_stay_within_budget():
+    # fit-local's geometry: grid 64, 128 radial points, cubic profiles. The
+    # tables are charged to the process's peak memory, so they are held to
+    # 2.2 MB: the Abel prefix sums, the map gather, the beam, the monomial maps.
+    datasets, _ = make_synthetic(2, grid_size=64, seed=1)
+    ds = datasets[0]
+    evaluate(np.array([POPULATION_MEAN, np.add(POPULATION_MEAN, (-0.1, 0, 0, 0))]), datasets)
+    caches = (kernel._abel_tables, kernel._map_gather, kernel._beam_matrix,
+              kernel._monomial_maps)
+    misses = [cache.cache_info().misses for cache in caches]
+    r_max, y, g, pixel, fwhm = kernel._geometry(ds)
+    tables = [*kernel._abel_tables(r_max, y, DEFAULT_N_QUAD, 4),
+              *kernel._map_gather(y, g, pixel), kernel._beam_matrix(g, fwhm, pixel),
+              kernel._monomial_maps(r_max, y, g, pixel, fwhm, 4)]
+    assert [cache.cache_info().misses for cache in caches] == misses  # evaluate's own entries
+    held = sum((t if t.base is None else t.base).nbytes for t in tables)
+    assert held <= 2.2e6
 
 
 @settings(max_examples=20, deadline=None)
@@ -566,26 +662,36 @@ def stage_calls(monkeypatch, fail=()):
     return calls
 
 
+def two_geometries():
+    """Two clusters of one geometry and a third of another."""
+    return (make_synthetic(2, grid_size=32, seed=4)[0]
+            + make_synthetic(1, grid_size=24, seed=4)[0])
+
+
 @pytest.mark.parametrize("row", CLAMP_FREE_ROWS)
 def test_clamp_free_row_skips_the_stages(row, monkeypatch):
-    datasets, _ = make_synthetic(1, grid_size=32, seed=4)
-    thetas = np.array([row], dtype=np.float64)
+    datasets = two_geometries()
+    thetas = np.array([row, POPULATION_MEAN, row], dtype=np.float64)
     expected = oracle.evaluate(thetas, datasets)
-    evaluate(thetas, datasets)  # builds the geometry's monomial maps
+    evaluate(thetas, datasets)  # builds the geometries' monomial maps
     calls = stage_calls(monkeypatch, fail=("forward_abel", "project_to_map", "convolve_beam"))
     assert evaluate(thetas, datasets) == pytest.approx(expected, rel=1e-12, abs=0)
-    assert calls["chi_square"] == 1
+    assert calls["chi_square"] == 2  # once per geometry, on its stack
 
 
 @pytest.mark.parametrize("row", CLAMP_ACTIVE_ROWS)
 def test_clamp_active_row_runs_every_stage(row, monkeypatch):
-    datasets, _ = make_synthetic(1, grid_size=32, seed=4)
-    thetas = np.array([row], dtype=np.float64)
+    # Each geometry holds a clamp-active row, the first also a clamp-free
+    # one: the stages run once per geometry on its clamp-active rows, and
+    # chi-square once per geometry and path, on the stack of its clusters.
+    datasets = two_geometries()
+    thetas = np.array([row, POPULATION_MEAN, row], dtype=np.float64)
+    evaluate(thetas, datasets)  # builds the geometries' monomial maps
     calls = stage_calls(monkeypatch)
     assert evaluate(thetas, datasets) == pytest.approx(
         oracle.evaluate(thetas, datasets), rel=1e-12, abs=0)
-    assert calls == {"forward_abel": 1, "project_to_map": 1, "convolve_beam": 1,
-                     "chi_square": 1}
+    assert calls == {"forward_abel": 2, "project_to_map": 2, "convolve_beam": 2,
+                     "chi_square": 3}
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -616,7 +722,7 @@ def test_non_finite_coefficients_keep_their_outcome(bad, col):
     (1e308, -1.5e308, 0, 0), (1e307, -3e307, 0, 0),    # clamp-active
     (1e308, -1.7e308, 1e308, 0),                        # clamp-free, inf - inf in the product
 ])
-def test_overflowing_finite_row_is_a_zero_density(row):
+def test_overflowing_finite_row_is_a_zero_density(row, monkeypatch):
     # A finite row whose model overflows ends in inf - inf on the way to
     # the model map; on either path it is -inf, not a NaN that aborts the run.
     datasets, _ = make_synthetic(1, grid_size=32, seed=5)
@@ -627,4 +733,6 @@ def test_overflowing_finite_row_is_a_zero_density(row):
                   pack_request(LikelihoodRequest(theta, "bundle")))
     with np.errstate(all="ignore"):
         assert TaskRunner(store=store).run(msg)[0] == -math.inf
-        assert cluster_log_likelihood(theta, datasets[0]) == -math.inf
+        # Every row through the stages, the path evaluate skips for clamp-free rows.
+        monkeypatch.setattr(kernel, "_clamp_free", lambda thetas: np.zeros(len(thetas), bool))
+        assert evaluate(theta[None], datasets) == -math.inf
