@@ -12,7 +12,8 @@ bit-reproducible across backends.
 take a stack of rows along their leading axes (a single row is a stack
 of one) and do only the work that depends on the profile coefficients.
 :func:`evaluate` groups its clusters by geometry and sends each group
-through them once; :func:`chi_square` runs per cluster.
+through them once, and :func:`chi_square` takes each group's stack of
+model maps against its clusters' maps, one value per cluster.
 
 What depends on a dataset's geometry alone is built on first use and
 reused. The caches are keyed on values, not on dataset objects, so
@@ -54,7 +55,7 @@ the monomial x**j. :func:`evaluate` tests every row once per call: it
 takes the row's coefficients to the Bernstein basis of its degree on
 [0, 1], and if none of them is negative, the polynomial is >= 0 on
 [0, 1], where every Abel node lies, so the clamp is inactive. Such rows
-cost one product per geometry with the monomial maps, which the stages
+cost one product per geometry with its monomial maps, which the stages
 build. Every other row, and any row with a NaN or infinite coefficient,
 runs the stages. The two paths agree to the last few bits, not bit for
 bit. A row with finite coefficients whose model overflows is a zero
@@ -165,10 +166,10 @@ def _abel_tables(r_max: float, y_bytes: bytes, n_quad: int, k: int,
     return tuple(_read_only(a) for a in (s0, s, h3, (y / r_max) ** 2, scale))
 
 
-def _clamp_breaks(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _clamp_breaks(rows: np.ndarray) -> tuple[np.ndarray, ...]:
     """Where each row's profile changes sign on [0, 1].
 
-    Returns ``(breaks, steps, rooted)`` for rows of k coefficients.
+    Returns ``(breaks, steps, theta, rooted)`` for rows of k coefficients.
     ``breaks`` holds k + 1 sorted fractions from 0 to 1: the row's real
     roots, clipped to [0, 1], with 1 in the slots of the roots it lacks;
     p keeps one sign between neighbours. ``steps[b]`` is on(b - 1) -
@@ -179,7 +180,8 @@ def _clamp_breaks(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     is False for a row with a NaN or infinite coefficient, or whose monic
     form has a coefficient beyond ``_MONIC_LIMIT`` (a leading coefficient
     tiny next to the others, where the eigenvalues lose their accuracy,
-    or an all-zero row's 0 / 0); its breaks and steps mean nothing.
+    or an all-zero row's 0 / 0); its breaks and steps mean nothing, and
+    ``theta``, the rows themselves, holds zeros in its place.
     """
     count, k = rows.shape
     roots = np.ones((count, k - 1))
@@ -192,25 +194,28 @@ def _clamp_breaks(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
         finite = (np.abs(monic) <= _MONIC_LIMIT).all(axis=1)
         rooted[sel] = finite
         sel[sel] = finite
+        monic = monic[finite]
         # The companion matrix in numpy.roots' layout: the top row carries
         # the coefficients, which eigvals' balancing handles better when
         # they span many orders of magnitude.
         companion = np.zeros((monic.shape[0], d, d))
         companion[:, 1:, :-1] = np.eye(d - 1)
         companion[:, 0, :] = -monic[:, ::-1]
-        eig = np.linalg.eigvals(companion[finite])
+        eig = np.linalg.eigvals(companion)
         roots[sel, :d] = np.where(eig.imag == 0, eig.real, 1.0)
-    np.clip(roots, 0.0, 1.0, out=roots)
-    roots.sort(axis=1)
-    breaks = np.concatenate([np.zeros((count, 1)), roots, np.ones((count, 1))], axis=1)
+    breaks = np.ones((count, k + 1))
+    breaks[:, 0] = 0.0
+    np.clip(roots, 0.0, 1.0, out=breaks[:, 1:-1])
+    breaks[:, 1:-1].sort(axis=1)
     mids = breaks[:, :-1] + breaks[:, 1:]
     mids *= 0.5
+    theta = np.where(rooted[:, None], rows, 0.0)
     with np.errstate(all="ignore"):
-        on = np.einsum("rbj,rj->rb", np.power.outer(mids, np.arange(k)), rows) > 0
+        on = np.einsum("rbj,rj->rb", np.power.outer(mids, np.arange(k)), theta) > 0
     steps = np.zeros((count, k + 1))
     steps[:, :-1] -= on
     steps[:, 1:] += on
-    return breaks, steps, rooted
+    return breaks, steps, theta, rooted
 
 
 def forward_abel(thetas: np.ndarray, r_max: float, y_grid: np.ndarray,
@@ -239,18 +244,17 @@ def forward_abel(thetas: np.ndarray, r_max: float, y_grid: np.ndarray,
     rows = thetas.reshape(-1, k)
     s0, s, h3, y2, scale = _abel_tables(float(r_max), y.tobytes(), int(n_quad), k)
     n, m = s0.size - 2, y.size
-    breaks, steps, rooted = _clamp_breaks(rows)
+    breaks, steps, theta, rooted = _clamp_breaks(rows)
     # The nodes of each radius at or below each break after the first
     # (which has none): the count is 0 short of the radius, else
-    # floor(sqrt(c^2 - y2)·scale) + 1, and the last break, 1, is past
-    # every node. Then the prefix sums up to them: terms[0] from s0,
-    # terms[j] from s[j - 1].
+    # floor(sqrt(c^2 - y2)·scale) + 1, at most n + 1 as c <= 1; the last
+    # break, 1, is past every node. Then the prefix sums up to them:
+    # terms[0] from s0, terms[j] from s[j - 1].
     gap = np.square(breaks[:, 1:, None]) - y2
     reached = gap >= 0
     np.maximum(gap, 0.0, out=gap)
     np.sqrt(gap, out=gap)
     gap *= scale
-    np.minimum(gap, n, out=gap)
     nodes = gap.astype(np.intp)
     nodes += reached
     nodes[:, -1] = n + 1
@@ -261,7 +265,6 @@ def forward_abel(thetas: np.ndarray, r_max: float, y_grid: np.ndarray,
     # Summed along the small axes in a fixed order, so a row's result does
     # not depend on the other rows of the stack; rows without roots count
     # as zero here and take Horner's rule below.
-    theta = np.where(rooted[:, None], rows, 0.0)
     terms *= (theta[:, :, None] * steps[:, None, 1:]).swapaxes(0, 1)[..., None]
     out = terms.sum(axis=0).sum(axis=1)
     out *= 2.0 * h3
@@ -377,8 +380,8 @@ def chi_square(model: np.ndarray, obs_map: np.ndarray, sigma_map: np.ndarray):
             f"shape mismatch: model {model.shape}, obs {obs_map.shape}, sigma {sigma_map.shape}")
     resid = np.subtract(obs_map, model)
     resid /= sigma_map
-    np.square(resid, out=resid)
-    total = resid.reshape(model.shape[:-2] + (-1,)).sum(axis=-1)
+    resid = resid.reshape(model.shape[:-2] + (-1,))
+    total = np.vecdot(resid, resid)
     return float(total) if model.ndim == 2 else total
 
 
@@ -440,6 +443,13 @@ def _geometry(dataset) -> tuple:
             int(dataset.grid_size), float(dataset.pixel_size), float(dataset.beam_fwhm))
 
 
+def _stacked_chi_square(models: np.ndarray, group: list, rows: np.ndarray) -> np.ndarray:
+    """Chi-square of each model map against its cluster among ``group[rows]``."""
+    clusters = list(itertools.compress(group, rows))
+    return chi_square(models, np.array([ds.obs_map for ds in clusters]),
+                      np.array([ds.sigma_map for ds in clusters]))
+
+
 def _group_chi_square(thetas: np.ndarray, group: list, geometry: tuple) -> np.ndarray:
     """Chi-square of each row against its cluster in ``group``, all of
     ``geometry``: the clamp-free rows from one product with the monomial
@@ -447,18 +457,15 @@ def _group_chi_square(thetas: np.ndarray, group: list, geometry: tuple) -> np.nd
     g = geometry[2]
     free = _clamp_free(thetas)
     chi = np.empty(len(group))
-    for rows in (free, ~free):
-        if not rows.any():
-            continue
-        if rows is free:
-            maps = _monomial_maps(*geometry, thetas.shape[1])
-            # One (1, k) @ (k, G²) product per row, as for a stack of one.
-            models = np.matmul(thetas[rows, None, :], maps).reshape(-1, g, g)
-        else:
-            models = cluster_model_map(thetas[rows], group[0])
-        clusters = list(itertools.compress(group, rows))
-        chi[rows] = chi_square(models, np.array([ds.obs_map for ds in clusters]),
-                               np.array([ds.sigma_map for ds in clusters]))
+    if free.any():
+        maps = _monomial_maps(*geometry, thetas.shape[1])
+        # One (1, k) @ (k, G²) product per row, as for a stack of one.
+        models = np.matmul(thetas[free, None, :], maps).reshape(-1, g, g)
+        chi[free] = _stacked_chi_square(models, group, free)
+    if not free.all():
+        active = ~free
+        chi[active] = _stacked_chi_square(cluster_model_map(thetas[active], group[0]),
+                                          group, active)
     return chi
 
 
