@@ -465,11 +465,11 @@ def profile_row(kind, values, ds, n_quad):
 def abel_bound(theta, ds, n_quad):
     """A float64 rounding bound on the prefix-sum Abel stage, per radius.
 
-    Both it and the reference sum at most n + 2 terms, each at most
-    w_i sum_j |theta_j| x_i**j, the reference node by node and the prefix
-    sums once per term and break (2k of them per row), so each result is
-    within (n + 2)·k·eps of A = the quadrature of sum_j |theta_j| x**j. A
-    node that a root's rounding puts on the wrong side holds p within
+    Each side sums at most n + 2 terms bounded by w_i sum_j |theta_j| x_i**j,
+    the reference node by node, the prefix form through each of its k
+    breaks. So each is within (n + 2)·k·eps of A, the quadrature of
+    sum_j |theta_j| x**j, and the two are within twice that of each other.
+    A node that a root's rounding puts on the wrong side holds p within
     rounding of 0, inside the same bound.
     """
     n = n_quad + n_quad % 2
@@ -521,6 +521,10 @@ def test_stages_on_a_stack_match_each_row_bit_for_bit():
             assert one.tobytes() == projected[i].tobytes()
             assert image.tobytes() == images[i].tobytes()
             assert smoothed.tobytes() == maps[i].tobytes()
+        obs = np.stack([ds.obs_map] * 6)
+        sigma = np.stack([ds.sigma_map] * 6)
+        chi = chi_square(maps, obs, sigma)
+        assert chi.tolist() == [chi_square(m, ds.obs_map, ds.sigma_map) for m in maps]
     stacked = forward_abel(thetas.reshape(2, 3, 4), ds.r_max, ds.radial_grid)
     assert stacked.tobytes() == forward_abel(thetas, ds.r_max, ds.radial_grid).tobytes()
 
