@@ -177,11 +177,10 @@ def make_synthetic(n_clusters: int, grid_size: int = 64, seed: int = 0, *,
     truths = mean[None, :] + POPULATION_STD * rng.standard_normal((n_clusters, n_coeff))
     geometry = dict(pixel_size=pixel_size, beam_fwhm=beam_fwhm, r_max=r_max,
                     radial_grid=radial_grid)
-    # Geometry alone, for the forward pipeline at the truth.
-    unit = np.ones((grid_size, grid_size))
-    template = ClusterDataset(cluster_id="", obs_map=unit, sigma_map=unit, **geometry)
+    models = kernel.cluster_model_map(truths, r_max, radial_grid, grid_size,
+                                      pixel_size, beam_fwhm)
     datasets: list[ClusterDataset] = []
-    for c, probe in enumerate(kernel.cluster_model_map(truths, template)):
+    for c, probe in enumerate(models):
         peak = float(np.max(np.abs(probe)))
         if noise_level > 0 and peak > 0:
             sigma = np.full_like(probe, noise_level * peak)

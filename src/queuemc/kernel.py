@@ -11,9 +11,10 @@ bit-reproducible across backends.
 :func:`forward_abel`, :func:`project_to_map` and :func:`convolve_beam`
 take a stack of rows along their leading axes (a single row is a stack
 of one) and do only the work that depends on the profile coefficients.
-:func:`evaluate` groups its clusters by geometry and sends each group
-through them once, and :func:`chi_square` takes each group's stack of
-model maps against its clusters' maps, one value per cluster.
+:func:`evaluate` groups its clusters by geometry and makes one pass per
+group: the group's model maps fill one stack in cluster order, and one
+:func:`chi_square` takes that stack against its clusters' maps, one
+value per cluster. A group that raises fails all of its clusters.
 
 What depends on a dataset's geometry alone is built on first use and
 reused. The caches are keyed on values, not on dataset objects, so
@@ -65,9 +66,7 @@ density (-inf) on either path.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
-import types
 from typing import Sequence
 
 import numpy as np
@@ -385,14 +384,14 @@ def chi_square(model: np.ndarray, obs_map: np.ndarray, sigma_map: np.ndarray):
     return float(total) if model.ndim == 2 else total
 
 
-def cluster_model_map(thetas: np.ndarray, dataset) -> np.ndarray:
-    """Run stages one to four on the rows of ``thetas`` with ``dataset``'s
-    geometry: profile, projection, map expansion, beam smoothing. One row
-    gives one map, a stack of rows a stack of maps."""
-    projected = forward_abel(thetas, dataset.r_max, dataset.radial_grid)
-    image = project_to_map(dataset.radial_grid, projected,
-                           dataset.grid_size, dataset.pixel_size)
-    return convolve_beam(image, dataset.beam_fwhm, dataset.pixel_size)
+def cluster_model_map(thetas: np.ndarray, r_max: float, radial_grid: np.ndarray,
+                      grid_size: int, pixel_size: float, beam_fwhm: float) -> np.ndarray:
+    """Run stages one to four on the rows of ``thetas`` in one geometry:
+    profile, projection, map expansion, beam smoothing. One row gives one
+    map, a stack of rows a stack of maps."""
+    projected = forward_abel(thetas, r_max, radial_grid)
+    image = project_to_map(radial_grid, projected, grid_size, pixel_size)
+    return convolve_beam(image, beam_fwhm, pixel_size)
 
 
 @functools.lru_cache(maxsize=GEOMETRY_CACHE_SIZE)
@@ -430,10 +429,9 @@ def _monomial_maps(r_max: float, y_bytes: bytes, grid_size: int, pixel_size: flo
     Where the clamp is inactive the model map is linear in theta, so it
     is theta times this matrix.
     """
-    geometry = types.SimpleNamespace(
-        r_max=r_max, radial_grid=np.frombuffer(y_bytes, dtype=np.float64),
-        grid_size=grid_size, pixel_size=pixel_size, beam_fwhm=beam_fwhm)
-    return _read_only(cluster_model_map(np.eye(k), geometry).reshape(k, grid_size * grid_size))
+    maps = cluster_model_map(np.eye(k), r_max, np.frombuffer(y_bytes, dtype=np.float64),
+                             grid_size, pixel_size, beam_fwhm)
+    return _read_only(maps.reshape(k, grid_size * grid_size))
 
 
 def _geometry(dataset) -> tuple:
@@ -441,32 +439,6 @@ def _geometry(dataset) -> tuple:
     return (float(dataset.r_max),
             np.asarray(dataset.radial_grid, dtype=np.float64).tobytes(),
             int(dataset.grid_size), float(dataset.pixel_size), float(dataset.beam_fwhm))
-
-
-def _stacked_chi_square(models: np.ndarray, group: list, rows: np.ndarray) -> np.ndarray:
-    """Chi-square of each model map against its cluster among ``group[rows]``."""
-    clusters = list(itertools.compress(group, rows))
-    return chi_square(models, np.array([ds.obs_map for ds in clusters]),
-                      np.array([ds.sigma_map for ds in clusters]))
-
-
-def _group_chi_square(thetas: np.ndarray, group: list, geometry: tuple) -> np.ndarray:
-    """Chi-square of each row against its cluster in ``group``, all of
-    ``geometry``: the clamp-free rows from one product with the monomial
-    maps, the others from one pass through the stages."""
-    g = geometry[2]
-    free = _clamp_free(thetas)
-    chi = np.empty(len(group))
-    if free.any():
-        maps = _monomial_maps(*geometry, thetas.shape[1])
-        # One (1, k) @ (k, G²) product per row, as for a stack of one.
-        models = np.matmul(thetas[free, None, :], maps).reshape(-1, g, g)
-        chi[free] = _stacked_chi_square(models, group, free)
-    if not free.all():
-        active = ~free
-        chi[active] = _stacked_chi_square(cluster_model_map(thetas[active], group[0]),
-                                          group, active)
-    return chi
 
 
 def evaluate(thetas: np.ndarray, datasets: Sequence) -> float:
@@ -478,16 +450,17 @@ def evaluate(thetas: np.ndarray, datasets: Sequence) -> float:
         per cluster, matched to ``datasets`` by position.
     datasets : sequence of ClusterDataset.
 
-    Clusters that share a geometry are modelled together: the clamp-free
-    rows as one product with the geometry's monomial maps, the rest in
-    one pass through the stages, each followed by one chi-square on the
+    Clusters that share a geometry and the shapes of their maps form a
+    group, modelled in one pass: the clamp-free rows as one product with
+    the geometry's monomial maps, the rest through the stages, both into
+    one stack of model maps in cluster order, then one chi-square on that
     stack. Cluster contributions, -chi^2 / 2, are accumulated in list
     order. Finite coefficients and data reach NaN only through an
     overflow (inf - inf) on the way to the model map, which is then
     infinitely far from the data: such a cluster contributes -inf, a zero
-    density, while a non-finite row keeps its NaN. A group that fails is
-    run again one cluster at a time, and the first cluster in list order
-    that fails raises :class:`ClusterEvalError` naming it.
+    density, while a non-finite row keeps its NaN. A group that raises
+    fails every cluster in it, and the first failed cluster in list order
+    raises :class:`ClusterEvalError` naming it.
     """
     thetas = np.asarray(thetas, dtype=np.float64)
     if thetas.ndim != 2:
@@ -501,20 +474,29 @@ def evaluate(thetas: np.ndarray, datasets: Sequence) -> float:
     failed: dict[int, Exception] = {}
     for i, ds in enumerate(datasets):
         try:
-            groups.setdefault(_geometry(ds), []).append(i)
+            key = (_geometry(ds), np.shape(ds.obs_map), np.shape(ds.sigma_map))
         except Exception as exc:
             failed[i] = exc
+        else:
+            groups.setdefault(key, []).append(i)
     chi = np.empty(len(datasets))
-    for geometry, members in groups.items():
+    for (geometry, _, _), members in groups.items():
+        r_max, y, g, pixel, fwhm = geometry
+        rows = thetas[members]
         try:
-            chi[members] = _group_chi_square(thetas[members],
-                                             [datasets[i] for i in members], geometry)
-        except Exception:
-            for i in members:
-                try:
-                    chi[i] = _group_chi_square(thetas[i:i + 1], [datasets[i]], geometry)[0]
-                except Exception as exc:
-                    failed[i] = exc
+            free = _clamp_free(rows)
+            models = np.empty((len(members), g, g))
+            if free.any():
+                # One (1, k) @ (k, G²) product per row, as for a stack of one.
+                maps = _monomial_maps(*geometry, rows.shape[1])
+                models[free] = np.matmul(rows[free, None, :], maps).reshape(-1, g, g)
+            if not free.all():
+                models[~free] = cluster_model_map(rows[~free], r_max, np.frombuffer(y),
+                                                  g, pixel, fwhm)
+            chi[members] = chi_square(models, np.array([datasets[i].obs_map for i in members]),
+                                      np.array([datasets[i].sigma_map for i in members]))
+        except Exception as exc:
+            failed.update(dict.fromkeys(members, exc))
     total = 0.0
     for i, (ds, value) in enumerate(zip(datasets, (-0.5 * chi).tolist())):
         if i in failed:

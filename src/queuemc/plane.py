@@ -140,8 +140,8 @@ class TaskRunner:
         a legal zero likelihood), ``worker-crash`` for anything else. Keys
         of the form ``stub:<seconds>`` are stub tasks: they return a
         log-likelihood of 0 and ``stub_s``, the seconds the caller keeps the
-        worker busy; a duration that is not finite and >= 0 is a
-        ``worker-crash``.
+        worker busy; a duration that a thread cannot sleep out, one that is
+        not between 0 and ``threading.TIMEOUT_MAX``, is a ``worker-crash``.
         ``stub_s`` is None for every other task.
         """
         try:
@@ -149,8 +149,8 @@ class TaskRunner:
             key = req.dataset_key
             if key.startswith(STUB_KEY_PREFIX):
                 stub_s = float(key[len(STUB_KEY_PREFIX):])
-                if not 0.0 <= stub_s < math.inf:
-                    raise ValueError(f"stub duration {stub_s!r} is not finite and >= 0")
+                if not 0.0 <= stub_s <= threading.TIMEOUT_MAX:
+                    raise ValueError(f"stub duration {stub_s!r} cannot be slept out")
                 return 0.0, False, stub_s
             datasets, cold = self._load(key) if key else (None, False)
             if self._fn is not None:

@@ -317,18 +317,27 @@ def test_evaluate_additive_over_clusters():
     assert both == first + second  # fixed summation order, exact
 
 
-def test_evaluate_attaches_cluster_id_on_failure():
-    datasets, truths = make_synthetic(2, grid_size=32, seed=6)
-    ref = datasets[1]
+@pytest.mark.parametrize("where", ["first", "middle", "last", "own-geometry"])
+def test_evaluate_attaches_cluster_id_on_failure(where):
+    datasets, truths = make_synthetic(3, grid_size=32, seed=6)
+    other, other_truths = make_synthetic(1, grid_size=24, seed=6)
+    ref, row = (other[0], other_truths[0]) if where == "own-geometry" else (datasets[1], truths[1])
     # A duck-typed dataset whose noise map is smaller than its model map;
     # ClusterDataset itself would refuse it, so it fails only at chi-square.
+    # Its shapes give it a group of its own, apart from the good clusters.
     broken = types.SimpleNamespace(
         cluster_id="broken", obs_map=ref.obs_map, sigma_map=ref.sigma_map[1:, 1:],
         pixel_size=ref.pixel_size, beam_fwhm=ref.beam_fwhm, r_max=ref.r_max,
         radial_grid=ref.radial_grid, grid_size=ref.grid_size)
+    at = {"first": 0, "middle": 1, "last": 2, "own-geometry": 1}[where]
     with pytest.raises(ClusterEvalError) as err:
-        evaluate(truths, [datasets[0], broken])
+        evaluate(np.insert(truths, at, row, axis=0), datasets[:at] + [broken] + datasets[at:])
     assert err.value.cluster_id == "broken"
+    # The good clusters alone still sum to their contributions, in list order.
+    alone = 0.0
+    for i, ds in enumerate(datasets):
+        alone += evaluate(truths[i:i + 1], [ds])
+    assert evaluate(truths, datasets) == alone
 
 
 def test_evaluate_shape_checks():
@@ -687,7 +696,7 @@ def test_clamp_free_row_skips_the_stages(row, monkeypatch):
 def test_clamp_active_row_runs_every_stage(row, monkeypatch):
     # Each geometry holds a clamp-active row, the first also a clamp-free
     # one: the stages run once per geometry on its clamp-active rows, and
-    # chi-square once per geometry and path, on the stack of its clusters.
+    # chi-square once per geometry, on the stack of its clusters' maps.
     datasets = two_geometries()
     thetas = np.array([row, POPULATION_MEAN, row], dtype=np.float64)
     evaluate(thetas, datasets)  # builds the geometries' monomial maps
@@ -695,7 +704,7 @@ def test_clamp_active_row_runs_every_stage(row, monkeypatch):
     assert evaluate(thetas, datasets) == pytest.approx(
         oracle.evaluate(thetas, datasets), rel=1e-12, abs=0)
     assert calls == {"forward_abel": 2, "project_to_map": 2, "convolve_beam": 2,
-                     "chi_square": 3}
+                     "chi_square": 2}
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -369,10 +369,11 @@ CONTRACT_CASES = {
     # case: (dataset key, likelihood_fn, payload override, kind, error code)
     "kernel": ("bundle", None, None, MessageKind.LIKELIHOOD_RESPONSE, None),
     "stub": (make_stub_key(0.01), None, None, MessageKind.LIKELIHOOD_RESPONSE, None),
-    # A stub duration that is not finite and >= 0 cannot be slept out.
+    # A stub duration outside [0, threading.TIMEOUT_MAX] cannot be slept out.
     "stub-negative": (make_stub_key(-1.0), None, None, MessageKind.CONTROL, "worker-crash"),
     "stub-nan": (make_stub_key(math.nan), None, None, MessageKind.CONTROL, "worker-crash"),
     "stub-inf": (make_stub_key(math.inf), None, None, MessageKind.CONTROL, "worker-crash"),
+    "stub-unsleepable": (make_stub_key(1e300), None, None, MessageKind.CONTROL, "worker-crash"),
     "missing-dataset": ("absent", None, None, MessageKind.CONTROL, "dataset-not-found"),
     "crashing-likelihood": ("bundle", boom, None, MessageKind.CONTROL, "worker-crash"),
     # -inf is a legal zero likelihood; NaN and +inf are not likelihoods.

@@ -1,9 +1,11 @@
+import errno
+import os
 import threading
 import urllib.parse
 
 import pytest
 
-from queuemc.errors import CorruptionError, KeyExistsError, NotFoundError
+from queuemc.errors import CorruptionError, KeyExistsError, NotFoundError, StorageFullError
 from queuemc.store import DirectoryObjectStore, MemoryObjectStore, content_digest
 
 
@@ -86,3 +88,24 @@ def test_disk_store_shared_between_instances(tmp_path):
     reader = DirectoryObjectStore(tmp_path / "objects")
     writer.put("k", b"cross-context")
     assert reader.get("k") == b"cross-context"
+
+
+def _disk_full(*args):
+    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.mark.parametrize("fails", ["publish", "link"])
+def test_disk_put_on_a_full_disk(tmp_path, monkeypatch, fails):
+    # The disk fills up in the publication as a whole, or at its link,
+    # after the temp file has been written.
+    root = tmp_path / "objects"
+    store = DirectoryObjectStore(root)
+    if fails == "publish":
+        monkeypatch.setattr(DirectoryObjectStore, "_publish", _disk_full)
+    else:
+        monkeypatch.setattr(os, "link", _disk_full)
+    with pytest.raises(StorageFullError):
+        store.put("k", b"payload")
+    with pytest.raises(NotFoundError):
+        store.get("k")
+    assert not [p.name for p in root.iterdir() if p.name.startswith(".tmp-")]
