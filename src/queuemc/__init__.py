@@ -22,8 +22,8 @@ from .fabric import (Message, MessageKind, Queue, QueueFabric, decode_message,
                      encode_message)
 from .kernel import (chi_square, convolve_beam, evaluate, forward_abel,
                      hierarchical_log_prior, project_to_map)
-from .payloads import (LikelihoodRequest, LikelihoodResponse, pack_request,
-                       pack_response, unpack_request, unpack_response)
+from .payloads import (pack_request, pack_response, unpack_request,
+                       unpack_response)
 from .plane import (BackendModel, InvocationRecord, SimScheduler,
                     attach_backend, make_stub_key, simulate)
 from .remote import RemoteWorkerClient, WorkerServer, serve

@@ -159,6 +159,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_fit(args) -> int:
+    if args.degree < 0:
+        raise ConfigurationError(f"--degree must be at least 0, got {args.degree}")
     path = Path(args.dataset)
     if not path.is_file():
         return _fail("data", EXIT_DATA, f"dataset file not found: {path}")
@@ -187,8 +189,6 @@ def _cmd_fit(args) -> int:
         store.put(key, blob)
         plane = attach_backend(input_q, output_q, args.backend, store=store,
                                pool_size=args.pool_size, remote_addr=args.remote_addr)
-    except ConfigurationError as exc:
-        return _fail("config", EXIT_CONFIG, str(exc))
     except (ConnectionError, OSError) as exc:
         return _fail("backend", EXIT_BACKEND, f"cannot attach backend: {exc}")
 
@@ -205,6 +205,8 @@ def _cmd_fit(args) -> int:
                             data_param_count=data_params,
                             log_prior=prior,
                             response_timeout_s=timeout)
+    except ConfigurationError:
+        raise
     except MissingResponseError as exc:
         return _fail("timeout", EXIT_TIMEOUT, str(exc))
     except (NotFoundError, NonFiniteDensityError) as exc:
@@ -250,14 +252,9 @@ def _initial_positions(args, n_clusters, n_coeff, dim, config) -> np.ndarray:
 
 
 def _cmd_bench_overhead(args) -> int:
-    try:
-        model = _model_from_args(args)
-        reports, records = bench.bench_overhead(
-            args.n, model, seed=args.seed,
-            ratio_reference=args.ratio_reference,
-            ref_iterations=args.ref_iterations)
-    except ConfigurationError as exc:
-        return _fail("config", EXIT_CONFIG, str(exc))
+    reports, records = bench.bench_overhead(
+        args.n, _model_from_args(args), seed=args.seed,
+        ratio_reference=args.ratio_reference, ref_iterations=args.ref_iterations)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     bench.write_overhead_csv(out, reports)
@@ -269,12 +266,8 @@ def _cmd_bench_overhead(args) -> int:
 
 
 def _cmd_bench_timeline(args) -> int:
-    try:
-        model = _model_from_args(args)
-        outputs = bench.bench_timeline(args.walkers, args.iterations, model,
-                                       seed=args.seed)
-    except ConfigurationError as exc:
-        return _fail("config", EXIT_CONFIG, str(exc))
+    outputs = bench.bench_timeline(args.walkers, args.iterations,
+                                   _model_from_args(args), seed=args.seed)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for w, output in outputs.items():
@@ -318,8 +311,6 @@ def _cmd_dataset_synth(args) -> int:
 def _cmd_worker_serve(args) -> int:
     try:
         remote.serve(args.listen, args.data_root)
-    except ConfigurationError as exc:
-        return _fail("config", EXIT_CONFIG, str(exc))
     except OSError as exc:
         return _fail("backend", EXIT_BACKEND, str(exc))
     return 0

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 import threading
 import time
 from typing import Callable, Protocol
@@ -43,7 +44,9 @@ class WallClock:
         return time.monotonic() - self._t0
 
     def wait(self, cond: threading.Condition, timeout: float | None) -> None:
-        cond.wait(timeout)
+        # A longer wait overflows the platform's timeout; callers re-check
+        # their deadline after every wake-up.
+        cond.wait(None if timeout is None else min(timeout, threading.TIMEOUT_MAX))
 
 
 class VirtualClock:
@@ -70,8 +73,8 @@ class VirtualClock:
         heapq.heappush(self._events, (float(when), next(self._seq), action, args))
 
     def wait(self, cond: threading.Condition, timeout: float | None) -> None:
-        deadline = None if timeout is None else self._now + timeout
-        if self._events and (deadline is None or self._events[0][0] <= deadline):
+        deadline = self._now + (math.inf if timeout is None else timeout)
+        if self._events and self._events[0][0] <= deadline:
             when, _, action, args = heapq.heappop(self._events)
             self._now = max(self._now, when)
             cond.release()
@@ -79,7 +82,7 @@ class VirtualClock:
                 action(*args)
             finally:
                 cond.acquire()
-        elif deadline is None:
+        elif deadline == math.inf:
             raise SimulationStalledError(
                 "waiting forever on virtual time with no scheduled events")
         else:

@@ -159,6 +159,8 @@ def make_synthetic(n_clusters: int, grid_size: int = 64, seed: int = 0, *,
     """
     if n_clusters < 1:
         raise ValueError("n_clusters must be at least 1")
+    if grid_size < 2:
+        raise ValueError("grid_size must be at least 2")
     if grid_size % 2 != 0:
         raise ValueError("grid_size must be even")
     rng = np.random.default_rng(seed)

@@ -35,9 +35,9 @@ raises :class:`DuplicateResponseError`; a control message with msg_id
 run. Any package error that aborts a run carries the iterations completed
 before it as ``partial_output``.
 
-With no ``response_timeout_s`` a run waits for every response, on any
-clock. On a virtual clock that wait is finite: once the clock runs out of
-events, no response can arrive any more and the run raises
+With no ``response_timeout_s``, or an infinite one, a run waits for every
+response, on any clock. On a virtual clock that wait is finite: once the
+clock runs out of events, no response can arrive any more and the run raises
 :class:`MissingResponseError`. On the wall clock a worker that never
 answers stalls the run, so callers that must finish pass a timeout.
 """
@@ -55,8 +55,7 @@ from .errors import (ConfigurationError, DuplicateResponseError,
                      MissingResponseError, NonFiniteDensityError, NotFoundError,
                      QueueMCError, SimulationStalledError, WorkerCrashError)
 from .fabric import NO_REQUEST, Message, MessageKind, Queue
-from .payloads import (LikelihoodRequest, pack_request, parse_error,
-                       unpack_response)
+from .payloads import pack_request, parse_error, unpack_response
 
 log = logging.getLogger(__name__)
 
@@ -188,8 +187,9 @@ def run_chains(config: ChainConfig, plane, input_q: Queue, output_q: Queue, *,
         defaults to the full position.
     log_prior : coordinator-side log prior over the full position vector
         (default flat).
-    response_timeout_s : per-iteration collection timeout; None waits for
-        every response (see the module docstring).
+    response_timeout_s : per-iteration collection timeout, above 0 (inf
+        is allowed); None waits for every response (see the module
+        docstring).
     """
     w_count, n_iter = config.n_walkers, config.n_iterations
     init = np.asarray(init_positions, dtype=np.float64)
@@ -202,7 +202,11 @@ def run_chains(config: ChainConfig, plane, input_q: Queue, output_q: Queue, *,
         np.asarray(config.proposal_scale, dtype=np.float64), (dim,)).copy()
     n_send = dim if data_param_count is None else int(data_param_count)
     if not 0 < n_send <= dim:
-        raise ValueError("data_param_count must be in [1, dim]")
+        raise ConfigurationError("data_param_count must be in [1, dim]")
+    # Written so that NaN fails it.
+    if response_timeout_s is not None and not response_timeout_s > 0:
+        raise ConfigurationError(
+            f"response_timeout_s must be above 0 or None, got {response_timeout_s!r}")
     clock = output_q.clock
     push, pop = input_q.push, output_q.pop
 
@@ -224,7 +228,7 @@ def run_chains(config: ChainConfig, plane, input_q: Queue, output_q: Queue, *,
             base = first_id + it * w_count
             dispatched: list[float] = []
             for w, proposal in enumerate(proposals):
-                payload = pack_request(LikelihoodRequest(proposal[:n_send], dataset_key))
+                payload = pack_request(proposal[:n_send], dataset_key)
                 dispatched.append(push(Message(
                     base + w, MessageKind.LIKELIHOOD_REQUEST, payload)).enqueue_ts)
 
@@ -261,7 +265,7 @@ def run_chains(config: ChainConfig, plane, input_q: Queue, output_q: Queue, *,
 
             uniforms = rng.random(w_count).tolist()
             for w, msg in enumerate(replies):
-                log_lik = unpack_response(msg.payload).log_likelihood
+                log_lik = unpack_response(msg.payload)[0]
                 lp_prior = 0.0 if log_prior is None else float(log_prior(proposals[w]))
                 proposed_lp = log_lik + lp_prior
                 if math.isnan(proposed_lp) or proposed_lp == math.inf:

@@ -5,8 +5,7 @@ say nothing of which walker or iteration they belong to: the enclosing
 message's ``msg_id``, the request's sequence number, is its only identity.
 
 Request:  n_params u32, n_params f64, key_len u32, key bytes (UTF-8).
-Response: log_likelihood f64, cold u8, compute_start_ts f64,
-          compute_end_ts f64.
+Response: log_likelihood f64, cold u8, start_ts f64, end_ts f64.
 
 Control payloads used for surfaced worker errors are ASCII
 ``ERR:<code>:<detail>``.
@@ -15,7 +14,6 @@ Control payloads used for surfaced worker errors are ASCII
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,28 +23,15 @@ _U32 = struct.Struct("<I")
 _RESP = struct.Struct("<dBdd")
 
 
-@dataclass(frozen=True, slots=True)
-class LikelihoodRequest:
-    params: np.ndarray
-    dataset_key: str
-
-
-@dataclass(frozen=True, slots=True)
-class LikelihoodResponse:
-    log_likelihood: float
-    cold: bool
-    compute_start_ts: float
-    compute_end_ts: float
-
-
-def pack_request(req: LikelihoodRequest) -> bytes:
-    params = np.asarray(req.params, dtype=np.float64)
-    key = req.dataset_key.encode("utf-8")
+def pack_request(params: np.ndarray, dataset_key: str) -> bytes:
+    params = np.asarray(params, dtype=np.float64)
+    key = dataset_key.encode("utf-8")
     return _U32.pack(params.size) + params.tobytes() + _U32.pack(len(key)) + key
 
 
-def unpack_request(payload: bytes) -> LikelihoodRequest:
-    """Parse a request payload; its ``params`` is a read-only view of it."""
+def unpack_request(payload: bytes) -> tuple[np.ndarray, str]:
+    """Parse a request payload into (params, dataset_key); ``params`` is a
+    read-only view of the payload."""
     try:
         (n,) = _U32.unpack_from(payload, 0)
         params = np.frombuffer(payload, dtype="<f8", count=n, offset=_U32.size)
@@ -56,22 +41,23 @@ def unpack_request(payload: bytes) -> LikelihoodRequest:
         key = payload[off:off + key_len]
         if len(key) != key_len:
             raise ValueError("truncated dataset key")
-        return LikelihoodRequest(params, key.decode("utf-8"))
+        return params, key.decode("utf-8")
     except (struct.error, ValueError, UnicodeDecodeError) as exc:
         raise WireFormatError(f"bad request payload: {exc}") from exc
 
 
-def pack_response(resp: LikelihoodResponse) -> bytes:
-    return _RESP.pack(resp.log_likelihood, 1 if resp.cold else 0,
-                      resp.compute_start_ts, resp.compute_end_ts)
+def pack_response(log_likelihood: float, cold: bool, start_ts: float,
+                  end_ts: float) -> bytes:
+    return _RESP.pack(log_likelihood, 1 if cold else 0, start_ts, end_ts)
 
 
-def unpack_response(payload: bytes) -> LikelihoodResponse:
+def unpack_response(payload: bytes) -> tuple[float, bool, float, float]:
+    """Parse a response payload into (log_likelihood, cold, start_ts, end_ts)."""
     try:
         loglik, cold, t0, t1 = _RESP.unpack(payload)
     except struct.error as exc:
         raise WireFormatError(f"bad response payload: {exc}") from exc
-    return LikelihoodResponse(loglik, bool(cold), t0, t1)
+    return loglik, bool(cold), t0, t1
 
 
 def pack_error(code: str, detail: str) -> bytes:

@@ -44,8 +44,7 @@ from .clocks import VirtualClock
 from .datasets import read_container
 from .errors import ConfigurationError, NotFoundError
 from .fabric import Message, MessageKind, Queue
-from .payloads import (LikelihoodResponse, pack_error, pack_response,
-                       unpack_request)
+from .payloads import pack_error, pack_response, unpack_request
 
 log = logging.getLogger(__name__)
 
@@ -145,8 +144,7 @@ class TaskRunner:
         ``stub_s`` is None for every other task.
         """
         try:
-            req = unpack_request(msg.payload)
-            key = req.dataset_key
+            params, key = unpack_request(msg.payload)
             if key.startswith(STUB_KEY_PREFIX):
                 stub_s = float(key[len(STUB_KEY_PREFIX):])
                 if not 0.0 <= stub_s <= threading.TIMEOUT_MAX:
@@ -154,16 +152,16 @@ class TaskRunner:
                 return 0.0, False, stub_s
             datasets, cold = self._load(key) if key else (None, False)
             if self._fn is not None:
-                value = float(self._fn(req.params, datasets))
+                value = float(self._fn(params, datasets))
             elif datasets is None:
                 raise ConfigurationError(
                     "kernel task carries no dataset key and no likelihood override")
             else:
                 n = len(datasets)
-                if req.params.size % n != 0:
+                if params.size % n != 0:
                     raise ValueError(
-                        f"{req.params.size} parameters do not split over {n} clusters")
-                value = kernel.evaluate(req.params.reshape(n, -1), datasets)
+                        f"{params.size} parameters do not split over {n} clusters")
+                value = kernel.evaluate(params.reshape(n, -1), datasets)
         except NotFoundError as exc:
             return ("dataset-not-found", str(exc)), False, None
         except Exception as exc:  # surfaced, never retried
@@ -193,8 +191,8 @@ def respond(msg: Message, result: float | tuple[str, str],
     ``rec``, or a control message carrying the ``(code, detail)`` error."""
     if isinstance(result, tuple):
         return Message(msg.msg_id, MessageKind.CONTROL, pack_error(*result))
-    return Message(msg.msg_id, MessageKind.LIKELIHOOD_RESPONSE, pack_response(
-        LikelihoodResponse(result, rec.cold, rec.start_ts, rec.end_ts)))
+    return Message(msg.msg_id, MessageKind.LIKELIHOOD_RESPONSE,
+                   pack_response(result, rec.cold, rec.start_ts, rec.end_ts))
 
 
 def execute(runner: TaskRunner, clock, msg: Message) -> tuple[Message, InvocationRecord]:
@@ -352,8 +350,15 @@ class LocalPoolPlane(_PlaneBase):
         self._pool.submit(self._work, msg)
 
     def _work(self, msg: Message) -> None:
-        resp, rec = execute(self._runner, self._clock, msg)
-        self._record(rec)
+        # Nothing reads the pool's futures: a request whose task raises
+        # must still be answered, or the run waits out its whole timeout.
+        try:
+            resp, rec = execute(self._runner, self._clock, msg)
+            self._record(rec)
+        except Exception as exc:
+            log.debug("worker failed on %s", msg.msg_id, exc_info=True)
+            resp = Message(msg.msg_id, MessageKind.CONTROL,
+                           pack_error("worker-crash", repr(exc)))
         self._output_q.push(resp)
 
     def close(self) -> None:

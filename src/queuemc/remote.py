@@ -179,11 +179,9 @@ class RemoteWorkerClient(_PlaneBase):
                 msg = decode_message(frame)
                 dispatch = self._dispatch_ts.pop(msg.msg_id, 0.0)
                 if msg.kind is MessageKind.LIKELIHOOD_RESPONSE:
-                    resp = unpack_response(msg.payload)
-                    self._record(InvocationRecord(
-                        msg_id=msg.msg_id, worker_id="remote",
-                        dispatch_ts=dispatch, start_ts=resp.compute_start_ts,
-                        end_ts=resp.compute_end_ts, cold=resp.cold))
+                    _, cold, start, end = unpack_response(msg.payload)
+                    self._record(InvocationRecord(msg.msg_id, "remote", dispatch,
+                                                  start, end, cold))
                 self._output_q.push(msg)
         except (WireFormatError, OSError, ValueError) as exc:
             detail = f"connection failed: {exc}"

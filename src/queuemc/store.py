@@ -79,17 +79,19 @@ class DirectoryObjectStore:
         digest = content_digest(data)
         try:
             self._publish(target, data)
+            try:
+                self._publish(side, f"{digest} {len(data)}\n".encode("ascii"))
+            except FileExistsError:
+                pass
+            except OSError:
+                target.unlink()  # else the key reads as absent yet cannot be put again
+                raise
         except FileExistsError:
             raise KeyExistsError(f"key {key!r} already written") from None
         except OSError as exc:
             if exc.errno == errno.ENOSPC:
                 raise StorageFullError(str(exc)) from exc
             raise
-        sidecar = f"{digest} {len(data)}\n".encode("ascii")
-        try:
-            self._publish(side, sidecar)
-        except FileExistsError:
-            pass
         return digest
 
     def _publish(self, target: Path, data: bytes) -> None:

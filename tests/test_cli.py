@@ -1,4 +1,5 @@
 import json
+import math
 import struct
 import threading
 
@@ -36,6 +37,27 @@ def test_fit_config_errors_are_classified(dataset_path, tmp_path, capsys, extra)
     assert err.startswith("error (config): ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    *(f"fit --backend {backend} --timeout {timeout}"
+      for backend in ("sim", "local") for timeout in ("nan", "0", "-1")),
+    "fit --degree -1",
+    "dataset synth --clusters 1 --grid 0 --out {tmp}/c.qmc",
+    "dataset synth --clusters 1 --grid -2 --out {tmp}/c.qmc",
+    "bench overhead --n 2 --tau 0 --out {tmp}/o.csv",
+    "bench timeline --walkers 2 --iterations 0 --out-dir {tmp}/t",
+    "worker serve --listen nonsense --data-root {tmp}/objects",
+])
+def test_bad_run_inputs_are_config_errors(dataset_path, tmp_path, capsys, argv):
+    args = argv.format(tmp=tmp_path).split()
+    if args[0] == "fit":
+        args += ["--dataset", str(dataset_path), "--out-dir", str(tmp_path / "out"),
+                 "--walkers", "2", "--iterations", "1", "--pool-size", "1"]
+    code = cli.main(args)
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_CONFIG
+    assert err.startswith("error (config): ") and "Traceback" not in err
+
+
 def test_fit_bad_init_fails_before_attaching_a_backend(dataset_path, tmp_path, capsys,
                                                       monkeypatch):
     attached = []
@@ -62,6 +84,7 @@ def test_fit_with_few_walkers_or_iterations_writes_diagnostics(
     ("sim", [], None),
     ("local", [], cli.FIT_WALL_TIMEOUT_S),
     ("local", ["--timeout", "5"], 5.0),
+    ("local", ["--timeout", "inf"], math.inf),
 ])
 def test_fit_response_timeout(dataset_path, tmp_path, monkeypatch, backend, extra, expected):
     seen = []

@@ -1,3 +1,4 @@
+import math
 import threading
 
 import pytest
@@ -67,8 +68,10 @@ def test_virtual_clock_indefinite_wait_without_events_raises():
     clock = VirtualClock()
     cond = threading.Condition()
     with cond:
-        with pytest.raises(SimulationStalledError):
-            clock.wait(cond, timeout=None)
+        for timeout in (None, math.inf):
+            with pytest.raises(SimulationStalledError):
+                clock.wait(cond, timeout=timeout)
+    assert clock.now() == 0.0
 
 
 def test_virtual_clock_rejects_past_schedule():

@@ -23,8 +23,8 @@ from queuemc.errors import (ConfigurationError, DuplicateResponseError,
                             NotFoundError, WorkerCrashError)
 from queuemc.fabric import NO_REQUEST, Message, MessageKind, QueueFabric
 from queuemc.kernel import hierarchical_log_prior
-from queuemc.payloads import LikelihoodResponse, pack_response, parse_error
-from queuemc.plane import BackendModel, make_stub_key
+from queuemc.payloads import pack_response, parse_error
+from queuemc.plane import BackendModel, make_stub_key, respond
 from queuemc.store import MemoryObjectStore, content_digest
 from tests import kernel_oracle as oracle
 from tests.conftest import gaussian_target
@@ -283,7 +283,7 @@ def test_chain_stream_is_not_the_start_point_stream(sim_setup):
 def test_unexpected_response_rejected(sim_setup):
     fabric, input_q, output_q, plane = sim_setup(likelihood_fn=gaussian_target)
     rogue = Message(msg_id=99, kind=MessageKind.LIKELIHOOD_RESPONSE,
-                    payload=pack_response(LikelihoodResponse(0.0, False, 0, 0)))
+                    payload=pack_response(0.0, False, 0, 0))
     output_q.push(rogue)
     config = ChainConfig(n_walkers=2, n_iterations=1, proposal_scale=1.0, seed=0)
     with pytest.raises(DuplicateResponseError) as err:
@@ -318,16 +318,19 @@ def test_missing_response_times_out_with_partial_output(local_setup):
 
 
 def test_unanswered_request_on_virtual_time_fails_fast():
-    # With no timeout a virtual-time run waits for its responses; once the
-    # clock has no event left, none can arrive and the run fails at once.
-    fabric = QueueFabric(VirtualClock())
-    dead_in, dead_out = fabric.create_queue("dead-in"), fabric.create_queue("dead-out")
-    config = ChainConfig(n_walkers=3, n_iterations=2, proposal_scale=1.0, seed=0)
-    with pytest.raises(MissingResponseError) as err:
-        run_chains(config, BlackHolePlane(), dead_in, dead_out,
-                   init_positions=np.zeros((3, 1)), dataset_key="")
-    assert len(err.value.missing_ids) == 3
-    assert err.value.partial_output.samples.shape == (3, 0, 1)
+    # With no timeout, or an infinite one, a virtual-time run waits for its
+    # responses; once the clock has no event left, none can arrive and the
+    # run fails at once.
+    for timeout in (None, math.inf):
+        fabric = QueueFabric(VirtualClock())
+        dead_in, dead_out = fabric.create_queue("dead-in"), fabric.create_queue("dead-out")
+        config = ChainConfig(n_walkers=3, n_iterations=2, proposal_scale=1.0, seed=0)
+        with pytest.raises(MissingResponseError) as err:
+            run_chains(config, BlackHolePlane(), dead_in, dead_out,
+                       init_positions=np.zeros((3, 1)), dataset_key="",
+                       response_timeout_s=timeout)
+        assert len(err.value.missing_ids) == 3
+        assert err.value.partial_output.samples.shape == (3, 0, 1)
 
 
 def test_sim_waits_out_the_provisioning_ramp():
@@ -353,6 +356,43 @@ def test_worker_crash_carries_partial_output(sim_setup):
     partial = err.value.partial_output
     assert partial.n_iterations == 2 and not partial.complete
     assert len(partial.timeline) == 8
+
+
+def test_local_fault_outside_the_task_fails_the_run_at_once(local_setup, monkeypatch):
+    # A pool thread that raises after the task ran, here while packing the
+    # response, still answers its request, so the run does not wait out
+    # its timeout.
+    calls = itertools.count(1)
+
+    def third_call_fails(*args):
+        if next(calls) == 3:
+            raise RuntimeError("deliberate")
+        return respond(*args)
+
+    monkeypatch.setattr("queuemc.plane.respond", third_call_fails)
+    fabric, input_q, output_q, plane = local_setup(likelihood_fn=gaussian_target)
+    config = ChainConfig(n_walkers=4, n_iterations=2, proposal_scale=1.0, seed=0)
+    start = time.monotonic()
+    try:
+        with pytest.raises(WorkerCrashError, match="worker-crash: RuntimeError"):
+            run_chains(config, plane, input_q, output_q, init_positions=np.zeros((4, 1)),
+                       dataset_key="", response_timeout_s=30.0)
+    finally:
+        plane.close()
+    assert time.monotonic() - start < 1.0
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"response_timeout_s": math.nan}, {"response_timeout_s": 0.0},
+    {"response_timeout_s": -1.0}, {"data_param_count": 0}, {"data_param_count": 2},
+])
+def test_bad_run_arguments_fail_before_the_first_push(sim_setup, kwargs):
+    fabric, input_q, output_q, plane = sim_setup(likelihood_fn=gaussian_target)
+    config = ChainConfig(n_walkers=2, n_iterations=1, proposal_scale=1.0, seed=0)
+    with pytest.raises(ConfigurationError):
+        run_chains(config, plane, input_q, output_q, init_positions=np.zeros((2, 1)),
+                   dataset_key="", **kwargs)
+    assert input_q.pushed_count == 0
 
 
 def test_partial_timeline_keeps_length_and_order(sim_setup):
@@ -552,7 +592,7 @@ def test_duplicate_within_a_run_still_raises(sim_setup):
     for rogue_id in (0, 5):
         fabric, input_q, output_q, plane = sim_setup(likelihood_fn=gaussian_target)
         output_q.push(Message(msg_id=rogue_id, kind=MessageKind.LIKELIHOOD_RESPONSE,
-                              payload=pack_response(LikelihoodResponse(0.0, False, 0, 0))))
+                              payload=pack_response(0.0, False, 0, 0)))
         with pytest.raises(DuplicateResponseError, match=f"response {rogue_id} "):
             run_chains(config, plane, input_q, output_q,
                        init_positions=np.zeros((2, 1)), dataset_key="")

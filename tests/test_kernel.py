@@ -15,7 +15,7 @@ from queuemc.fabric import Message, MessageKind
 from queuemc.kernel import (DEFAULT_N_QUAD, chi_square, convolve_beam, evaluate,
                             forward_abel, hierarchical_log_prior, project_to_map,
                             split_position)
-from queuemc.payloads import LikelihoodRequest, pack_request
+from queuemc.payloads import pack_request
 from queuemc.plane import TaskRunner
 from queuemc.store import MemoryObjectStore
 from tests import kernel_oracle as oracle
@@ -720,7 +720,7 @@ def test_non_finite_coefficients_keep_their_outcome(bad, col):
     row[col] = bad
     params = np.concatenate([row, np.add(POPULATION_MEAN, (0.01, 0, 0, 0))])
     msg = Message(0, MessageKind.LIKELIHOOD_REQUEST,
-                  pack_request(LikelihoodRequest(params, "bundle")))
+                  pack_request(params, "bundle"))
     with np.errstate(all="ignore"):
         result, _, _ = TaskRunner(store=store).run(msg)
         expected = oracle.evaluate(params.reshape(2, 4), datasets)
@@ -743,7 +743,7 @@ def test_overflowing_finite_row_is_a_zero_density(row, monkeypatch):
     store.put("bundle", write_container(datasets))
     theta = np.array(row, dtype=np.float64)
     msg = Message(0, MessageKind.LIKELIHOOD_REQUEST,
-                  pack_request(LikelihoodRequest(theta, "bundle")))
+                  pack_request(theta, "bundle"))
     with np.errstate(all="ignore"):
         assert TaskRunner(store=store).run(msg)[0] == -math.inf
         # Every row through the stages, the path evaluate skips for clamp-free rows.

@@ -10,8 +10,7 @@ from queuemc.datasets import make_synthetic, write_container
 from queuemc.errors import ConfigurationError
 from queuemc.fabric import Message, MessageKind, QueueFabric
 from queuemc.kernel import evaluate
-from queuemc.payloads import (LikelihoodRequest, pack_request, parse_error,
-                              unpack_response)
+from queuemc.payloads import pack_request, parse_error, unpack_response
 from queuemc.plane import (BackendModel, SimScheduler, TaskRunner,
                            attach_backend, make_stub_key, simulate)
 from queuemc.remote import WorkerServer
@@ -19,8 +18,7 @@ from queuemc.store import MemoryObjectStore
 
 
 def request_msg(i, key, params=()):
-    payload = pack_request(LikelihoodRequest(
-        params=np.asarray(params, dtype=np.float64), dataset_key=key))
+    payload = pack_request(np.asarray(params, dtype=np.float64), key)
     return Message(msg_id=i, kind=MessageKind.LIKELIHOOD_REQUEST,
                    payload=payload)
 
@@ -279,7 +277,7 @@ def test_local_stub_smoke(local_setup):
     push_stub_wave(input_q, 1, duration=0.01)
     (resp,) = drain(output_q, 1, timeout=5.0)
     assert resp.kind is MessageKind.LIKELIHOOD_RESPONSE
-    assert unpack_response(resp.payload).log_likelihood == 0.0
+    assert unpack_response(resp.payload)[0] == 0.0
 
 
 def test_local_pool_pigeonhole(local_setup):
@@ -300,7 +298,7 @@ def test_local_kernel_matches_in_process(local_setup):
     params = truths + 0.01 * rng.standard_normal(truths.shape)
     input_q.push(request_msg(0, "bundle", params=params.ravel()))
     (resp,) = drain(output_q, 1, timeout=30.0)
-    got = unpack_response(resp.payload).log_likelihood
+    got = unpack_response(resp.payload)[0]
     expected = evaluate(params, datasets)
     assert got == pytest.approx(expected, rel=1e-12)
     plane.close()
@@ -314,7 +312,7 @@ def test_local_dataset_cache_cold_flag(local_setup):
     input_q.push(request_msg(0, "bundle", params=truths.ravel()))
     input_q.push(request_msg(1, "bundle", params=truths.ravel()))
     responses = drain(output_q, 2, timeout=30.0)
-    colds = sorted(unpack_response(m.payload).cold for m in responses)
+    colds = sorted(unpack_response(m.payload)[1] for m in responses)
     assert colds == [False, True]
     plane.close()
 
@@ -420,8 +418,8 @@ def test_backends_answer_alike(backend, case):
     if code is not None:
         assert parse_error(resp.payload)[0] == code
     elif case == "kernel":
-        got = unpack_response(resp.payload).log_likelihood
+        got = unpack_response(resp.payload)[0]
         assert got == pytest.approx(evaluate(truths, datasets), rel=1e-12)
     else:
         expected = 0.0 if fn is None else fn(truths.ravel(), datasets)
-        assert unpack_response(resp.payload).log_likelihood == expected
+        assert unpack_response(resp.payload)[0] == expected

@@ -13,8 +13,7 @@ from queuemc.errors import NotFoundError, WireFormatError, WorkerCrashError
 from queuemc.fabric import (NO_REQUEST, Message, MessageKind, QueueFabric,
                             decode_message, encode_message)
 from queuemc.kernel import evaluate
-from queuemc.payloads import (LikelihoodRequest, pack_request, parse_error,
-                              unpack_response)
+from queuemc.payloads import pack_request, parse_error, unpack_response
 from queuemc.plane import attach_backend, make_stub_key
 from queuemc.remote import WorkerServer, _WorkerHandler, write_frame
 from queuemc.store import DirectoryObjectStore
@@ -40,8 +39,7 @@ def worker_env(tmp_path):
 
 
 def request_message(msg_id, params, key):
-    payload = pack_request(LikelihoodRequest(
-        params=np.asarray(params, dtype=np.float64), dataset_key=key))
+    payload = pack_request(np.asarray(params, dtype=np.float64), key)
     return Message(msg_id=msg_id, kind=MessageKind.LIKELIHOOD_REQUEST, payload=payload)
 
 
@@ -137,7 +135,7 @@ def test_remote_matches_local_and_in_process(worker_env, local_setup):
     mem.put("bundle", write_container(datasets))
     fabric, input_q, output_q, plane = local_setup(store=mem)
     input_q.push(request_message(0, params.ravel(), "bundle"))
-    local_val = unpack_response(output_q.pop(timeout=30.0).payload).log_likelihood
+    local_val = unpack_response(output_q.pop(timeout=30.0).payload)[0]
     plane.close()
 
     # remote route
@@ -145,7 +143,7 @@ def test_remote_matches_local_and_in_process(worker_env, local_setup):
     rin, rout = fabric2.create_queue("in"), fabric2.create_queue("out")
     client = attach_backend(rin, rout, "remote", remote_addr=addr)
     rin.push(request_message(0, params.ravel(), "bundle"))
-    remote_val = unpack_response(rout.pop(timeout=30.0).payload).log_likelihood
+    remote_val = unpack_response(rout.pop(timeout=30.0).payload)[0]
     client.close()
 
     assert local_val == pytest.approx(expected, rel=1e-12)
@@ -172,7 +170,7 @@ def test_remote_stub_tasks(worker_env):
     client = attach_backend(rin, rout, "remote", remote_addr=addr)
     rin.push(request_message(0, [], make_stub_key(0.01)))
     resp = rout.pop(timeout=10.0)
-    assert unpack_response(resp.payload).log_likelihood == 0.0
+    assert unpack_response(resp.payload)[0] == 0.0
     client.close()
     assert rout.pending_count == 0  # closing the client reports no lost connection
 

@@ -94,18 +94,32 @@ def _disk_full(*args):
     raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
 
-@pytest.mark.parametrize("fails", ["publish", "link"])
+@pytest.mark.parametrize("fails", ["publish", "link", "sidecar"])
 def test_disk_put_on_a_full_disk(tmp_path, monkeypatch, fails):
-    # The disk fills up in the publication as a whole, or at its link,
-    # after the temp file has been written.
+    # The disk fills up in the publication as a whole, at its link after
+    # the temp file has been written, or while the digest sidecar is
+    # published after the data file.
     root = tmp_path / "objects"
     store = DirectoryObjectStore(root)
     if fails == "publish":
         monkeypatch.setattr(DirectoryObjectStore, "_publish", _disk_full)
-    else:
+    elif fails == "link":
         monkeypatch.setattr(os, "link", _disk_full)
+    else:
+        publish, calls = DirectoryObjectStore._publish, []
+
+        def second_call_fails(self, target, data):
+            calls.append(target)
+            if len(calls) == 2:
+                _disk_full()
+            publish(self, target, data)
+
+        monkeypatch.setattr(DirectoryObjectStore, "_publish", second_call_fails)
     with pytest.raises(StorageFullError):
         store.put("k", b"payload")
     with pytest.raises(NotFoundError):
         store.get("k")
-    assert not [p.name for p in root.iterdir() if p.name.startswith(".tmp-")]
+    assert not list(root.iterdir())  # no data file, sidecar or temp file
+    monkeypatch.undo()
+    store.put("k", b"payload")  # the key is absent, so a retry succeeds
+    assert store.get("k") == b"payload"
