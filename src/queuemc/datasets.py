@@ -12,6 +12,7 @@ point count u32, pixel_size f64, beam_fwhm f64, r_max f64, radial grid
 
 from __future__ import annotations
 
+import collections
 import io
 import math
 import struct
@@ -103,8 +104,13 @@ def write_container(datasets: Sequence[ClusterDataset]) -> bytes:
     return buf.getvalue()
 
 
-def read_container(data: bytes) -> list[ClusterDataset]:
-    """Parse a binary container back into datasets."""
+def read_container(data: bytes) -> kernel.DatasetBundle:
+    """Parse a binary container back into datasets.
+
+    Returns a :class:`kernel.DatasetBundle`: each map is copied once,
+    straight into the obs block or the noise block of its shape, both
+    read-only, and each dataset holds views of its rows, in list order.
+    """
     view = memoryview(data)
     if bytes(view[:4]) != CONTAINER_MAGIC:
         raise WireFormatError("bad container magic")
@@ -112,35 +118,40 @@ def read_container(data: bytes) -> list[ClusterDataset]:
     try:
         (count,) = _U32.unpack_from(view, off)
         off += 4
-        out: list[ClusterDataset] = []
+        headers = []
+        rows: collections.Counter[int] = collections.Counter()
         for _ in range(count):
             (id_len,) = _U32.unpack_from(view, off)
             off += 4
             ident = bytes(view[off:off + id_len]).decode("utf-8")
             off += id_len
-            (grid,) = _U32.unpack_from(view, off)
-            off += 4
-            (n_radial,) = _U32.unpack_from(view, off)
-            off += 4
-            pixel_size, beam_fwhm, r_max = struct.unpack_from("<ddd", view, off)
+            grid, n_radial = struct.unpack_from("<II", view, off)
+            off += 8
+            geometry = struct.unpack_from("<ddd", view, off)
             off += 24
             radial = np.frombuffer(view, dtype="<f8", count=n_radial, offset=off).copy()
             off += 8 * n_radial
-            obs = np.frombuffer(view, dtype="<f8", count=grid * grid, offset=off)
-            obs = obs.reshape(grid, grid).copy()
-            off += 8 * grid * grid
-            sig = np.frombuffer(view, dtype="<f8", count=grid * grid, offset=off)
-            sig = sig.reshape(grid, grid).copy()
-            off += 8 * grid * grid
-            out.append(ClusterDataset(
-                cluster_id=ident, obs_map=obs, sigma_map=sig,
-                pixel_size=pixel_size, beam_fwhm=beam_fwhm, r_max=r_max,
-                radial_grid=radial))
+            headers.append((ident, grid, geometry, radial, off, rows[grid]))
+            rows[grid] += 1
+            off += 16 * grid * grid
+            if off > len(data):
+                raise ValueError(f"the maps of {ident!r} run past the end")
+        # Per grid size, the obs block and the noise block as one array.
+        blocks = {(g, g): np.empty((2, n, g, g)) for g, n in rows.items()}
+        for _, grid, _, _, at, row in headers:
+            maps = np.frombuffer(view, dtype="<f8", count=2 * grid * grid, offset=at)
+            blocks[grid, grid][:, row] = maps.reshape(2, grid, grid)
+        for block in blocks.values():
+            block.flags.writeable = False
+        out = [ClusterDataset(cluster_id=ident, obs_map=blocks[grid, grid][0, row],
+                              sigma_map=blocks[grid, grid][1, row], pixel_size=pixel_size,
+                              beam_fwhm=beam_fwhm, r_max=r_max, radial_grid=radial)
+               for ident, grid, (pixel_size, beam_fwhm, r_max), radial, _, row in headers]
     except (struct.error, ValueError) as exc:
         raise WireFormatError(f"truncated or invalid container: {exc}") from exc
     if off != len(data):
         raise WireFormatError(f"{len(data) - off} trailing bytes after container")
-    return out
+    return kernel.DatasetBundle(out, blocks)
 
 
 def make_synthetic(n_clusters: int, grid_size: int = 64, seed: int = 0, *,

@@ -152,9 +152,12 @@ class Queue:
         """Remove and return the head message.
 
         Returns ``None`` (the timeout signal) if nothing arrives within
-        ``timeout`` seconds on the queue's clock. ``timeout=None`` blocks
-        indefinitely.
+        ``timeout`` seconds on the queue's clock; a timeout of 0 or below
+        polls once. ``timeout=None`` blocks indefinitely, and a NaN
+        timeout raises :class:`ConfigurationError` before any wait.
         """
+        if timeout != timeout:  # only NaN differs from itself
+            raise ConfigurationError("queue pop timeout must not be NaN")
         clock = self._clock
         deadline = None if timeout is None else clock.now() + timeout
         with self._lock:

@@ -8,13 +8,29 @@ beam, and a chi-square comparison against the observed map. The
 per-cluster contributions are summed in list order so the total is
 bit-reproducible across backends.
 
-:func:`forward_abel`, :func:`project_to_map` and :func:`convolve_beam`
-take a stack of rows along their leading axes (a single row is a stack
-of one) and do only the work that depends on the profile coefficients.
-:func:`evaluate` groups its clusters by geometry and makes one pass per
-group: the group's model maps fill one stack in cluster order, and one
-:func:`chi_square` takes that stack against its clusters' maps, one
-value per cluster. A group that raises fails all of its clusters.
+Every model map is exactly mirror-symmetric about both of its axes: the
+pixel offsets ``arange(G) - (G - 1) / 2`` are exact in float64, so a
+pixel and its mirror images lie at the same radius. :func:`forward_abel`
+takes a stack of coefficient rows along its leading axes (a single row
+is a stack of one) and returns their projected profiles;
+:func:`project_to_map` expands them onto the top-left G/2 × G/2 quadrant
+Q of each map only; :func:`convolve_beam` takes such quadrants and
+returns the full smoothed G × G maps, as C·Q·Cᵀ with C = B·E for the 1-D
+beam matrix B and E = [I; J] (J reverses order), which unfolds Q into
+its map E·Q·Eᵀ. Each stage does only the work that depends on the
+profile coefficients. :func:`evaluate` groups its clusters by geometry
+and map shapes and makes one pass per group: the group's model maps fill
+one stack in cluster order, and one :func:`chi_square` takes that stack
+against its clusters' maps, one value per cluster. A group that raises
+fails all of its clusters.
+
+A :class:`DatasetBundle`, which ``datasets.read_container`` returns,
+builds that grouping once, on first use, and keeps it as long as the
+bundle lives: its maps are rows of read-only blocks, one obs block and
+one σ block per map shape, so a group that covers a block takes the
+block itself as its stack, and a strict subset copies its rows once. On
+any other sequence of datasets :func:`evaluate` builds the same plan on
+every call, copying each group's maps into fresh stacks.
 
 What depends on a dataset's geometry alone is built on first use and
 reused. The caches are keyed on values, not on dataset objects, so
@@ -26,14 +42,17 @@ entry takes:
 
 - Abel tables, per ``(r_max, radial grid, n_quad, k)``:
   8·((k - 1)·m·(n + 2) + (n + 2) + 3·m) bytes;
-- the map gather, per ``(radial grid, grid_size, pixel_size)``: 16·G²;
-- the beam matrix, per ``(grid_size, beam_fwhm, pixel_size)``: 8·G²;
+- the quadrant's map gather, per ``(radial grid, grid_size,
+  pixel_size)``: 4·G²;
+- the folded beam C, per ``(grid_size, beam_fwhm, pixel_size)``: 4·G²;
 - the monomial maps, per ``(r_max, radial grid, grid_size, pixel_size,
   beam_fwhm, k)``: 8·k·G².
 
-At m = 128, n = 512, k = 4 and G = 64 that is 1.59 MB + 64 KB + 32 KB +
-128 KB = 1.82 MB for one geometry, and at most 32 × 1.82 = 58 MB when
-every cache is full of such entries.
+At m = 128, n = 512, k = 4 and G = 64 that is 1.59 MB + 16 KB + 16 KB +
+128 KB = 1.75 MB for one geometry, and at most 32 × 1.75 = 56 MB when
+every cache is full of such entries. A bundle's plan adds only its
+groups' member indices (and, for a group that is a strict subset of a
+block, that subset's stacks), since the stacks are the bundle's blocks.
 
 The profile is p(x) = max(0, sum_j theta_j x**j) at x = r / r_max. For
 each projected radius y the Simpson nodes x_i = sqrt(y² + t_i²) / r_max
@@ -277,10 +296,10 @@ def forward_abel(thetas: np.ndarray, r_max: float, y_grid: np.ndarray,
 @functools.lru_cache(maxsize=GEOMETRY_CACHE_SIZE)
 def _map_gather(y_bytes: bytes, grid_size: int, pixel_size: float,
                 ) -> tuple[np.ndarray, np.ndarray]:
-    """``np.interp(rho, radial, v, right=0)`` at every pixel radius rho, as
-    a two-point gather.
+    """``np.interp(rho, radial, v, right=0)`` at the radius rho of every
+    pixel of the map's top-left quadrant, as a two-point gather.
 
-    Returns ``(lo, w)``, flat over the pixels: the map is
+    Returns ``(lo, w)``, flat over the quadrant's pixels: the quadrant is
     v[lo] + w·(v[lo + 1] - v[lo]) for v padded with two zeros. Inside
     the first grid point lo = 0 and w = 0, at the last one lo = m - 1 and
     w = 0, and beyond it lo = m, a padding zero.
@@ -289,8 +308,7 @@ def _map_gather(y_bytes: bytes, grid_size: int, pixel_size: float,
     _positive("pixel_size", pixel_size)
     if radial.size == 0 or not np.all(np.diff(radial) > 0):
         raise InvalidGridError("radial_grid must be non-empty and strictly increasing")
-    c = (grid_size - 1) / 2.0
-    idx = np.arange(grid_size, dtype=np.float64) - c
+    idx = np.arange(grid_size // 2, dtype=np.float64) - (grid_size - 1) / 2.0
     rho = (pixel_size * np.sqrt(idx[:, None] ** 2 + idx[None, :] ** 2)).ravel()
     lo = np.searchsorted(radial, rho, side="right") - 1
     inside = (lo >= 0) & (lo < radial.size - 1)
@@ -304,14 +322,17 @@ def _map_gather(y_bytes: bytes, grid_size: int, pixel_size: float,
 
 def project_to_map(radial_grid: np.ndarray, values: np.ndarray,
                    grid_size: int, pixel_size: float) -> np.ndarray:
-    """Expand radial functions to square maps by linear interpolation.
+    """Expand radial functions, by linear interpolation, to the top-left
+    quadrants of square maps.
 
     ``values`` holds one radial function per row along its last axis,
-    which the result replaces with the two map axes. Pixel (i, j) takes
-    the value of the radial function at
+    which the result replaces with the quadrant's two axes, each of
+    ``grid_size // 2`` pixels. Pixel (i, j) of the grid_size × grid_size
+    map takes the value of the radial function at
     rho = pixel_size * sqrt((i - c)^2 + (j - c)^2) with c = (grid_size - 1) / 2.
     Radii beyond the last grid point map to 0; radii inside the first grid
-    point clamp to the first value.
+    point clamp to the first value. The map is its quadrant Q mirrored
+    about both axes, E·Q·Eᵀ with E = [I; J], bit for bit.
     """
     if grid_size % 2 != 0:
         raise ValueError("grid_size must be even")
@@ -327,10 +348,10 @@ def project_to_map(radial_grid: np.ndarray, values: np.ndarray,
     upper -= out
     upper *= w
     out += upper
-    return out.reshape(vals.shape[:-1] + (grid_size, grid_size))
+    half = grid_size // 2
+    return out.reshape(vals.shape[:-1] + (half, half))
 
 
-@functools.lru_cache(maxsize=GEOMETRY_CACHE_SIZE)
 def _beam_matrix(grid_size: int, beam_fwhm: float, pixel_size: float) -> np.ndarray:
     """The 1-D beam as a banded (grid_size, grid_size) matrix B.
 
@@ -347,25 +368,40 @@ def _beam_matrix(grid_size: int, beam_fwhm: float, pixel_size: float) -> np.ndar
     kern /= kern.sum()
     offset = np.arange(grid_size)[:, None] - np.arange(grid_size)[None, :] + half
     inside = (offset >= 0) & (offset < grid_size)
-    return _read_only(np.where(inside, kern[np.clip(offset, 0, grid_size - 1)], 0.0))
+    return np.where(inside, kern[np.clip(offset, 0, grid_size - 1)], 0.0)
 
 
-def convolve_beam(image: np.ndarray, beam_fwhm: float, pixel_size: float) -> np.ndarray:
-    """Smooth maps with the instrument beam.
+@functools.lru_cache(maxsize=GEOMETRY_CACHE_SIZE)
+def _folded_beam(grid_size: int, beam_fwhm: float, pixel_size: float) -> np.ndarray:
+    """C = B·E, the beam matrix B applied to a quadrant's unfolding
+    E = [I; J]: C[:, j] = B[:, j] + B[:, grid_size - 1 - j], shape
+    (grid_size, grid_size // 2). B need not be centrosymmetric."""
+    beam = _beam_matrix(grid_size, beam_fwhm, pixel_size)
+    half = grid_size // 2
+    return _read_only(beam[:, :half] + beam[:, ::-1][:, :half])
 
-    ``image`` is a G × G map or a stack of them along its leading axes.
-    Linear (not circular) convolution with a unit-sum Gaussian kernel of
-    the given FWHM, centred at pixel (G/2, G/2) of a G × G map, keeping
-    the centred G × G window of the result: what lies beyond the map's
-    edge counts as zero. The Gaussian is separable, so the convolution is
-    B · image · Bᵀ with the banded 1-D beam matrix B, one product per map
-    of a stack, so a map's result does not depend on the others.
+
+def convolve_beam(quadrant: np.ndarray, beam_fwhm: float, pixel_size: float) -> np.ndarray:
+    """Smooth mirror-symmetric maps, given by their quadrants, with the
+    instrument beam.
+
+    ``quadrant`` is the top-left G/2 × G/2 quadrant Q of a G × G map
+    that is mirror-symmetric about both axes (as :func:`project_to_map`
+    gives), or a stack of them along its leading axes; the result is the
+    full smoothed G × G map for each. Linear (not circular) convolution
+    with a unit-sum Gaussian kernel of the given FWHM, centred at pixel
+    (G/2, G/2) of a G × G map, keeping the centred G × G window of the
+    result: what lies beyond the map's edge counts as zero. The Gaussian
+    is separable, so the convolution of the map E·Q·Eᵀ is B·E·Q·Eᵀ·Bᵀ =
+    C·Q·Cᵀ with the banded 1-D beam matrix B and the cached C = B·E, one
+    product per map of a stack, so a map's result does not depend on the
+    others.
     """
-    img = np.asarray(image, dtype=np.float64)
+    img = np.asarray(quadrant, dtype=np.float64)
     if img.ndim < 2 or img.shape[-1] != img.shape[-2]:
-        raise ShapeMismatchError("image must be a square matrix or a stack of them")
-    beam = _beam_matrix(img.shape[-1], float(beam_fwhm), float(pixel_size))
-    return beam @ img @ beam.T
+        raise ShapeMismatchError("quadrant must be a square matrix or a stack of them")
+    fold = _folded_beam(2 * img.shape[-1], float(beam_fwhm), float(pixel_size))
+    return fold @ img @ fold.T
 
 
 def chi_square(model: np.ndarray, obs_map: np.ndarray, sigma_map: np.ndarray):
@@ -387,11 +423,12 @@ def chi_square(model: np.ndarray, obs_map: np.ndarray, sigma_map: np.ndarray):
 def cluster_model_map(thetas: np.ndarray, r_max: float, radial_grid: np.ndarray,
                       grid_size: int, pixel_size: float, beam_fwhm: float) -> np.ndarray:
     """Run stages one to four on the rows of ``thetas`` in one geometry:
-    profile, projection, map expansion, beam smoothing. One row gives one
-    map, a stack of rows a stack of maps."""
+    profile, projection, map expansion onto the quadrant, beam smoothing
+    to the full map. One row gives one map, a stack of rows a stack of
+    maps."""
     projected = forward_abel(thetas, r_max, radial_grid)
-    image = project_to_map(radial_grid, projected, grid_size, pixel_size)
-    return convolve_beam(image, beam_fwhm, pixel_size)
+    quadrant = project_to_map(radial_grid, projected, grid_size, pixel_size)
+    return convolve_beam(quadrant, beam_fwhm, pixel_size)
 
 
 @functools.lru_cache(maxsize=GEOMETRY_CACHE_SIZE)
@@ -441,6 +478,64 @@ def _geometry(dataset) -> tuple:
             int(dataset.grid_size), float(dataset.pixel_size), float(dataset.beam_fwhm))
 
 
+class _Plan:
+    """What :func:`evaluate` needs of its datasets besides the rows.
+
+    ``groups`` holds one ``(geometry, radial_grid, members, obs, sigma)``
+    per group of clusters that share a geometry and the shapes of their
+    maps, in order of first member: ``members`` is an index array in list
+    order, and ``obs`` and ``sigma`` stack the members' maps, read-only.
+    ``failed`` maps the index of each cluster whose geometry could not be
+    read to the error. With ``blocks``, where the obs and noise maps of
+    each shape are, in list order, the rows of the two stacks of
+    ``blocks[shape]``, a group that holds every map of its shape takes
+    those stacks; any other group copies its members' maps once.
+    """
+
+    def __init__(self, datasets: Sequence, blocks: dict | None = None) -> None:
+        self.failed: dict[int, Exception] = {}
+        keys: dict[tuple, list[int]] = {}
+        for i, ds in enumerate(datasets):
+            try:
+                key = (_geometry(ds), np.shape(ds.obs_map), np.shape(ds.sigma_map))
+            except Exception as exc:
+                self.failed[i] = exc
+            else:
+                keys.setdefault(key, []).append(i)
+        self.groups = []
+        for (geometry, shape, _), members in keys.items():
+            block = None if blocks is None else blocks[shape]
+            if block is not None and len(members) == len(block[0]):
+                obs, sigma = block
+            else:
+                obs = _read_only(np.array([datasets[i].obs_map for i in members]))
+                sigma = _read_only(np.array([datasets[i].sigma_map for i in members]))
+            self.groups.append((geometry, np.frombuffer(geometry[1]),
+                                np.array(members, dtype=np.intp), obs, sigma))
+
+
+class DatasetBundle(tuple):
+    """An immutable sequence of cluster datasets whose maps are rows of
+    shared read-only blocks: ``blocks`` maps each map shape to its pair
+    of obs and noise stacks, whose rows, in list order, are the maps of
+    the datasets of that shape.
+
+    ``plan``, built on first use, groups the clusters for
+    :func:`evaluate` once for the life of the bundle; the groups' stacks
+    are the blocks themselves where a group covers one. Threads that race
+    to build it build equal plans, and one of them is kept.
+    """
+
+    def __new__(cls, datasets: Sequence, blocks: dict) -> DatasetBundle:
+        bundle = super().__new__(cls, datasets)
+        bundle.blocks = blocks
+        return bundle
+
+    @functools.cached_property
+    def plan(self) -> _Plan:
+        return _Plan(self, self.blocks)
+
+
 def evaluate(thetas: np.ndarray, datasets: Sequence) -> float:
     """Joint data log-likelihood over all clusters.
 
@@ -448,7 +543,9 @@ def evaluate(thetas: np.ndarray, datasets: Sequence) -> float:
     ----------
     thetas : array of shape (n_clusters, n_coefficients), one parameter row
         per cluster, matched to ``datasets`` by position.
-    datasets : sequence of ClusterDataset.
+    datasets : sequence of ClusterDataset; a :class:`DatasetBundle` reuses
+        its plan, any other sequence is planned afresh on every call, with
+        bit-identical results.
 
     Clusters that share a geometry and the shapes of their maps form a
     group, modelled in one pass: the clamp-free rows as one product with
@@ -470,18 +567,11 @@ def evaluate(thetas: np.ndarray, datasets: Sequence) -> float:
     if thetas.shape[0] != len(datasets):
         raise ValueError(
             f"{thetas.shape[0]} parameter rows for {len(datasets)} datasets")
-    groups: dict[tuple, list[int]] = {}
-    failed: dict[int, Exception] = {}
-    for i, ds in enumerate(datasets):
-        try:
-            key = (_geometry(ds), np.shape(ds.obs_map), np.shape(ds.sigma_map))
-        except Exception as exc:
-            failed[i] = exc
-        else:
-            groups.setdefault(key, []).append(i)
+    plan = datasets.plan if isinstance(datasets, DatasetBundle) else _Plan(datasets)
+    failed = dict(plan.failed)
     chi = np.empty(len(datasets))
-    for (geometry, _, _), members in groups.items():
-        r_max, y, g, pixel, fwhm = geometry
+    for geometry, radial, members, obs, sigma in plan.groups:
+        r_max, _, g, pixel, fwhm = geometry
         rows = thetas[members]
         try:
             free = _clamp_free(rows)
@@ -491,12 +581,11 @@ def evaluate(thetas: np.ndarray, datasets: Sequence) -> float:
                 maps = _monomial_maps(*geometry, rows.shape[1])
                 models[free] = np.matmul(rows[free, None, :], maps).reshape(-1, g, g)
             if not free.all():
-                models[~free] = cluster_model_map(rows[~free], r_max, np.frombuffer(y),
+                models[~free] = cluster_model_map(rows[~free], r_max, radial,
                                                   g, pixel, fwhm)
-            chi[members] = chi_square(models, np.array([datasets[i].obs_map for i in members]),
-                                      np.array([datasets[i].sigma_map for i in members]))
+            chi[members] = chi_square(models, obs, sigma)
         except Exception as exc:
-            failed.update(dict.fromkeys(members, exc))
+            failed.update(dict.fromkeys(members.tolist(), exc))
     total = 0.0
     for i, (ds, value) in enumerate(zip(datasets, (-0.5 * chi).tolist())):
         if i in failed:

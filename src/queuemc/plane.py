@@ -120,14 +120,14 @@ class TaskRunner:
 
     The cache models container reuse on a warm instance: the first kernel
     task touching a key pays the parse (reported as a cold invocation),
-    later ones reuse the in-memory datasets.
+    later ones reuse the parsed bundle and the evaluation plan it keeps.
     """
 
     def __init__(self, store=None,
-                 likelihood_fn: Callable[[np.ndarray, list | None], float] | None = None):
+                 likelihood_fn: Callable[[np.ndarray, tuple | None], float] | None = None):
         self._store = store
         self._fn = likelihood_fn
-        self._cache: dict[str, list] = {}
+        self._cache: dict[str, kernel.DatasetBundle] = {}
         self._lock = threading.Lock()
 
     def run(self, msg: Message) -> tuple[float | tuple[str, str], bool, float | None]:
@@ -173,7 +173,7 @@ class TaskRunner:
             return ("non-finite-likelihood", repr(value)), False, None
         return value, cold, None
 
-    def _load(self, key: str) -> tuple[list, bool]:
+    def _load(self, key: str) -> tuple[kernel.DatasetBundle, bool]:
         with self._lock:
             if key in self._cache:
                 return self._cache[key], False

@@ -1,10 +1,12 @@
 """Reference implementations of the kernel stages, for the tests only.
 
 Here the quadrature and the map expansion rebuild their geometry on every
-call, and the beam is the zero-padded FFT convolution with the full 2-D
-Gaussian. ``queuemc.kernel`` builds each geometry once and applies the
-beam as two matrix products, and sums the clamped Abel quadrature from
-cached prefix sums; the tests hold it to these references within
+call and work on full maps, and the beam is the zero-padded FFT
+convolution with the full 2-D Gaussian. ``queuemc.kernel`` builds each
+geometry once, expands profiles onto a map's top-left quadrant only,
+applies the beam to that quadrant as two matrix products, and sums the
+clamped Abel quadrature from cached prefix sums; the tests unfold its
+quadrants with :func:`unfold` and hold it to these references within
 tolerances set from float64 rounding.
 """
 
@@ -56,6 +58,34 @@ def project_to_map(radial_grid, values, grid_size, pixel_size):
     idx = np.arange(grid_size, dtype=np.float64) - c
     rho = pixel_size * np.sqrt(idx[:, None] ** 2 + idx[None, :] ** 2)
     return np.interp(rho, radial_grid, values, right=0.0)
+
+
+def full_grid_gather(radial_grid, values, grid_size, pixel_size):
+    """The map expansion as a two-point gather over every pixel of the
+    full map, v[lo] + w·(v[lo + 1] - v[lo]) for v padded with two zeros,
+    in the kernel's own arithmetic: the same interpolation as
+    :func:`project_to_map`, but not rounded as ``np.interp`` rounds it."""
+    radial = np.asarray(radial_grid, dtype=np.float64)
+    c = (grid_size - 1) / 2.0
+    idx = np.arange(grid_size, dtype=np.float64) - c
+    rho = pixel_size * np.sqrt(idx[:, None] ** 2 + idx[None, :] ** 2)
+    lo = np.searchsorted(radial, rho, side="right") - 1
+    inside = (lo >= 0) & (lo < radial.size - 1)
+    left = lo[inside]
+    w = np.zeros_like(rho)
+    w[inside] = (rho[inside] - radial[left]) / (radial[left + 1] - radial[left])
+    lo[lo < 0] = 0
+    lo[rho > radial[-1]] = radial.size
+    v = np.concatenate([np.asarray(values, dtype=np.float64), [0.0, 0.0]])
+    return v[lo] + w * (v[lo + 1] - v[lo])
+
+
+def unfold(quadrant):
+    """The maps whose top-left quadrants are ``quadrant`` (along its last
+    two axes), mirrored about both axes: E·Q·Eᵀ with E = [I; J]."""
+    q = np.asarray(quadrant)
+    top = np.concatenate([q, q[..., ::-1]], axis=-1)
+    return np.concatenate([top, top[..., ::-1, :]], axis=-2)
 
 
 def gaussian_beam_kernel(grid_size, beam_fwhm, pixel_size):

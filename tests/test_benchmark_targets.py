@@ -3,11 +3,18 @@
 perfbench times layers by wrapping named functions of the package (see
 ``perfbench/spans.py``). A target that is renamed or removed in the
 package leaves its per-layer metric empty, so installing every target
-here makes that a test failure instead.
+here makes that a test failure instead, and so does a kernel call that
+no longer passes through one of its stage targets.
 """
 
 import importlib
+import math
 from pathlib import Path
+
+import numpy as np
+
+from queuemc import datasets, kernel
+from queuemc.store import MemoryObjectStore
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -29,3 +36,27 @@ def test_every_span_target_installs(monkeypatch):
     finally:
         tracer.uninstall()
     assert set(tracer.absent) == STALE
+
+
+def test_kernel_spans_record_a_fit_local_call(monkeypatch):
+    # perfbench's kernel.*_ms metrics come from spans on the stage
+    # functions; a kernel that bypassed a stage would leave its metric
+    # empty. One fit-local-shaped call on a bundle, with a clamp-active
+    # row so that every stage runs, must reach every kernel target.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    spans = importlib.import_module("spans")
+    workloads = importlib.import_module("workloads")
+    clusters, _ = datasets.make_synthetic(workloads.FIT_CLUSTERS, grid_size=workloads.FIT_GRID,
+                                          seed=7)
+    store = MemoryObjectStore()
+    store.put("bundle", datasets.write_container(clusters))
+    thetas = np.tile(workloads.FIT_INIT, (workloads.FIT_CLUSTERS, 1))
+    thetas[0, 0] -= 0.1  # p(1) < 0: the clamp is active
+    tracer = spans.Tracer()
+    tracer.install(workloads.KERNEL_TARGETS)
+    try:
+        bundle = datasets.read_container(store.get("bundle"))
+        assert math.isfinite(kernel.evaluate(thetas, bundle))
+    finally:
+        tracer.uninstall()
+    assert tracer.guard() == {}

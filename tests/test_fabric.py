@@ -1,3 +1,4 @@
+import math
 import threading
 
 import pytest
@@ -49,6 +50,31 @@ def test_fifo_order(fabric):
 def test_pop_empty_times_out(fabric):
     q = fabric.create_queue("q")
     assert q.pop(timeout=0) is None
+
+
+@pytest.mark.parametrize("clock", [VirtualClock, WallClock])
+def test_pop_rejects_a_nan_timeout(clock):
+    # A NaN deadline is never reached, so a pop that waited on one would
+    # never return: the pop runs on a thread the test gives up on.
+    q = QueueFabric(clock()).create_queue("q")
+    raised = []
+
+    def pop_nan():
+        try:
+            q.pop(timeout=math.nan)
+        except ConfigurationError as exc:
+            raised.append(exc)
+
+    popper = threading.Thread(target=pop_nan, daemon=True)
+    popper.start()
+    popper.join(timeout=5.0)
+    assert not popper.is_alive()
+    assert len(raised) == 1
+    # A timeout of 0 or below still polls.
+    assert q.pop(timeout=0.0) is None
+    assert q.pop(timeout=-1.0) is None
+    q.push(msg(4))
+    assert q.pop(timeout=-1.0).msg_id == 4
 
 
 def test_push_pop_round_trip(fabric):

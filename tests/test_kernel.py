@@ -1,7 +1,9 @@
 import dataclasses
+import gc
 import math
 import time
 import types
+import weakref
 
 import numpy as np
 import pytest
@@ -9,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from queuemc import kernel
-from queuemc.datasets import POPULATION_MEAN, ClusterDataset, make_synthetic, write_container
+from queuemc.datasets import (POPULATION_MEAN, ClusterDataset, make_synthetic, read_container,
+                              write_container)
 from queuemc.errors import ClusterEvalError, InvalidGridError, ShapeMismatchError
 from queuemc.fabric import Message, MessageKind
 from queuemc.kernel import (DEFAULT_N_QUAD, chi_square, convolve_beam, evaluate,
@@ -137,7 +140,7 @@ def test_project_constant_field_full_coverage():
 def test_project_zero_beyond_radial_grid():
     grid = np.linspace(0.0, 0.2, 10)
     values = np.ones_like(grid)
-    image = project_to_map(grid, values, grid_size=16, pixel_size=0.1)
+    image = oracle.unfold(project_to_map(grid, values, grid_size=16, pixel_size=0.1))
     center = (16 - 1) / 2.0
     idx = np.arange(16) - center
     rho = 0.1 * np.hypot(idx[:, None], idx[None, :])
@@ -146,11 +149,16 @@ def test_project_zero_beyond_radial_grid():
 
 
 def test_project_point_symmetry():
+    # The fold rests on this: the full map is exactly symmetric about both
+    # axes, so its quadrant unfolds into it.
     rng = np.random.default_rng(3)
     grid = np.linspace(0.0, 5.0, 40)
     values = rng.random(40)
-    image = project_to_map(grid, values, grid_size=12, pixel_size=0.3)
-    assert np.array_equal(image, image[::-1, ::-1])
+    full = oracle.full_grid_gather(grid, values, grid_size=12, pixel_size=0.3)
+    assert np.array_equal(full, full[::-1, ::-1])
+    assert np.array_equal(full, full[::-1, :]) and np.array_equal(full, full[:, ::-1])
+    image = oracle.unfold(project_to_map(grid, values, grid_size=12, pixel_size=0.3))
+    assert np.array_equal(image, full)
 
 
 def test_project_linear_field_hand_picked_pixels():
@@ -158,11 +166,23 @@ def test_project_linear_field_hand_picked_pixels():
     grid = np.linspace(0.0, 10.0, 51)
     values = slope * grid
     g, pixel = 8, 0.5
-    image = project_to_map(grid, values, grid_size=g, pixel_size=pixel)
+    image = oracle.unfold(project_to_map(grid, values, grid_size=g, pixel_size=pixel))
     c = (g - 1) / 2.0
     for i, j in [(0, 0), (3, 4), (7, 7), (2, 5), (4, 4)]:
         rho = pixel * math.hypot(i - c, j - c)
         assert image[i, j] == pytest.approx(slope * rho, rel=1e-12)
+
+
+@pytest.mark.parametrize("stack", [(), (3,)])
+def test_unfolded_quadrant_is_the_full_grid_gather_bit_for_bit(stack):
+    rng = np.random.default_rng(len(stack))
+    for ds in GEOMETRIES:
+        values = rng.standard_normal(stack + (ds.n_radial,))
+        quadrant = project_to_map(ds.radial_grid, values, ds.grid_size, ds.pixel_size)
+        assert quadrant.shape == stack + (ds.grid_size // 2, ds.grid_size // 2)
+        full = [oracle.full_grid_gather(ds.radial_grid, v, ds.grid_size, ds.pixel_size)
+                for v in values.reshape(-1, ds.n_radial)]
+        assert oracle.unfold(quadrant).tobytes() == np.array(full).tobytes(), ds.cluster_id
 
 
 def test_project_requires_even_grid():
@@ -203,9 +223,9 @@ def direct_convolve(img: np.ndarray, kern: np.ndarray) -> np.ndarray:
 
 def test_convolve_delta_kernel_is_identity():
     rng = np.random.default_rng(0)
-    img = rng.standard_normal((16, 16))
-    out = convolve_beam(img, beam_fwhm=0.01, pixel_size=1.0)
-    assert np.max(np.abs(out - img)) < 1e-6
+    quadrant = rng.standard_normal((8, 8))
+    out = convolve_beam(quadrant, beam_fwhm=0.01, pixel_size=1.0)
+    assert np.max(np.abs(out - oracle.unfold(quadrant))) < 1e-6
 
 
 def test_convolve_constant_map_near_delta_kernel():
@@ -228,29 +248,38 @@ def test_convolve_preserves_sum_of_compact_map():
     # A centrally supported map loses no mass to the crop.
     grid = np.linspace(0.0, 5.0, 30)
     values = np.maximum(0.0, 1.0 - grid / 5.0)
-    img = project_to_map(grid, values, grid_size=32, pixel_size=1.0)
-    out = convolve_beam(img, beam_fwhm=2.0, pixel_size=1.0)
-    assert out.sum() == pytest.approx(img.sum(), rel=1e-8)
+    quadrant = project_to_map(grid, values, grid_size=32, pixel_size=1.0)
+    out = convolve_beam(quadrant, beam_fwhm=2.0, pixel_size=1.0)
+    assert out.sum() == pytest.approx(oracle.unfold(quadrant).sum(), rel=1e-8)
 
 
 def test_beam_kernel_unit_sum_and_fwhm():
-    # The beam's response to a point at the kernel centre is the kernel.
-    point = np.zeros((64, 64))
-    point[32, 32] = 1.0
-    kern = convolve_beam(point, beam_fwhm=4.0, pixel_size=1.0)
+    # The beam's response to a point at the kernel centre is the kernel,
+    # B·δ·Bᵀ for the 1-D beam matrix B that the folded beam is built from.
+    beam = kernel._beam_matrix(64, beam_fwhm=4.0, pixel_size=1.0)
+    kern = np.outer(beam[:, 32], beam[:, 32])
     assert kern.sum() == pytest.approx(1.0, rel=1e-12)
     # Half maximum at half the FWHM from the center.
     center = kern[32, 32]
     assert kern[32, 34] == pytest.approx(center / 2.0, rel=1e-12)
+    assert np.max(np.abs(kern - gaussian_beam_kernel(64, 4.0, 1.0))) <= 1e-12 * center
+    # A point is not mirror-symmetric, so through convolve_beam it comes
+    # with its three mirror images: four points around the centre.
+    quadrant = np.zeros((32, 32))
+    quadrant[31, 31] = 1.0
+    smoothed = convolve_beam(quadrant, beam_fwhm=4.0, pixel_size=1.0)
+    assert smoothed.sum() == pytest.approx(4.0, rel=1e-12)
+    expected = oracle.convolve_beam(oracle.unfold(quadrant), 4.0, 1.0)
+    assert np.max(np.abs(smoothed - expected)) <= 1e-12 * np.max(expected)
 
 
 @pytest.mark.parametrize("fwhm", [1.5, 3.0])
 def test_convolve_matches_direct_oracle(fwhm):
     rng = np.random.default_rng(42)
-    img = rng.standard_normal((16, 16))
+    quadrant = rng.standard_normal((8, 8))
     kern = gaussian_beam_kernel(16, beam_fwhm=fwhm, pixel_size=1.0)
-    fft_out = convolve_beam(img, beam_fwhm=fwhm, pixel_size=1.0)
-    direct = direct_convolve(img, kern)
+    fft_out = convolve_beam(quadrant, beam_fwhm=fwhm, pixel_size=1.0)
+    direct = direct_convolve(oracle.unfold(quadrant), kern)
     assert np.max(np.abs(fft_out - direct)) < 1e-10
 
 
@@ -541,16 +570,17 @@ def test_stages_on_a_stack_match_each_row_bit_for_bit():
 def test_geometry_tables_of_fit_local_stay_within_budget():
     # fit-local's geometry: grid 64, 128 radial points, cubic profiles. The
     # tables are charged to the process's peak memory, so they are held to
-    # 2.2 MB: the Abel prefix sums, the map gather, the beam, the monomial maps.
+    # 2.2 MB: the Abel prefix sums, the quadrant's map gather, the folded
+    # beam, the monomial maps.
     datasets, _ = make_synthetic(2, grid_size=64, seed=1)
     ds = datasets[0]
     evaluate(np.array([POPULATION_MEAN, np.add(POPULATION_MEAN, (-0.1, 0, 0, 0))]), datasets)
-    caches = (kernel._abel_tables, kernel._map_gather, kernel._beam_matrix,
+    caches = (kernel._abel_tables, kernel._map_gather, kernel._folded_beam,
               kernel._monomial_maps)
     misses = [cache.cache_info().misses for cache in caches]
     r_max, y, g, pixel, fwhm = kernel._geometry(ds)
     tables = [*kernel._abel_tables(r_max, y, DEFAULT_N_QUAD, 4),
-              *kernel._map_gather(y, g, pixel), kernel._beam_matrix(g, fwhm, pixel),
+              *kernel._map_gather(y, g, pixel), kernel._folded_beam(g, fwhm, pixel),
               kernel._monomial_maps(r_max, y, g, pixel, fwhm, 4)]
     assert [cache.cache_info().misses for cache in caches] == misses  # evaluate's own entries
     held = sum((t if t.base is None else t.base).nbytes for t in tables)
@@ -562,9 +592,9 @@ def test_geometry_tables_of_fit_local_stay_within_budget():
 def test_beam_matches_fft_reference(seed):
     rng = np.random.default_rng(seed)
     for ds in GEOMETRIES:
-        image = rng.standard_normal((ds.grid_size, ds.grid_size))
-        got = convolve_beam(image, ds.beam_fwhm, ds.pixel_size)
-        expected = oracle.convolve_beam(image, ds.beam_fwhm, ds.pixel_size)
+        quadrant = rng.standard_normal((ds.grid_size // 2, ds.grid_size // 2))
+        got = convolve_beam(quadrant, ds.beam_fwhm, ds.pixel_size)
+        expected = oracle.convolve_beam(oracle.unfold(quadrant), ds.beam_fwhm, ds.pixel_size)
         assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
@@ -749,3 +779,86 @@ def test_overflowing_finite_row_is_a_zero_density(row, monkeypatch):
         # Every row through the stages, the path evaluate skips for clamp-free rows.
         monkeypatch.setattr(kernel, "_clamp_free", lambda thetas: np.zeros(len(thetas), bool))
         assert evaluate(theta[None], datasets) == -math.inf
+
+
+# ---------------------------------------------------------------- dataset bundles
+#
+# read_container returns a DatasetBundle: its maps are rows of read-only
+# blocks, one obs and one noise block per map shape, and evaluate plans
+# its groups once for the life of the bundle.
+
+
+def interleaved_clusters():
+    """Two groups on the grid-32 block, each a strict subset of it, and
+    one group that covers the grid-24 block, interleaved in list order."""
+    return [geometry_dataset("a"),
+            geometry_dataset("g24-a", grid_size=24, pixel_size=0.1, seed=3),
+            geometry_dataset("fwhm", beam_fwhm=0.4, seed=2),
+            geometry_dataset("b", seed=5),
+            geometry_dataset("g24-b", grid_size=24, pixel_size=0.1, seed=6)]
+
+
+def mixed_rows(rng, n):
+    """Rows around the population mean, on both sides of the clamp."""
+    return np.asarray(POPULATION_MEAN) + 0.2 * rng.standard_normal((n, 4))
+
+
+def test_evaluate_on_a_bundle_matches_the_list_bit_for_bit():
+    clusters = interleaved_clusters()
+    bundle = read_container(write_container(clusters))
+    rng = np.random.default_rng(12)
+    for _ in range(8):
+        thetas = mixed_rows(rng, len(clusters))
+        got = evaluate(thetas, bundle)
+        assert got == evaluate(thetas, list(bundle)) == evaluate(thetas, clusters)
+        assert got == pytest.approx(oracle.evaluate(thetas, clusters), rel=1e-12, abs=0)
+    # The group that covers the grid-24 block stacks the block itself; the
+    # strict subsets of the grid-32 block hold their own copies.
+    stacks = {tuple(members.tolist()): obs for _, _, members, obs, _ in bundle.plan.groups}
+    assert stacks.keys() == {(0, 3), (1, 4), (2,)}
+    assert stacks[1, 4].base is bundle.blocks[24, 24]
+    assert stacks[0, 3].base is not bundle.blocks[32, 32]
+    assert stacks[0, 3].tobytes() == np.array([clusters[0].obs_map, clusters[3].obs_map]).tobytes()
+
+
+def test_bundle_builds_its_plan_once(monkeypatch):
+    builds = []
+
+    class CountedPlan(kernel._Plan):
+        def __init__(self, *args):
+            builds.append(args[0])
+            super().__init__(*args)
+
+    monkeypatch.setattr(kernel, "_Plan", CountedPlan)
+    clusters = interleaved_clusters()
+    bundle = read_container(write_container(clusters))
+    thetas = mixed_rows(np.random.default_rng(13), len(clusters))
+    values = {evaluate(thetas, bundle) for _ in range(3)}
+    assert len(builds) == 1 and builds[0] is bundle
+    assert bundle.plan is bundle.plan
+    # Any other sequence is planned on every call, to the same value.
+    values |= {evaluate(thetas, list(bundle)) for _ in range(2)}
+    assert len(builds) == 3 and len(values) == 1
+
+
+def test_bundle_plan_is_freed_with_it():
+    clusters = interleaved_clusters()
+    bundle = read_container(write_container(clusters))
+    evaluate(mixed_rows(np.random.default_rng(14), len(clusters)), bundle)
+    plan = weakref.ref(bundle.plan)
+    del bundle
+    gc.collect()
+    assert plan() is None
+
+
+def test_bundle_maps_are_read_only():
+    clusters = interleaved_clusters()
+    bundle = read_container(write_container(clusters))
+    assert isinstance(bundle, tuple) and len(bundle) == len(clusters)
+    assert [ds.cluster_id for ds in bundle] == [ds.cluster_id for ds in clusters]
+    plan_stacks = [stack for group in bundle.plan.groups for stack in group[3:]]
+    for stack in [*(ds.obs_map for ds in bundle), *(ds.sigma_map for ds in bundle),
+                  *bundle.blocks.values(), *plan_stacks]:
+        assert not stack.flags.writeable
+        with pytest.raises(ValueError):
+            stack[0, 0] = 1.0
