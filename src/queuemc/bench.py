@@ -49,8 +49,11 @@ def reference_total_time(model: BackendModel, ratio_reference: str = "chain",
 
     ``chain`` compares a wave's overhead against the time of a whole run
     (iterations times one likelihood duration); ``single`` compares
-    against one likelihood duration alone.
+    against one likelihood duration alone. ``ref_iterations`` must be
+    at least 1.
     """
+    if ref_iterations < 1:
+        raise ConfigurationError(f"ref_iterations must be at least 1, got {ref_iterations}")
     if ratio_reference == "chain":
         return ref_iterations * model.likelihood_duration_s
     if ratio_reference == "single":

@@ -12,7 +12,6 @@ point count u32, pixel_size f64, beam_fwhm f64, r_max f64, radial grid
 
 from __future__ import annotations
 
-import collections
 import io
 import math
 import struct
@@ -107,9 +106,10 @@ def write_container(datasets: Sequence[ClusterDataset]) -> bytes:
 def read_container(data: bytes) -> kernel.DatasetBundle:
     """Parse a binary container back into datasets.
 
-    Returns a :class:`kernel.DatasetBundle`: each map is copied once,
-    straight into the obs block or the noise block of its shape, both
-    read-only, and each dataset holds views of its rows, in list order.
+    Returns a :class:`kernel.DatasetBundle` of the datasets in container
+    order: the bundle copies each map once into its group's read-only
+    stacks and keeps no reference to ``data``. A container with no
+    clusters is refused.
     """
     view = memoryview(data)
     if bytes(view[:4]) != CONTAINER_MAGIC:
@@ -118,8 +118,7 @@ def read_container(data: bytes) -> kernel.DatasetBundle:
     try:
         (count,) = _U32.unpack_from(view, off)
         off += 4
-        headers = []
-        rows: collections.Counter[int] = collections.Counter()
+        out = []
         for _ in range(count):
             (id_len,) = _U32.unpack_from(view, off)
             off += 4
@@ -127,31 +126,23 @@ def read_container(data: bytes) -> kernel.DatasetBundle:
             off += id_len
             grid, n_radial = struct.unpack_from("<II", view, off)
             off += 8
-            geometry = struct.unpack_from("<ddd", view, off)
+            pixel_size, beam_fwhm, r_max = struct.unpack_from("<ddd", view, off)
             off += 24
             radial = np.frombuffer(view, dtype="<f8", count=n_radial, offset=off).copy()
             off += 8 * n_radial
-            headers.append((ident, grid, geometry, radial, off, rows[grid]))
-            rows[grid] += 1
+            obs, sigma = np.frombuffer(view, dtype="<f8", count=2 * grid * grid,
+                                       offset=off).reshape(2, grid, grid)
             off += 16 * grid * grid
-            if off > len(data):
-                raise ValueError(f"the maps of {ident!r} run past the end")
-        # Per grid size, the obs block and the noise block as one array.
-        blocks = {(g, g): np.empty((2, n, g, g)) for g, n in rows.items()}
-        for _, grid, _, _, at, row in headers:
-            maps = np.frombuffer(view, dtype="<f8", count=2 * grid * grid, offset=at)
-            blocks[grid, grid][:, row] = maps.reshape(2, grid, grid)
-        for block in blocks.values():
-            block.flags.writeable = False
-        out = [ClusterDataset(cluster_id=ident, obs_map=blocks[grid, grid][0, row],
-                              sigma_map=blocks[grid, grid][1, row], pixel_size=pixel_size,
-                              beam_fwhm=beam_fwhm, r_max=r_max, radial_grid=radial)
-               for ident, grid, (pixel_size, beam_fwhm, r_max), radial, _, row in headers]
+            out.append(ClusterDataset(cluster_id=ident, obs_map=obs, sigma_map=sigma,
+                                      pixel_size=pixel_size, beam_fwhm=beam_fwhm,
+                                      r_max=r_max, radial_grid=radial))
     except (struct.error, ValueError) as exc:
         raise WireFormatError(f"truncated or invalid container: {exc}") from exc
+    if count == 0:
+        raise WireFormatError("container holds no clusters")
     if off != len(data):
         raise WireFormatError(f"{len(data) - off} trailing bytes after container")
-    return kernel.DatasetBundle(out, blocks)
+    return kernel.DatasetBundle(out)
 
 
 def make_synthetic(n_clusters: int, grid_size: int = 64, seed: int = 0, *,

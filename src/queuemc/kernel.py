@@ -24,13 +24,12 @@ one stack in cluster order, and one :func:`chi_square` takes that stack
 against its clusters' maps, one value per cluster. A group that raises
 fails all of its clusters.
 
-A :class:`DatasetBundle`, which ``datasets.read_container`` returns,
-builds that grouping once, on first use, and keeps it as long as the
-bundle lives: its maps are rows of read-only blocks, one obs block and
-one σ block per map shape, so a group that covers a block takes the
-block itself as its stack, and a strict subset copies its rows once. On
-any other sequence of datasets :func:`evaluate` builds the same plan on
-every call, copying each group's maps into fresh stacks.
+A :class:`DatasetBundle` does that grouping, once, when it is built:
+it copies each group's maps once into a read-only obs stack and a σ
+stack, and its datasets are shallow copies whose maps are rows of those
+stacks. ``datasets.read_container`` returns one, so a worker that keeps
+it groups its clusters once; on any other sequence of datasets
+:func:`evaluate` builds a bundle on every call.
 
 What depends on a dataset's geometry alone is built on first use and
 reused. The caches are keyed on values, not on dataset objects, so
@@ -50,9 +49,9 @@ entry takes:
 
 At m = 128, n = 512, k = 4 and G = 64 that is 1.59 MB + 16 KB + 16 KB +
 128 KB = 1.75 MB for one geometry, and at most 32 × 1.75 = 56 MB when
-every cache is full of such entries. A bundle's plan adds only its
-groups' member indices (and, for a group that is a strict subset of a
-block, that subset's stacks), since the stacks are the bundle's blocks.
+every cache is full of such entries. A bundle holds each of its maps
+once, 16·G² bytes per cluster for its obs and σ rows, and its groups'
+member indices.
 
 The profile is p(x) = max(0, sum_j theta_j x**j) at x = r / r_max. For
 each projected radius y the Simpson nodes x_i = sqrt(y² + t_i²) / r_max
@@ -84,6 +83,7 @@ density (-inf) on either path.
 
 from __future__ import annotations
 
+import copy
 import functools
 import math
 from typing import Sequence
@@ -478,62 +478,46 @@ def _geometry(dataset) -> tuple:
             int(dataset.grid_size), float(dataset.pixel_size), float(dataset.beam_fwhm))
 
 
-class _Plan:
-    """What :func:`evaluate` needs of its datasets besides the rows.
+class DatasetBundle(tuple):
+    """An immutable sequence of cluster datasets, grouped once for
+    :func:`evaluate`.
 
+    The constructor takes any sequence of datasets and groups them by
+    geometry and the shapes of their maps, in order of first member.
     ``groups`` holds one ``(geometry, radial_grid, members, obs, sigma)``
-    per group of clusters that share a geometry and the shapes of their
-    maps, in order of first member: ``members`` is an index array in list
-    order, and ``obs`` and ``sigma`` stack the members' maps, read-only.
-    ``failed`` maps the index of each cluster whose geometry could not be
-    read to the error. With ``blocks``, where the obs and noise maps of
-    each shape are, in list order, the rows of the two stacks of
-    ``blocks[shape]``, a group that holds every map of its shape takes
-    those stacks; any other group copies its members' maps once.
+    per group: ``members`` is an index array in list order, and ``obs``
+    and ``sigma`` stack the members' maps, copied once, read-only.
+    ``failed`` maps the index of each dataset whose geometry could not be
+    read to the error. Each grouped item is a shallow copy of the given
+    dataset whose maps are its rows of those stacks, so the bundle holds
+    each map once and the given datasets are left as they are.
     """
 
-    def __init__(self, datasets: Sequence, blocks: dict | None = None) -> None:
-        self.failed: dict[int, Exception] = {}
+    def __new__(cls, datasets: Sequence) -> DatasetBundle:
+        items = list(datasets)
+        failed: dict[int, Exception] = {}
         keys: dict[tuple, list[int]] = {}
-        for i, ds in enumerate(datasets):
+        for i, ds in enumerate(items):
             try:
                 key = (_geometry(ds), np.shape(ds.obs_map), np.shape(ds.sigma_map))
             except Exception as exc:
-                self.failed[i] = exc
+                failed[i] = exc
             else:
                 keys.setdefault(key, []).append(i)
-        self.groups = []
-        for (geometry, shape, _), members in keys.items():
-            block = None if blocks is None else blocks[shape]
-            if block is not None and len(members) == len(block[0]):
-                obs, sigma = block
-            else:
-                obs = _read_only(np.array([datasets[i].obs_map for i in members]))
-                sigma = _read_only(np.array([datasets[i].sigma_map for i in members]))
-            self.groups.append((geometry, np.frombuffer(geometry[1]),
-                                np.array(members, dtype=np.intp), obs, sigma))
-
-
-class DatasetBundle(tuple):
-    """An immutable sequence of cluster datasets whose maps are rows of
-    shared read-only blocks: ``blocks`` maps each map shape to its pair
-    of obs and noise stacks, whose rows, in list order, are the maps of
-    the datasets of that shape.
-
-    ``plan``, built on first use, groups the clusters for
-    :func:`evaluate` once for the life of the bundle; the groups' stacks
-    are the blocks themselves where a group covers one. Threads that race
-    to build it build equal plans, and one of them is kept.
-    """
-
-    def __new__(cls, datasets: Sequence, blocks: dict) -> DatasetBundle:
-        bundle = super().__new__(cls, datasets)
-        bundle.blocks = blocks
+        groups = []
+        for (geometry, _, _), members in keys.items():
+            obs = _read_only(np.array([items[i].obs_map for i in members]))
+            sigma = _read_only(np.array([items[i].sigma_map for i in members]))
+            for i, obs_map, sigma_map in zip(members, obs, sigma):
+                items[i] = copy.copy(items[i])
+                object.__setattr__(items[i], "obs_map", obs_map)
+                object.__setattr__(items[i], "sigma_map", sigma_map)
+            groups.append((geometry, np.frombuffer(geometry[1]),
+                           np.array(members, dtype=np.intp), obs, sigma))
+        bundle = super().__new__(cls, items)
+        bundle.groups = groups
+        bundle.failed = failed
         return bundle
-
-    @functools.cached_property
-    def plan(self) -> _Plan:
-        return _Plan(self, self.blocks)
 
 
 def evaluate(thetas: np.ndarray, datasets: Sequence) -> float:
@@ -543,9 +527,9 @@ def evaluate(thetas: np.ndarray, datasets: Sequence) -> float:
     ----------
     thetas : array of shape (n_clusters, n_coefficients), one parameter row
         per cluster, matched to ``datasets`` by position.
-    datasets : sequence of ClusterDataset; a :class:`DatasetBundle` reuses
-        its plan, any other sequence is planned afresh on every call, with
-        bit-identical results.
+    datasets : sequence of ClusterDataset; a :class:`DatasetBundle` is
+        used as it is, any other sequence is grouped into a new bundle on
+        every call, with bit-identical results.
 
     Clusters that share a geometry and the shapes of their maps form a
     group, modelled in one pass: the clamp-free rows as one product with
@@ -567,10 +551,10 @@ def evaluate(thetas: np.ndarray, datasets: Sequence) -> float:
     if thetas.shape[0] != len(datasets):
         raise ValueError(
             f"{thetas.shape[0]} parameter rows for {len(datasets)} datasets")
-    plan = datasets.plan if isinstance(datasets, DatasetBundle) else _Plan(datasets)
-    failed = dict(plan.failed)
+    bundle = datasets if isinstance(datasets, DatasetBundle) else DatasetBundle(datasets)
+    failed = dict(bundle.failed)
     chi = np.empty(len(datasets))
-    for geometry, radial, members, obs, sigma in plan.groups:
+    for geometry, radial, members, obs, sigma in bundle.groups:
         r_max, _, g, pixel, fwhm = geometry
         rows = thetas[members]
         try:

@@ -120,7 +120,8 @@ class TaskRunner:
 
     The cache models container reuse on a warm instance: the first kernel
     task touching a key pays the parse (reported as a cold invocation),
-    later ones reuse the parsed bundle and the evaluation plan it keeps.
+    later ones reuse the parsed bundle, whose clusters were grouped and
+    whose maps were stacked once, by the parse.
     """
 
     def __init__(self, store=None,

@@ -57,8 +57,9 @@ def parse_addr(addr: str | tuple[str, int]) -> tuple[str, int]:
     if isinstance(addr, tuple):
         return addr
     host, _, port = addr.rpartition(":")
-    if not host or not port.isdigit():
-        raise ConfigurationError(f"listen address must be host:port, got {addr!r}")
+    if not (host and port.isascii() and port.isdigit() and int(port) <= 65535):
+        raise ConfigurationError(
+            f"address must be host:port with a port of at most 65535, got {addr!r}")
     return host, int(port)
 
 

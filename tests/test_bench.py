@@ -59,6 +59,12 @@ def test_report_ratio_references():
     assert reference_total_time(model, "single") == 100.0
     with pytest.raises(ConfigurationError):
         reference_total_time(model, "bogus")
+    for ref_iterations in (0, -3):
+        for reference in ("chain", "single"):
+            with pytest.raises(ConfigurationError, match="ref_iterations"):
+                reference_total_time(model, reference, ref_iterations)
+        with pytest.raises(ConfigurationError, match="ref_iterations"):
+            bench_overhead([4], model, ref_iterations=ref_iterations)
     chain_reports, _ = bench_overhead([100], model, ratio_reference="chain")
     single_reports, _ = bench_overhead([100], model, ratio_reference="single")
     assert single_reports[0].overhead_ratio == pytest.approx(

@@ -44,8 +44,11 @@ def test_fit_config_errors_are_classified(dataset_path, tmp_path, capsys, extra)
     "dataset synth --clusters 1 --grid 0 --out {tmp}/c.qmc",
     "dataset synth --clusters 1 --grid -2 --out {tmp}/c.qmc",
     "bench overhead --n 2 --tau 0 --out {tmp}/o.csv",
+    "bench overhead --n 4 --ref-iterations 0 --out {tmp}/o.csv",
+    "bench overhead --n 4 --ref-iterations -3 --out {tmp}/o.csv",
     "bench timeline --walkers 2 --iterations 0 --out-dir {tmp}/t",
     "worker serve --listen nonsense --data-root {tmp}/objects",
+    "worker serve --listen 127.0.0.1:99999 --data-root {tmp}/objects",
 ])
 def test_bad_run_inputs_are_config_errors(dataset_path, tmp_path, capsys, argv):
     args = argv.format(tmp=tmp_path).split()
@@ -128,6 +131,15 @@ def test_fit_nan_in_observed_map_is_a_data_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(
         "error (data): cannot read dataset: truncated or invalid container: "
         "obs_map entries must be finite")
+
+
+def test_fit_empty_container_is_a_data_error(tmp_path, capsys):
+    path = tmp_path / "empty.qmc"
+    path.write_bytes(write_container([]))
+    code = fit(path, tmp_path / "out", "--walkers", "2", "--iterations", "1")
+    assert code == cli.EXIT_DATA
+    assert capsys.readouterr().err.startswith(
+        "error (data): cannot read dataset: container holds no clusters")
 
 
 @pytest.mark.parametrize("field", ["r_max", "beam_fwhm", "pixel_size"])

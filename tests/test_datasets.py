@@ -5,7 +5,7 @@ import struct
 import numpy as np
 import pytest
 
-from queuemc.datasets import (ClusterDataset, make_synthetic, read_container,
+from queuemc.datasets import (CONTAINER_MAGIC, ClusterDataset, make_synthetic, read_container,
                               write_container)
 from queuemc.errors import WireFormatError
 
@@ -67,6 +67,15 @@ def test_container_rejects_truncation_and_trailing():
     with pytest.raises(WireFormatError):
         read_container(blob[:-8])
     with pytest.raises(WireFormatError):
+        read_container(blob + b"junk")
+
+
+def test_container_rejects_zero_clusters():
+    blob = write_container([])
+    assert blob == CONTAINER_MAGIC + bytes(4)
+    with pytest.raises(WireFormatError, match="no clusters"):
+        read_container(blob)
+    with pytest.raises(WireFormatError, match="no clusters"):
         read_container(blob + b"junk")
 
 

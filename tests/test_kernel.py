@@ -1,9 +1,9 @@
 import dataclasses
 import gc
 import math
+import sys
 import time
 import types
-import weakref
 
 import numpy as np
 import pytest
@@ -783,14 +783,15 @@ def test_overflowing_finite_row_is_a_zero_density(row, monkeypatch):
 
 # ---------------------------------------------------------------- dataset bundles
 #
-# read_container returns a DatasetBundle: its maps are rows of read-only
-# blocks, one obs and one noise block per map shape, and evaluate plans
-# its groups once for the life of the bundle.
+# A DatasetBundle groups its datasets once, when it is built: each group's
+# maps are copied once into read-only obs and noise stacks, and each item
+# is a shallow copy of its dataset whose maps are rows of those stacks.
+# read_container returns one.
 
 
 def interleaved_clusters():
-    """Two groups on the grid-32 block, each a strict subset of it, and
-    one group that covers the grid-24 block, interleaved in list order."""
+    """Three groups, two of them on grid 32 and one on grid 24,
+    interleaved in list order."""
     return [geometry_dataset("a"),
             geometry_dataset("g24-a", grid_size=24, pixel_size=0.1, seed=3),
             geometry_dataset("fwhm", beam_fwhm=0.4, seed=2),
@@ -805,50 +806,67 @@ def mixed_rows(rng, n):
 
 def test_evaluate_on_a_bundle_matches_the_list_bit_for_bit():
     clusters = interleaved_clusters()
-    bundle = read_container(write_container(clusters))
+    maps = [(ds.obs_map, ds.sigma_map) for ds in clusters]
+    bundle = kernel.DatasetBundle(clusters)
+    read = read_container(write_container(clusters))
     rng = np.random.default_rng(12)
     for _ in range(8):
         thetas = mixed_rows(rng, len(clusters))
         got = evaluate(thetas, bundle)
-        assert got == evaluate(thetas, list(bundle)) == evaluate(thetas, clusters)
+        assert got == evaluate(thetas, read) == evaluate(thetas, clusters)
+        assert got == evaluate(thetas, list(read))
         assert got == pytest.approx(oracle.evaluate(thetas, clusters), rel=1e-12, abs=0)
-    # The group that covers the grid-24 block stacks the block itself; the
-    # strict subsets of the grid-32 block hold their own copies.
-    stacks = {tuple(members.tolist()): obs for _, _, members, obs, _ in bundle.plan.groups}
-    assert stacks.keys() == {(0, 3), (1, 4), (2,)}
-    assert stacks[1, 4].base is bundle.blocks[24, 24]
-    assert stacks[0, 3].base is not bundle.blocks[32, 32]
-    assert stacks[0, 3].tobytes() == np.array([clusters[0].obs_map, clusters[3].obs_map]).tobytes()
+    # The given datasets keep their own maps; each item's maps are its
+    # rows of its group's stacks, with the same bytes.
+    assert all(ds.obs_map is obs and ds.sigma_map is sigma
+               for ds, (obs, sigma) in zip(clusters, maps))
+    for b in (bundle, read):
+        assert [g[2].tolist() for g in b.groups] == [[0, 3], [1, 4], [2]]
+        assert b.failed == {}
+        for _, _, members, obs, sigma in b.groups:
+            for row, i in enumerate(members):
+                item = b[i]
+                assert item is not clusters[i] and item.cluster_id == clusters[i].cluster_id
+                assert item.obs_map.base is obs and item.sigma_map.base is sigma
+                assert np.shares_memory(item.obs_map, obs[row])
+                assert np.shares_memory(item.sigma_map, sigma[row])
+                assert item.obs_map.tobytes() == clusters[i].obs_map.tobytes()
+                assert item.sigma_map.tobytes() == clusters[i].sigma_map.tobytes()
 
 
-def test_bundle_builds_its_plan_once(monkeypatch):
+def test_bundle_is_grouped_once(monkeypatch):
     builds = []
 
-    class CountedPlan(kernel._Plan):
-        def __init__(self, *args):
-            builds.append(args[0])
-            super().__init__(*args)
+    class CountedBundle(kernel.DatasetBundle):
+        def __new__(cls, datasets):
+            builds.append(datasets)
+            return super().__new__(cls, datasets)
 
-    monkeypatch.setattr(kernel, "_Plan", CountedPlan)
+    monkeypatch.setattr(kernel, "DatasetBundle", CountedBundle)
     clusters = interleaved_clusters()
     bundle = read_container(write_container(clusters))
     thetas = mixed_rows(np.random.default_rng(13), len(clusters))
     values = {evaluate(thetas, bundle) for _ in range(3)}
-    assert len(builds) == 1 and builds[0] is bundle
-    assert bundle.plan is bundle.plan
-    # Any other sequence is planned on every call, to the same value.
+    assert len(builds) == 1 and isinstance(bundle, CountedBundle)
+    # Any other sequence is grouped into one new bundle per call, to the
+    # same value.
     values |= {evaluate(thetas, list(bundle)) for _ in range(2)}
     assert len(builds) == 3 and len(values) == 1
 
 
-def test_bundle_plan_is_freed_with_it():
+def test_bundle_holds_no_reference_to_the_container():
     clusters = interleaved_clusters()
-    bundle = read_container(write_container(clusters))
-    evaluate(mixed_rows(np.random.default_rng(14), len(clusters)), bundle)
-    plan = weakref.ref(bundle.plan)
-    del bundle
+    blob = write_container(clusters)
+    refs = sys.getrefcount(blob)
+    bundle = read_container(blob)
     gc.collect()
-    assert plan() is None
+    assert sys.getrefcount(blob) == refs
+    # Each stack owns its bytes, and each item's maps are rows of a stack.
+    stacks = [stack for group in bundle.groups for stack in group[3:]]
+    assert all(stack.base is None for stack in stacks)
+    for ds in bundle:
+        assert any(ds.obs_map.base is stack for stack in stacks)
+        assert any(ds.sigma_map.base is stack for stack in stacks)
 
 
 def test_bundle_maps_are_read_only():
@@ -856,9 +874,9 @@ def test_bundle_maps_are_read_only():
     bundle = read_container(write_container(clusters))
     assert isinstance(bundle, tuple) and len(bundle) == len(clusters)
     assert [ds.cluster_id for ds in bundle] == [ds.cluster_id for ds in clusters]
-    plan_stacks = [stack for group in bundle.plan.groups for stack in group[3:]]
+    stacks = [stack for group in bundle.groups for stack in group[3:]]
     for stack in [*(ds.obs_map for ds in bundle), *(ds.sigma_map for ds in bundle),
-                  *bundle.blocks.values(), *plan_stacks]:
+                  *stacks]:
         assert not stack.flags.writeable
         with pytest.raises(ValueError):
             stack[0, 0] = 1.0

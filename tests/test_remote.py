@@ -9,13 +9,14 @@ import pytest
 from queuemc.clocks import WallClock
 from queuemc.datasets import make_synthetic, write_container
 from queuemc.engine import ChainConfig, run_chains
-from queuemc.errors import NotFoundError, WireFormatError, WorkerCrashError
+from queuemc.errors import (ConfigurationError, NotFoundError, WireFormatError,
+                            WorkerCrashError)
 from queuemc.fabric import (NO_REQUEST, Message, MessageKind, QueueFabric,
                             decode_message, encode_message)
 from queuemc.kernel import evaluate
 from queuemc.payloads import pack_request, parse_error, unpack_response
 from queuemc.plane import attach_backend, make_stub_key
-from queuemc.remote import WorkerServer, _WorkerHandler, write_frame
+from queuemc.remote import WorkerServer, _WorkerHandler, parse_addr, write_frame
 from queuemc.store import DirectoryObjectStore
 
 HEADER = struct.Struct(">I")
@@ -287,6 +288,16 @@ def test_send_refuses_an_id_that_is_no_int64(worker_env, msg_id):
         assert rout.pop(timeout=10.0).msg_id == 1
     finally:
         client.close()
+
+
+def test_parse_addr_takes_host_and_port():
+    assert parse_addr("127.0.0.1:0") == ("127.0.0.1", 0)
+    assert parse_addr("localhost:65535") == ("localhost", 65535)
+    assert parse_addr(("127.0.0.1", 9)) == ("127.0.0.1", 9)
+    for addr in ("nonsense", ":80", "host:", "host:-1", "host:²", "host:65536",
+                 "127.0.0.1:99999"):
+        with pytest.raises(ConfigurationError):
+            parse_addr(addr)
 
 
 def test_write_frame_is_one_sendall():
