@@ -55,6 +55,8 @@ class ClusterDataset:
         object.__setattr__(self, "radial_grid", radial)
         if obs.ndim != 2 or obs.shape[0] != obs.shape[1]:
             raise ValueError("obs_map must be square")
+        if obs.shape[0] < 2:
+            raise ValueError("grid size must be at least 2")
         if obs.shape[0] % 2 != 0:
             raise ValueError("grid size must be even")
         # Every check below is written so that NaN fails it.

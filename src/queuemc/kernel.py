@@ -40,7 +40,8 @@ radial points, n Simpson intervals, k coefficients and a G × G map, an
 entry takes:
 
 - Abel tables, per ``(r_max, radial grid, n_quad, k)``:
-  8·((k - 1)·m·(n + 2) + (n + 2) + 3·m) bytes;
+  8·((k - 1)·m·(n + 2) + (n + 2) + 4·m) bytes, the last m for the
+  offsets of each radius's prefix sums;
 - the quadrant's map gather, per ``(radial grid, grid_size,
   pixel_size)``: 4·G²;
 - the folded beam C, per ``(grid_size, beam_fwhm, pixel_size)``: 4·G²;
@@ -56,8 +57,10 @@ member indices.
 The profile is p(x) = max(0, sum_j theta_j x**j) at x = r / r_max. For
 each projected radius y the Simpson nodes x_i = sqrt(y² + t_i²) / r_max
 increase with i, so the nodes where p > 0 form index ranges bounded by
-p's real roots in (0, 1), which one batched ``eigvals`` of the companion
-matrices gives. Over such a range [lo, hi),
+p's real roots in (0, 1), which batched ``eigvals`` of the companion
+matrices give: one call on the whole stack when every row has full
+degree, as a sampler's rows do, and otherwise one per degree. Over
+such a range [lo, hi),
 sum_i w_i p(x_i) = sum_j theta_j (S_j[y, hi] - S_j[y, lo]) for the
 cached prefix sums S_j of w_i x_i**j, and x_i <= c exactly when
 i <= n·sqrt(c² - (y / r_max)²)·r_max / t_up(y). That is the clamped
@@ -164,11 +167,13 @@ def _abel_tables(r_max: float, y_bytes: bytes, n_quad: int, k: int,
     """Prefix sums of the Simpson terms on one projected grid, for
     profiles of k coefficients.
 
-    Returns ``(s0, s, h3, y2, scale)``: ``s0[i]`` is the sum of the first
-    i weights, shape (n + 2,); ``s[j - 1, y, i]`` the sum of the first i
-    terms w x**j at radius y, for j = 1 .. k - 1; ``h3`` the step over
-    three; and ``y2 = (y / r_max)**2`` and ``scale = n·r_max / t_up(y)``,
-    which count the nodes of y at or below a fraction c.
+    Returns ``(s0, s, offsets, h3, y2, scale)``: ``s0[i]`` is the sum of
+    the first i weights, shape (n + 2,); ``s[j - 1, y·(n + 2) + i]`` the
+    sum of the first i terms w x**j at radius y, for j = 1 .. k - 1, so
+    ``offsets = y·(n + 2)`` turns a node count of radius y into its
+    index; ``h3`` the step over three; and ``y2 = (y / r_max)**2`` and
+    ``scale = n·r_max / t_up(y)``, which count the nodes of y at or below
+    a fraction c.
     """
     y = np.frombuffer(y_bytes, dtype=np.float64)
     x, h3, weights = _simpson_nodes(r_max, y, n_quad)
@@ -180,60 +185,86 @@ def _abel_tables(r_max: float, y_bytes: bytes, n_quad: int, k: int,
     for j in range(k - 1):
         np.cumsum(term, axis=1, out=s[j, :, 1:])
         term *= x
+    offsets = np.arange(0, m * (nodes + 1), nodes + 1)
     scale = (nodes - 1) * r_max / np.sqrt(r_max * r_max - y * y)
-    return tuple(_read_only(a) for a in (s0, s, h3, (y / r_max) ** 2, scale))
+    return tuple(_read_only(a) for a in (s0, s.reshape(k - 1, m * (nodes + 1)), offsets, h3,
+                                         (y / r_max) ** 2, scale))
 
 
+@functools.lru_cache(maxsize=GEOMETRY_CACHE_SIZE)
+def _companion_template(d: int) -> np.ndarray:
+    """The d × d companion matrix of a monic polynomial of degree d, with
+    its top row, which carries the coefficients, left zero."""
+    return _read_only(np.eye(d, k=-1))
+
+
+def _real_roots(monic: np.ndarray) -> np.ndarray:
+    """The roots of x**d + sum_j monic[r, j] x**j for each row r, by one
+    batched ``eigvals``, with 1 in place of each complex one."""
+    count, d = monic.shape
+    # The companion matrix in numpy.roots' layout: the top row carries
+    # the coefficients, which eigvals' balancing handles better when
+    # they span many orders of magnitude.
+    companion = np.repeat(_companion_template(d)[None], count, axis=0)
+    np.negative(monic[:, ::-1], out=companion[:, 0, :])
+    eig = np.linalg.eigvals(companion)
+    return np.where(eig.imag == 0, eig.real, 1.0)
+
+
+@np.errstate(all="ignore")
 def _clamp_breaks(rows: np.ndarray) -> tuple[np.ndarray, ...]:
     """Where each row's profile changes sign on [0, 1].
 
-    Returns ``(breaks, steps, theta, rooted)`` for rows of k coefficients.
-    ``breaks`` holds k + 1 sorted fractions from 0 to 1: the row's real
-    roots, clipped to [0, 1], with 1 in the slots of the roots it lacks;
-    p keeps one sign between neighbours. ``steps[b]`` is on(b - 1) -
-    on(b), where on(b) is 1 when p > 0 between breaks b and b + 1, so the
-    clamped sum of any prefix-summed term is the sum of ``steps[b]``
-    times that term's prefix sum up to break b. A row with a zero leading
-    coefficient takes the companion matrix of its true degree. ``rooted``
-    is False for a row with a NaN or infinite coefficient, or whose monic
-    form has a coefficient beyond ``_MONIC_LIMIT`` (a leading coefficient
-    tiny next to the others, where the eigenvalues lose their accuracy,
-    or an all-zero row's 0 / 0); its breaks and steps mean nothing, and
-    ``theta``, the rows themselves, holds zeros in its place.
+    Returns ``(breaks, steps, theta, unrooted)`` for rows of k
+    coefficients. ``breaks`` holds k + 1 sorted fractions from 0 to 1:
+    the row's real roots, clipped to [0, 1], with 1 in the slots of the
+    roots it lacks; p keeps one sign between neighbours. Let on(b) be 1
+    when p > 0 at the midpoint of breaks b and b + 1, and 0 past the last
+    break; then ``steps[b - 1]`` is on(b - 1) - on(b) for b = 1 .. k, so
+    the clamped sum of any prefix-summed term is the sum of
+    ``steps[b - 1]`` times that term's prefix sum up to break b.
+
+    When every row has a finite leading coefficient and a monic form
+    within ``_MONIC_LIMIT``, every row has full degree k - 1 and all of
+    them take one companion stack. Otherwise each row takes the
+    companion matrix of its true degree, one stack per degree, and
+    ``unrooted`` lists the rows with a NaN or infinite coefficient, or
+    whose monic form has a coefficient beyond ``_MONIC_LIMIT`` (a leading
+    coefficient tiny next to the others, where the eigenvalues lose
+    their accuracy, or an all-zero row's 0 / 0); their breaks and steps
+    mean nothing, and ``theta``, the rows themselves, holds zeros in
+    their place.
     """
     count, k = rows.shape
-    roots = np.ones((count, k - 1))
-    rooted = np.isfinite(rows).all(axis=1)
-    degree = k - 1 - np.argmax(rows[:, ::-1] != 0, axis=1)
-    for d in set(degree[rooted].tolist()) - {0}:
-        sel = rooted & (degree == d)
-        with np.errstate(all="ignore"):
+    monic = rows[:, :-1] / rows[:, -1:]
+    # A leading coefficient of -inf passes the limit with a monic form of
+    # -0.0, so it is checked itself.
+    if np.isfinite(rows[:, -1]).all() and (np.abs(monic) <= _MONIC_LIMIT).all():
+        theta, unrooted = rows, ()
+        roots = _real_roots(monic) if k > 1 else monic
+    else:
+        roots = np.ones((count, k - 1))
+        rooted = np.isfinite(rows).all(axis=1)
+        degree = k - 1 - np.argmax(rows[:, ::-1] != 0, axis=1)
+        for d in set(degree[rooted].tolist()) - {0}:
+            sel = rooted & (degree == d)
             monic = rows[sel, :d] / rows[sel, d, None]
-        finite = (np.abs(monic) <= _MONIC_LIMIT).all(axis=1)
-        rooted[sel] = finite
-        sel[sel] = finite
-        monic = monic[finite]
-        # The companion matrix in numpy.roots' layout: the top row carries
-        # the coefficients, which eigvals' balancing handles better when
-        # they span many orders of magnitude.
-        companion = np.zeros((monic.shape[0], d, d))
-        companion[:, 1:, :-1] = np.eye(d - 1)
-        companion[:, 0, :] = -monic[:, ::-1]
-        eig = np.linalg.eigvals(companion)
-        roots[sel, :d] = np.where(eig.imag == 0, eig.real, 1.0)
+            finite = (np.abs(monic) <= _MONIC_LIMIT).all(axis=1)
+            rooted[sel] = finite
+            sel[sel] = finite
+            roots[sel, :d] = _real_roots(monic[finite])
+        theta = np.where(rooted[:, None], rows, 0.0)
+        unrooted = np.flatnonzero(~rooted)
     breaks = np.ones((count, k + 1))
     breaks[:, 0] = 0.0
     np.clip(roots, 0.0, 1.0, out=breaks[:, 1:-1])
     breaks[:, 1:-1].sort(axis=1)
     mids = breaks[:, :-1] + breaks[:, 1:]
     mids *= 0.5
-    theta = np.where(rooted[:, None], rows, 0.0)
-    with np.errstate(all="ignore"):
-        on = np.einsum("rbj,rj->rb", np.power.outer(mids, np.arange(k)), theta) > 0
-    steps = np.zeros((count, k + 1))
-    steps[:, :-1] -= on
-    steps[:, 1:] += on
-    return breaks, steps, theta, rooted
+    on = np.einsum("rbj,rj->rb", np.power.outer(mids, np.arange(k)), theta) > 0
+    steps = on.astype(np.float64)
+    steps[:, :-1] -= on[:, 1:]
+    return breaks, steps, theta, unrooted
 
 
 def forward_abel(thetas: np.ndarray, r_max: float, y_grid: np.ndarray,
@@ -260,35 +291,38 @@ def forward_abel(thetas: np.ndarray, r_max: float, y_grid: np.ndarray,
         raise InvalidGridError("y_grid must be a non-empty vector")
     k = thetas.shape[-1]
     rows = thetas.reshape(-1, k)
-    s0, s, h3, y2, scale = _abel_tables(float(r_max), y.tobytes(), int(n_quad), k)
+    s0, s, offsets, h3, y2, scale = _abel_tables(float(r_max), y.tobytes(), int(n_quad), k)
     n, m = s0.size - 2, y.size
-    breaks, steps, theta, rooted = _clamp_breaks(rows)
-    # The nodes of each radius at or below each break after the first
-    # (which has none): the count is 0 short of the radius, else
-    # floor(sqrt(c^2 - y2)·scale) + 1, at most n + 1 as c <= 1; the last
-    # break, 1, is past every node. Then the prefix sums up to them:
-    # terms[0] from s0, terms[j] from s[j - 1].
-    gap = np.square(breaks[:, 1:, None]) - y2
+    breaks, steps, theta, unrooted = _clamp_breaks(rows)
+    # The nodes of each radius at or below each interior break: the count
+    # is 0 short of the radius, else floor(sqrt(c^2 - y2)·scale) + 1, at
+    # most n + 1 as c <= 1; the last break, 1, is past every node (the
+    # first, 0, has none). Then the prefix sums up to them: terms[0] from
+    # s0, terms[j] from s[j - 1].
+    gap = np.square(breaks[:, 1:-1, None]) - y2
     reached = gap >= 0
     np.maximum(gap, 0.0, out=gap)
     np.sqrt(gap, out=gap)
     gap *= scale
-    nodes = gap.astype(np.intp)
-    nodes += reached
+    nodes = np.empty((rows.shape[0], k, m), dtype=np.intp)
+    nodes[:, :-1] = gap  # truncated, as gap.astype(intp)
+    nodes[:, :-1] += reached
     nodes[:, -1] = n + 1
+    # Every index is in range, so mode="clip" changes no value; it only
+    # spares take its buffered bounds check.
     terms = np.empty((k,) + nodes.shape)
-    np.take(s0, nodes, out=terms[0])
-    nodes += np.arange(0, m * (n + 2), n + 2)
-    np.take(s.reshape(k - 1, m * (n + 2)), nodes, axis=1, out=terms[1:])
+    np.take(s0, nodes, out=terms[0], mode="clip")
+    nodes += offsets
+    np.take(s, nodes, axis=1, out=terms[1:], mode="clip")
     # Summed along the small axes in a fixed order, so a row's result does
     # not depend on the other rows of the stack; rows without roots count
     # as zero here and take Horner's rule below.
-    terms *= (theta[:, :, None] * steps[:, None, 1:]).swapaxes(0, 1)[..., None]
+    terms *= (theta[:, :, None] * steps[:, None, :]).swapaxes(0, 1)[..., None]
     out = terms.sum(axis=0).sum(axis=1)
     out *= 2.0 * h3
-    if not rooted.all():
+    if len(unrooted):
         x, _, weights = _simpson_nodes(float(r_max), y, int(n_quad))
-        for i in np.flatnonzero(~rooted):
+        for i in unrooted:
             out[i] = 2.0 * (h3 * (_clamped_polynomial(rows[i], x) @ weights))
     return out.reshape(thetas.shape[:-1] + (m,))
 

@@ -9,7 +9,7 @@ from queuemc import cli
 from queuemc.datasets import make_synthetic, write_container
 from queuemc.remote import WorkerServer
 from queuemc.store import DirectoryObjectStore
-from tests.test_datasets import corrupt
+from tests.test_datasets import corrupt, zero_grid
 
 
 @pytest.fixture
@@ -140,6 +140,19 @@ def test_fit_empty_container_is_a_data_error(tmp_path, capsys):
     assert code == cli.EXIT_DATA
     assert capsys.readouterr().err.startswith(
         "error (data): cannot read dataset: container holds no clusters")
+
+
+def test_fit_zero_grid_is_a_data_error(tmp_path, capsys):
+    # A 0 × 0 map is refused when the container is read, not by a worker
+    # crash in the first likelihood.
+    (ds,), _ = make_synthetic(1, grid_size=16, seed=0)
+    path = tmp_path / "zero.qmc"
+    path.write_bytes(zero_grid(write_container([ds]), ds))
+    code = fit(path, tmp_path / "out", "--walkers", "2", "--iterations", "1")
+    assert code == cli.EXIT_DATA
+    assert capsys.readouterr().err.startswith(
+        "error (data): cannot read dataset: truncated or invalid container: "
+        "grid size must be at least 2")
 
 
 @pytest.mark.parametrize("field", ["r_max", "beam_fwhm", "pixel_size"])

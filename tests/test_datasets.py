@@ -101,6 +101,26 @@ def test_dataset_validation():
                        sigma_map=np.ones((4, 4)), pixel_size=1.0,
                        beam_fwhm=1.0, r_max=good.radial_grid[-1],
                        radial_grid=good.radial_grid)  # grid reaching r_max
+    with pytest.raises(ValueError, match="at least 2"):
+        ClusterDataset(cluster_id="x", obs_map=np.zeros((0, 0)),
+                       sigma_map=np.ones((0, 0)), pixel_size=1.0,
+                       beam_fwhm=1.0, r_max=1.0,
+                       radial_grid=good.radial_grid)  # empty map
+
+
+def zero_grid(blob: bytes, ds: ClusterDataset) -> bytes:
+    """``blob`` (a one-cluster container of ``ds``) with grid size 0 and
+    so no map bytes: well-formed, but a 0 × 0 map."""
+    out = bytearray(blob[:len(blob) - 16 * ds.grid_size ** 2])
+    struct.pack_into("<I", out, 4 + 4 + 4 + len(ds.cluster_id.encode("utf-8")), 0)
+    return bytes(out)
+
+
+def test_container_with_zero_grid_is_rejected():
+    # Every evaluation of a 0 × 0 map would fail; reading it is the error.
+    ds = tiny_dataset()
+    with pytest.raises(WireFormatError, match="grid size must be at least 2"):
+        read_container(zero_grid(write_container([ds]), ds))
 
 
 def corrupt(blob: bytes, ds: ClusterDataset, field: str) -> bytes:

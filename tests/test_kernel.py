@@ -541,6 +541,62 @@ def test_abel_row_without_usable_roots_runs_horner(row):
         assert got.tobytes() == oracle.forward_abel(row, ds.r_max, ds.radial_grid).tobytes()
 
 
+finite_coeff = st.floats(min_value=-2.0, max_value=2.0)
+odd_leading = st.sampled_from([math.inf, -math.inf, math.nan, 5e-324, -5e-324])
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.lists(st.tuples(finite_coeff, finite_coeff, finite_coeff, finite_coeff),
+                     min_size=1, max_size=6),
+       odd=st.lists(st.tuples(finite_coeff, finite_coeff, finite_coeff, odd_leading),
+                    max_size=2))
+def test_root_paths_agree_bit_for_bit(rows, odd):
+    # A stack whose rows all have full degree takes one companion stack;
+    # a zero-leading row sends the same rows through the per-degree loop.
+    # Rows with a leading coefficient of ±inf, NaN or 5e-324 take the
+    # loop on either side.
+    y = np.linspace(0.0, 0.9, 24)
+    stack = np.array(rows + odd)
+    mixed = np.vstack([stack, (-1.0, 0.5, 1.0, 0.0)])
+    alone = forward_abel(stack, 1.0, y, n_quad=64)
+    looped = forward_abel(mixed, 1.0, y, n_quad=64)
+    assert looped[:-1].tobytes() == alone.tobytes()
+    # The roots themselves, not only the node counts they round to.
+    for a, b in zip(kernel._clamp_breaks(stack)[:3], kernel._clamp_breaks(mixed)[:3]):
+        assert a.tobytes() == b[:-1].tobytes()
+
+
+def count_calls(monkeypatch, module, name) -> list:
+    """The shape of the first argument of each call of ``module.name``."""
+    calls = []
+    real = getattr(module, name)
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_full_degree_stack_takes_one_eigvals_call(monkeypatch):
+    # The per-degree loop also makes one call on a stack of one degree;
+    # it alone finds each row's degree with argmax.
+    eigvals = count_calls(monkeypatch, np.linalg, "eigvals")
+    argmax = count_calls(monkeypatch, np, "argmax")
+    y = np.linspace(0.0, 0.9, 24)
+    full = np.array([(-1.0, 0.5, 1.0, 0.25), (0.3, -2.0, 0.1, 1.0), (-0.2, 0.0, 0.0, -1.0)])
+    forward_abel(full, 1.0, y, n_quad=64)
+    assert (eigvals, argmax) == ([(3, 3, 3)], [])
+    eigvals.clear()
+    # Degrees 3, 2, 1 and 2: one call per distinct degree.
+    mixed = np.vstack([full, (-1.0, 0.5, 1.0, 0.0), (-1.0, 2.0, 0.0, 0.0),
+                       (0.5, -1.0, 3.0, 0.0)])
+    forward_abel(mixed, 1.0, y, n_quad=64)
+    assert sorted(eigvals) == [(1, 1, 1), (2, 2, 2), (3, 3, 3)]
+    assert len(argmax) == 1
+
+
 def test_stages_on_a_stack_match_each_row_bit_for_bit():
     # A row's result does not depend on the other rows of its stack, so a
     # cluster's term in evaluate does not depend on the clusters batched with it.
