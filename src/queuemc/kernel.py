@@ -21,8 +21,19 @@ its map E·Q·Eᵀ. Each stage does only the work that depends on the
 profile coefficients. :func:`evaluate` groups its clusters by geometry
 and map shapes and makes one pass per group: the group's model maps fill
 one stack in cluster order, and one :func:`chi_square` takes that stack
-against its clusters' maps, one value per cluster. A group that raises
-fails all of its clusters.
+against its clusters' maps, one value per cluster, forming the residuals
+in the stack's own buffer. A group that raises fails all of its clusters.
+
+:func:`evaluate` also takes a batch of requests, a (B, n, k) stack of
+parameter arrays against one set of clusters, and then makes the same
+one pass per group over the group's rows of all B requests, returning B
+values. Every step of a pass treats each row apart from the rows stacked
+with it: the clamp-free test and the monomial product are one (1, k)
+product per row, every stage and chi-square run per row or per map, and
+each request's contributions are added in list order. So value b is bit
+for bit the value of request b alone, and a row's path does not depend
+on its batch. The pass costs less per request than B passes, since much
+of a pass's cost does not grow with its rows.
 
 A :class:`DatasetBundle` does that grouping, once, when it is built:
 it copies each group's maps once into a read-only obs stack and a σ
@@ -52,7 +63,8 @@ At m = 128, n = 512, k = 4 and G = 64 that is 1.59 MB + 16 KB + 16 KB +
 128 KB = 1.75 MB for one geometry, and at most 32 × 1.75 = 56 MB when
 every cache is full of such entries. A bundle holds each of its maps
 once, 16·G² bytes per cluster for its obs and σ rows, and its groups'
-member indices.
+member indices. A pass holds 8·G² bytes of model maps per cluster row,
+so a batch's memory grows with B.
 
 The profile is p(x) = max(0, sum_j theta_j x**j) at x = r / r_max. For
 each projected radius y the Simpson nodes x_i = sqrt(y² + t_i²) / r_max
@@ -115,9 +127,12 @@ def _positive(name: str, value: float) -> float:
     return value
 
 
+@np.errstate(all="ignore")
 def _clamped_polynomial(theta: np.ndarray, x: np.ndarray) -> np.ndarray:
     """max(0, sum_k theta[k] x**k) by Horner's rule in a fixed order, so the
-    arithmetic is identical across platforms and call sites."""
+    arithmetic is identical across platforms and call sites. A NaN or
+    infinite coefficient gives NaN nodes silently, as in
+    :func:`_clamp_breaks`."""
     if theta.size == 1:
         acc = np.full_like(x, theta[0])
     else:
@@ -438,16 +453,22 @@ def convolve_beam(quadrant: np.ndarray, beam_fwhm: float, pixel_size: float) -> 
     return fold @ img @ fold.T
 
 
-def chi_square(model: np.ndarray, obs_map: np.ndarray, sigma_map: np.ndarray):
+def chi_square(model: np.ndarray, obs_map: np.ndarray, sigma_map: np.ndarray, *,
+               overwrite_model: bool = False):
     """Sum of squared noise-weighted residuals over all pixels: a float for
     one map, and one per map, as an array, for stacks of maps along the
-    leading axes. Each map's sum runs along its own pixels only, so it
-    does not depend on the other maps of the stack."""
+    leading axes. ``obs_map`` and ``sigma_map`` may hold fewer leading
+    axes than ``model``, whose stacks along the extra axes are then each
+    compared with them. Each map's sum runs along its own pixels only, so
+    it does not depend on the other maps of the stack. With
+    ``overwrite_model`` the residuals are formed in ``model``'s buffer,
+    which then holds them."""
     model = np.asarray(model, dtype=np.float64)
-    if model.ndim < 2 or model.shape != obs_map.shape or model.shape != sigma_map.shape:
+    if (model.ndim < 2 or obs_map.ndim < 2 or sigma_map.shape != obs_map.shape
+            or model.shape[model.ndim - obs_map.ndim:] != obs_map.shape):
         raise ShapeMismatchError(
             f"shape mismatch: model {model.shape}, obs {obs_map.shape}, sigma {sigma_map.shape}")
-    resid = np.subtract(obs_map, model)
+    resid = np.subtract(obs_map, model, out=model if overwrite_model else None)
     resid /= sigma_map
     resid = resid.reshape(model.shape[:-2] + (-1,))
     total = np.vecdot(resid, resid)
@@ -473,6 +494,15 @@ def _bernstein_matrix(k: int) -> np.ndarray:
                                 for i in range(k)]))
 
 
+def _bernstein(thetas: np.ndarray) -> np.ndarray:
+    """The Bernstein coefficients of each row of ``thetas``, shape (n, k),
+    k >= 1, by one (1, k) @ (k, k) product per row: a 2-D product's last
+    bits depend on the rows stacked with it, and a row with a coefficient
+    on 0 would then change path with them."""
+    with np.errstate(all="ignore"):
+        return (thetas[:, None, :] @ _bernstein_matrix(thetas.shape[1]).T)[:, 0]
+
+
 def _clamp_free(thetas: np.ndarray) -> np.ndarray:
     """Rows whose profile polynomial is >= 0 on all of [0, 1].
 
@@ -481,14 +511,12 @@ def _clamp_free(thetas: np.ndarray) -> np.ndarray:
     and the clamp changes no Abel node. The criterion is sufficient, not
     necessary: a row it misses only takes the slower path. A row with a
     NaN or infinite coefficient, or with no coefficient at all, is never
-    clamp-free.
+    clamp-free. A row's answer does not depend on the other rows.
     """
     n, k = thetas.shape
     if k == 0:
         return np.zeros(n, dtype=bool)
-    with np.errstate(all="ignore"):
-        bern = thetas @ _bernstein_matrix(k).T
-    return np.isfinite(thetas).all(axis=1) & (bern >= 0.0).all(axis=1)
+    return np.isfinite(thetas).all(axis=1) & (_bernstein(thetas) >= 0.0).all(axis=1)
 
 
 @functools.lru_cache(maxsize=GEOMETRY_CACHE_SIZE)
@@ -554,64 +582,78 @@ class DatasetBundle(tuple):
         return bundle
 
 
-def evaluate(thetas: np.ndarray, datasets: Sequence) -> float:
+def evaluate(thetas: np.ndarray, datasets: Sequence):
     """Joint data log-likelihood over all clusters.
 
     Parameters
     ----------
     thetas : array of shape (n_clusters, n_coefficients), one parameter row
-        per cluster, matched to ``datasets`` by position.
+        per cluster, matched to ``datasets`` by position; or a stack of
+        such arrays, shape (B, n_clusters, n_coefficients), one per request.
     datasets : sequence of ClusterDataset; a :class:`DatasetBundle` is
         used as it is, any other sequence is grouped into a new bundle on
         every call, with bit-identical results.
 
+    Returns a float for one request, and an array of B floats for a stack
+    of B, where value b is bit for bit ``evaluate(thetas[b], datasets)``.
+
     Clusters that share a geometry and the shapes of their maps form a
-    group, modelled in one pass: the clamp-free rows as one product with
-    the geometry's monomial maps, the rest through the stages, both into
-    one stack of model maps in cluster order, then one chi-square on that
-    stack. Cluster contributions, -chi^2 / 2, are accumulated in list
-    order. Finite coefficients and data reach NaN only through an
-    overflow (inf - inf) on the way to the model map, which is then
-    infinitely far from the data: such a cluster contributes -inf, a zero
-    density, while a non-finite row keeps its NaN. A group that raises
-    fails every cluster in it, and the first failed cluster in list order
-    raises :class:`ClusterEvalError` naming it.
+    group, modelled in one pass over the group's rows of every request:
+    the clamp-free rows as one product with the geometry's monomial maps,
+    the rest through the stages, both into one stack of model maps in
+    request and cluster order, then one chi-square on that stack, whose
+    residuals overwrite it. Cluster contributions, -chi^2 / 2, are
+    accumulated in list order. Finite coefficients and data reach NaN only
+    through an overflow (inf - inf) on the way to the model map, which is
+    then infinitely far from the data: such a cluster contributes -inf, a
+    zero density, while a non-finite row keeps its NaN. A group that
+    raises fails every cluster in it, for every request, and the first
+    failed cluster in list order raises :class:`ClusterEvalError` naming
+    it.
     """
     thetas = np.asarray(thetas, dtype=np.float64)
-    if thetas.ndim != 2:
-        raise ValueError("thetas must be a 2-d array (clusters x coefficients)")
+    if thetas.ndim not in (2, 3):
+        raise ValueError("thetas must be a 2-d array (clusters x coefficients) "
+                         "or a stack of them")
     if len(datasets) < 1:
         raise ValueError("at least one cluster dataset is required")
-    if thetas.shape[0] != len(datasets):
+    if thetas.shape[-2] != len(datasets):
         raise ValueError(
-            f"{thetas.shape[0]} parameter rows for {len(datasets)} datasets")
+            f"{thetas.shape[-2]} parameter rows for {len(datasets)} datasets")
+    batch = thetas[None] if thetas.ndim == 2 else thetas
+    count, _, k = batch.shape
     bundle = datasets if isinstance(datasets, DatasetBundle) else DatasetBundle(datasets)
     failed = dict(bundle.failed)
-    chi = np.empty(len(datasets))
+    chi = np.empty((count, len(datasets)))
     for geometry, radial, members, obs, sigma in bundle.groups:
         r_max, _, g, pixel, fwhm = geometry
-        rows = thetas[members]
+        rows = batch[:, members].reshape(count * len(members), k)
         try:
             free = _clamp_free(rows)
-            models = np.empty((len(members), g, g))
+            models = np.empty((len(rows), g, g))
             if free.any():
                 # One (1, k) @ (k, G²) product per row, as for a stack of one.
-                maps = _monomial_maps(*geometry, rows.shape[1])
+                maps = _monomial_maps(*geometry, k)
                 models[free] = np.matmul(rows[free, None, :], maps).reshape(-1, g, g)
             if not free.all():
                 models[~free] = cluster_model_map(rows[~free], r_max, radial,
                                                   g, pixel, fwhm)
-            chi[members] = chi_square(models, obs, sigma)
+            chi[:, members] = chi_square(models.reshape(count, len(members), g, g),
+                                         obs, sigma, overwrite_model=True)
         except Exception as exc:
             failed.update(dict.fromkeys(members.tolist(), exc))
-    total = 0.0
-    for i, (ds, value) in enumerate(zip(datasets, (-0.5 * chi).tolist())):
-        if i in failed:
-            raise ClusterEvalError(ds.cluster_id, failed[i]) from failed[i]
-        if math.isnan(value) and np.isfinite(thetas[i]).all():
-            value = -math.inf
-        total += value
-    return total
+    if failed:
+        first = min(failed)
+        raise ClusterEvalError(datasets[first].cluster_id, failed[first]) from failed[first]
+    totals = []
+    for b, row in enumerate((-0.5 * chi).tolist()):
+        total = 0.0
+        for i, value in enumerate(row):
+            if math.isnan(value) and np.isfinite(batch[b, i]).all():
+                value = -math.inf
+            total += value
+        totals.append(total)
+    return totals[0] if thetas.ndim == 2 else np.array(totals)
 
 
 def split_position(position: np.ndarray, n_clusters: int,

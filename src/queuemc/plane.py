@@ -8,15 +8,28 @@ the output queue):
              function-as-a-service platform running on a virtual clock;
              task math still runs for real, but all timestamps are modeled.
 * ``local``  a fixed-size thread pool on the wall clock, used for
-             correctness tests and small fits.
+             correctness tests and small fits; it evaluates pending
+             kernel requests of one dataset in batches.
 * ``remote`` a socket client that forwards requests to worker processes
              speaking the framed wire protocol (see ``queuemc.remote``).
 
-All three execute a request the same way: :meth:`TaskRunner.run` unpacks
-it, runs a stub or the kernel and classifies any failure, and
-:func:`respond` packs the response or error message. ``local`` and the
-remote worker stamp, run, sleep out a stub and stamp again on the wall
-clock (:func:`execute`); ``sim`` takes the stamps from its scheduler.
+All three execute requests the same way: :meth:`TaskRunner.run` takes a
+batch of them, a single request being a batch of one, unpacks them, runs
+a stub or the kernel and classifies any failure, and :func:`respond`
+packs each response or error message. ``local`` and the remote worker
+stamp, run, sleep out a stub and stamp again on the wall clock
+(:func:`execute`); ``sim`` takes the stamps from its scheduler.
+
+``sim`` and the remote worker run each request alone. ``local`` keeps a
+deque of pending requests: a pool thread takes the head and, when it is
+a kernel request on a loaded dataset, the requests on the same dataset
+that follow it, as many as keep their model maps within
+``PASS_MAP_BYTES``, and evaluates them in one :func:`kernel.evaluate`
+pass, which costs less per request than one pass each and gives each
+request the same bits. A queue trigger that hands a function several
+messages per invocation does the same. Stub, ``likelihood_fn`` and
+malformed requests, and the first request of a dataset, run alone, so a
+stub still holds its worker for its full duration.
 
 The simulated platform provisions warm instances along a doubling ramp:
 instance n becomes available ``scale_doubling_interval_s * log2(n / c0)``
@@ -33,22 +46,27 @@ import logging
 import math
 import threading
 import time
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from . import kernel
 from .clocks import VirtualClock
 from .datasets import read_container
-from .errors import ConfigurationError, NotFoundError
+from .errors import ConfigurationError, NotFoundError, WireFormatError
 from .fabric import Message, MessageKind, Queue
 from .payloads import pack_error, pack_response, unpack_request
 
 log = logging.getLogger(__name__)
 
 STUB_KEY_PREFIX = "stub:"
+# The model maps one local-pool kernel pass may hold for its batch of
+# requests. A request of 8 clusters on a 64 × 64 grid takes 8·64²·8 bytes
+# (256 KiB), so a pass takes two such requests.
+PASS_MAP_BYTES = 2 * 8 * 64 * 64 * 8
 
 
 @dataclass(frozen=True)
@@ -100,6 +118,10 @@ class InvocationRecord:
     on the coordinator's clock, while ``start_ts`` and ``end_ts`` are on the
     worker's, which has its own origin: compare them only with each other.
     ``msg_id`` is the request's sequence number (see :mod:`queuemc.engine`).
+    The requests of one ``local`` batch share its ``start_ts``, ``end_ts``
+    and ``worker_id``, so summing record intervals counts a batch's
+    interval once per request in it. At most one record of a dataset is
+    ``cold``: that of the request whose parse was kept, unless it failed.
     """
 
     msg_id: int
@@ -131,8 +153,10 @@ class TaskRunner:
         self._cache: dict[str, kernel.DatasetBundle] = {}
         self._lock = threading.Lock()
 
-    def run(self, msg: Message) -> tuple[float | tuple[str, str], bool, float | None]:
-        """Execute one request; return (result, cold, stub_s).
+    def run(self, msgs: Sequence[Message],
+            ) -> list[tuple[float | tuple[str, str], bool, float | None]]:
+        """Execute a batch of requests; return one (result, cold, stub_s)
+        per message, in order.
 
         ``result`` is the log-likelihood, or a ``(code, detail)`` pair when
         the task failed: ``dataset-not-found`` for an unresolvable key,
@@ -143,36 +167,78 @@ class TaskRunner:
         worker busy; a duration that a thread cannot sleep out, one that is
         not between 0 and ``threading.TIMEOUT_MAX``, is a ``worker-crash``.
         ``stub_s`` is None for every other task.
+
+        A single request is a batch of one. The requests of a larger batch
+        share a dataset key, and its kernel requests take one
+        :func:`kernel.evaluate` pass, whose values are bit for bit those of
+        one pass each. If the batch raises, each request runs again alone,
+        so that each gets the result it gets alone; the first request of a
+        batch whose load parsed the container is cold, as it would be
+        alone.
         """
+        cold = False
         try:
-            params, key = unpack_request(msg.payload)
+            params, key = unpack_request(msgs[0].payload)
+            batch = [params]
+            for msg in msgs[1:]:
+                params, other = unpack_request(msg.payload)
+                if other != key:
+                    raise ValueError("the requests of a batch must share a dataset key")
+                batch.append(params)
             if key.startswith(STUB_KEY_PREFIX):
                 stub_s = float(key[len(STUB_KEY_PREFIX):])
                 if not 0.0 <= stub_s <= threading.TIMEOUT_MAX:
                     raise ValueError(f"stub duration {stub_s!r} cannot be slept out")
-                return 0.0, False, stub_s
+                return [(0.0, False, stub_s)] * len(msgs)
             datasets, cold = self._load(key) if key else (None, False)
             if self._fn is not None:
-                value = float(self._fn(params, datasets))
+                values = [float(self._fn(params, datasets)) for params in batch]
             elif datasets is None:
                 raise ConfigurationError(
                     "kernel task carries no dataset key and no likelihood override")
             else:
                 n = len(datasets)
-                if params.size % n != 0:
-                    raise ValueError(
-                        f"{params.size} parameters do not split over {n} clusters")
-                value = kernel.evaluate(params.reshape(n, -1), datasets)
-        except NotFoundError as exc:
-            return ("dataset-not-found", str(exc)), False, None
-        except Exception as exc:  # surfaced, never retried
+                for params in batch:
+                    if params.size % n != 0:
+                        raise ValueError(
+                            f"{params.size} parameters do not split over {n} clusters")
+                thetas = np.stack([params.reshape(n, -1) for params in batch])
+                values = kernel.evaluate(thetas, datasets).tolist()
+        except Exception as exc:  # surfaced; only a batch's requests run again
+            if len(msgs) > 1:
+                log.debug("batch of %d failed; running its requests alone", len(msgs),
+                          exc_info=True)
+                results = [self.run([msg])[0] for msg in msgs]
+                result, _, stub_s = results[0]
+                if cold and not isinstance(result, tuple):
+                    results[0] = (result, True, stub_s)
+                return results
+            if isinstance(exc, NotFoundError):
+                return [(("dataset-not-found", str(exc)), False, None)]
             # The detail travels in the control message; a failing wave
             # would otherwise log one traceback per walker.
-            log.debug("worker failed on %s", msg.msg_id, exc_info=True)
-            return ("worker-crash", repr(exc)), False, None
-        if math.isnan(value) or value == math.inf:
-            return ("non-finite-likelihood", repr(value)), False, None
-        return value, cold, None
+            log.debug("worker failed on %s", msgs[0].msg_id, exc_info=True)
+            return [(("worker-crash", repr(exc)), False, None)]
+        results = []
+        for value in values:
+            if math.isnan(value) or value == math.inf:
+                results.append((("non-finite-likelihood", repr(value)), False, None))
+            else:
+                results.append((value, cold, None))
+            cold = False
+        return results
+
+    def batch_limit(self, key: str) -> int:
+        """How many requests on ``key`` one kernel pass may take: as many
+        as fit their model maps in ``PASS_MAP_BYTES``, at least one. Until
+        the key's bundle is loaded, and for stub and ``likelihood_fn``
+        requests, it is one."""
+        bundle = self._cache.get(key)
+        if bundle is None or self._fn is not None:
+            return 1
+        # A request's model maps take as many bytes as its observed maps.
+        per_request = sum(obs.nbytes for *_, obs, _ in bundle.groups)
+        return max(1, PASS_MAP_BYTES // max(per_request, 1))
 
     def _load(self, key: str) -> tuple[kernel.DatasetBundle, bool]:
         with self._lock:
@@ -181,9 +247,11 @@ class TaskRunner:
         if self._store is None:
             raise NotFoundError(f"no object store attached; cannot resolve {key!r}")
         datasets = read_container(self._store.get(key))
+        # Two threads may parse the same key at once; the one whose bundle
+        # is kept reports the cold invocation.
         with self._lock:
-            self._cache.setdefault(key, datasets)
-            return self._cache[key], True
+            kept = self._cache.setdefault(key, datasets)
+        return kept, kept is datasets
 
 
 def respond(msg: Message, result: float | tuple[str, str],
@@ -196,19 +264,27 @@ def respond(msg: Message, result: float | tuple[str, str],
                    pack_response(result, rec.cold, rec.start_ts, rec.end_ts))
 
 
-def execute(runner: TaskRunner, clock, msg: Message) -> tuple[Message, InvocationRecord]:
-    """Run one request on a wall clock: stamp, run, sleep out a stub, stamp.
+def execute(runner: TaskRunner, clock, msgs: Sequence[Message],
+            ) -> list[tuple[Message, InvocationRecord]]:
+    """Run a batch of requests on a wall clock: stamp, run, sleep out the
+    stubs, stamp.
 
-    Returns the response and the invocation record of the calling thread.
+    Returns one response and invocation record per message, in order.
+    The records share the batch's start and end stamps and the name of
+    the calling thread.
     """
     start = clock.now()
-    result, cold, stub_s = runner.run(msg)
-    if stub_s is not None:
+    results = runner.run(msgs)
+    stub_s = sum(s for _, _, s in results if s is not None)
+    if stub_s:
         time.sleep(stub_s)
-    rec = InvocationRecord(msg_id=msg.msg_id, worker_id=threading.current_thread().name,
-                           dispatch_ts=msg.enqueue_ts, start_ts=start,
-                           end_ts=clock.now(), cold=cold)
-    return respond(msg, result, rec), rec
+    end = clock.now()
+    worker = threading.current_thread().name
+    out = []
+    for msg, (result, cold, _) in zip(msgs, results):
+        rec = InvocationRecord(msg.msg_id, worker, msg.enqueue_ts, start, end, cold)
+        out.append((respond(msg, result, rec), rec))
+    return out
 
 
 class SimScheduler:
@@ -322,7 +398,7 @@ class SimulatedPlane(_PlaneBase):
         input_q.register_trigger(self._on_message)
 
     def _on_message(self, msg: Message) -> None:
-        result, _, stub_s = self._runner.run(msg)
+        ((result, _, stub_s),) = self._runner.run((msg,))
         rec = self._sched.assign(
             msg.msg_id, msg.enqueue_ts,
             self._model.likelihood_duration_s if stub_s is None else stub_s)
@@ -331,7 +407,19 @@ class SimulatedPlane(_PlaneBase):
 
 
 class LocalPoolPlane(_PlaneBase):
-    """Fixed-size thread pool on the wall clock."""
+    """Fixed-size thread pool on the wall clock, draining a queue of
+    pending requests in batches.
+
+    The trigger appends each message to the plane's pending deque and
+    submits one drain task per message. A drain task takes the head of the
+    deque, and, when it is a kernel request whose dataset is loaded, the
+    kernel requests with the same key that follow it, up to the batch
+    limit of :meth:`TaskRunner.batch_limit` (``PASS_MAP_BYTES`` of model
+    maps); the batch then takes one :func:`execute`. A task that finds the
+    deque empty returns: an earlier task took its message. Stub requests,
+    ``likelihood_fn`` requests and the first request of a key run alone,
+    so a stub holds its worker for its full duration.
+    """
 
     backend = "local"
 
@@ -343,27 +431,53 @@ class LocalPoolPlane(_PlaneBase):
         self._clock = output_q.clock
         self._output_q = output_q
         self._runner = TaskRunner(store, likelihood_fn)
+        self._pending: deque[Message] = deque()
+        self._pending_lock = threading.Lock()
         self._pool = ThreadPoolExecutor(max_workers=pool_size,
                                         thread_name_prefix="qmc-worker")
         input_q.register_trigger(self._dispatch)
 
     def _dispatch(self, msg: Message) -> None:
-        self._pool.submit(self._work, msg)
+        with self._pending_lock:
+            self._pending.append(msg)
+        self._pool.submit(self._drain)
 
-    def _work(self, msg: Message) -> None:
+    def _drain(self) -> None:
+        with self._pending_lock:
+            if not self._pending:
+                return
+            batch = [self._pending.popleft()]
+            key = _request_key(batch[0])
+            limit = 1 if key is None else self._runner.batch_limit(key)
+            while (len(batch) < limit and self._pending
+                   and _request_key(self._pending[0]) == key):
+                batch.append(self._pending.popleft())
+        self._work(batch)
+
+    def _work(self, batch: list[Message]) -> None:
         # Nothing reads the pool's futures: a request whose task raises
         # must still be answered, or the run waits out its whole timeout.
         try:
-            resp, rec = execute(self._runner, self._clock, msg)
-            self._record(rec)
+            done = execute(self._runner, self._clock, batch)
         except Exception as exc:
-            log.debug("worker failed on %s", msg.msg_id, exc_info=True)
-            resp = Message(msg.msg_id, MessageKind.CONTROL,
-                           pack_error("worker-crash", repr(exc)))
-        self._output_q.push(resp)
+            log.debug("worker failed on %s", [msg.msg_id for msg in batch], exc_info=True)
+            error = pack_error("worker-crash", repr(exc))
+            done = [(Message(msg.msg_id, MessageKind.CONTROL, error), None) for msg in batch]
+        for resp, rec in done:
+            if rec is not None:
+                self._record(rec)
+            self._output_q.push(resp)
 
     def close(self) -> None:
         self._pool.shutdown(wait=True)
+
+
+def _request_key(msg: Message) -> str | None:
+    """The dataset key of a request, or None if its payload is malformed."""
+    try:
+        return unpack_request(msg.payload)[1]
+    except WireFormatError:
+        return None
 
 
 def attach_backend(input_q: Queue, output_q: Queue, backend: str,

@@ -126,7 +126,8 @@ class WorkerServer(socketserver.ThreadingTCPServer):
         self._clock = WallClock()
 
     def process(self, msg: Message) -> Message:
-        return execute(self._runner, self._clock, msg)[0]
+        ((resp, _),) = execute(self._runner, self._clock, (msg,))
+        return resp
 
 
 def serve(listen_addr: str | tuple[str, int], dataset_root, *,

@@ -4,6 +4,7 @@ import math
 import sys
 import time
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -330,6 +331,18 @@ def test_chi_square_shape_mismatch():
         chi_square(np.zeros((2, 2)), np.zeros((3, 3)), np.ones((3, 3)))
 
 
+@pytest.mark.parametrize("model, obs, sigma", [
+    ((2, 3, 3), (4, 3, 3), (4, 3, 3)),   # more maps than the model stack holds
+    ((2, 3, 3), (3, 3), (2, 3, 3)),      # obs and sigma of different shapes
+    ((3, 3), (), ()),
+])
+def test_chi_square_broadcast_shape_mismatch(model, obs, sigma):
+    # obs and sigma may hold fewer leading axes than the model, not more,
+    # and always the same shape as each other.
+    with pytest.raises(ShapeMismatchError):
+        chi_square(np.zeros(model), np.zeros(obs), np.ones(sigma))
+
+
 # ---------------------------------------------------------------- evaluate
 
 
@@ -619,8 +632,111 @@ def test_stages_on_a_stack_match_each_row_bit_for_bit():
         sigma = np.stack([ds.sigma_map] * 6)
         chi = chi_square(maps, obs, sigma)
         assert chi.tolist() == [chi_square(m, ds.obs_map, ds.sigma_map) for m in maps]
+        # One obs and sigma map against every map of a stack of stacks, and
+        # the residuals formed in the model's own buffer.
+        stack = maps.reshape(2, 3, ds.grid_size, ds.grid_size).copy()
+        assert chi_square(stack, ds.obs_map, ds.sigma_map).tobytes() == chi.tobytes()
+        in_place = chi_square(stack, obs[:3], sigma[:3], overwrite_model=True)
+        assert in_place.tobytes() == chi.reshape(2, 3).tobytes()
+        assert stack.tobytes() == ((obs[:3] - maps.reshape(2, 3, *maps.shape[1:]))
+                                   / sigma[:3]).tobytes()
     stacked = forward_abel(thetas.reshape(2, 3, 4), ds.r_max, ds.radial_grid)
     assert stacked.tobytes() == forward_abel(thetas, ds.r_max, ds.radial_grid).tobytes()
+
+
+def on_the_clamp_free_boundary(rng, k, count):
+    """Rows whose Bernstein coefficients, computed alone, are all >= 0 and
+    one of them exactly 0."""
+    to_monomial = np.linalg.inv(kernel._bernstein_matrix(k))
+    rows = []
+    while len(rows) < count:
+        bern = rng.uniform(0.1, 2.0, k)
+        bern[rng.integers(k)] = 0.0
+        row = to_monomial @ bern
+        alone = kernel._bernstein(row[None])[0]
+        if (alone >= 0).all() and (alone == 0).any():
+            rows.append(row)
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_clamp_free_test_does_not_depend_on_the_stack(k):
+    # A row's Bernstein coefficients, and so its path through evaluate, are
+    # the same alone and inside any stack: a 2-D product rounds a row's
+    # coefficients by its stack mates, and a row on the boundary, with a
+    # coefficient of exactly 0, then changes path.
+    rng = np.random.default_rng(k)
+    boundary = on_the_clamp_free_boundary(rng, k, 64)
+    for size in range(1, 65):
+        stack = rng.uniform(-2.0, 2.0, (size, k))
+        mates = rng.random(size) < 0.5
+        stack[mates] = boundary[rng.integers(len(boundary), size=mates.sum())]
+        bern = kernel._bernstein(stack)
+        free = kernel._clamp_free(stack)
+        for i, row in enumerate(stack):
+            assert bern[i].tobytes() == kernel._bernstein(row[None])[0].tobytes()
+            assert free[i] == kernel._clamp_free(row[None])[0]
+    assert kernel._clamp_free(boundary).all()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_horner_fallback_is_silent(bad):
+    # A row with a NaN or infinite coefficient takes Horner's rule on every
+    # node, which meets inf - inf or NaN; like the root path, it warns of
+    # nothing.
+    y = np.linspace(0.0, 0.9, 24)
+    rows = np.array([(1.0, bad, 0.5, 0.25), (0.3, -1.0, 1.0, bad), (bad, 0.0, 0.0, 0.0)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        forward_abel(rows, 1.0, y, n_quad=64)
+        for row in rows:
+            kernel._clamped_polynomial(row, np.linspace(0.0, 1.0, 9))
+
+
+def duck_typed_broken(template):
+    """A duck-typed cluster whose noise map is smaller than its model map:
+    it fails at chi-square, in a group of its own."""
+    return types.SimpleNamespace(
+        cluster_id="broken", obs_map=template.obs_map, sigma_map=template.sigma_map[1:, 1:],
+        pixel_size=template.pixel_size, beam_fwhm=template.beam_fwhm, r_max=template.r_max,
+        radial_grid=template.radial_grid, grid_size=template.grid_size)
+
+
+batch_coeff = st.one_of(st.floats(min_value=-2.0, max_value=2.0),
+                        st.sampled_from([0.0, math.nan, math.inf, -math.inf]))
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data(), k=st.integers(1, 5), count=st.integers(1, 5),
+       broken=st.booleans())
+def test_batched_evaluate_matches_each_request_bit_for_bit(data, k, count, broken):
+    # Requests of clamp-free, clamp-active, boundary and non-finite rows
+    # over two geometries, degrees 0 to 4: value b of a batch is the bytes
+    # of request b evaluated alone, and a batch holding a failing cluster
+    # raises as each request does alone.
+    datasets = two_geometries()
+    if broken:
+        datasets.insert(1, duck_typed_broken(datasets[0]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    boundary = on_the_clamp_free_boundary(rng, k, 4) if k > 1 else np.zeros((4, 1))
+    thetas = np.array(data.draw(st.lists(
+        st.lists(st.lists(batch_coeff, min_size=k, max_size=k),
+                 min_size=len(datasets), max_size=len(datasets)),
+        min_size=count, max_size=count)))
+    for b, i in rng.integers((count, len(datasets)), size=(count, 2)):
+        thetas[b, i] = boundary[rng.integers(4)]
+    thetas[0, 0] = np.append(POPULATION_MEAN, 0.0)[:k]
+    with np.errstate(all="ignore"):
+        if broken:
+            for theta in [*thetas, thetas]:
+                with pytest.raises(ClusterEvalError) as err:
+                    evaluate(theta, datasets)
+                assert err.value.cluster_id == "broken"
+            return
+        batched = evaluate(thetas, datasets)
+        alone = [evaluate(theta, datasets) for theta in thetas]
+    assert batched.shape == (count,)
+    assert batched.tobytes() == np.array(alone).tobytes()
 
 
 def test_geometry_tables_of_fit_local_stay_within_budget():
@@ -808,7 +924,7 @@ def test_non_finite_coefficients_keep_their_outcome(bad, col):
     msg = Message(0, MessageKind.LIKELIHOOD_REQUEST,
                   pack_request(params, "bundle"))
     with np.errstate(all="ignore"):
-        result, _, _ = TaskRunner(store=store).run(msg)
+        ((result, _, _),) = TaskRunner(store=store).run([msg])
         expected = oracle.evaluate(params.reshape(2, 4), datasets)
     if bad == -math.inf:
         assert result == pytest.approx(expected, rel=1e-12, abs=0)
@@ -831,7 +947,7 @@ def test_overflowing_finite_row_is_a_zero_density(row, monkeypatch):
     msg = Message(0, MessageKind.LIKELIHOOD_REQUEST,
                   pack_request(theta, "bundle"))
     with np.errstate(all="ignore"):
-        assert TaskRunner(store=store).run(msg)[0] == -math.inf
+        assert TaskRunner(store=store).run([msg])[0][0] == -math.inf
         # Every row through the stages, the path evaluate skips for clamp-free rows.
         monkeypatch.setattr(kernel, "_clamp_free", lambda thetas: np.zeros(len(thetas), bool))
         assert evaluate(theta[None], datasets) == -math.inf

@@ -1,17 +1,20 @@
 import math
+import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from queuemc.clocks import VirtualClock, WallClock
-from queuemc.datasets import make_synthetic, write_container
+from queuemc import kernel
+from queuemc.datasets import make_synthetic, read_container, write_container
 from queuemc.errors import ConfigurationError
 from queuemc.fabric import Message, MessageKind, QueueFabric
 from queuemc.kernel import evaluate
 from queuemc.payloads import pack_request, parse_error, unpack_response
-from queuemc.plane import (BackendModel, SimScheduler, TaskRunner,
+from queuemc.plane import (PASS_MAP_BYTES, BackendModel, SimScheduler, TaskRunner,
                            attach_backend, make_stub_key, simulate)
 from queuemc.remote import WorkerServer
 from queuemc.store import MemoryObjectStore
@@ -68,9 +71,9 @@ def test_ramp_delay_doubling():
 
 def test_task_runner_stub_and_kernel():
     runner = TaskRunner(likelihood_fn=lambda params, datasets: float(params.sum()))
-    assert runner.run(request_msg(0, make_stub_key(2.5))) == (0.0, False, 2.5)
-    assert runner.run(request_msg(0, "", params=(1.0, 2.0))) == (3.0, False, None)
-    (code, detail), cold, stub_s = runner.run(request_msg(0, "bundle.qmc"))
+    assert runner.run([request_msg(0, make_stub_key(2.5))]) == [(0.0, False, 2.5)]
+    assert runner.run([request_msg(0, "", params=(1.0, 2.0))]) == [(3.0, False, None)]
+    (((code, detail), cold, stub_s),) = runner.run([request_msg(0, "bundle.qmc")])
     assert code == "dataset-not-found" and "bundle.qmc" in detail
     assert not cold and stub_s is None
 
@@ -338,6 +341,159 @@ def test_local_worker_crash_surfaces_error(local_setup):
     code, detail = parse_error(msg.payload)
     assert code == "worker-crash" and "deliberate" in detail
     plane.close()
+
+
+def bundle_store(n_clusters, grid_size, seed=3):
+    datasets, truths = make_synthetic(n_clusters, grid_size=grid_size, seed=seed)
+    store = MemoryObjectStore()
+    store.put("bundle", write_container(datasets))
+    return datasets, truths, store
+
+
+def queue_behind_a_stub(input_q, output_q, first, requests, stub_s=0.3):
+    """On a pool of one: answer ``first``, which loads its key, then hold
+    the worker with a stub while ``requests`` queue up behind it."""
+    input_q.push(first)
+    drain(output_q, 1, timeout=30.0)
+    input_q.push(request_msg(-1, make_stub_key(stub_s)))
+    for msg in requests:
+        input_q.push(msg)
+    return {m.msg_id: m for m in drain(output_q, len(requests) + 1, timeout=30.0)}
+
+
+def test_task_runner_batch_answers_each_request_as_alone():
+    # A batch that raises, here on a request that does not split over the
+    # clusters or on a second key, runs each request again alone; the
+    # first request still reports the parse the batch paid for.
+    datasets, truths, store = bundle_store(2, 32)
+    good = [request_msg(i, "bundle", params=truths.ravel() + 0.01 * i) for i in range(3)]
+    short = request_msg(3, "bundle", params=truths.ravel()[:-1])
+    stub = request_msg(4, make_stub_key(0.0))
+    for batch in ([good[0], short, good[1]], [good[0], stub, good[2]], good):
+        alone = TaskRunner(store)
+        expected = [alone.run([msg])[0] for msg in batch]
+        assert TaskRunner(store).run(batch) == expected
+        assert expected[0][1] and not any(cold for _, cold, _ in expected[1:])
+
+
+def test_local_stubs_run_alone_and_overlap(local_setup):
+    # Stub requests are never batched: each holds its own worker for its
+    # full duration, so two stubs on a pool of two overlap in wall time.
+    fabric, input_q, output_q, plane = local_setup(pool_size=2)
+    push_stub_wave(input_q, 2, duration=0.2)
+    drain(output_q, 2, timeout=10.0)
+    plane.close()
+    a, b = plane.records
+    assert a.worker_id != b.worker_id
+    assert a.start_ts < b.end_ts and b.start_ts < a.end_ts
+    assert min(a.end_ts - a.start_ts, b.end_ts - b.start_ts) >= 0.2
+
+
+@pytest.mark.parametrize("bad", ["does-not-split", "non-finite"])
+def test_local_batch_answers_each_request_as_alone(local_setup, bad):
+    # A batch holding one bad request answers every request with what it
+    # gets alone: the bad one its error code, the others their values.
+    datasets, truths, store = bundle_store(2, 32)
+    rng = np.random.default_rng(0)
+    params = [truths.ravel() + 0.01 * rng.standard_normal(truths.size) for _ in range(5)]
+    if bad == "does-not-split":
+        params[2] = params[2][:-1]
+    else:
+        params[2][5] = math.nan
+    fabric, input_q, output_q, plane = local_setup(store=store, pool_size=1)
+    requests = [request_msg(i, "bundle", params=p) for i, p in enumerate(params)]
+    answers = queue_behind_a_stub(input_q, output_q, requests[0], requests[1:])
+    plane.close()
+    # The four queued requests took one pass: one start and one end stamp.
+    batch = [r for r in plane.records if r.msg_id >= 1]
+    assert len(batch) == 4 and len({(r.start_ts, r.end_ts) for r in batch}) == 1
+    alone = TaskRunner(store)
+    for msg in requests[1:]:
+        ((expected, _, _),) = alone.run([msg])
+        got = answers[msg.msg_id]
+        if isinstance(expected, tuple):
+            assert got.kind is MessageKind.CONTROL
+            assert parse_error(got.payload) == expected
+        else:
+            assert got.kind is MessageKind.LIKELIHOOD_RESPONSE
+            assert unpack_response(got.payload)[0] == expected
+    expected_code = "worker-crash" if bad == "does-not-split" else "non-finite-likelihood"
+    assert parse_error(answers[2].payload)[0] == expected_code
+
+
+def test_local_batches_keep_one_record_and_one_cold_start_per_key(local_setup):
+    # More pool threads than cores and a short switch interval, over kernel
+    # requests mixed with stubs: every request is answered once and
+    # recorded once, and one record of the key is cold, though a slow
+    # store lets the first requests on each thread parse it at once.
+    datasets, truths, store = bundle_store(2, 32)
+    get = store.get
+    store.get = lambda key: time.sleep(0.05) or get(key)
+    kinds = np.random.default_rng(0).random(200) < 0.25
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        fabric, input_q, output_q, plane = local_setup(store=store, pool_size=4)
+        for i, stub in enumerate(kinds):
+            input_q.push(request_msg(i, make_stub_key(0.0)) if stub
+                         else request_msg(i, "bundle", params=truths.ravel()))
+        answers = drain(output_q, len(kinds), timeout=60.0)
+        plane.close()
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(m.msg_id for m in answers) == list(range(len(kinds)))
+    assert all(m.kind is MessageKind.LIKELIHOOD_RESPONSE for m in answers)
+    assert sorted(r.msg_id for r in plane.records) == list(range(len(kinds)))
+    assert sum(r.cold for r in plane.records) == 1
+    assert sum(unpack_response(m.payload)[1] for m in answers) == 1
+
+
+def test_local_pass_stays_within_its_map_budget(local_setup, monkeypatch):
+    # fit-local's shape: 8 clusters on a 64 × 64 grid, 256 KiB of model
+    # maps per request. Each kernel pass holds at most PASS_MAP_BYTES of
+    # them; the first request of a key runs alone.
+    datasets, truths, store = bundle_store(8, 64)
+    passes = []
+    real = kernel.evaluate
+
+    def counted(thetas, bundle):
+        passes.append(thetas.shape[0])
+        return real(thetas, bundle)
+
+    monkeypatch.setattr(kernel, "evaluate", counted)
+    fabric, input_q, output_q, plane = local_setup(store=store, pool_size=1)
+    requests = [request_msg(i, "bundle", params=truths.ravel()) for i in range(8)]
+    queue_behind_a_stub(input_q, output_q, requests[0], requests[1:])
+    plane.close()
+    per_request = len(datasets) * 64 * 64 * 8
+    assert passes[0] == 1 and sum(passes) == 8
+    assert all(b * per_request <= PASS_MAP_BYTES for b in passes)
+    assert max(passes) == PASS_MAP_BYTES // per_request
+
+
+def test_full_budget_pass_memory_stays_within_a_stated_multiple():
+    # numpy reports its buffers to tracemalloc. At fit-local's shape a
+    # full-budget pass may peak at no more than 2.5 times the peak of one
+    # request's pass; a larger budget spends the benchmark's memory margin.
+    datasets, truths, store = bundle_store(8, 64, seed=7)
+    runner = TaskRunner(store)
+    runner.run([request_msg(0, "bundle", params=truths.ravel())])
+    limit = runner.batch_limit("bundle")
+    bundle = read_container(store.get("bundle"))
+    rng = np.random.default_rng(1)
+    thetas = np.array([1.0, -0.5, -0.5, 0.0]) + 0.02 * rng.standard_normal((limit, 8, 4))
+    evaluate(thetas, bundle)  # the geometry's tables, built once
+
+    def peak(x):
+        tracemalloc.start()
+        try:
+            evaluate(x, bundle)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    single = max(peak(theta) for theta in thetas)
+    assert peak(thetas) <= 2.5 * single
 
 
 def test_attach_backend_rejects_unknown(fast_model):
