@@ -15,9 +15,8 @@ from .clocks import VirtualClock, WallClock
 from .datasets import (ClusterDataset, make_synthetic, read_container,
                        write_container)
 from .diagnostics import effective_sample_size, split_rhat, summarize
-from .engine import (ChainConfig, ChainOutput, TimelineRecord, exchange_step,
-                     mh_step, propose, run_chains, write_chain_csv,
-                     write_timeline_csv)
+from .engine import (ChainConfig, ChainOutput, TimelineRecord, mh_step,
+                     propose, run_chains, write_chain_csv, write_timeline_csv)
 from .fabric import (Message, MessageKind, Queue, QueueFabric, decode_message,
                      encode_message)
 from .kernel import (chi_square, convolve_beam, evaluate, forward_abel,

@@ -6,7 +6,8 @@ overhead`` and ``bench timeline`` (simulated-backend experiments),
 likelihood worker). The ``QMC_LOG`` environment variable selects log
 verbosity (error, info, debug).
 
-Exit codes classify failures: 1 config, 2 data, 3 backend, 4 timeout.
+Exit codes classify failures: 1 config (a usage error included), 2 data,
+3 backend, 4 timeout.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .errors import (ConfigurationError, KeyExistsError, MissingResponseError,
                      WireFormatError)
 from .fabric import QueueFabric
 from .kernel import hierarchical_log_prior
-from .plane import BackendModel, attach_backend
+from .plane import DEFAULT_POOL_SIZE, BackendModel, attach_backend
 from .store import DirectoryObjectStore, MemoryObjectStore
 
 log = logging.getLogger(__name__)
@@ -82,8 +83,16 @@ def _add_model_args(parser: argparse.ArgumentParser) -> None:
                         help="modeled likelihood duration, seconds")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a config error: argparse's own exit
+    status for it, 2, is this CLI's data code."""
+
+    def error(self, message):
+        raise ConfigurationError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qmc",
         description="Parallel MCMC over queue-dispatched likelihood workers.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -96,19 +105,14 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--remote-addr", default=None, help="host:port of a worker server")
     fit.add_argument("--proposal-scale", type=_csv_floats, default=[0.02],
                      help="per-coordinate proposal std (single value broadcasts)")
-    fit.add_argument("--exchange-period", type=int, default=0,
-                     help="swap walker states every K iterations (0 disables)")
     fit.add_argument("--seed", type=int, default=0)
     fit.add_argument("--out-dir", required=True)
     fit.add_argument("--degree", type=int, default=3, help="profile polynomial degree")
     fit.add_argument("--init", type=_csv_floats, default=None,
                      help="initial coefficient vector (one cluster row, broadcast)")
-    fit.add_argument("--pool-size", type=int, default=4,
-                     help="local backend pool size. The kernel runs under the interpreter "
-                          "lock, so more threads add no kernel throughput: 8 clusters at "
-                          "grid 64 and 16 walkers ran about 1800 evaluations/s on 1 or 2 "
-                          "threads and 1650 on 4 (2 vCPUs). Threads help likelihoods that "
-                          "wait, such as stub tasks")
+    fit.add_argument("--pool-size", type=int, default=DEFAULT_POOL_SIZE,
+                     help="local backend threads; 8 clusters at grid 64 ran about 1800 "
+                          "evaluations/s on 2 threads and 1600 on 4 (2 vCPUs)")
     fit.add_argument("--timeout", type=float, default=None,
                      help="response collection timeout per iteration, seconds "
                           f"(default: none on sim, {FIT_WALL_TIMEOUT_S:g} elsewhere)")
@@ -184,7 +188,7 @@ def _cmd_fit(args) -> int:
     try:
         config = ChainConfig(n_walkers=args.walkers, n_iterations=args.iterations,
                              proposal_scale=_broadcast_scale(args.proposal_scale, dim),
-                             exchange_period=args.exchange_period, seed=args.seed)
+                             seed=args.seed)
         init = _initial_positions(args, n_clusters, n_coeff, dim, config)
         clock = VirtualClock() if args.backend == "sim" else WallClock()
         fabric = QueueFabric(clock)
@@ -329,9 +333,8 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     logging.basicConfig(level=level,
                         format="%(asctime)s %(name)s %(levelname)s %(message)s")
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ConfigurationError as exc:
         return _fail("config", EXIT_CONFIG, str(exc))

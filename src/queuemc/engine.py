@@ -3,8 +3,8 @@
 Holds every walker's state as arrays: positions ``(W, dim)`` and cached
 log-posteriors ``(W,)``. Each iteration it proposes symmetric Gaussian
 random-walk moves, dispatches one likelihood request per walker through
-the queue fabric, applies Metropolis-Hastings acceptance to the returned
-values, and optionally permutes walker states between iterations.
+the queue fabric and applies Metropolis-Hastings acceptance to the
+returned values. Row w of the output is walker w's own Markov chain.
 
 Iterations are lockstep: all walkers' responses are collected before any
 acceptance decision, which keeps the total likelihood budget at exactly
@@ -13,9 +13,7 @@ fixed seed on any backend computing identical likelihood values. A run
 draws from one stream, child 0 of ``SeedSequence(seed)`` (not
 ``default_rng(seed)``, which ``qmc fit`` draws start points from), in a
 fixed order per iteration: all proposals as one ``(W, dim)`` draw, then W
-acceptance uniforms, then on an exchange iteration the permutation, so
-``exchange_period`` changes every later draw. Exchange runs between
-iterations, when no request is in flight.
+acceptance uniforms.
 
 Walker log-posteriors start at -inf, so the first proposal is always
 accepted and doubles as the initialization evaluation. A log-likelihood or
@@ -46,7 +44,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -68,7 +66,6 @@ class ChainConfig:
     n_walkers: int
     n_iterations: int
     proposal_scale: float | Sequence[float] = 1.0
-    exchange_period: int = 0  # 0 disables exchange
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -77,8 +74,6 @@ class ChainConfig:
         scale = np.asarray(self.proposal_scale, dtype=np.float64)
         if not np.all((0 < scale) & (scale < np.inf)):
             raise ConfigurationError("proposal_scale entries must be finite and positive")
-        if self.exchange_period < 0:
-            raise ConfigurationError("exchange_period must be >= 0")
         if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
             raise ConfigurationError("seed must be a non-negative integer")
 
@@ -100,7 +95,6 @@ class ChainOutput:
     accepted: np.ndarray         # (n_walkers, n_iterations) bool
     dispatch_ts: np.ndarray      # (n_walkers, n_iterations) request push stamps
     complete_ts: np.ndarray      # (n_walkers, n_iterations) response arrival stamps
-    exchange_log: list[tuple[int, np.ndarray]] = field(default_factory=list)
     backend: str = "?"
     complete: bool = True
 
@@ -148,24 +142,6 @@ def propose(position: np.ndarray, proposal_scale: np.ndarray,
     is ``normal``'s zero location: it turns a step of -0.0 into +0.0.
     """
     return position + (rng.standard_normal(position.shape) * proposal_scale + 0.0)
-
-
-def exchange_step(positions: np.ndarray, log_posts: np.ndarray,
-                  rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Swap (position, log_post) between uniformly random walker pairs.
-
-    A pure permutation of identical-target walkers leaves the joint
-    posterior invariant, so every sampled pair swaps. Returns the new
-    positions, the new log-posteriors and the applied permutation p, where
-    row i now holds the state formerly in row p[i].
-    """
-    n = len(log_posts)
-    order = rng.permutation(n)
-    perm = np.arange(n)
-    for i in range(0, n - 1, 2):
-        a, b = order[i], order[i + 1]
-        perm[a], perm[b] = b, a
-    return positions[perm], log_posts[perm], perm
 
 
 def run_chains(config: ChainConfig, plane, input_q: Queue, output_q: Queue, *,
@@ -219,7 +195,6 @@ def run_chains(config: ChainConfig, plane, input_q: Queue, output_q: Queue, *,
     accepted = np.zeros((w_count, n_iter), dtype=bool)
     dispatch_ts = np.empty((w_count, n_iter))
     complete_ts = np.empty((w_count, n_iter))
-    exchange_log: list[tuple[int, np.ndarray]] = []
     first_id = input_q.pushed_count
 
     try:
@@ -280,21 +255,17 @@ def run_chains(config: ChainConfig, plane, input_q: Queue, output_q: Queue, *,
             log_posts[:, it] = current_lp
             dispatch_ts[:, it] = dispatched
             complete_ts[:, it] = [msg.enqueue_ts for msg in replies]
-
-            if config.exchange_period and (it + 1) % config.exchange_period == 0:
-                positions, current_lp, perm = exchange_step(positions, current_lp, rng)
-                exchange_log.append((it, perm))
     except QueueMCError as exc:
         exc.partial_output = ChainOutput(
             samples=samples[:, :it].copy(), log_posts=log_posts[:, :it].copy(),
             accepted=accepted[:, :it].copy(), dispatch_ts=dispatch_ts[:, :it].copy(),
-            complete_ts=complete_ts[:, :it].copy(), exchange_log=exchange_log,
-            backend=plane.backend, complete=False)
+            complete_ts=complete_ts[:, :it].copy(), backend=plane.backend,
+            complete=False)
         raise
 
     return ChainOutput(samples=samples, log_posts=log_posts, accepted=accepted,
                        dispatch_ts=dispatch_ts, complete_ts=complete_ts,
-                       exchange_log=exchange_log, backend=plane.backend)
+                       backend=plane.backend)
 
 
 def write_chain_csv(output: ChainOutput, path) -> None:
@@ -313,9 +284,11 @@ def write_chain_csv(output: ChainOutput, path) -> None:
 
 
 def write_timeline_csv(output: ChainOutput, path) -> None:
-    """Timeline CSV: dispatch and completion stamps per request."""
+    """Timeline CSV: dispatch and completion stamps per request,
+    iteration-major then walker."""
+    dispatch, complete = output.dispatch_ts.T.tolist(), output.complete_ts.T.tolist()
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("walker,iteration,dispatch_ts,complete_ts\n")
-        for rec in output.timeline:
-            fh.write(f"{rec.walker_id},{rec.iteration},"
-                     f"{rec.dispatch_ts!r},{rec.complete_ts!r}\n")
+        for it, (d_row, c_row) in enumerate(zip(dispatch, complete)):
+            fh.writelines(f"{w},{it},{d!r},{c!r}\n"
+                          for w, (d, c) in enumerate(zip(d_row, c_row)))

@@ -5,7 +5,7 @@ import threading
 
 import pytest
 
-from queuemc import cli
+from queuemc import cli, plane
 from queuemc.datasets import make_synthetic, write_container
 from queuemc.remote import WorkerServer
 from queuemc.store import DirectoryObjectStore
@@ -27,14 +27,28 @@ def fit(dataset_path, out_dir, *extra):
 
 @pytest.mark.parametrize("extra", [
     ["--walkers", "0", "--iterations", "2"],
-    ["--walkers", "2", "--iterations", "2", "--exchange-period", "-1"],
+    ["--walkers", "2", "--iterations", "2", "--exchange-period", "3"],  # unknown option
     ["--walkers", "2", "--iterations", "2", "--proposal-scale", "0"],
     ["--walkers", "2", "--iterations", "2", "--proposal-scale", "nan"],
+    ["--walkers", "two", "--iterations", "2"],
 ])
 def test_fit_config_errors_are_classified(dataset_path, tmp_path, capsys, extra):
     assert fit(dataset_path, tmp_path / "out", *extra) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("error (config): ") and "Traceback" not in err
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(["fit", "--help"])
+    assert info.value.code == 0
+    assert "--pool-size" in capsys.readouterr().out
+
+
+def test_pool_size_has_one_default():
+    args = cli.build_parser().parse_args(
+        ["fit", "--dataset", "d", "--out-dir", "o", "--walkers", "1", "--iterations", "1"])
+    assert args.pool_size == plane.DEFAULT_POOL_SIZE == 2
 
 
 @pytest.mark.parametrize("argv", [

@@ -3,7 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from queuemc.diagnostics import discard_burn_in, effective_sample_size, split_rhat
+from queuemc.diagnostics import (discard_burn_in, effective_sample_size, split_rhat,
+                                 summarize)
+from queuemc.engine import ChainConfig, run_chains
+from tests.conftest import gaussian_target
 
 
 def test_rhat_degenerate_constant_chains():
@@ -73,3 +76,14 @@ def test_burn_in_helpers():
     kept = discard_burn_in(samples, burn_in=0.2)
     assert kept.shape == (2, 16, 1)
     assert kept.min() == 4.0
+
+
+def test_unconverged_ensemble_is_not_reported_converged(sim_setup):
+    # 16 walkers spread over [-20, 20] on an N(0, 1) target have not mixed
+    # after 200 steps of scale 0.5. Each output row is one walker's chain,
+    # so split R-hat sees the spread between them.
+    fabric, input_q, output_q, plane = sim_setup(likelihood_fn=gaussian_target)
+    config = ChainConfig(n_walkers=16, n_iterations=200, proposal_scale=0.5, seed=0)
+    out = run_chains(config, plane, input_q, output_q,
+                     init_positions=np.linspace(-20, 20, 16), dataset_key="")
+    assert summarize(out)["split_rhat"][0] > 1.2

@@ -16,8 +16,8 @@ from queuemc.cli import _initial_positions
 from queuemc.clocks import VirtualClock
 from queuemc.datasets import POPULATION_MEAN, make_synthetic, write_container
 from queuemc.diagnostics import discard_burn_in
-from queuemc.engine import (ChainConfig, exchange_step, mh_step, propose,
-                            run_chains, write_chain_csv)
+from queuemc.engine import (ChainConfig, mh_step, propose, run_chains,
+                            write_chain_csv)
 from queuemc.errors import (ConfigurationError, DuplicateResponseError,
                             MissingResponseError, NonFiniteDensityError,
                             NotFoundError, WorkerCrashError)
@@ -102,37 +102,6 @@ def test_propose_matches_reference_bit_for_bit(seed, data):
     assert rng.random() == ref.random()  # both streams advanced alike
 
 
-# -------------------------------------------------------------- exchange
-
-
-def test_exchange_two_walkers_swap():
-    positions, log_posts = np.array([[1.0], [2.0]]), np.array([-1.0, -2.0])
-    new_pos, new_lp, perm = exchange_step(positions, log_posts, np.random.default_rng(0))
-    assert perm.tolist() == [1, 0]
-    assert new_pos[:, 0].tolist() == [2.0, 1.0]
-    assert new_lp.tolist() == [-2.0, -1.0]
-    assert positions[:, 0].tolist() == [1.0, 2.0]  # inputs are left as they were
-
-
-def test_exchange_preserves_state_multiset():
-    rng = np.random.default_rng(3)
-    positions, log_posts = rng.random((9, 1)), rng.random(9)
-    new_pos, new_lp, perm = exchange_step(positions, log_posts, rng)
-    assert sorted(perm.tolist()) == list(range(9))
-    assert np.array_equal(new_pos, positions[perm])
-    assert np.array_equal(new_lp, log_posts[perm])
-    before = sorted(zip(positions[:, 0], log_posts))
-    after = sorted(zip(new_pos[:, 0], new_lp))
-    assert before == after
-
-
-def test_exchange_permutation_deterministic():
-    positions, log_posts = np.arange(100.0)[:, None], np.zeros(100)
-    _, _, p1 = exchange_step(positions, log_posts, np.random.default_rng(11))
-    _, _, p2 = exchange_step(positions, log_posts, np.random.default_rng(11))
-    assert np.array_equal(p1, p2)
-
-
 # -------------------------------------------------------------- run_chains
 
 
@@ -141,7 +110,6 @@ def run_gaussian(setup, w, n, seed=0, backend_kwargs=None, **kwargs):
                                              **(backend_kwargs or {}))
     config = ChainConfig(n_walkers=w, n_iterations=n,
                          proposal_scale=kwargs.pop("proposal_scale", 1.0),
-                         exchange_period=kwargs.pop("exchange_period", 0),
                          seed=seed)
     init = kwargs.pop("init", np.zeros((w, 1)))
     out = run_chains(config, plane, input_q, output_q, init_positions=init,
@@ -222,29 +190,17 @@ def test_sim_and_local_backends_sample_identically(sim_setup, local_setup):
     assert a.backend == "sim" and b.backend == "local"
 
 
-def test_exchange_period_runs_and_logs(sim_setup):
-    out, _ = run_gaussian(sim_setup, w=6, n=10, exchange_period=2, seed=1)
-    assert [it for it, _ in out.exchange_log] == [1, 3, 5, 7, 9]
-    for _, perm in out.exchange_log:
-        assert sorted(perm.tolist()) == list(range(6))
-
-
-def test_exchange_disabled_produces_no_log(sim_setup):
-    out, _ = run_gaussian(sim_setup, w=6, n=10, exchange_period=0, seed=1)
-    assert out.exchange_log == []
-
-
 # -------------------------------------------------------------- random stream
 
 
 def test_chain_draws_from_one_stream_in_a_fixed_order(sim_setup):
-    # Per iteration: all proposals, then the acceptance uniforms, then the
-    # exchange permutation, all from child 0 of SeedSequence(seed).
-    w_count, n_iter, period, seed = 5, 7, 2, 13
+    # Per iteration: all proposals, then the acceptance uniforms, both from
+    # child 0 of SeedSequence(seed).
+    w_count, n_iter, seed = 5, 7, 13
     scale = np.array([0.5, 2.0])
     init = np.arange(2.0 * w_count).reshape(w_count, 2)
     out, _ = run_gaussian(sim_setup, w=w_count, n=n_iter, seed=seed, proposal_scale=scale,
-                          exchange_period=period, init=init)
+                          init=init)
     rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
     positions, current = init.copy(), np.full(w_count, -math.inf)
     for it in range(n_iter):
@@ -256,8 +212,6 @@ def test_chain_draws_from_one_stream_in_a_fixed_order(sim_setup):
                 positions[w], current[w] = proposals[w], proposed
         assert np.array_equal(out.samples[:, it], positions)
         assert np.array_equal(out.log_posts[:, it], current)
-        if (it + 1) % period == 0:
-            positions, current, _ = exchange_step(positions, current, rng)
 
 
 def test_one_walker_chain_without_exchange_keeps_its_digest():
@@ -675,8 +629,6 @@ def test_config_validation():
     for scale in (0.0, math.nan, math.inf, [1.0, math.nan]):
         with pytest.raises(ConfigurationError):
             ChainConfig(n_walkers=1, n_iterations=1, proposal_scale=scale)
-    with pytest.raises(ConfigurationError):
-        ChainConfig(n_walkers=1, n_iterations=1, exchange_period=-1)
     for seed in (-1, 1.5, "7"):
         with pytest.raises(ConfigurationError):
             ChainConfig(n_walkers=1, n_iterations=1, seed=seed)
@@ -709,7 +661,8 @@ def test_control_without_detail_raises_worker_crash(sim_setup, payload):
 # -------------------------------------------------------------- golden output
 #
 # Digests of fixed-seed chain output, content_digest(samples ‖ log_posts ‖
-# accepted); any change to proposal, acceptance or exchange order shows here.
+# accepted); any change to the proposal or acceptance draws or their order
+# shows here.
 
 
 def chain_digest(out):
@@ -720,8 +673,8 @@ def chain_digest(out):
 @pytest.mark.parametrize("backend", ["sim", "local"])
 def test_golden_gaussian_chain(backend, sim_setup, local_setup):
     setup = sim_setup if backend == "sim" else local_setup
-    out, _ = run_gaussian(setup, w=6, n=40, seed=9, exchange_period=3)
-    assert chain_digest(out) == "2d4309ba806e29c7"
+    out, _ = run_gaussian(setup, w=6, n=40, seed=9)
+    assert chain_digest(out) == "6a6aa9f316aa5872"
 
 
 def test_golden_stub_chain():
@@ -741,7 +694,7 @@ def run_kernel_chain(setup, start_rows):
     dim = start.size
     fabric, input_q, output_q, plane = setup(store=store)
     config = ChainConfig(n_walkers=walkers, n_iterations=6,
-                         proposal_scale=np.full(dim, 0.01), exchange_period=2, seed=21)
+                         proposal_scale=np.full(dim, 0.01), seed=21)
     out = run_chains(config, plane, input_q, output_q,
                      init_positions=np.tile(start, (walkers, 1)), dataset_key="bundle",
                      data_param_count=n_clusters * n_coeffs,
@@ -761,8 +714,8 @@ def test_golden_kernel_chain(backend, sim_setup, local_setup):
     truths = make_synthetic(2, grid_size=32, seed=5)[1]
     out = run_kernel_chain(sim_setup if backend == "sim" else local_setup, truths)
     # The walk itself, without the log-posteriors' last bits.
-    assert content_digest(out.samples.tobytes() + out.accepted.tobytes()) == "c72225494935a790"
-    assert chain_digest(out) == "9b7e9f53565b441b"
+    assert content_digest(out.samples.tobytes() + out.accepted.tobytes()) == "49304fbdc4540f44"
+    assert chain_digest(out) == "6486440934bcde96"
 
 
 @pytest.mark.parametrize("backend", ["sim", "local"])
@@ -784,5 +737,5 @@ def test_golden_kernel_chain_from_a_clamp_free_point(backend, sim_setup, local_s
     assert 0 < free_rows.count(False) < len(free_rows)
     # The walk is the one the five stages take for every row; the
     # log-posteriors differ from theirs in the last bits.
-    assert content_digest(out.samples.tobytes() + out.accepted.tobytes()) == "c08d3687143cd43a"
-    assert chain_digest(out) == "b0e47d12857b517c"
+    assert content_digest(out.samples.tobytes() + out.accepted.tobytes()) == "1ae1a02c7605e46c"
+    assert chain_digest(out) == "73cb689bf5423eb0"
