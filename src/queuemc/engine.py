@@ -3,8 +3,9 @@
 Holds every walker's state as arrays: positions ``(W, dim)`` and cached
 log-posteriors ``(W,)``. Each iteration it proposes symmetric Gaussian
 random-walk moves, dispatches one likelihood request per walker through
-the queue fabric and applies Metropolis-Hastings acceptance to the
-returned values. Row w of the output is walker w's own Markov chain.
+the queue fabric, all of an iteration's requests in one push, and applies
+Metropolis-Hastings acceptance to the returned values. Row w of the
+output is walker w's own Markov chain.
 
 Iterations are lockstep: all walkers' responses are collected before any
 acceptance decision, which keeps the total likelihood budget at exactly
@@ -93,7 +94,7 @@ class ChainOutput:
     samples: np.ndarray          # (n_walkers, n_iterations, dim)
     log_posts: np.ndarray        # (n_walkers, n_iterations)
     accepted: np.ndarray         # (n_walkers, n_iterations) bool
-    dispatch_ts: np.ndarray      # (n_walkers, n_iterations) request push stamps
+    dispatch_ts: np.ndarray      # (n_walkers, n_iterations) push stamp of each iteration's wave
     complete_ts: np.ndarray      # (n_walkers, n_iterations) response arrival stamps
     backend: str = "?"
     complete: bool = True
@@ -201,11 +202,10 @@ def run_chains(config: ChainConfig, plane, input_q: Queue, output_q: Queue, *,
         for it in range(n_iter):
             proposals = propose(positions, scale, rng)
             base = first_id + it * w_count
-            dispatched: list[float] = []
-            for w, proposal in enumerate(proposals):
-                payload = pack_request(proposal[:n_send], dataset_key)
-                dispatched.append(push(Message(
-                    base + w, MessageKind.LIKELIHOOD_REQUEST, payload)).enqueue_ts)
+            dispatched = push(*[
+                Message(base + w, MessageKind.LIKELIHOOD_REQUEST,
+                        pack_request(proposal[:n_send], dataset_key))
+                for w, proposal in enumerate(proposals)])
 
             replies: list[Message | None] = [None] * w_count
             owed = w_count

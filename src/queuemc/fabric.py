@@ -1,10 +1,11 @@
 """FIFO message queues with trigger semantics.
 
 The fabric connects the coordinator to the compute plane. Producers push
-immutable :class:`Message` values; each message is delivered exactly once,
-in push order, either to a blocking consumer (:meth:`Queue.pop`) or to a
-registered trigger callback, mirroring a queue service that instantiates
-a function per delivered message.
+immutable :class:`Message` values, one or several per push; each message
+is delivered exactly once, in push order, either to a blocking consumer
+(:meth:`Queue.pop`) or to a registered trigger callback, mirroring a queue
+service that invokes a function with the batch of messages one push
+delivered.
 
 A message's only identity is its ``msg_id``, an int: the sequence number
 of the request it is or answers, and all a consumer matches on. A control
@@ -23,9 +24,9 @@ import enum
 import struct
 import threading
 from collections import deque
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
-from .clocks import Clock, WallClock
+from .clocks import Clock
 from .errors import ConfigurationError, DuplicateQueueError, WireFormatError
 
 NO_REQUEST = -1
@@ -89,8 +90,8 @@ class Queue:
     Delivery is exactly-once: a message goes either to one ``pop`` caller
     or to the queue's trigger callback. A queue has at most one trigger,
     which takes over delivery once registered; messages already pending at
-    registration are drained into it, matching platform trigger semantics
-    for a backlog.
+    registration are handed to it in one call, matching platform trigger
+    semantics for a backlog.
     """
 
     def __init__(self, name: str, clock: Clock) -> None:
@@ -101,7 +102,7 @@ class Queue:
         self._lock = threading.RLock()
         self._cond = threading.Condition(self._lock)
         self._items: deque[Message] = deque()
-        self._trigger: Callable[[Message], None] | None = None
+        self._trigger: Callable[[Sequence[Message]], None] | None = None
         self._pushed = 0
         self._delivered = 0
 
@@ -128,25 +129,28 @@ class Queue:
         with self._lock:
             return self._delivered
 
-    def push(self, m: Message) -> Message:
-        """Append ``m``, stamped with the current clock time.
+    def push(self, *msgs: Message) -> float:
+        """Append ``msgs`` in order, each stamped with one reading of the clock.
 
-        Returns the stamped message (the acknowledgment). If a trigger is
-        registered the message is handed to it instead of being queued;
-        the callback runs in the pushing thread, outside the queue lock.
+        Returns that stamp (the acknowledgment). If a trigger is
+        registered the messages are handed to it in one call instead of
+        being queued; the callback runs in the pushing thread, outside the
+        queue lock. A push of no messages changes nothing and calls no
+        trigger.
         """
         with self._lock:
-            stamped = Message(m.msg_id, m.kind, m.payload, self._clock.now())
-            self._pushed += 1
+            ts = self._clock.now()
+            stamped = [Message(m.msg_id, m.kind, m.payload, ts) for m in msgs]
+            self._pushed += len(stamped)
             action = self._trigger
             if action is not None:
-                self._delivered += 1
+                self._delivered += len(stamped)
             else:
-                self._items.append(stamped)
-                self._cond.notify()
-        if action is not None:
+                self._items.extend(stamped)
+                self._cond.notify(len(stamped))
+        if action is not None and stamped:
             action(stamped)
-        return stamped
+        return ts
 
     def pop(self, timeout: float | None = None) -> Message | None:
         """Remove and return the head message.
@@ -170,11 +174,11 @@ class Queue:
                     return None
                 clock.wait(self._cond, remaining)
 
-    def register_trigger(self, action: Callable[[Message], None]) -> None:
-        """Invoke ``action`` exactly once for every message delivered from now on.
+    def register_trigger(self, action: Callable[[Sequence[Message]], None]) -> None:
+        """Invoke ``action`` once per push from now on, with the push's messages.
 
-        Pending messages are drained into the trigger immediately. A queue
-        takes one trigger; registering a second raises
+        Pending messages are handed to the trigger at once, in one call. A
+        queue takes one trigger; registering a second raises
         :class:`ConfigurationError`.
         """
         with self._lock:
@@ -184,15 +188,15 @@ class Queue:
             backlog = list(self._items)
             self._items.clear()
             self._delivered += len(backlog)
-        for m in backlog:
-            action(m)
+        if backlog:
+            action(backlog)
 
 
 class QueueFabric:
     """Registry of named queues sharing one clock."""
 
-    def __init__(self, clock: Clock | None = None) -> None:
-        self.clock = clock if clock is not None else WallClock()
+    def __init__(self, clock: Clock) -> None:
+        self.clock = clock
         self._queues: dict[str, Queue] = {}
         self._lock = threading.Lock()
 

@@ -8,8 +8,8 @@ the output queue):
              function-as-a-service platform running on a virtual clock;
              task math still runs for real, but all timestamps are modeled.
 * ``local``  a fixed-size thread pool on the wall clock, used for
-             correctness tests and small fits; it evaluates pending
-             kernel requests of one dataset in batches.
+             correctness tests and small fits; it evaluates the kernel
+             requests of one push in batches.
 * ``remote`` a socket client that forwards requests to worker processes
              speaking the framed wire protocol (see ``queuemc.remote``).
 
@@ -20,16 +20,16 @@ packs each response or error message. ``local`` and the remote worker
 stamp, run, sleep out a stub and stamp again on the wall clock
 (:func:`execute`); ``sim`` takes the stamps from its scheduler.
 
-``sim`` and the remote worker run each request alone. ``local`` keeps a
-deque of pending requests: a pool thread takes the head and, when it is
-a kernel request on a loaded dataset, the requests on the same dataset
-that follow it, as many as keep their model maps within
-``PASS_MAP_BYTES``, and evaluates them in one :func:`kernel.evaluate`
-pass, which costs less per request than one pass each and gives each
-request the same bits. A queue trigger that hands a function several
-messages per invocation does the same. Stub, ``likelihood_fn`` and
-malformed requests, and the first request of a dataset, run alone, so a
-stub still holds its worker for its full duration.
+A queue trigger hands its function all the messages of one push, and the
+coordinator pushes each iteration's requests in one push. ``sim`` and the
+remote worker run each request alone. ``local`` cuts a push, in order,
+into passes of :meth:`TaskRunner.batch_limit` requests on the key of its
+first request, as many as keep their model maps within
+``PASS_MAP_BYTES``, and gives each pass one pool task and one
+:func:`kernel.evaluate` pass, which costs less per request than one pass
+each and gives each request the same bits. Stub and ``likelihood_fn``
+requests, and the requests of a push whose first key is not loaded yet,
+run alone, so a stub still holds its worker for its full duration.
 
 The simulated platform provisions warm instances along a doubling ramp:
 instance n becomes available ``scale_doubling_interval_s * log2(n / c0)``
@@ -46,7 +46,6 @@ import logging
 import math
 import threading
 import time
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -86,7 +85,6 @@ class BackendModel:
     warm_invoke_s: float = 0.05
     initial_capacity: int = 3
     scale_doubling_interval_s: float = 7.0
-    max_concurrency: int | None = None
     likelihood_duration_s: float = 100.0
     jitter_std_s: float = 0.0
 
@@ -98,8 +96,6 @@ class BackendModel:
             raise ConfigurationError("initial_capacity must be at least 1")
         if not 0 < self.scale_doubling_interval_s < math.inf:
             raise ConfigurationError("scale_doubling_interval_s must be finite and positive")
-        if self.max_concurrency is not None and self.max_concurrency < 1:
-            raise ConfigurationError("max_concurrency must be at least 1 or None")
         if not 0 < self.likelihood_duration_s < math.inf:
             raise ConfigurationError("likelihood_duration_s must be finite and positive")
         if not 0 <= self.jitter_std_s < math.inf:
@@ -320,13 +316,9 @@ class SimScheduler:
 
         free = self._free
         reuse_ready = max(dispatch_ts, free[0][0]) + m.warm_invoke_s if free else math.inf
-        fresh_ready = math.inf
-        if m.max_concurrency is None or self._provisioned < m.max_concurrency:
-            if self._next_ramp is None:
-                self._next_ramp = self._origin + m.ramp_delay(self._provisioned + 1)
-            fresh_ready = max(dispatch_ts, self._next_ramp) + m.cold_start_s + m.warm_invoke_s
-        if not math.isfinite(reuse_ready) and not math.isfinite(fresh_ready):
-            raise ConfigurationError("no instance available and concurrency limit reached")
+        if self._next_ramp is None:
+            self._next_ramp = self._origin + m.ramp_delay(self._provisioned + 1)
+        fresh_ready = max(dispatch_ts, self._next_ramp) + m.cold_start_s + m.warm_invoke_s
 
         if reuse_ready <= fresh_ready:
             _, wid, worker_id = heapq.heappop(free)
@@ -401,28 +393,27 @@ class SimulatedPlane(_PlaneBase):
         self._sched = SimScheduler(model, seed=seed)
         input_q.register_trigger(self._on_message)
 
-    def _on_message(self, msg: Message) -> None:
-        ((result, _, stub_s),) = self._runner.run((msg,))
-        rec = self._sched.assign(
-            msg.msg_id, msg.enqueue_ts,
-            self._model.likelihood_duration_s if stub_s is None else stub_s)
-        self._record(rec)
-        self._clock.schedule(rec.end_ts, self._output_q.push, respond(msg, result, rec))
+    def _on_message(self, msgs: Sequence[Message]) -> None:
+        for msg in msgs:
+            ((result, _, stub_s),) = self._runner.run((msg,))
+            rec = self._sched.assign(
+                msg.msg_id, msg.enqueue_ts,
+                self._model.likelihood_duration_s if stub_s is None else stub_s)
+            self._record(rec)
+            self._clock.schedule(rec.end_ts, self._output_q.push, respond(msg, result, rec))
 
 
 class LocalPoolPlane(_PlaneBase):
-    """Fixed-size thread pool on the wall clock, draining a queue of
-    pending requests in batches.
+    """Fixed-size thread pool on the wall clock, running each push in passes.
 
-    The trigger appends each message to the plane's pending deque and
-    submits one drain task per message. A drain task takes the head of the
-    deque, and, when it is a kernel request whose dataset is loaded, the
-    kernel requests with the same key that follow it, up to the batch
-    limit of :meth:`TaskRunner.batch_limit` (``PASS_MAP_BYTES`` of model
-    maps); the batch then takes one :func:`execute`. A task that finds the
-    deque empty returns: an earlier task took its message. Stub requests,
-    ``likelihood_fn`` requests and the first request of a key run alone,
-    so a stub holds its worker for its full duration.
+    The trigger reads the dataset key of the push's first request and cuts
+    the push, in order, into passes of :meth:`TaskRunner.batch_limit`
+    requests on that key (``PASS_MAP_BYTES`` of model maps), one pool task
+    each; a pass takes one :func:`execute` and pushes its responses in one
+    push. Stub requests, ``likelihood_fn`` requests, a malformed first
+    request and a key that is not loaded yet make passes of one, so a stub
+    holds its worker for its full duration. A pass whose requests do not
+    share a key is answered request by request (:meth:`TaskRunner.run`).
     """
 
     backend = "local"
@@ -435,30 +426,19 @@ class LocalPoolPlane(_PlaneBase):
         self._clock = output_q.clock
         self._output_q = output_q
         self._runner = TaskRunner(store, likelihood_fn)
-        self._pending: deque[Message] = deque()
-        self._pending_lock = threading.Lock()
         self._pool = ThreadPoolExecutor(max_workers=pool_size,
                                         thread_name_prefix="qmc-worker")
         input_q.register_trigger(self._dispatch)
 
-    def _dispatch(self, msg: Message) -> None:
-        with self._pending_lock:
-            self._pending.append(msg)
-        self._pool.submit(self._drain)
+    def _dispatch(self, msgs: Sequence[Message]) -> None:
+        try:
+            limit = self._runner.batch_limit(unpack_request(msgs[0].payload)[1])
+        except WireFormatError:
+            limit = 1
+        for i in range(0, len(msgs), limit):
+            self._pool.submit(self._work, msgs[i:i + limit])
 
-    def _drain(self) -> None:
-        with self._pending_lock:
-            if not self._pending:
-                return
-            batch = [self._pending.popleft()]
-            key = _request_key(batch[0])
-            limit = 1 if key is None else self._runner.batch_limit(key)
-            while (len(batch) < limit and self._pending
-                   and _request_key(self._pending[0]) == key):
-                batch.append(self._pending.popleft())
-        self._work(batch)
-
-    def _work(self, batch: list[Message]) -> None:
+    def _work(self, batch: Sequence[Message]) -> None:
         # Nothing reads the pool's futures: a request whose task raises
         # must still be answered, or the run waits out its whole timeout.
         try:
@@ -467,21 +447,13 @@ class LocalPoolPlane(_PlaneBase):
             log.debug("worker failed on %s", [msg.msg_id for msg in batch], exc_info=True)
             error = pack_error("worker-crash", repr(exc))
             done = [(Message(msg.msg_id, MessageKind.CONTROL, error), None) for msg in batch]
-        for resp, rec in done:
+        for _, rec in done:
             if rec is not None:
                 self._record(rec)
-            self._output_q.push(resp)
+        self._output_q.push(*[resp for resp, _ in done])
 
     def close(self) -> None:
         self._pool.shutdown(wait=True)
-
-
-def _request_key(msg: Message) -> str | None:
-    """The dataset key of a request, or None if its payload is malformed."""
-    try:
-        return unpack_request(msg.payload)[1]
-    except WireFormatError:
-        return None
 
 
 def attach_backend(input_q: Queue, output_q: Queue, backend: str,

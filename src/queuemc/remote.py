@@ -37,7 +37,7 @@ import socket
 import socketserver
 import struct
 import threading
-from typing import Callable
+from typing import Callable, Sequence
 
 from .clocks import WallClock
 from .errors import ConfigurationError, WireFormatError, WorkerCrashError
@@ -130,11 +130,10 @@ class WorkerServer(socketserver.ThreadingTCPServer):
         return resp
 
 
-def serve(listen_addr: str | tuple[str, int], dataset_root, *,
-          likelihood_fn: Callable | None = None) -> None:
+def serve(listen_addr: str | tuple[str, int], dataset_root) -> None:
     """Run a worker server until interrupted (the CLI entry point)."""
     store = DirectoryObjectStore(dataset_root)
-    with WorkerServer(listen_addr, store, likelihood_fn=likelihood_fn) as server:
+    with WorkerServer(listen_addr, store) as server:
         log.info("worker serving on %s:%d", *server.server_address)
         server.serve_forever()
 
@@ -165,14 +164,17 @@ class RemoteWorkerClient(_PlaneBase):
         self._reader.start()
         input_q.register_trigger(self._send)
 
-    def _send(self, msg: Message) -> None:
-        body = encode_message(msg)
+    def _send(self, msgs: Sequence[Message]) -> None:
+        # Every frame is encoded before the first is written, so an id that
+        # is not an int64 fails the push before any of it leaves.
+        bodies = [encode_message(msg) for msg in msgs]
         with self._send_lock:
-            self._dispatch_ts[msg.msg_id] = msg.enqueue_ts
-            try:
-                write_frame(self._sock, body)
-            except OSError as exc:
-                raise WorkerCrashError(f"connection-lost: {self._lost or exc}") from exc
+            for msg, body in zip(msgs, bodies):
+                self._dispatch_ts[msg.msg_id] = msg.enqueue_ts
+                try:
+                    write_frame(self._sock, body)
+                except OSError as exc:
+                    raise WorkerCrashError(f"connection-lost: {self._lost or exc}") from exc
 
     def _read_loop(self) -> None:
         detail = "worker closed the connection"

@@ -1,10 +1,12 @@
-"""The benchmark's span targets name functions that exist.
+"""The benchmark's span targets name functions that exist and are called.
 
 perfbench times layers by wrapping named functions of the package (see
 ``perfbench/spans.py``). A target that is renamed or removed in the
-package leaves its per-layer metric empty, so installing every target
-here makes that a test failure instead, and so does a kernel call that
-no longer passes through one of its stage targets.
+package, or that its workload no longer calls, leaves its per-layer
+metric empty, so installing every target here makes that a test failure
+instead, and so do a workload's chain that no longer reaches one of its
+targets and a kernel call that no longer passes through one of its stage
+targets.
 """
 
 import importlib
@@ -36,6 +38,29 @@ def test_every_span_target_installs(monkeypatch):
     finally:
         tracer.uninstall()
     assert set(tracer.absent) == STALE
+
+
+def test_every_workload_calls_each_of_its_span_targets(monkeypatch):
+    # As perfbench's traced run does: install a workload's targets, build
+    # its session, run a chain. remote-stub starts its own worker process.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    spans = importlib.import_module("spans")
+    workloads = importlib.import_module("workloads")
+    uncalled = {}
+    for name, workload_cls in workloads.WORKLOADS.items():
+        workload = workload_cls(7)
+        tracer = spans.Tracer()
+        tracer.install(workload.targets)
+        session = used = None
+        try:
+            session = workload.setup()
+            _, used = workload.chain(session, workloads.chain_seed(7, 0))
+        finally:
+            tracer.uninstall()
+            for opened in {session, used} - {None}:
+                opened.close()
+        uncalled[name] = set(tracer.guard()) - STALE
+    assert uncalled == {name: set() for name in workloads.WORKLOADS}
 
 
 def test_kernel_spans_record_a_fit_local_call(monkeypatch):

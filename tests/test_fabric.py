@@ -42,9 +42,10 @@ def test_pending_counts_pushes(fabric):
 def test_fifo_order(fabric):
     q = fabric.create_queue("q")
     q.push(msg(7))
-    q.push(msg(3))
-    assert q.pop(0).msg_id == 7
-    assert q.pop(0).msg_id == 3
+    q.push(msg(3), msg(9), msg(1))
+    q.push(msg(4))
+    assert [q.pop(0).msg_id for _ in range(5)] == [7, 3, 9, 1, 4]
+    assert q.pop(0) is None
 
 
 def test_pop_empty_times_out(fabric):
@@ -89,8 +90,7 @@ def test_enqueue_ts_stamped_and_non_decreasing():
     clock = VirtualClock()
     fabric = QueueFabric(clock)
     q = fabric.create_queue("q")
-    acks = [q.push(msg(i)) for i in range(5)]
-    stamps = [a.enqueue_ts for a in acks]
+    stamps = [q.push(msg(i)) for i in range(5)]
     assert stamps == sorted(stamps)
     popped = [q.pop(0) for _ in range(5)]
     got = [m.enqueue_ts for m in popped]
@@ -126,13 +126,52 @@ def test_concurrent_consumers_partition_messages(fabric):
     assert set(got_a) & set(got_b) == set()
 
 
-def test_trigger_invoked_once_per_message(fabric):
+def test_push_stamps_its_messages_once():
+    clock = VirtualClock()
+    q = QueueFabric(clock).create_queue("q")
+    stamps = [q.push(msg(0))]
+    clock.schedule(2.5, lambda: stamps.append(q.push(msg(1), msg(2), msg(3))))
+    assert q.pop(0).enqueue_ts == 0.0
+    # The queue is empty, so the pop runs the clock to the push at 2.5.
+    got = [q.pop(timeout=5.0), q.pop(0), q.pop(0)]
+    assert stamps == [0.0, 2.5]
+    assert [m.enqueue_ts for m in got] == [2.5] * 3
+
+
+def test_empty_push_changes_nothing(fabric):
+    q = fabric.create_queue("q")
+    q.push()
+    assert fabric.stats() == {"q": {"pushed": 0, "delivered": 0, "pending": 0}}
+    calls = []
+    q.register_trigger(calls.append)
+    q.push()
+    assert calls == []
+    assert fabric.stats() == {"q": {"pushed": 0, "delivered": 0, "pending": 0}}
+
+
+def test_trigger_invoked_once_per_push(fabric):
+    q = fabric.create_queue("q")
+    calls = []
+    q.register_trigger(lambda ms: calls.append([(m.msg_id, m.enqueue_ts) for m in ms]))
+    ts = q.push(msg(3), msg(1), msg(2))
+    ts2 = q.push(msg(0))
+    assert calls == [[(3, ts), (1, ts), (2, ts)], [(0, ts2)]]
+
+
+def test_trigger_runs_in_the_pushing_thread_outside_the_lock(fabric):
     q = fabric.create_queue("q")
     seen = []
-    q.register_trigger(lambda m: seen.append(m.msg_id))
-    for i in range(5):
-        q.push(msg(i))
-    assert seen == list(range(5))
+
+    def action(ms):
+        # Another thread can take the queue's lock while the trigger runs.
+        reader = threading.Thread(target=lambda: seen.append(q.pending_count))
+        reader.start()
+        reader.join(timeout=5.0)
+        seen.append(threading.current_thread() is threading.main_thread())
+
+    q.register_trigger(action)
+    q.push(msg(0), msg(1))
+    assert seen == [0, True]
 
 
 def test_trigger_on_empty_queue_no_invocations(fabric):
@@ -145,42 +184,47 @@ def test_trigger_on_empty_queue_no_invocations(fabric):
 def test_trigger_drains_backlog(fabric):
     q = fabric.create_queue("q")
     q.push(msg(0))
-    q.push(msg(1))
-    seen = []
-    q.register_trigger(lambda m: seen.append(m.msg_id))
-    assert seen == [0, 1]
-    assert q.pending_count == 0
+    q.push(msg(1), msg(2))
+    calls = []
+    q.register_trigger(lambda ms: calls.append([m.msg_id for m in ms]))
+    assert calls == [[0, 1, 2]]
+    assert q.pending_count == 0 and q.delivered_count == 3
 
 
 def test_second_trigger_rejected(fabric):
     q = fabric.create_queue("q")
-    seen = []
-    q.register_trigger(lambda m: seen.append(m.msg_id))
+    calls = []
+    q.register_trigger(lambda ms: calls.append([m.msg_id for m in ms]))
     with pytest.raises(ConfigurationError):
-        q.register_trigger(lambda m: None)
+        q.register_trigger(lambda ms: None)
     q.push(msg(0))
-    assert seen == [0]
+    assert calls == [[0]]
 
 
 def test_trigger_multiset_matches_pushes(fabric):
     q = fabric.create_queue("q")
     seen = []
-    q.register_trigger(lambda m: seen.append(m.msg_id))
+    q.register_trigger(lambda ms: seen.extend(m.msg_id for m in ms))
     pushed = []
-    for i in range(200):
-        q.push(msg(i % 50, payload=bytes([i % 256])))
-        pushed.append(i % 50)
+    for i in range(0, 200, 4):
+        wave = [msg(j % 50, payload=bytes([j % 256])) for j in range(i, i + i % 3)]
+        q.push(*wave)
+        pushed.extend(m.msg_id for m in wave)
     assert sorted(seen) == sorted(pushed)
 
 
 def test_conservation_counters(fabric):
     q = fabric.create_queue("q")
-    for i in range(10):
+    q.push(*[msg(i) for i in range(5)])
+    for i in range(5, 10):
         q.push(msg(i))
     q.pop(0)
     q.pop(0)
-    assert q.pushed_count == 10
-    assert q.delivered_count + q.pending_count == q.pushed_count
+    assert (q.pushed_count, q.delivered_count, q.pending_count) == (10, 2, 8)
+    t = fabric.create_queue("t")
+    t.register_trigger(lambda ms: None)
+    t.push(*[msg(i) for i in range(3)])
+    assert (t.pushed_count, t.delivered_count, t.pending_count) == (3, 3, 0)
 
 
 @settings(max_examples=50, deadline=None)

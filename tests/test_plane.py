@@ -10,11 +10,12 @@ import pytest
 from queuemc.clocks import VirtualClock, WallClock
 from queuemc import kernel
 from queuemc.datasets import make_synthetic, read_container, write_container
+from queuemc.engine import ChainConfig, run_chains
 from queuemc.errors import ConfigurationError
 from queuemc.fabric import Message, MessageKind, QueueFabric
 from queuemc.kernel import evaluate
 from queuemc.payloads import pack_request, parse_error, unpack_response
-from queuemc.plane import (PASS_MAP_BYTES, BackendModel, SimScheduler, TaskRunner,
+from queuemc.plane import (PASS_MAP_BYTES, BackendModel, LocalPoolPlane, TaskRunner,
                            attach_backend, make_stub_key, simulate)
 from queuemc.remote import WorkerServer
 from queuemc.store import MemoryObjectStore
@@ -232,16 +233,6 @@ def test_sim_response_completeness(sim_setup):
     assert output_q.pop(timeout=0) is None
 
 
-def test_sim_max_concurrency_forces_reuse(sim_setup):
-    model = BackendModel(max_concurrency=2, likelihood_duration_s=1.0)
-    fabric, input_q, output_q, plane = sim_setup(model=model)
-    push_stub_wave(input_q, 6, duration=1.0)
-    drain(output_q, 6)
-    workers = {r.worker_id for r in plane.records}
-    assert len(workers) == 2
-    assert sum(r.cold for r in plane.records) == 2
-
-
 def test_sim_requires_virtual_clock(fast_model):
     fabric = QueueFabric(WallClock())
     a_in = fabric.create_queue("input")
@@ -262,14 +253,6 @@ def test_standalone_simulate_matches_queue_wave(sim_setup):
     replay = simulate(((f"{i}/0", 0.0, 100.0) for i in range(50)), model)
     assert [r.msg_id for r in replay] == [f"{i}/0" for i in range(50)]
     assert [r.end_ts for r in replay] == [r.end_ts for r in records]
-
-
-def test_scheduler_capacity_exhaustion():
-    sched = SimScheduler(BackendModel(max_concurrency=1))
-    rec = sched.assign("a", 0.0, 1.0)
-    assert rec.cold
-    rec2 = sched.assign("b", 0.0, 1.0)
-    assert not rec2.cold and rec2.worker_id == rec.worker_id
 
 
 # -------------------------------------------------------------- local pool
@@ -352,12 +335,12 @@ def bundle_store(n_clusters, grid_size, seed=3):
 
 def queue_behind_a_stub(input_q, output_q, first, requests, stub_s=0.3):
     """On a pool of one: answer ``first``, which loads its key, then hold
-    the worker with a stub while ``requests`` queue up behind it."""
+    the worker with a stub while ``requests``, pushed in one push, queue up
+    behind it."""
     input_q.push(first)
     drain(output_q, 1, timeout=30.0)
     input_q.push(request_msg(-1, make_stub_key(stub_s)))
-    for msg in requests:
-        input_q.push(msg)
+    input_q.push(*requests)
     return {m.msg_id: m for m in drain(output_q, len(requests) + 1, timeout=30.0)}
 
 
@@ -422,9 +405,9 @@ def test_local_batch_answers_each_request_as_alone(local_setup, bad):
 
 
 def test_local_batches_keep_one_record_and_one_cold_start_per_key(local_setup):
-    # More pool threads than cores and a short switch interval, over kernel
-    # requests mixed with stubs: every request is answered once and
-    # recorded once, and one record of the key is cold, though a slow
+    # More pool threads than cores and a short switch interval, over pushes
+    # of kernel requests mixed with stubs: every request is answered once
+    # and recorded once, and one record of the key is cold, though a slow
     # store lets the first requests on each thread parse it at once.
     datasets, truths, store = bundle_store(2, 32)
     get = store.get
@@ -434,9 +417,11 @@ def test_local_batches_keep_one_record_and_one_cold_start_per_key(local_setup):
     sys.setswitchinterval(1e-6)
     try:
         fabric, input_q, output_q, plane = local_setup(store=store, pool_size=4)
-        for i, stub in enumerate(kinds):
-            input_q.push(request_msg(i, make_stub_key(0.0)) if stub
-                         else request_msg(i, "bundle", params=truths.ravel()))
+        requests = [request_msg(i, make_stub_key(0.0)) if stub
+                    else request_msg(i, "bundle", params=truths.ravel())
+                    for i, stub in enumerate(kinds)]
+        for i in range(0, len(requests), 8):
+            input_q.push(*requests[i:i + 8])
         answers = drain(output_q, len(kinds), timeout=60.0)
         plane.close()
     finally:
@@ -469,6 +454,36 @@ def test_local_pass_stays_within_its_map_budget(local_setup, monkeypatch):
     assert passes[0] == 1 and sum(passes) == 8
     assert all(b * per_request <= PASS_MAP_BYTES for b in passes)
     assert max(passes) == PASS_MAP_BYTES // per_request
+
+
+def test_local_chain_makes_one_push_and_full_passes_per_iteration(local_setup, monkeypatch):
+    # fit-local's shape: 8 clusters at grid 64, 16 walkers, a pool of two.
+    # Each iteration's wave reaches the pool in one trigger call. The first
+    # wave runs request by request, since its key is not loaded when it is
+    # cut; every later wave takes 8 passes of 2 requests.
+    datasets, truths, store = bundle_store(8, 64, seed=7)
+    waves, passes = [], []
+    dispatch, evaluate_ = LocalPoolPlane._dispatch, kernel.evaluate
+
+    def counted_dispatch(self, msgs):
+        waves.append(len(msgs))
+        return dispatch(self, msgs)
+
+    def counted_evaluate(thetas, bundle):
+        passes.append(thetas.shape[0])
+        return evaluate_(thetas, bundle)
+
+    monkeypatch.setattr(LocalPoolPlane, "_dispatch", counted_dispatch)
+    monkeypatch.setattr(kernel, "evaluate", counted_evaluate)
+    fabric, input_q, output_q, plane = local_setup(store=store, pool_size=2)
+    config = ChainConfig(n_walkers=16, n_iterations=3, proposal_scale=0.02, seed=1)
+    try:
+        run_chains(config, plane, input_q, output_q, dataset_key="bundle",
+                   init_positions=np.tile(truths.ravel(), (16, 1)), response_timeout_s=60.0)
+    finally:
+        plane.close()
+    assert waves == [16, 16, 16]
+    assert passes == [1] * 16 + [2] * 16
 
 
 def test_full_budget_pass_memory_stays_within_a_stated_multiple():

@@ -281,11 +281,14 @@ def test_send_refuses_an_id_that_is_no_int64(worker_env, msg_id):
     rin, rout = fabric.create_queue("in"), fabric.create_queue("out")
     client = attach_backend(rin, rout, "remote", remote_addr=addr)
     try:
+        # No frame of a push leaves before every frame of it is encoded.
         with pytest.raises(WireFormatError):
-            rin.push(request_message(msg_id, [], make_stub_key(0.01)))
+            rin.push(request_message(0, [], make_stub_key(0.01)),
+                     request_message(msg_id, [], make_stub_key(0.01)))
         assert client._dispatch_ts == {}
         rin.push(request_message(1, [], make_stub_key(0.01)))  # the connection still serves
         assert rout.pop(timeout=10.0).msg_id == 1
+        assert rout.pop(timeout=0.2) is None
     finally:
         client.close()
 
