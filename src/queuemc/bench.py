@@ -43,22 +43,15 @@ class OverheadReport:
     seed: int
 
 
-def reference_total_time(model: BackendModel, ratio_reference: str = "chain",
-                         ref_iterations: int = 100) -> float:
-    """Denominator for the overhead ratio.
-
-    ``chain`` compares a wave's overhead against the time of a whole run
-    (iterations times one likelihood duration); ``single`` compares
-    against one likelihood duration alone. ``ref_iterations`` must be
-    at least 1.
+def reference_total_time(model: BackendModel, ref_iterations: int = 100) -> float:
+    """Denominator for the overhead ratio: the time of a whole run,
+    ``ref_iterations`` times one likelihood duration. ``ref_iterations``
+    must be at least 1; at 1 the ratio compares a wave's overhead against
+    one likelihood duration.
     """
     if ref_iterations < 1:
         raise ConfigurationError(f"ref_iterations must be at least 1, got {ref_iterations}")
-    if ratio_reference == "chain":
-        return ref_iterations * model.likelihood_duration_s
-    if ratio_reference == "single":
-        return model.likelihood_duration_s
-    raise ConfigurationError(f"unknown ratio reference {ratio_reference!r}")
+    return ref_iterations * model.likelihood_duration_s
 
 
 def run_overhead_wave(n: int, model: BackendModel, seed: int = 0,
@@ -80,7 +73,7 @@ def run_overhead_wave(n: int, model: BackendModel, seed: int = 0,
 
 
 def bench_overhead(n_list: list[int], model: BackendModel, seed: int = 0, *,
-                   ratio_reference: str = "chain", ref_iterations: int = 100,
+                   ref_iterations: int = 100,
                    ) -> tuple[list[OverheadReport], dict[tuple[int, int], list[InvocationRecord]]]:
     """Overhead sweep, one independent run per wave size.
 
@@ -89,7 +82,7 @@ def bench_overhead(n_list: list[int], model: BackendModel, seed: int = 0, *,
     """
     if not n_list:
         raise ConfigurationError("n_list must not be empty")
-    reference = reference_total_time(model, ratio_reference, ref_iterations)
+    reference = reference_total_time(model, ref_iterations)
     seeds = [seed] if model.jitter_std_s == 0 else [seed + k for k in range(JITTER_REPEAT_SEEDS)]
     reports: list[OverheadReport] = []
     records: dict[tuple[int, int], list[InvocationRecord]] = {}

@@ -127,12 +127,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_args(overhead)
     overhead.add_argument("--seed", type=int, default=0)
     overhead.add_argument("--out", required=True, help="output CSV path")
-    overhead.add_argument("--ratio-reference", choices=("chain", "single"),
-                          default="chain",
-                          help="denominator of the overhead ratio: a whole "
-                               "chain (iterations x duration) or one likelihood")
     overhead.add_argument("--ref-iterations", type=int, default=100,
-                          help="iterations assumed by the chain reference")
+                          help="denominator of the overhead ratio, in likelihood "
+                               "durations: a whole chain of this many iterations "
+                               "(1 compares against one likelihood)")
     overhead.set_defaults(func=_cmd_bench_overhead)
 
     timeline = bench_sub.add_parser("timeline", help="per-walker completion timelines")
@@ -262,8 +260,7 @@ def _initial_positions(args, n_clusters, n_coeff, dim, config) -> np.ndarray:
 
 def _cmd_bench_overhead(args) -> int:
     reports, records = bench.bench_overhead(
-        args.n, _model_from_args(args), seed=args.seed,
-        ratio_reference=args.ratio_reference, ref_iterations=args.ref_iterations)
+        args.n, _model_from_args(args), seed=args.seed, ref_iterations=args.ref_iterations)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     bench.write_overhead_csv(out, reports)

@@ -22,7 +22,7 @@ profile coefficients. :func:`evaluate` groups its clusters by geometry
 and map shapes and makes one pass per group: the group's model maps fill
 one stack in cluster order, and one :func:`chi_square` takes that stack
 against its clusters' maps, one value per cluster, forming the residuals
-in the stack's own buffer. A group that raises fails all of its clusters.
+in the stack's own buffer. The first group that raises ends the call.
 
 :func:`evaluate` also takes a batch of requests, a (B, n, k) stack of
 parameter arrays against one set of clusters, and then makes the same
@@ -548,24 +548,23 @@ class DatasetBundle(tuple):
     geometry and the shapes of their maps, in order of first member.
     ``groups`` holds one ``(geometry, radial_grid, members, obs, sigma)``
     per group: ``members`` is an index array in list order, and ``obs``
-    and ``sigma`` stack the members' maps, copied once, read-only.
-    ``failed`` maps the index of each dataset whose geometry could not be
-    read to the error. Each grouped item is a shallow copy of the given
-    dataset whose maps are its rows of those stacks, so the bundle holds
-    each map once and the given datasets are left as they are.
+    and ``sigma`` stack the members' maps, copied once, read-only. A
+    dataset whose geometry or map shapes cannot be read raises
+    :class:`ClusterEvalError` naming it. Each item is a shallow copy of
+    the given dataset whose maps are its rows of those stacks, so the
+    bundle holds each map once and the given datasets are left as they
+    are.
     """
 
     def __new__(cls, datasets: Sequence) -> DatasetBundle:
         items = list(datasets)
-        failed: dict[int, Exception] = {}
         keys: dict[tuple, list[int]] = {}
         for i, ds in enumerate(items):
             try:
                 key = (_geometry(ds), np.shape(ds.obs_map), np.shape(ds.sigma_map))
             except Exception as exc:
-                failed[i] = exc
-            else:
-                keys.setdefault(key, []).append(i)
+                raise ClusterEvalError(ds.cluster_id, exc) from exc
+            keys.setdefault(key, []).append(i)
         groups = []
         for (geometry, _, _), members in keys.items():
             obs = _read_only(np.array([items[i].obs_map for i in members]))
@@ -578,7 +577,6 @@ class DatasetBundle(tuple):
                            np.array(members, dtype=np.intp), obs, sigma))
         bundle = super().__new__(cls, items)
         bundle.groups = groups
-        bundle.failed = failed
         return bundle
 
 
@@ -606,10 +604,11 @@ def evaluate(thetas: np.ndarray, datasets: Sequence):
     accumulated in list order. Finite coefficients and data reach NaN only
     through an overflow (inf - inf) on the way to the model map, which is
     then infinitely far from the data: such a cluster contributes -inf, a
-    zero density, while a non-finite row keeps its NaN. A group that
-    raises fails every cluster in it, for every request, and the first
-    failed cluster in list order raises :class:`ClusterEvalError` naming
-    it.
+    zero density, while a non-finite row keeps its NaN. The first group
+    that raises ends the call with :class:`ClusterEvalError` naming its
+    first member. Groups are in order of first member and each holds its
+    members in list order, so that is the first failed cluster in list
+    order.
     """
     thetas = np.asarray(thetas, dtype=np.float64)
     if thetas.ndim not in (2, 3):
@@ -623,7 +622,6 @@ def evaluate(thetas: np.ndarray, datasets: Sequence):
     batch = thetas[None] if thetas.ndim == 2 else thetas
     count, _, k = batch.shape
     bundle = datasets if isinstance(datasets, DatasetBundle) else DatasetBundle(datasets)
-    failed = dict(bundle.failed)
     chi = np.empty((count, len(datasets)))
     for geometry, radial, members, obs, sigma in bundle.groups:
         r_max, _, g, pixel, fwhm = geometry
@@ -641,10 +639,7 @@ def evaluate(thetas: np.ndarray, datasets: Sequence):
             chi[:, members] = chi_square(models.reshape(count, len(members), g, g),
                                          obs, sigma, overwrite_model=True)
         except Exception as exc:
-            failed.update(dict.fromkeys(members.tolist(), exc))
-    if failed:
-        first = min(failed)
-        raise ClusterEvalError(datasets[first].cluster_id, failed[first]) from failed[first]
+            raise ClusterEvalError(datasets[members[0]].cluster_id, exc) from exc
     totals = []
     for b, row in enumerate((-0.5 * chi).tolist()):
         total = 0.0

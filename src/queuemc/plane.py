@@ -18,7 +18,9 @@ batch of them, a single request being a batch of one, unpacks them, runs
 a stub or the kernel and classifies any failure, and :func:`respond`
 packs each response or error message. ``local`` and the remote worker
 stamp, run, sleep out a stub and stamp again on the wall clock
-(:func:`execute`); ``sim`` takes the stamps from its scheduler.
+(:func:`execute`), which answers every request of its pass with
+``worker-crash`` on a fault outside the task; ``sim`` takes the stamps
+from its scheduler.
 
 A queue trigger hands its function all the messages of one push, and the
 coordinator pushes each iteration's requests in one push. ``sim`` and the
@@ -115,13 +117,14 @@ class InvocationRecord:
 
     On ``sim`` every stamp is on the virtual clock and on ``local`` every
     stamp is on the fabric's wall clock. On ``remote`` ``dispatch_ts`` is
-    on the coordinator's clock, while ``start_ts`` and ``end_ts`` are on the
-    worker's, which has its own origin: compare them only with each other.
-    ``msg_id`` is the request's sequence number (see :mod:`queuemc.engine`).
-    The requests of one ``local`` batch share its ``start_ts``, ``end_ts``
-    and ``worker_id``, so summing record intervals counts a batch's
-    interval once per request in it. At most one record of a dataset is
-    ``cold``: that of the request whose parse was kept, unless it failed.
+    NaN (the coordinator keeps it, in ``ChainOutput.dispatch_ts``), and
+    ``start_ts`` and ``end_ts`` are on the worker's clock, which has its
+    own origin: compare them only with each other. ``msg_id`` is the
+    request's sequence number (see :mod:`queuemc.engine`). The requests
+    of one ``local`` batch share its ``start_ts``, ``end_ts`` and
+    ``worker_id``, so summing record intervals counts a batch's interval
+    once per request in it. At most one record of a dataset is ``cold``:
+    that of the request whose call parsed it, unless it failed.
     """
 
     msg_id: int
@@ -143,7 +146,8 @@ class TaskRunner:
     The cache models container reuse on a warm instance: the first kernel
     task touching a key pays the parse (reported as a cold invocation),
     later ones reuse the parsed bundle, whose clusters were grouped and
-    whose maps were stacked once, by the parse.
+    whose maps were stacked once, by the parse. A key is fetched and
+    parsed under the runner's lock, so it is parsed once.
     """
 
     def __init__(self, store=None,
@@ -241,17 +245,14 @@ class TaskRunner:
         return max(1, PASS_MAP_BYTES // max(per_request, 1))
 
     def _load(self, key: str) -> tuple[kernel.DatasetBundle, bool]:
+        """The key's bundle, and whether this call parsed it."""
         with self._lock:
             if key in self._cache:
                 return self._cache[key], False
-        if self._store is None:
-            raise NotFoundError(f"no object store attached; cannot resolve {key!r}")
-        datasets = read_container(self._store.get(key))
-        # Two threads may parse the same key at once; the one whose bundle
-        # is kept reports the cold invocation.
-        with self._lock:
-            kept = self._cache.setdefault(key, datasets)
-        return kept, kept is datasets
+            if self._store is None:
+                raise NotFoundError(f"no object store attached; cannot resolve {key!r}")
+            bundle = self._cache[key] = read_container(self._store.get(key))
+        return bundle, True
 
 
 def respond(msg: Message, result: float | tuple[str, str],
@@ -265,26 +266,33 @@ def respond(msg: Message, result: float | tuple[str, str],
 
 
 def execute(runner: TaskRunner, clock, msgs: Sequence[Message],
-            ) -> list[tuple[Message, InvocationRecord]]:
+            ) -> list[tuple[Message, InvocationRecord | None]]:
     """Run a batch of requests on a wall clock: stamp, run, sleep out the
     stubs, stamp.
 
     Returns one response and invocation record per message, in order.
     The records share the batch's start and end stamps and the name of
-    the calling thread.
+    the calling thread. A fault that :meth:`TaskRunner.run` does not
+    classify, such as one while packing a response, answers every request
+    of the batch with ``worker-crash`` and no record.
     """
-    start = clock.now()
-    results = runner.run(msgs)
-    stub_s = sum(s for _, _, s in results if s is not None)
-    if stub_s:
-        time.sleep(stub_s)
-    end = clock.now()
-    worker = threading.current_thread().name
-    out = []
-    for msg, (result, cold, _) in zip(msgs, results):
-        rec = InvocationRecord(msg.msg_id, worker, msg.enqueue_ts, start, end, cold)
-        out.append((respond(msg, result, rec), rec))
-    return out
+    try:
+        start = clock.now()
+        results = runner.run(msgs)
+        stub_s = sum(s for _, _, s in results if s is not None)
+        if stub_s:
+            time.sleep(stub_s)
+        end = clock.now()
+        worker = threading.current_thread().name
+        out = []
+        for msg, (result, cold, _) in zip(msgs, results):
+            rec = InvocationRecord(msg.msg_id, worker, msg.enqueue_ts, start, end, cold)
+            out.append((respond(msg, result, rec), rec))
+        return out
+    except Exception as exc:
+        log.debug("worker failed on %s", [msg.msg_id for msg in msgs], exc_info=True)
+        error = pack_error("worker-crash", repr(exc))
+        return [(Message(msg.msg_id, MessageKind.CONTROL, error), None) for msg in msgs]
 
 
 class SimScheduler:
@@ -414,6 +422,8 @@ class LocalPoolPlane(_PlaneBase):
     request and a key that is not loaded yet make passes of one, so a stub
     holds its worker for its full duration. A pass whose requests do not
     share a key is answered request by request (:meth:`TaskRunner.run`).
+    :func:`execute` answers every request of a pass whatever fails, so
+    nothing reads the pool's futures.
     """
 
     backend = "local"
@@ -439,14 +449,7 @@ class LocalPoolPlane(_PlaneBase):
             self._pool.submit(self._work, msgs[i:i + limit])
 
     def _work(self, batch: Sequence[Message]) -> None:
-        # Nothing reads the pool's futures: a request whose task raises
-        # must still be answered, or the run waits out its whole timeout.
-        try:
-            done = execute(self._runner, self._clock, batch)
-        except Exception as exc:
-            log.debug("worker failed on %s", [msg.msg_id for msg in batch], exc_info=True)
-            error = pack_error("worker-crash", repr(exc))
-            done = [(Message(msg.msg_id, MessageKind.CONTROL, error), None) for msg in batch]
+        done = execute(self._runner, self._clock, batch)
         for _, rec in done:
             if rec is not None:
                 self._record(rec)

@@ -25,14 +25,16 @@ client's own ``close()``. The client counts a response frame it cannot
 decode or unpack as a broken connection. It reports the break as one
 ``connection-lost`` control message on the output queue, so a run fails at
 once instead of waiting out its timeout, and shuts the socket, so a later
-send fails at once too, naming the same cause. The client keeps each
-request's dispatch stamp until the worker answers it, error frames
-included.
+send fails at once too, naming the same cause. The client keeps no
+state per request, so its records' ``dispatch_ts`` is NaN. A worker fault
+outside the task draws a ``worker-crash`` frame and the connection serves
+on.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 import socket
 import socketserver
 import struct
@@ -150,13 +152,11 @@ class RemoteWorkerClient(_PlaneBase):
     def __init__(self, input_q, output_q, addr: str | tuple[str, int]):
         super().__init__()
         self._output_q = output_q
-        self._clock = output_q.clock
         self._sock = socket.create_connection(parse_addr(addr))
         # A request written behind an unacknowledged one leaves at once.
         self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._rfile = self._sock.makefile("rb")
         self._send_lock = threading.Lock()
-        self._dispatch_ts: dict[int, float] = {}
         self._closing = threading.Event()
         self._lost: str | None = None  # why the reader gave up the connection
         self._reader = threading.Thread(target=self._read_loop, daemon=True,
@@ -169,8 +169,7 @@ class RemoteWorkerClient(_PlaneBase):
         # is not an int64 fails the push before any of it leaves.
         bodies = [encode_message(msg) for msg in msgs]
         with self._send_lock:
-            for msg, body in zip(msgs, bodies):
-                self._dispatch_ts[msg.msg_id] = msg.enqueue_ts
+            for body in bodies:
                 try:
                     write_frame(self._sock, body)
                 except OSError as exc:
@@ -181,10 +180,9 @@ class RemoteWorkerClient(_PlaneBase):
         try:
             while (frame := read_frame(self._rfile)) is not None:
                 msg = decode_message(frame)
-                dispatch = self._dispatch_ts.pop(msg.msg_id, 0.0)
                 if msg.kind is MessageKind.LIKELIHOOD_RESPONSE:
                     _, cold, start, end = unpack_response(msg.payload)
-                    self._record(InvocationRecord(msg.msg_id, "remote", dispatch,
+                    self._record(InvocationRecord(msg.msg_id, "remote", math.nan,
                                                   start, end, cold))
                 self._output_q.push(msg)
         except (WireFormatError, OSError, ValueError) as exc:

@@ -55,18 +55,15 @@ def test_overhead_fits_logarithm():
 
 def test_report_ratio_references():
     model = BackendModel()
-    assert reference_total_time(model, "chain", 100) == 10_000.0
-    assert reference_total_time(model, "single") == 100.0
-    with pytest.raises(ConfigurationError):
-        reference_total_time(model, "bogus")
+    assert reference_total_time(model) == reference_total_time(model, 100) == 10_000.0
+    assert reference_total_time(model, 1) == model.likelihood_duration_s == 100.0
     for ref_iterations in (0, -3):
-        for reference in ("chain", "single"):
-            with pytest.raises(ConfigurationError, match="ref_iterations"):
-                reference_total_time(model, reference, ref_iterations)
+        with pytest.raises(ConfigurationError, match="ref_iterations"):
+            reference_total_time(model, ref_iterations)
         with pytest.raises(ConfigurationError, match="ref_iterations"):
             bench_overhead([4], model, ref_iterations=ref_iterations)
-    chain_reports, _ = bench_overhead([100], model, ratio_reference="chain")
-    single_reports, _ = bench_overhead([100], model, ratio_reference="single")
+    chain_reports, _ = bench_overhead([100], model)
+    single_reports, _ = bench_overhead([100], model, ref_iterations=1)
     assert single_reports[0].overhead_ratio == pytest.approx(
         100.0 * chain_reports[0].overhead_ratio)
 

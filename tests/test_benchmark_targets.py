@@ -10,6 +10,7 @@ targets.
 """
 
 import importlib
+import json
 import math
 from pathlib import Path
 
@@ -85,3 +86,23 @@ def test_kernel_spans_record_a_fit_local_call(monkeypatch):
     finally:
         tracer.uninstall()
     assert tracer.guard() == {}
+
+
+def test_traced_run_of_every_workload_ends_in_a_strict_result(monkeypatch, capsys):
+    # perfbench's traced run, briefly: its last stdout line is the result,
+    # and it must parse as strict JSON (no NaN or Infinity) with every
+    # metric present and every check passed.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    measure = importlib.import_module("measure")
+    workloads = importlib.import_module("workloads")
+
+    def refuse(constant):
+        raise ValueError(f"{constant} in a result line")
+
+    for name in workloads.WORKLOADS:
+        assert measure.run_one(name, 7, 0.2, True) == 0
+        last = capsys.readouterr().out.splitlines()[-1]
+        result = json.loads(last, parse_constant=refuse)
+        assert result["correct"] is True, name
+        assert result["failed"] == 0, name
+        assert [m for m, v in result["metrics"].items() if v["value"] is None] == [], name

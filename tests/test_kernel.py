@@ -739,6 +739,39 @@ def test_batched_evaluate_matches_each_request_bit_for_bit(data, k, count, broke
     assert batched.tobytes() == np.array(alone).tobytes()
 
 
+def test_evaluate_stops_at_the_first_failing_group(monkeypatch):
+    # [broken, good, broken', good], each broken cluster in a group of its
+    # own: the call ends at the first group, before it models the good
+    # clusters or the second broken one, and names the first.
+    good, truths = make_synthetic(2, grid_size=32, seed=4)
+    first = duck_typed_broken(good[0])
+    second = types.SimpleNamespace(**{**vars(first), "cluster_id": "broken-2",
+                                      "sigma_map": good[0].sigma_map[2:, 2:]})
+    datasets = [first, good[0], second, good[1]]
+    assert len(kernel.DatasetBundle(datasets).groups) == 3
+    clamp_free, calls = kernel._clamp_free, []
+
+    def counted(rows):
+        calls.append(len(rows))
+        return clamp_free(rows)
+
+    monkeypatch.setattr(kernel, "_clamp_free", counted)
+    with pytest.raises(ClusterEvalError) as err:
+        evaluate(truths[[0, 0, 1, 1]], datasets)
+    assert err.value.cluster_id == "broken"
+    assert calls == [1]
+
+
+def test_bundle_names_a_dataset_whose_geometry_cannot_be_read():
+    good, _ = make_synthetic(2, grid_size=32, seed=4)
+    no_geometry = types.SimpleNamespace(**{**vars(duck_typed_broken(good[0])),
+                                           "cluster_id": "no-geometry", "r_max": "far"})
+    with pytest.raises(ClusterEvalError, match="no-geometry") as err:
+        kernel.DatasetBundle([good[0], no_geometry, good[1]])
+    assert err.value.cluster_id == "no-geometry"
+    assert isinstance(err.value.__cause__, ValueError)
+
+
 def test_geometry_tables_of_fit_local_stay_within_budget():
     # fit-local's geometry: grid 64, 128 radial points, cubic profiles. The
     # tables are charged to the process's peak memory, so they are held to
@@ -994,7 +1027,6 @@ def test_evaluate_on_a_bundle_matches_the_list_bit_for_bit():
                for ds, (obs, sigma) in zip(clusters, maps))
     for b in (bundle, read):
         assert [g[2].tolist() for g in b.groups] == [[0, 3], [1, 4], [2]]
-        assert b.failed == {}
         for _, _, members, obs, sigma in b.groups:
             for row, i in enumerate(members):
                 item = b[i]

@@ -79,6 +79,40 @@ def test_task_runner_stub_and_kernel():
     assert not cold and stub_s is None
 
 
+def test_task_runner_parses_a_key_once_across_threads():
+    # Two threads ask for one key while its fetch is slow: the second waits
+    # for the first one's parse instead of parsing it again, and only the
+    # call that parsed it is cold.
+    datasets, truths = make_synthetic(1, grid_size=32, seed=3)
+    gets = []
+
+    class SlowStore(MemoryObjectStore):
+        def get(self, key):
+            gets.append(key)
+            time.sleep(0.05)
+            return super().get(key)
+
+    store = SlowStore()
+    store.put("bundle", write_container(datasets))
+    runner = TaskRunner(store=store)
+    results = []
+    start = threading.Barrier(2, timeout=30)
+
+    def run_one(i):
+        start.wait()
+        results.extend(runner.run([request_msg(i, "bundle", params=truths.ravel())]))
+
+    threads = [threading.Thread(target=run_one, args=(i,)) for i in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=30)
+    assert not any(thread.is_alive() for thread in threads)
+    assert gets == ["bundle"]
+    assert sorted(cold for _, cold, _ in results) == [False, True]
+    assert results[0][0] == results[1][0] == evaluate(truths, datasets)
+
+
 # -------------------------------------------------------------- simulated
 
 

@@ -1,3 +1,4 @@
+import math
 import socket
 import struct
 import threading
@@ -15,7 +16,7 @@ from queuemc.fabric import (NO_REQUEST, Message, MessageKind, QueueFabric,
                             decode_message, encode_message)
 from queuemc.kernel import evaluate
 from queuemc.payloads import pack_request, parse_error, unpack_response
-from queuemc.plane import attach_backend, make_stub_key
+from queuemc.plane import attach_backend, make_stub_key, respond
 from queuemc.remote import WorkerServer, _WorkerHandler, parse_addr, write_frame
 from queuemc.store import DirectoryObjectStore
 
@@ -123,6 +124,30 @@ def test_missing_dataset_error_frame(worker_env):
     assert resp.msg_id == 2
 
 
+def test_fault_after_the_task_is_answered_and_the_connection_serves_on(
+        worker_env, monkeypatch):
+    # Packing the first response raises: the worker answers that request
+    # with worker-crash and then answers the next one on the same connection.
+    addr, datasets, truths = worker_env
+    calls = []
+
+    def first_call_fails(*args):
+        calls.append(args)
+        if len(calls) == 1:
+            raise RuntimeError("deliberate")
+        return respond(*args)
+
+    monkeypatch.setattr("queuemc.plane.respond", first_call_fails)
+    frames = [encode_message(request_message(i, truths.ravel(), "bundle")) for i in (5, 6)]
+    raw = send_raw(addr, b"".join(HEADER.pack(len(f)) + f for f in frames), framed=False)
+    first, second = (decode_message(frame) for frame in parse_frames(raw))
+    assert first.msg_id == 5 and first.kind is MessageKind.CONTROL
+    code, detail = parse_error(first.payload)
+    assert code == "worker-crash" and "deliberate" in detail
+    assert second.msg_id == 6 and second.kind is MessageKind.LIKELIHOOD_RESPONSE
+    assert unpack_response(second.payload)[0] == evaluate(truths, datasets)
+
+
 def test_remote_matches_local_and_in_process(worker_env, local_setup):
     addr, datasets, truths = worker_env
     rng = np.random.default_rng(5)
@@ -161,6 +186,8 @@ def test_remote_pipelines_multiple_requests(worker_env):
     got = {rout.pop(timeout=30.0).msg_id for _ in range(8)}
     assert got == set(range(8))
     assert len(client.records) == 8
+    # The dispatch stamps stay with the coordinator, on its own clock.
+    assert all(math.isnan(r.dispatch_ts) for r in client.records)
     client.close()
 
 
@@ -203,7 +230,7 @@ def test_dropped_connection_fails_fast():
     assert elapsed < 2.0
 
 
-def test_error_frames_release_dispatch_stamps(worker_env):
+def test_error_frames_answer_every_request_of_failed_runs(worker_env):
     # Each run stops at its first error; the answers still owed arrive
     # afterwards, and the next run drops them before meeting its own error.
     addr, _, _ = worker_env
@@ -218,10 +245,9 @@ def test_error_frames_release_dispatch_stamps(worker_env):
                            dataset_key="no-such-bundle", response_timeout_s=30.0)
             assert err.value.partial_output.n_iterations == 0
         while rout.pushed_count < rin.pushed_count:
-            rout.pop(timeout=30.0)
+            assert rout.pop(timeout=30.0) is not None
     finally:
         client.close()
-    assert client._dispatch_ts == {}
 
 
 @pytest.mark.parametrize("answer", [
@@ -285,7 +311,6 @@ def test_send_refuses_an_id_that_is_no_int64(worker_env, msg_id):
         with pytest.raises(WireFormatError):
             rin.push(request_message(0, [], make_stub_key(0.01)),
                      request_message(msg_id, [], make_stub_key(0.01)))
-        assert client._dispatch_ts == {}
         rin.push(request_message(1, [], make_stub_key(0.01)))  # the connection still serves
         assert rout.pop(timeout=10.0).msg_id == 1
         assert rout.pop(timeout=0.2) is None
