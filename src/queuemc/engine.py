@@ -14,7 +14,10 @@ fixed seed on any backend computing identical likelihood values. A run
 draws from one stream, child 0 of ``SeedSequence(seed)`` (not
 ``default_rng(seed)``, which ``qmc fit`` draws start points from), in a
 fixed order per iteration: all proposals as one ``(W, dim)`` draw, then W
-acceptance uniforms.
+acceptance uniforms. An iteration's requests are packed from one stack,
+and its responses are decoded and its acceptance is decided for all
+walkers at once, with the same arithmetic as one :func:`mh_step` per
+walker.
 
 Walker log-posteriors start at -inf, so the first proposal is always
 accepted and doubles as the initialization evaluation. A log-likelihood or
@@ -43,6 +46,7 @@ answers stalls the run, so callers that must finish pass a timeout.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 from dataclasses import dataclass
@@ -73,7 +77,7 @@ class ChainConfig:
         if self.n_walkers < 1 or self.n_iterations < 1:
             raise ConfigurationError("n_walkers and n_iterations must be at least 1")
         scale = np.asarray(self.proposal_scale, dtype=np.float64)
-        if not np.all((0 < scale) & (scale < np.inf)):
+        if not ((0 < scale) & (scale < np.inf)).all():
             raise ConfigurationError("proposal_scale entries must be finite and positive")
         if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
             raise ConfigurationError("seed must be a non-negative integer")
@@ -120,12 +124,26 @@ class ChainOutput:
         return self.samples.shape[1]
 
 
-def mh_step(log_post: float, proposed_log_post: float, u: float) -> bool:
-    """One Metropolis-Hastings decision for a symmetric proposal.
+def mh_step(log_post: float | np.ndarray, proposed_log_post: float | np.ndarray,
+            u: float | Sequence[float]) -> bool | np.ndarray:
+    """One Metropolis-Hastings decision for a symmetric proposal, or one per
+    walker for arrays of log-posteriors and a sequence of uniforms.
 
     Accepts iff ln(u) < proposed_log_post - log_post. A proposal of zero
-    density (-inf) is rejected, also from a state of zero density.
+    density (-inf) is rejected, also from a state of zero density. The
+    array form returns a bool array from the same IEEE subtraction and
+    comparison per walker, with ln(u) from :func:`math.log`, and no
+    warning where the difference overflows or, from -inf to -inf, is NaN,
+    which rejects.
     """
+    if isinstance(proposed_log_post, np.ndarray):
+        try:
+            log_u = np.fromiter(map(math.log, u), np.float64, len(u))
+        except ValueError:  # math.log refuses u = 0, whose ln is -inf
+            log_u = np.array([math.log(x) if x > 0.0 else -math.inf for x in u])
+        with np.errstate(over="ignore", invalid="ignore"):
+            diff = proposed_log_post - log_post
+        return log_u < diff
     if proposed_log_post == -math.inf:
         return False
     log_u = math.log(u) if u > 0.0 else -math.inf
@@ -175,8 +193,8 @@ def run_chains(config: ChainConfig, plane, input_q: Queue, output_q: Queue, *,
     if init.shape[0] != w_count:
         raise ValueError(f"init_positions rows ({init.shape[0]}) != n_walkers ({w_count})")
     dim = init.shape[1]
-    scale = np.broadcast_to(
-        np.asarray(config.proposal_scale, dtype=np.float64), (dim,)).copy()
+    scale = np.empty(dim)
+    scale[...] = np.asarray(config.proposal_scale, dtype=np.float64)
     n_send = dim if data_param_count is None else int(data_param_count)
     if not 0 < n_send <= dim:
         raise ConfigurationError("data_param_count must be in [1, dim]")
@@ -197,15 +215,15 @@ def run_chains(config: ChainConfig, plane, input_q: Queue, output_q: Queue, *,
     dispatch_ts = np.empty((w_count, n_iter))
     complete_ts = np.empty((w_count, n_iter))
     first_id = input_q.pushed_count
+    kinds = itertools.repeat(MessageKind.LIKELIHOOD_REQUEST)
+    zeros = np.zeros(w_count)
 
     try:
         for it in range(n_iter):
             proposals = propose(positions, scale, rng)
             base = first_id + it * w_count
-            dispatched = push(*[
-                Message(base + w, MessageKind.LIKELIHOOD_REQUEST,
-                        pack_request(proposal[:n_send], dataset_key))
-                for w, proposal in enumerate(proposals)])
+            dispatched = push(*map(Message, range(base, base + w_count), kinds,
+                                   pack_request(proposals[:, :n_send], dataset_key)))
 
             replies: list[Message | None] = [None] * w_count
             owed = w_count
@@ -239,18 +257,25 @@ def run_chains(config: ChainConfig, plane, input_q: Queue, output_q: Queue, *,
                 owed -= 1
 
             uniforms = rng.random(w_count).tolist()
-            for w, msg in enumerate(replies):
-                log_lik = unpack_response(msg.payload)[0]
-                lp_prior = 0.0 if log_prior is None else float(log_prior(proposals[w]))
-                proposed_lp = log_lik + lp_prior
-                if math.isnan(proposed_lp) or proposed_lp == math.inf:
-                    raise NonFiniteDensityError(
-                        f"log-posterior {proposed_lp!r} for walker {w}: log-likelihood "
-                        f"{log_lik!r}, log-prior {lp_prior!r}")
-                if mh_step(current_lp[w], proposed_lp, uniforms[w]):
-                    positions[w] = proposals[w]
-                    current_lp[w] = proposed_lp
-                    accepted[w, it] = True
+            log_lik = unpack_response([msg.payload for msg in replies])
+            if log_prior is None:
+                lp_prior = zeros
+                proposed_lp = log_lik + zeros
+            else:
+                lp_prior = np.array([float(log_prior(p)) for p in proposals])
+                # As with floats: an overflow gives ±inf, -inf + inf NaN, silently.
+                with np.errstate(over="ignore", invalid="ignore"):
+                    proposed_lp = log_lik + lp_prior
+            if not proposed_lp.max() < math.inf:  # NaN fails it too
+                w = int(np.flatnonzero(~(proposed_lp < math.inf))[0])
+                raise NonFiniteDensityError(
+                    f"log-posterior {float(proposed_lp[w])!r} for walker {w}: "
+                    f"log-likelihood {float(log_lik[w])!r}, "
+                    f"log-prior {float(lp_prior[w])!r}")
+            acc = mh_step(current_lp, proposed_lp, uniforms)
+            np.copyto(positions, proposals, where=acc[:, None])
+            np.copyto(current_lp, proposed_lp, where=acc)
+            accepted[:, it] = acc
             samples[:, it] = positions
             log_posts[:, it] = current_lp
             dispatch_ts[:, it] = dispatched

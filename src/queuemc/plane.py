@@ -23,15 +23,17 @@ stamp, run, sleep out a stub and stamp again on the wall clock
 from its scheduler.
 
 A queue trigger hands its function all the messages of one push, and the
-coordinator pushes each iteration's requests in one push. ``sim`` and the
-remote worker run each request alone. ``local`` cuts a push, in order,
-into passes of :meth:`TaskRunner.batch_limit` requests on the key of its
-first request, as many as keep their model maps within
-``PASS_MAP_BYTES``, and gives each pass one pool task and one
-:func:`kernel.evaluate` pass, which costs less per request than one pass
-each and gives each request the same bits. Stub and ``likelihood_fn``
-requests, and the requests of a push whose first key is not loaded yet,
-run alone, so a stub still holds its worker for its full duration.
+coordinator pushes each iteration's requests in one push. The remote
+worker runs each request alone. ``sim`` and ``local`` cut a push, in
+order, into passes of :meth:`TaskRunner.batch_limit` requests on the key
+of its first request, as many as keep their model maps within
+``PASS_MAP_BYTES``, and give each pass one :meth:`TaskRunner.run` (on
+``local``, one pool task) and one :func:`kernel.evaluate` pass, which
+costs less per request than one pass each and gives each request the
+same bits. ``likelihood_fn`` requests, and the requests of a push whose
+first key is not loaded yet, run alone. So do stub requests on
+``local``, where a stub holds its worker for its full duration; ``sim``
+runs a stub push in one pass, as its stubs take no wall time.
 
 The simulated platform provisions warm instances along a doubling ramp:
 instance n becomes available ``scale_doubling_interval_s * log2(n / c0)``
@@ -173,22 +175,18 @@ class TaskRunner:
         ``stub_s`` is None for every other task.
 
         A single request is a batch of one. The requests of a larger batch
-        share a dataset key, and its kernel requests take one
-        :func:`kernel.evaluate` pass, whose values are bit for bit those of
-        one pass each. If the batch raises, each request runs again alone,
-        so that each gets the result it gets alone; the first request of a
-        batch whose load parsed the container is cold, as it would be
-        alone.
+        share a dataset key and a parameter count, and parse as one
+        ``(B, n)`` view (:func:`unpack_request` on their payloads); its
+        kernel requests take one :func:`kernel.evaluate` pass, whose values
+        are bit for bit those of one pass each. If the batch raises, also
+        on requests that differ in key or count, each request runs again
+        alone, so that each gets the result it gets alone; the first
+        request of a batch whose load parsed the container is cold, as it
+        would be alone.
         """
         cold = False
         try:
-            params, key = unpack_request(msgs[0].payload)
-            batch = [params]
-            for msg in msgs[1:]:
-                params, other = unpack_request(msg.payload)
-                if other != key:
-                    raise ValueError("the requests of a batch must share a dataset key")
-                batch.append(params)
+            params, key = unpack_request([msg.payload for msg in msgs])
             if key.startswith(STUB_KEY_PREFIX):
                 stub_s = float(key[len(STUB_KEY_PREFIX):])
                 if not 0.0 <= stub_s <= threading.TIMEOUT_MAX:
@@ -196,17 +194,16 @@ class TaskRunner:
                 return [(0.0, False, stub_s)] * len(msgs)
             datasets, cold = self._load(key) if key else (None, False)
             if self._fn is not None:
-                values = [float(self._fn(params, datasets)) for params in batch]
+                values = [float(self._fn(row, datasets)) for row in params]
             elif datasets is None:
                 raise ConfigurationError(
                     "kernel task carries no dataset key and no likelihood override")
             else:
                 n = len(datasets)
-                for params in batch:
-                    if params.size % n != 0:
-                        raise ValueError(
-                            f"{params.size} parameters do not split over {n} clusters")
-                thetas = np.stack([params.reshape(n, -1) for params in batch])
+                if params.shape[1] % n != 0:
+                    raise ValueError(
+                        f"{params.shape[1]} parameters do not split over {n} clusters")
+                thetas = params.reshape(len(params), n, -1)
                 values = kernel.evaluate(thetas, datasets).tolist()
         except Exception as exc:  # surfaced; only a batch's requests run again
             if len(msgs) > 1:
@@ -307,7 +304,7 @@ class SimScheduler:
 
     def __init__(self, model: BackendModel, seed: int = 0):
         self._model = model
-        self._rng = np.random.default_rng(seed)
+        self._rng = np.random.default_rng(seed) if model.jitter_std_s > 0 else None
         # (next_free_ts, instance number, worker id)
         self._free: list[tuple[float, int, str]] = []
         self._provisioned = 0
@@ -383,7 +380,8 @@ class SimulatedPlane(_PlaneBase):
     Stub results are produced instantly in wall time; kernel tasks run
     their math for real, but all timestamps (including the response's
     arrival on the output queue) come from the virtual clock plus the
-    modeled latency.
+    modeled latency. A push runs in passes (see the module docstring),
+    and its requests are then scheduled one by one, in push order.
     """
 
     backend = "sim"
@@ -402,13 +400,23 @@ class SimulatedPlane(_PlaneBase):
         input_q.register_trigger(self._on_message)
 
     def _on_message(self, msgs: Sequence[Message]) -> None:
-        for msg in msgs:
-            ((result, _, stub_s),) = self._runner.run((msg,))
-            rec = self._sched.assign(
-                msg.msg_id, msg.enqueue_ts,
-                self._model.likelihood_duration_s if stub_s is None else stub_s)
-            self._record(rec)
-            self._clock.schedule(rec.end_ts, self._output_q.push, respond(msg, result, rec))
+        limit = len(msgs)
+        if limit > 1:
+            try:
+                key = unpack_request(msgs[0].payload)[1]
+            except WireFormatError:
+                limit = 1
+            else:
+                if not key.startswith(STUB_KEY_PREFIX):
+                    limit = self._runner.batch_limit(key)
+        assign, schedule, push = self._sched.assign, self._clock.schedule, self._output_q.push
+        duration = self._model.likelihood_duration_s
+        for i in range(0, len(msgs), limit):
+            batch = msgs[i:i + limit]
+            for msg, (result, _, stub_s) in zip(batch, self._runner.run(batch)):
+                rec = assign(msg.msg_id, msg.enqueue_ts, duration if stub_s is None else stub_s)
+                self._record(rec)
+                schedule(rec.end_ts, push, respond(msg, result, rec))
 
 
 class LocalPoolPlane(_PlaneBase):

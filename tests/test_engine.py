@@ -4,6 +4,7 @@ import itertools
 import logging
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -51,6 +52,25 @@ def test_acceptance_frequency_matches_ratio():
     target = math.log(0.3)
     hits = sum(mh_step(0.0, target, float(rng.random())) for _ in range(100_000))
     assert abs(hits / 100_000 - 0.3) < 0.005
+
+
+def test_array_mh_step_matches_the_scalar_form_without_warnings():
+    # Every pair of current and proposed log-posteriors drawn from finite
+    # values and -inf, against uniforms of 0, ties (ln u equal to the
+    # difference) and differences one ulp either side of ln u.
+    lu = math.log(0.25)
+    levels = [-math.inf, -1e308, -3.0, -1.0, 0.0, 2.5, 1e308]
+    cases = [(c, p, u) for c in levels for p in levels for u in (0.0, 1e-300, 0.25, 0.999)]
+    for c in (0.0, -2.0):
+        for target in (math.nextafter(lu, -math.inf), lu, math.nextafter(lu, math.inf)):
+            cases.append((c, c + target, 0.25))
+    current, proposed, u = (np.array(col) for col in zip(*cases))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = mh_step(current, proposed, u.tolist())
+    assert got.dtype == bool
+    assert got.tolist() == [mh_step(c, p, u) for c, p, u in cases]
+    assert got.any() and not got.all()
 
 
 # -------------------------------------------------------------- propose
@@ -434,6 +454,24 @@ def test_minus_inf_prior_is_a_legal_zero_density(sim_setup):
                      dataset_key="", log_prior=lambda position: -math.inf)
     assert out.complete and not out.accepted.any()
     assert np.all(out.log_posts == -math.inf)
+
+
+def test_posterior_sums_overflow_and_cancel_without_warnings(sim_setup):
+    # As with Python floats: -1e308 twice is -inf, a legal zero density;
+    # -inf plus an infinite prior is NaN, which aborts the run.
+    fabric, input_q, output_q, plane = sim_setup(likelihood_fn=lambda p, d: -1e308)
+    config = ChainConfig(n_walkers=3, n_iterations=2, proposal_scale=1.0, seed=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = run_chains(config, plane, input_q, output_q, init_positions=np.zeros((3, 1)),
+                         dataset_key="", log_prior=lambda position: -1e308)
+        assert not out.accepted.any() and np.all(out.log_posts == -math.inf)
+        fabric, input_q, output_q, plane = sim_setup(likelihood_fn=lambda p, d: -math.inf)
+        with pytest.raises(NonFiniteDensityError,
+                           match="log-posterior nan for walker 0: log-likelihood -inf, "
+                                 "log-prior inf"):
+            run_chains(config, plane, input_q, output_q, init_positions=np.zeros((3, 1)),
+                       dataset_key="", log_prior=lambda position: math.inf)
 
 
 def test_failed_wave_logs_no_traceback_per_request(sim_setup, caplog):

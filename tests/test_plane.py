@@ -19,6 +19,7 @@ from queuemc.plane import (PASS_MAP_BYTES, BackendModel, LocalPoolPlane, TaskRun
                            attach_backend, make_stub_key, simulate)
 from queuemc.remote import WorkerServer
 from queuemc.store import MemoryObjectStore
+from tests.conftest import gaussian_target
 
 
 def request_msg(i, key, params=()):
@@ -289,6 +290,53 @@ def test_standalone_simulate_matches_queue_wave(sim_setup):
     assert [r.end_ts for r in replay] == [r.end_ts for r in records]
 
 
+def spy_on_runs(plane, monkeypatch):
+    """The size of each batch the plane's task runner runs, in order."""
+    sizes, run = [], plane._runner.run
+
+    def counted(msgs):
+        sizes.append(len(msgs))
+        return run(msgs)
+
+    monkeypatch.setattr(plane._runner, "run", counted)
+    return sizes
+
+
+def test_sim_runs_each_stub_push_in_one_task_run(sim_setup, monkeypatch):
+    fabric, input_q, output_q, plane = sim_setup()
+    sizes = spy_on_runs(plane, monkeypatch)
+    config = ChainConfig(n_walkers=64, n_iterations=3, proposal_scale=1.0, seed=0)
+    out = run_chains(config, plane, input_q, output_q, init_positions=np.zeros((64, 1)),
+                     dataset_key=make_stub_key(1.0))
+    assert sizes == [64, 64, 64]
+    assert out.accepted.all() and len(plane.records) == 192
+
+
+def test_sim_cuts_a_loaded_kernel_push_at_its_batch_limit(sim_setup, monkeypatch):
+    # The first wave runs request by request, as its key is not loaded when
+    # it is cut; later waves take passes of batch_limit requests.
+    datasets, truths, store = bundle_store(2, 32)
+    monkeypatch.setattr("queuemc.plane.PASS_MAP_BYTES", 3 * len(datasets) * 32 * 32 * 8)
+    fabric, input_q, output_q, plane = sim_setup(store=store)
+    sizes = spy_on_runs(plane, monkeypatch)
+    config = ChainConfig(n_walkers=8, n_iterations=2, proposal_scale=0.01, seed=0)
+    out = run_chains(config, plane, input_q, output_q, dataset_key="bundle",
+                     init_positions=np.tile(truths.ravel(), (8, 1)))
+    assert plane._runner.batch_limit("bundle") == 3
+    assert sizes == [1] * 8 + [3, 3, 2]
+    final = out.samples[:, -1].reshape(8, len(datasets), -1)
+    assert out.log_posts[:, -1].tolist() == [evaluate(theta, datasets) for theta in final]
+
+
+def test_sim_runs_likelihood_fn_requests_one_per_call(sim_setup, monkeypatch):
+    fabric, input_q, output_q, plane = sim_setup(likelihood_fn=gaussian_target)
+    sizes = spy_on_runs(plane, monkeypatch)
+    config = ChainConfig(n_walkers=8, n_iterations=2, proposal_scale=1.0, seed=0)
+    run_chains(config, plane, input_q, output_q, init_positions=np.zeros((8, 1)),
+               dataset_key="")
+    assert sizes == [1] * 16
+
+
 # -------------------------------------------------------------- local pool
 
 
@@ -391,6 +439,23 @@ def test_task_runner_batch_answers_each_request_as_alone():
         expected = [alone.run([msg])[0] for msg in batch]
         assert TaskRunner(store).run(batch) == expected
         assert expected[0][1] and not any(cold for _, cold, _ in expected[1:])
+
+
+def test_task_runner_pass_of_mixed_keys_answers_each_request_as_alone():
+    # Payloads of one length that differ outside their parameters, in the
+    # key alone or in the parameter count and the key, cannot share a pass.
+    datasets, truths, store = bundle_store(2, 32)
+    store.put("bundlf", store.get("bundle"))
+    params = truths.ravel()
+    a = request_msg(0, "bundle", params=params)
+    b = request_msg(1, "bundlf", params=params + 0.01)
+    c = request_msg(2, "bundle" + "x" * 8, params=params[:-1])
+    for batch in ([a, b], [a, c], [b, a, c], [a, b, a]):
+        assert len({len(msg.payload) for msg in batch}) == 1
+        alone = TaskRunner(store)
+        expected = [alone.run([msg])[0] for msg in batch]
+        assert TaskRunner(store).run(batch) == expected
+    assert isinstance(expected[0][0], float) and isinstance(expected[2][0], float)
 
 
 def test_local_stubs_run_alone_and_overlap(local_setup):
