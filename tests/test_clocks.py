@@ -82,3 +82,17 @@ def test_virtual_clock_rejects_past_schedule():
         clock.wait(cond, timeout=None)
     with pytest.raises(ValueError):
         clock.schedule(0.5, lambda: None)
+
+
+def test_virtual_clock_refuses_a_nan_time():
+    clock = VirtualClock()
+    fired = []
+    with pytest.raises(ValueError, match="nan"):
+        clock.schedule(math.nan, lambda: fired.append("nan"))
+    clock.schedule(1.0, lambda: fired.append("one"))
+    cond = threading.Condition()
+    with cond:
+        clock.wait(cond, timeout=None)
+        with pytest.raises(SimulationStalledError):
+            clock.wait(cond, timeout=None)
+    assert fired == ["one"] and clock.now() == 1.0

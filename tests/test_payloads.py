@@ -81,3 +81,21 @@ def test_request_payloads_that_differ_outside_their_parameters_are_rejected(othe
     assert unpack_request(other)  # each parses alone
     with pytest.raises(WireFormatError, match="bad request payloads"):
         unpack_request([first, first, other])
+
+
+@pytest.mark.parametrize("as_array", [False, True])
+def test_packing_response_sequences_gives_the_bytes_of_one_call_each(as_array):
+    values = [-12.5, -np.inf, 0.0, -0.0, 5e-324, np.float64(-3.25)]
+    colds = [True, False, np.True_, False, True, False]
+    starts = [0.25, 3.0, 0.0, 1e9, 2.05, 7.0]
+    ends = [1.75, 3.0, 100.0, 1e9 + 1.0, 102.05, 8.5]
+    columns = (values, colds, starts, ends)
+    if as_array:
+        columns = tuple(np.array(column) for column in columns)
+    expected = [pack_response(*fields) for fields in zip(values, colds, starts, ends)]
+    assert pack_response(*columns) == expected
+    assert [unpack_response(p)[1] for p in expected] == [bool(c) for c in colds]
+
+
+def test_packing_no_responses_gives_no_payloads():
+    assert pack_response([], [], [], []) == []

@@ -1,3 +1,4 @@
+import heapq
 import math
 import sys
 import threading
@@ -14,9 +15,10 @@ from queuemc.engine import ChainConfig, run_chains
 from queuemc.errors import ConfigurationError
 from queuemc.fabric import Message, MessageKind, QueueFabric
 from queuemc.kernel import evaluate
-from queuemc.payloads import pack_request, parse_error, unpack_response
-from queuemc.plane import (PASS_MAP_BYTES, BackendModel, LocalPoolPlane, TaskRunner,
-                           attach_backend, make_stub_key, simulate)
+from queuemc.payloads import pack_request, pack_response, parse_error, unpack_response
+from queuemc.plane import (PASS_MAP_BYTES, BackendModel, InvocationRecord, LocalPoolPlane,
+                           SimScheduler, TaskRunner, attach_backend, make_stub_key,
+                           respond, simulate)
 from queuemc.remote import WorkerServer
 from queuemc.store import MemoryObjectStore
 from tests.conftest import gaussian_target
@@ -288,6 +290,105 @@ def test_standalone_simulate_matches_queue_wave(sim_setup):
     replay = simulate(((f"{i}/0", 0.0, 100.0) for i in range(50)), model)
     assert [r.msg_id for r in replay] == [f"{i}/0" for i in range(50)]
     assert [r.end_ts for r in replay] == [r.end_ts for r in records]
+
+
+def reference_schedule(model, requests, seed=0):
+    """The scheduler's greedy, one request at a time, as the class
+    documents it: reuse the earliest-free instance or provision the next
+    one on the ramp, whichever starts the request sooner (a tie reuses),
+    with jitter drawn per request when it is on."""
+    rng = np.random.default_rng(seed)
+    free, provisioned, origin, records = [], 0, None, []
+    for msg_id, ts, duration in requests:
+        origin = ts if origin is None else origin
+        jitter = 0.0
+        if model.jitter_std_s > 0:
+            jitter = max(0.0, model.jitter_std_s * float(rng.standard_normal()))
+        reuse = max(ts, free[0][0]) + model.warm_invoke_s if free else math.inf
+        fresh = (max(ts, origin + model.ramp_delay(provisioned + 1))
+                 + model.cold_start_s + model.warm_invoke_s)
+        if reuse <= fresh:
+            _, wid = heapq.heappop(free)
+            start, cold = reuse + jitter, False
+        else:
+            provisioned += 1
+            wid = provisioned
+            start, cold = fresh + jitter, True
+        heapq.heappush(free, (start + duration, wid))
+        records.append(InvocationRecord(msg_id, f"sim-{wid:05d}", ts, start,
+                                        start + duration, cold))
+    return records
+
+
+def staggered_requests():
+    """A ramp-up wave at 0, then later waves that reuse its instances."""
+    rng = np.random.default_rng(21)
+    requests = [(i, 0.0, 1.0 + 0.5 * (i % 3)) for i in range(40)]
+    for t in (3.0, 3.0, 9.5, 30.0):
+        requests += [(len(requests) + i, t, float(d))
+                     for i, d in enumerate(rng.uniform(0.5, 4.0, 15))]
+    return requests
+
+
+@pytest.mark.parametrize("jitter", [0.0, 0.4])
+def test_assign_matches_a_request_by_request_reference(jitter):
+    model = BackendModel(likelihood_duration_s=1.0, jitter_std_s=jitter)
+    requests = staggered_requests()
+    expected = reference_schedule(model, requests, seed=3)
+    assert {r.cold for r in expected} == {True, False}  # ramp-up and reuse
+    ids, stamps, durations = (list(column) for column in zip(*requests))
+    assert SimScheduler(model, seed=3).assign(ids, stamps, durations) == expected
+    # However the requests are split across calls.
+    sched, split = SimScheduler(model, seed=3), []
+    for lo, hi in ((0, 1), (1, 8), (8, 9), (9, len(requests))):
+        split += sched.assign(ids[lo:hi], stamps[lo:hi], durations[lo:hi])
+    assert split == expected
+
+
+@pytest.mark.parametrize("jitter", [0.0, 0.4])
+def test_simulate_schedules_string_ids_in_stable_dispatch_order(jitter):
+    model = BackendModel(likelihood_duration_s=1.0, jitter_std_s=jitter)
+    requests = [(f"w{i}/{int(ts)}", ts, d) for i, (_, ts, d) in enumerate(staggered_requests())]
+    shuffled = [requests[i] for i in np.random.default_rng(4).permutation(len(requests))]
+    in_order = sorted(shuffled, key=lambda req: req[1])  # stable for ties
+    assert simulate(iter(shuffled), model, seed=8) == reference_schedule(model, in_order, seed=8)
+
+
+def test_respond_packs_a_pass_and_answers_its_failures_with_errors():
+    msgs = [request_msg(i, "bundle", [0.5]) for i in (4, 5, 6)]
+    results = [(-1.5, False, None), (("non-finite-likelihood", "nan"), False, None),
+               (-math.inf, True, None)]
+    recs = [InvocationRecord(i, "sim-00001", 0.0, 1.0 + i, 2.0 + i, i == 6) for i in (4, 5, 6)]
+    answers = respond(msgs, results, recs)
+    assert [m.msg_id for m in answers] == [4, 5, 6]
+    assert [m.kind for m in answers] == [MessageKind.LIKELIHOOD_RESPONSE, MessageKind.CONTROL,
+                                         MessageKind.LIKELIHOOD_RESPONSE]
+    assert answers[0].payload == pack_response(-1.5, False, 5.0, 6.0)
+    assert parse_error(answers[1].payload) == ("non-finite-likelihood", "nan")
+    assert answers[2].payload == pack_response(-math.inf, True, 7.0, 8.0)
+
+
+def test_sim_schedules_one_clock_event_per_answer_time(sim_setup, fast_model, monkeypatch):
+    fabric, input_q, output_q, plane = sim_setup()
+    clock, times = fabric.clock, []
+    schedule = clock.schedule
+
+    def counted(when, action, *args):
+        times.append(when)
+        return schedule(when, action, *args)
+
+    monkeypatch.setattr(clock, "schedule", counted)
+    config = ChainConfig(n_walkers=64, n_iterations=3, proposal_scale=1.0, seed=0)
+    out = run_chains(config, plane, input_q, output_q, init_positions=np.zeros((64, 1)),
+                     dataset_key=make_stub_key(fast_model.likelihood_duration_s))
+    ends = {r.end_ts for r in plane.records}
+    assert len(times) == len(ends) < 64 * 3
+    assert set(times) == ends
+    replay = simulate([(it * 64 + w, out.dispatch_ts[w, it], fast_model.likelihood_duration_s)
+                       for it in range(3) for w in range(64)], fast_model)
+    by_id = {rec.msg_id: rec.end_ts for rec in replay}
+    assert out.complete_ts.tolist() == [[by_id[it * 64 + w] for it in range(3)]
+                                        for w in range(64)]
 
 
 def spy_on_runs(plane, monkeypatch):
