@@ -227,18 +227,19 @@ def run_chains(config: ChainConfig, plane, input_q: Queue, output_q: Queue, *,
             dispatched = push(*map(Message, range(base, base + w_count), kinds,
                                    pack_request(proposals[:, :n_send], dataset_key)))
 
-            replies: list[Message | None] = [None] * w_count
+            replies: list[tuple[Message, float] | None] = [None] * w_count
             owed = w_count
             deadline = (None if response_timeout_s is None
                         else clock.now() + response_timeout_s)
             while owed:
                 try:
-                    msg = pop(None if deadline is None else deadline - clock.now())
+                    reply = pop(None if deadline is None else deadline - clock.now())
                 except SimulationStalledError:  # no event left can answer
-                    msg = None
-                if msg is None:
+                    reply = None
+                if reply is None:
                     raise MissingResponseError(
-                        [base + w for w, reply in enumerate(replies) if reply is None])
+                        [base + w for w, got in enumerate(replies) if got is None])
+                msg = reply[0]
                 if 0 <= msg.msg_id < first_id:
                     log.info("dropping response %d, owed to an earlier run", msg.msg_id)
                     continue
@@ -255,11 +256,11 @@ def run_chains(config: ChainConfig, plane, input_q: Queue, output_q: Queue, *,
                 if not pending:
                     raise DuplicateResponseError(
                         f"response {msg.msg_id} matches no pending request")
-                replies[w] = msg
+                replies[w] = reply
                 owed -= 1
 
             uniforms = rng.random(w_count).tolist()
-            log_lik = unpack_response([msg.payload for msg in replies])
+            log_lik = unpack_response([msg.payload for msg, _ in replies])
             if log_prior is None:
                 lp_prior = zeros
                 proposed_lp = log_lik + zeros
@@ -281,7 +282,7 @@ def run_chains(config: ChainConfig, plane, input_q: Queue, output_q: Queue, *,
             samples[:, it] = positions
             log_posts[:, it] = current_lp
             dispatch_ts[:, it] = dispatched
-            complete_ts[:, it] = [msg.enqueue_ts for msg in replies]
+            complete_ts[:, it] = [ts for _, ts in replies]
     except QueueMCError as exc:
         exc.partial_output = ChainOutput(
             samples=samples[:, :it].copy(), log_posts=log_posts[:, :it].copy(),

@@ -12,18 +12,24 @@ of the request it is or answers, and all a consumer matches on. A control
 message with msg_id :data:`NO_REQUEST` answers no request: it reports a
 fault of the transport itself.
 
+A push's stamp belongs to the queue, not to its messages: the queue reads
+its clock once per push and hands that stamp beside the messages, to the
+trigger with the push's messages and to ``pop`` with each message.
+
 Messages serialize to the binary body of one remote worker frame
 (little-endian): ``kind u8 | msg_id i64 | payload``, a fixed 9-byte header
-whose kind byte is the :class:`MessageKind` value. ``enqueue_ts`` does not
-cross the wire: the receiving queue stamps its own clock on push.
+whose kind byte is the :class:`MessageKind` value. A message is exactly
+what crosses the wire.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 import struct
 import threading
 from collections import deque
+from operator import itemgetter
 from typing import Callable, NamedTuple, Sequence
 
 from .clocks import Clock
@@ -42,24 +48,21 @@ class MessageKind(enum.IntEnum):
 class Message(NamedTuple):
     """One unit of work or one result crossing a queue.
 
-    ``enqueue_ts`` is stamped by the queue at push time from the fabric's
-    clock; the value passed at construction is a placeholder. A control
-    message with ``msg_id`` :data:`NO_REQUEST` answers no request: it
-    reports a fault of the transport itself, such as a lost worker
-    connection.
+    A control message with ``msg_id`` :data:`NO_REQUEST` answers no
+    request: it reports a fault of the transport itself, such as a lost
+    worker connection.
     """
 
     msg_id: int
     kind: MessageKind
     payload: bytes
-    enqueue_ts: float = 0.0
 
 
 _WIRE_HEAD = struct.Struct("<Bq")
 
 
 def encode_message(m: Message) -> bytes:
-    """Serialize one message to a frame body; ``enqueue_ts`` is not sent.
+    """Serialize one message to a frame body.
 
     Raises :class:`WireFormatError` for a msg_id that is not an int64.
     """
@@ -70,7 +73,7 @@ def encode_message(m: Message) -> bytes:
 
 
 def decode_message(frame: bytes) -> Message:
-    """Parse one frame body back into a :class:`Message` with ``enqueue_ts`` 0.0.
+    """Parse one frame body back into a :class:`Message`.
 
     Raises :class:`WireFormatError` on a short header or an unknown kind.
     """
@@ -88,10 +91,11 @@ class Queue:
     """A named FIFO queue, safe for concurrent producers and consumers.
 
     Delivery is exactly-once: a message goes either to one ``pop`` caller
-    or to the queue's trigger callback. A queue has at most one trigger,
-    which takes over delivery once registered; messages already pending at
-    registration are handed to it in one call, matching platform trigger
-    semantics for a backlog.
+    or to the queue's trigger callback, always with the stamp of the push
+    that brought it. A queue has at most one trigger, which takes over
+    delivery once registered; messages already pending at registration
+    are handed to it at once, matching platform trigger semantics for a
+    backlog.
     """
 
     def __init__(self, name: str, clock: Clock) -> None:
@@ -101,8 +105,8 @@ class Queue:
         # __enter__/__exit__ on every push and pop.
         self._lock = threading.RLock()
         self._cond = threading.Condition(self._lock)
-        self._items: deque[Message] = deque()
-        self._trigger: Callable[[Sequence[Message]], None] | None = None
+        self._items: deque[tuple[Message, float]] = deque()
+        self._trigger: Callable[[Sequence[Message], float], None] | None = None
         self._pushed = 0
         self._delivered = 0
 
@@ -130,30 +134,29 @@ class Queue:
             return self._delivered
 
     def push(self, *msgs: Message) -> float:
-        """Append ``msgs`` in order, each stamped with one reading of the clock.
+        """Append ``msgs`` in order, under one reading of the clock.
 
         Returns that stamp (the acknowledgment). If a trigger is
-        registered the messages are handed to it in one call instead of
-        being queued; the callback runs in the pushing thread, outside the
-        queue lock. A push of no messages changes nothing and calls no
-        trigger.
+        registered the messages and the stamp are handed to it in one call
+        instead of being queued; the callback runs in the pushing thread,
+        outside the queue lock. A push of no messages changes nothing and
+        calls no trigger.
         """
         with self._lock:
             ts = self._clock.now()
-            stamped = [Message(m.msg_id, m.kind, m.payload, ts) for m in msgs]
-            self._pushed += len(stamped)
+            self._pushed += len(msgs)
             action = self._trigger
             if action is not None:
-                self._delivered += len(stamped)
+                self._delivered += len(msgs)
             else:
-                self._items.extend(stamped)
-                self._cond.notify(len(stamped))
-        if action is not None and stamped:
-            action(stamped)
+                self._items.extend([(msg, ts) for msg in msgs])
+                self._cond.notify(len(msgs))
+        if action is not None and msgs:
+            action(msgs, ts)
         return ts
 
-    def pop(self, timeout: float | None = None) -> Message | None:
-        """Remove and return the head message.
+    def pop(self, timeout: float | None = None) -> tuple[Message, float] | None:
+        """Remove the head message; return it with the stamp of its push.
 
         Returns ``None`` (the timeout signal) if nothing arrives within
         ``timeout`` seconds on the queue's clock; a timeout of 0 or below
@@ -174,12 +177,13 @@ class Queue:
                     return None
                 clock.wait(self._cond, remaining)
 
-    def register_trigger(self, action: Callable[[Sequence[Message]], None]) -> None:
-        """Invoke ``action`` once per push from now on, with the push's messages.
+    def register_trigger(self, action: Callable[[Sequence[Message], float], None]) -> None:
+        """Invoke ``action(msgs, ts)`` once per push from now on, with the
+        push's messages and its stamp.
 
-        Pending messages are handed to the trigger at once, in one call. A
-        queue takes one trigger; registering a second raises
-        :class:`ConfigurationError`.
+        Pending messages are handed to the trigger at once, in order, in
+        one call per run of messages that share a push stamp. A queue takes
+        one trigger; registering a second raises :class:`ConfigurationError`.
         """
         with self._lock:
             if self._trigger is not None:
@@ -188,8 +192,8 @@ class Queue:
             backlog = list(self._items)
             self._items.clear()
             self._delivered += len(backlog)
-        if backlog:
-            action(backlog)
+        for ts, run in itertools.groupby(backlog, key=itemgetter(1)):
+            action(tuple(msg for msg, _ in run), ts)
 
 
 class QueueFabric:

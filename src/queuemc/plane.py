@@ -23,15 +23,16 @@ every request of its pass with ``worker-crash`` on a fault outside the
 task; ``sim`` takes the stamps from its scheduler, for a whole push in
 one :meth:`SimScheduler.assign` call.
 
-A queue trigger hands its function all the messages of one push, and the
-coordinator pushes each iteration's requests in one push. The remote
-worker runs each request alone. ``sim`` and ``local`` cut a push, in
-order, into passes of :meth:`TaskRunner.batch_limit` requests on the key
-of its first request, as many as keep their model maps within
-``PASS_MAP_BYTES``, and give each pass one :meth:`TaskRunner.run` (on
-``local``, one pool task) and one :func:`kernel.evaluate` pass, which
-costs less per request than one pass each and gives each request the
-same bits. ``likelihood_fn`` requests, and the requests of a push whose
+A queue trigger hands its function all the messages of one push with the
+push's stamp, which ``sim`` and ``local`` record as each request's
+``dispatch_ts``, and the coordinator pushes each iteration's requests in
+one push. The remote worker runs each request alone. ``sim`` and
+``local`` cut a push, in order, into passes of
+:meth:`TaskRunner.batch_limit` requests on the key of its first request,
+as many as keep their model maps within ``PASS_MAP_BYTES``, and give each
+pass one :meth:`TaskRunner.run` (on ``local``, one pool task) and one
+:func:`kernel.evaluate` pass, which costs less per request than one pass
+each and gives each request the same bits. ``likelihood_fn`` requests, and the requests of a push whose
 first key is not loaded yet, run alone. So do stub requests on
 ``local``, where a stub holds its worker for its full duration; ``sim``
 runs a stub push in one pass, as its stubs take no wall time. Once its
@@ -279,14 +280,15 @@ def respond(msgs: Sequence[Message],
             for msg, (result, _, _), payload in zip(msgs, results, payloads)]
 
 
-def execute(runner: TaskRunner, clock, msgs: Sequence[Message],
+def execute(runner: TaskRunner, clock, msgs: Sequence[Message], dispatch_ts: float,
             ) -> list[tuple[Message, InvocationRecord | None]]:
     """Run a batch of requests on a wall clock: stamp, run, sleep out the
     stubs, stamp.
 
     Returns one response and invocation record per message, in order.
-    The records share the batch's start and end stamps and the name of
-    the calling thread. A fault that :meth:`TaskRunner.run` does not
+    The records share ``dispatch_ts``, the stamp of the push that brought
+    the batch, the batch's start and end stamps and the name of the
+    calling thread. A fault that :meth:`TaskRunner.run` does not
     classify, such as one while packing a response, answers every request
     of the batch with ``worker-crash`` and no record.
     """
@@ -298,7 +300,7 @@ def execute(runner: TaskRunner, clock, msgs: Sequence[Message],
             time.sleep(stub_s)
         end = clock.now()
         worker = threading.current_thread().name
-        recs = [InvocationRecord(msg.msg_id, worker, msg.enqueue_ts, start, end, cold)
+        recs = [InvocationRecord(msg.msg_id, worker, dispatch_ts, start, end, cold)
                 for msg, (_, cold, _) in zip(msgs, results)]
         return list(zip(respond(msgs, results, recs), recs))
     except Exception as exc:
@@ -439,7 +441,7 @@ class SimulatedPlane(_PlaneBase):
         self._sched = SimScheduler(model, seed=seed)
         input_q.register_trigger(self._on_message)
 
-    def _on_message(self, msgs: Sequence[Message]) -> None:
+    def _on_message(self, msgs: Sequence[Message], ts: float) -> None:
         limit = len(msgs)
         if limit > 1:
             try:
@@ -453,9 +455,9 @@ class SimulatedPlane(_PlaneBase):
         for i in range(0, len(msgs), limit):
             results += self._runner.run(msgs[i:i + limit])
         duration = self._model.likelihood_duration_s
-        ids, _, _, stamps = zip(*msgs)
-        recs = self._sched.assign(ids, stamps, [duration if stub_s is None else stub_s
-                                                for _, _, stub_s in results])
+        recs = self._sched.assign([msg.msg_id for msg in msgs], [ts] * len(msgs),
+                                  [duration if stub_s is None else stub_s
+                                   for _, _, stub_s in results])
         self._record(*recs)
         answers = respond(msgs, results, recs)
         schedule, push = self._clock.schedule, self._output_q.push
@@ -497,16 +499,16 @@ class LocalPoolPlane(_PlaneBase):
                                         thread_name_prefix="qmc-worker")
         input_q.register_trigger(self._dispatch)
 
-    def _dispatch(self, msgs: Sequence[Message]) -> None:
+    def _dispatch(self, msgs: Sequence[Message], ts: float) -> None:
         try:
             limit = self._runner.batch_limit(unpack_request(msgs[0].payload)[1])
         except WireFormatError:
             limit = 1
         for i in range(0, len(msgs), limit):
-            self._pool.submit(self._work, msgs[i:i + limit])
+            self._pool.submit(self._work, msgs[i:i + limit], ts)
 
-    def _work(self, batch: Sequence[Message]) -> None:
-        done = execute(self._runner, self._clock, batch)
+    def _work(self, batch: Sequence[Message], dispatch_ts: float) -> None:
+        done = execute(self._runner, self._clock, batch, dispatch_ts)
         self._record(*[rec for _, rec in done if rec is not None])
         self._output_q.push(*[resp for resp, _ in done])
 

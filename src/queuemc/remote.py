@@ -3,18 +3,20 @@
 Cloud-agnostic stand-in for running likelihood workers on other machines.
 Frames are a 4-byte big-endian unsigned length followed by that many
 bytes of one message in the fabric's binary layout, ``kind u8 | msg_id i64
-| payload`` (see :func:`queuemc.fabric.encode_message`); each frame goes out
-in one ``sendall``. A message's ``enqueue_ts`` does not cross the wire:
-each side's queue stamps its own clock. Workers answer each request frame
-with one response frame, produced by the same executor as the local pool
-(:func:`queuemc.plane.execute`); errors are control messages with payload
+| payload`` (see :func:`queuemc.fabric.encode_message`). The client writes
+the frames of a push in one ``sendall`` and the worker each response
+frame in one. A push stamp does not cross the wire: it belongs to the
+queue, and each side's queue stamps its own clock. Workers answer each
+request frame with one response frame, produced by the same executor as
+the local pool (:func:`queuemc.plane.execute`), whose records take a NaN
+``dispatch_ts``; errors are control messages with payload
 ``ERR:<code>:<detail>``. A malformed frame draws an error frame and closes
 the connection.
 
 Both ends disable Nagle's algorithm (``TCP_NODELAY``). With it on, the
 worker held each response frame until the client ACKed the one before,
 and the client delays that ACK by up to 40 ms, so a lockstep iteration of
-1 ms tasks took about 45 ms. A frame always leaves in one write, so
+1 ms tasks took about 45 ms. Whole frames always leave in one write, so
 Nagle never had a partial frame to coalesce, only whole frames to delay.
 
 A response frame carries the msg_id of the request it answers and nothing
@@ -65,13 +67,13 @@ def parse_addr(addr: str | tuple[str, int]) -> tuple[str, int]:
     return host, int(port)
 
 
-def write_frame(sock: socket.socket, data: bytes) -> None:
-    """Send one frame in a single ``sendall``.
+def write_frame(sock: socket.socket, *bodies: bytes) -> None:
+    """Send one frame per body, all in a single ``sendall``.
 
-    Header and body go out together: on a ``TCP_NODELAY`` socket a
+    Headers and bodies go out together: on a ``TCP_NODELAY`` socket a
     separate header write would leave as its own 4-byte segment.
     """
-    sock.sendall(_HEADER.pack(len(data)) + data)
+    sock.sendall(b"".join([_HEADER.pack(len(body)) + body for body in bodies]))
 
 
 def read_frame(rfile) -> bytes | None:
@@ -128,7 +130,7 @@ class WorkerServer(socketserver.ThreadingTCPServer):
         self._clock = WallClock()
 
     def process(self, msg: Message) -> Message:
-        ((resp, _),) = execute(self._runner, self._clock, (msg,))
+        ((resp, _),) = execute(self._runner, self._clock, (msg,), math.nan)
         return resp
 
 
@@ -161,19 +163,23 @@ class RemoteWorkerClient(_PlaneBase):
         self._lost: str | None = None  # why the reader gave up the connection
         self._reader = threading.Thread(target=self._read_loop, daemon=True,
                                         name="qmc-remote-reader")
+        try:
+            input_q.register_trigger(self._send)
+        except BaseException:
+            self._rfile.close()
+            self._sock.close()
+            raise
         self._reader.start()
-        input_q.register_trigger(self._send)
 
-    def _send(self, msgs: Sequence[Message]) -> None:
-        # Every frame is encoded before the first is written, so an id that
-        # is not an int64 fails the push before any of it leaves.
+    def _send(self, msgs: Sequence[Message], ts: float) -> None:
+        # Every frame is encoded before any is written, so an id that is
+        # not an int64 fails the push before any of it leaves.
         bodies = [encode_message(msg) for msg in msgs]
-        with self._send_lock:
-            for body in bodies:
-                try:
-                    write_frame(self._sock, body)
-                except OSError as exc:
-                    raise WorkerCrashError(f"connection-lost: {self._lost or exc}") from exc
+        try:
+            with self._send_lock:
+                write_frame(self._sock, *bodies)
+        except OSError as exc:
+            raise WorkerCrashError(f"connection-lost: {self._lost or exc}") from exc
 
     def _read_loop(self) -> None:
         detail = "worker closed the connection"

@@ -108,10 +108,14 @@ class DirectoryObjectStore:
         side = target.with_name(target.name + _SIDE_SUFFIX)
         try:
             data = target.read_bytes()
-            recorded = side.read_text(encoding="ascii")
+            recorded = side.read_bytes()
         except FileNotFoundError:
             raise NotFoundError(f"key {key!r} not found") from None
-        digest, _, size = recorded.strip().partition(" ")
-        if content_digest(data) != digest or int(size) != len(data):
+        try:
+            digest, _, size = recorded.decode("ascii").strip().partition(" ")
+            intact = content_digest(data) == digest and int(size) == len(data)
+        except ValueError:  # a sidecar that is not ASCII or has no integer size
+            intact = False
+        if not intact:
             raise CorruptionError(f"digest mismatch for key {key!r}")
         return data

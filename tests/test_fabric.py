@@ -44,7 +44,7 @@ def test_fifo_order(fabric):
     q.push(msg(7))
     q.push(msg(3), msg(9), msg(1))
     q.push(msg(4))
-    assert [q.pop(0).msg_id for _ in range(5)] == [7, 3, 9, 1, 4]
+    assert [q.pop(0)[0].msg_id for _ in range(5)] == [7, 3, 9, 1, 4]
     assert q.pop(0) is None
 
 
@@ -75,26 +75,25 @@ def test_pop_rejects_a_nan_timeout(clock):
     assert q.pop(timeout=0.0) is None
     assert q.pop(timeout=-1.0) is None
     q.push(msg(4))
-    assert q.pop(timeout=-1.0).msg_id == 4
+    assert q.pop(timeout=-1.0)[0].msg_id == 4
 
 
 def test_push_pop_round_trip(fabric):
     q = fabric.create_queue("q")
     sent = msg(5, payload=b"\x00\x01data")
-    q.push(sent)
-    got = q.pop(0)
-    assert got.msg_id == sent.msg_id and got.payload == sent.payload
+    ts = q.push(sent)
+    got, got_ts = q.pop(0)
+    assert got is sent and got_ts == ts
 
 
-def test_enqueue_ts_stamped_and_non_decreasing():
+def test_push_stamps_are_non_decreasing():
     clock = VirtualClock()
     fabric = QueueFabric(clock)
     q = fabric.create_queue("q")
     stamps = [q.push(msg(i)) for i in range(5)]
     assert stamps == sorted(stamps)
     popped = [q.pop(0) for _ in range(5)]
-    got = [m.enqueue_ts for m in popped]
-    assert got == sorted(got)
+    assert [ts for _, ts in popped] == stamps
 
 
 def test_thousand_messages_delivered_exactly_once(fabric):
@@ -103,8 +102,8 @@ def test_thousand_messages_delivered_exactly_once(fabric):
     for i in range(1000):
         q.push(Message(msg_id=i, kind=MessageKind.CONTROL, payload=b""))
     seen = []
-    while (m := q.pop(0)) is not None:
-        seen.append(m.msg_id)
+    while (got := q.pop(0)) is not None:
+        seen.append(got[0].msg_id)
     assert len(seen) == 1000
     assert set(seen) == ids
 
@@ -116,8 +115,8 @@ def test_concurrent_consumers_partition_messages(fabric):
     got_a, got_b = [], []
 
     def drain(sink):
-        while (m := q.pop(timeout=0.05)) is not None:
-            sink.append(m.msg_id)
+        while (got := q.pop(timeout=0.05)) is not None:
+            sink.append(got[0].msg_id)
 
     ta = threading.Thread(target=drain, args=(got_a,))
     tb = threading.Thread(target=drain, args=(got_b,))
@@ -131,11 +130,11 @@ def test_push_stamps_its_messages_once():
     q = QueueFabric(clock).create_queue("q")
     stamps = [q.push(msg(0))]
     clock.schedule(2.5, lambda: stamps.append(q.push(msg(1), msg(2), msg(3))))
-    assert q.pop(0).enqueue_ts == 0.0
+    assert q.pop(0)[1] == 0.0
     # The queue is empty, so the pop runs the clock to the push at 2.5.
     got = [q.pop(timeout=5.0), q.pop(0), q.pop(0)]
     assert stamps == [0.0, 2.5]
-    assert [m.enqueue_ts for m in got] == [2.5] * 3
+    assert [(m.msg_id, ts) for m, ts in got] == [(1, 2.5), (2, 2.5), (3, 2.5)]
 
 
 def test_empty_push_changes_nothing(fabric):
@@ -143,7 +142,7 @@ def test_empty_push_changes_nothing(fabric):
     q.push()
     assert fabric.stats() == {"q": {"pushed": 0, "delivered": 0, "pending": 0}}
     calls = []
-    q.register_trigger(calls.append)
+    q.register_trigger(lambda ms, ts: calls.append(ms))
     q.push()
     assert calls == []
     assert fabric.stats() == {"q": {"pushed": 0, "delivered": 0, "pending": 0}}
@@ -152,17 +151,27 @@ def test_empty_push_changes_nothing(fabric):
 def test_trigger_invoked_once_per_push(fabric):
     q = fabric.create_queue("q")
     calls = []
-    q.register_trigger(lambda ms: calls.append([(m.msg_id, m.enqueue_ts) for m in ms]))
+    q.register_trigger(lambda ms, ts: calls.append(([m.msg_id for m in ms], ts)))
     ts = q.push(msg(3), msg(1), msg(2))
     ts2 = q.push(msg(0))
-    assert calls == [[(3, ts), (1, ts), (2, ts)], [(0, ts2)]]
+    assert calls == [([3, 1, 2], ts), ([0], ts2)]
+
+
+def test_trigger_gets_the_pushed_messages_themselves(fabric):
+    q = fabric.create_queue("q")
+    calls = []
+    q.register_trigger(lambda ms, ts: calls.append(ms))
+    sent = [msg(0), msg(1, payload=b"x")]
+    q.push(*sent)
+    ((a, b),) = calls
+    assert a is sent[0] and b is sent[1]
 
 
 def test_trigger_runs_in_the_pushing_thread_outside_the_lock(fabric):
     q = fabric.create_queue("q")
     seen = []
 
-    def action(ms):
+    def action(ms, ts):
         # Another thread can take the queue's lock while the trigger runs.
         reader = threading.Thread(target=lambda: seen.append(q.pending_count))
         reader.start()
@@ -177,7 +186,7 @@ def test_trigger_runs_in_the_pushing_thread_outside_the_lock(fabric):
 def test_trigger_on_empty_queue_no_invocations(fabric):
     q = fabric.create_queue("q")
     seen = []
-    q.register_trigger(lambda m: seen.append(m))
+    q.register_trigger(lambda ms, ts: seen.append(ms))
     assert seen == []
 
 
@@ -186,17 +195,29 @@ def test_trigger_drains_backlog(fabric):
     q.push(msg(0))
     q.push(msg(1), msg(2))
     calls = []
-    q.register_trigger(lambda ms: calls.append([m.msg_id for m in ms]))
-    assert calls == [[0, 1, 2]]
+    q.register_trigger(lambda ms, ts: calls.extend(m.msg_id for m in ms))
+    assert calls == [0, 1, 2]
     assert q.pending_count == 0 and q.delivered_count == 3
+
+
+def test_trigger_gets_a_backlog_with_each_push_stamp():
+    clock = VirtualClock()
+    fabric = QueueFabric(clock)
+    q, idle = fabric.create_queue("q"), fabric.create_queue("idle")
+    clock.schedule(1.0, q.push, msg(0), msg(1))
+    clock.schedule(2.0, q.push, msg(2))
+    assert idle.pop(timeout=5.0) is None  # runs the clock through both pushes
+    calls = []
+    q.register_trigger(lambda ms, ts: calls.append(([m.msg_id for m in ms], ts)))
+    assert calls == [([0, 1], 1.0), ([2], 2.0)]
 
 
 def test_second_trigger_rejected(fabric):
     q = fabric.create_queue("q")
     calls = []
-    q.register_trigger(lambda ms: calls.append([m.msg_id for m in ms]))
+    q.register_trigger(lambda ms, ts: calls.append([m.msg_id for m in ms]))
     with pytest.raises(ConfigurationError):
-        q.register_trigger(lambda ms: None)
+        q.register_trigger(lambda ms, ts: None)
     q.push(msg(0))
     assert calls == [[0]]
 
@@ -204,7 +225,7 @@ def test_second_trigger_rejected(fabric):
 def test_trigger_multiset_matches_pushes(fabric):
     q = fabric.create_queue("q")
     seen = []
-    q.register_trigger(lambda ms: seen.extend(m.msg_id for m in ms))
+    q.register_trigger(lambda ms, ts: seen.extend(m.msg_id for m in ms))
     pushed = []
     for i in range(0, 200, 4):
         wave = [msg(j % 50, payload=bytes([j % 256])) for j in range(i, i + i % 3)]
@@ -222,7 +243,7 @@ def test_conservation_counters(fabric):
     q.pop(0)
     assert (q.pushed_count, q.delivered_count, q.pending_count) == (10, 2, 8)
     t = fabric.create_queue("t")
-    t.register_trigger(lambda ms: None)
+    t.register_trigger(lambda ms, ts: None)
     t.push(*[msg(i) for i in range(3)])
     assert (t.pushed_count, t.delivered_count, t.pending_count) == (3, 3, 0)
 
@@ -235,8 +256,8 @@ def test_fifo_and_conservation_property(payloads):
     for i, payload in enumerate(payloads):
         q.push(msg(i, payload=payload))
     out = []
-    while (m := q.pop(0)) is not None:
-        out.append(m)
+    while (got := q.pop(0)) is not None:
+        out.append(got[0])
     assert [m.msg_id for m in out] == list(range(len(payloads)))
     assert [m.payload for m in out] == payloads
     n = len(payloads)
@@ -250,21 +271,21 @@ INT64 = st.integers(min_value=-2**63, max_value=2**63 - 1)
 
 
 @settings(max_examples=200, deadline=None)
-@given(INT64, st.sampled_from(MessageKind), st.binary(), st.floats(allow_nan=False))
-@example(0, MessageKind.LIKELIHOOD_REQUEST, b"", 0.0)
-@example(NO_REQUEST, MessageKind.CONTROL, b"", 0.0)
-@example(2**63 - 1, MessageKind.LIKELIHOOD_RESPONSE, b"\x00\xffbinary", 1.5)
-@example(-2**63, MessageKind.CONTROL, b"ERR:x:y", 2.0)
-def test_wire_round_trip(msg_id, kind, payload, enqueue_ts):
-    m = Message(msg_id=msg_id, kind=kind, payload=payload, enqueue_ts=enqueue_ts)
+@given(INT64, st.sampled_from(MessageKind), st.binary())
+@example(0, MessageKind.LIKELIHOOD_REQUEST, b"")
+@example(NO_REQUEST, MessageKind.CONTROL, b"")
+@example(2**63 - 1, MessageKind.LIKELIHOOD_RESPONSE, b"\x00\xffbinary")
+@example(-2**63, MessageKind.CONTROL, b"ERR:x:y")
+def test_wire_round_trip(msg_id, kind, payload):
+    m = Message(msg_id=msg_id, kind=kind, payload=payload)
     back = decode_message(encode_message(m))
-    assert back == m._replace(enqueue_ts=0.0)
+    assert back == m
     assert back.kind is kind
 
 
 def test_wire_frame_bytes_are_fixed():
     # kind u8 | msg_id i64 | payload, little-endian.
-    m = Message(msg_id=258, kind=MessageKind.CONTROL, payload=b"hi", enqueue_ts=2.0)
+    m = Message(msg_id=258, kind=MessageKind.CONTROL, payload=b"hi")
     assert encode_message(m) == b"\x02\x02\x01\x00\x00\x00\x00\x00\x00hi"
     fault = Message(msg_id=NO_REQUEST, kind=MessageKind.CONTROL, payload=b"")
     assert encode_message(fault) == b"\x02" + b"\xff" * 8

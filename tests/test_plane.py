@@ -36,13 +36,22 @@ def push_stub_wave(input_q, n, duration):
         input_q.push(request_msg(i, key))
 
 
-def drain(output_q, n, timeout=None):
+def drain_stamped(output_q, n, timeout=None):
+    """The next ``n`` (message, push stamp) pairs of ``output_q``."""
     out = []
     for _ in range(n):
-        m = output_q.pop(timeout=timeout)
-        assert m is not None
-        out.append(m)
+        got = output_q.pop(timeout=timeout)
+        assert got is not None
+        out.append(got)
     return out
+
+
+def drain(output_q, n, timeout=None):
+    return [m for m, _ in drain_stamped(output_q, n, timeout)]
+
+
+def answer_times(output_q, n):
+    return [ts for _, ts in drain_stamped(output_q, n)]
 
 
 # -------------------------------------------------------------- model
@@ -122,11 +131,11 @@ def test_task_runner_parses_a_key_once_across_threads():
 def test_sim_single_invocation_timing(sim_setup):
     fabric, input_q, output_q, plane = sim_setup()
     push_stub_wave(input_q, 1, duration=1.0)
-    (resp,) = drain(output_q, 1)
+    ((resp, ts),) = drain_stamped(output_q, 1)
     rec = plane.records[0]
     assert rec.cold
     assert rec.end_ts - rec.dispatch_ts >= 1.0 + 2.0 + 0.05
-    assert resp.enqueue_ts == rec.end_ts
+    assert ts == rec.end_ts
     assert resp.msg_id == 0
 
 
@@ -139,7 +148,7 @@ def test_sim_zero_requests_zero_responses(sim_setup):
 def test_sim_capacity_sufficient_wave_zero_overhead(sim_setup):
     fabric, input_q, output_q, plane = sim_setup()
     push_stub_wave(input_q, 3, duration=1.0)          # c0 = 3
-    ends = [m.enqueue_ts for m in drain(output_q, 3)]
+    ends = answer_times(output_q, 3)
     assert max(ends) - min(ends) == 0.0
     assert all(r.start_ts == 2.05 for r in plane.records)
 
@@ -148,7 +157,7 @@ def test_sim_two_wave_overhead_equals_tau(sim_setup):
     model = BackendModel(likelihood_duration_s=100.0)
     fabric, input_q, output_q, plane = sim_setup(model=model)
     push_stub_wave(input_q, 6, duration=100.0)        # 2 c0
-    ends = [m.enqueue_ts for m in drain(output_q, 6)]
+    ends = answer_times(output_q, 6)
     assert max(ends) - min(ends) == pytest.approx(7.0, abs=1e-12)
 
 
@@ -156,7 +165,7 @@ def test_sim_thousand_wave_matches_log_ramp(sim_setup):
     model = BackendModel()
     fabric, input_q, output_q, plane = sim_setup(model=model)
     push_stub_wave(input_q, 1000, duration=100.0)
-    ends = [m.enqueue_ts for m in drain(output_q, 1000)]
+    ends = answer_times(output_q, 1000)
     overhead = max(ends) - min(ends)
     closed_form = 7.0 * math.log2(1000 / 3)
     assert abs(overhead - closed_form) / closed_form < 0.25
@@ -202,7 +211,7 @@ def test_sim_matches_brute_force_event_stepping(sim_setup):
     for n in (5, 32, 128):
         fabric, input_q, output_q, plane = sim_setup(model=model)
         push_stub_wave(input_q, n, duration=model.likelihood_duration_s)
-        ends = [m.enqueue_ts for m in drain(output_q, n)]
+        ends = answer_times(output_q, n)
         overhead = max(ends) - min(ends)
         brute = brute_force_wave_overhead(n, model, dt)
         assert abs(overhead - brute) <= 2 * dt + 1e-9
@@ -215,7 +224,7 @@ def test_sim_doubling_invariant(sim_setup):
     def overhead(n):
         fabric, input_q, output_q, plane = sim_setup(model=model)
         push_stub_wave(input_q, n, duration=100.0)
-        ends = [m.enqueue_ts for m in drain(output_q, n)]
+        ends = answer_times(output_q, n)
         return max(ends) - min(ends)
 
     for n in (24, 48, 96):  # n >= 8 c0
@@ -231,7 +240,7 @@ def test_sim_jittered_doubling_within_three_sigma(sim_setup):
         for s in seeds:
             fabric, input_q, output_q, plane = sim_setup(model=model, seed=s)
             push_stub_wave(input_q, n, duration=100.0)
-            ends = [m.enqueue_ts for m in drain(output_q, n)]
+            ends = answer_times(output_q, n)
             vals.append(max(ends) - min(ends))
         return np.asarray(vals)
 
@@ -478,12 +487,13 @@ def test_local_dataset_cache_cold_flag(local_setup):
     store = MemoryObjectStore()
     store.put("bundle", write_container(datasets))
     fabric, input_q, output_q, plane = local_setup(store=store, pool_size=1)
-    input_q.push(request_msg(0, "bundle", params=truths.ravel()))
-    input_q.push(request_msg(1, "bundle", params=truths.ravel()))
+    stamps = [input_q.push(request_msg(i, "bundle", params=truths.ravel())) for i in (0, 1)]
     responses = drain(output_q, 2, timeout=30.0)
     colds = sorted(unpack_response(m.payload)[1] for m in responses)
     assert colds == [False, True]
     plane.close()
+    # Each record's dispatch stamp is the stamp of the push that brought it.
+    assert [(r.msg_id, r.dispatch_ts) for r in plane.records] == list(enumerate(stamps))
 
 
 def test_local_missing_dataset_surfaces_error(local_setup):
@@ -665,9 +675,9 @@ def test_local_chain_makes_one_push_and_full_passes_per_iteration(local_setup, m
     waves, passes = [], []
     dispatch, evaluate_ = LocalPoolPlane._dispatch, kernel.evaluate
 
-    def counted_dispatch(self, msgs):
+    def counted_dispatch(self, msgs, ts):
         waves.append(len(msgs))
-        return dispatch(self, msgs)
+        return dispatch(self, msgs, ts)
 
     def counted_evaluate(thetas, bundle):
         passes.append(thetas.shape[0])
@@ -776,7 +786,7 @@ def test_backends_answer_alike(backend, case):
                            remote_addr=server.server_address if server else None)
     try:
         input_q.push(request)
-        resp = output_q.pop(timeout=30.0)
+        got = output_q.pop(timeout=30.0)
         extra = output_q.pop(timeout=0.2)
     finally:
         plane.close()
@@ -784,7 +794,8 @@ def test_backends_answer_alike(backend, case):
             server.shutdown()
             server.server_close()
             thread.join(timeout=5)
-    assert resp is not None and extra is None
+    assert got is not None and extra is None
+    resp, _ = got
     assert resp.msg_id == request.msg_id and resp.kind is kind
     if code is not None:
         assert parse_error(resp.payload)[0] == code

@@ -161,7 +161,7 @@ def test_remote_matches_local_and_in_process(worker_env, local_setup):
     mem.put("bundle", write_container(datasets))
     fabric, input_q, output_q, plane = local_setup(store=mem)
     input_q.push(request_message(0, params.ravel(), "bundle"))
-    local_val = unpack_response(output_q.pop(timeout=30.0).payload)[0]
+    local_val = unpack_response(output_q.pop(timeout=30.0)[0].payload)[0]
     plane.close()
 
     # remote route
@@ -169,7 +169,7 @@ def test_remote_matches_local_and_in_process(worker_env, local_setup):
     rin, rout = fabric2.create_queue("in"), fabric2.create_queue("out")
     client = attach_backend(rin, rout, "remote", remote_addr=addr)
     rin.push(request_message(0, params.ravel(), "bundle"))
-    remote_val = unpack_response(rout.pop(timeout=30.0).payload)[0]
+    remote_val = unpack_response(rout.pop(timeout=30.0)[0].payload)[0]
     client.close()
 
     assert local_val == pytest.approx(expected, rel=1e-12)
@@ -183,7 +183,7 @@ def test_remote_pipelines_multiple_requests(worker_env):
     client = attach_backend(rin, rout, "remote", remote_addr=addr)
     for i in range(8):
         rin.push(request_message(i, truths.ravel(), "bundle"))
-    got = {rout.pop(timeout=30.0).msg_id for _ in range(8)}
+    got = {rout.pop(timeout=30.0)[0].msg_id for _ in range(8)}
     assert got == set(range(8))
     assert len(client.records) == 8
     # The dispatch stamps stay with the coordinator, on its own clock.
@@ -197,7 +197,7 @@ def test_remote_stub_tasks(worker_env):
     rin, rout = fabric.create_queue("in"), fabric.create_queue("out")
     client = attach_backend(rin, rout, "remote", remote_addr=addr)
     rin.push(request_message(0, [], make_stub_key(0.01)))
-    resp = rout.pop(timeout=10.0)
+    resp, _ = rout.pop(timeout=10.0)
     assert unpack_response(resp.payload)[0] == 0.0
     client.close()
     assert rout.pending_count == 0  # closing the client reports no lost connection
@@ -312,7 +312,7 @@ def test_send_refuses_an_id_that_is_no_int64(worker_env, msg_id):
             rin.push(request_message(0, [], make_stub_key(0.01)),
                      request_message(msg_id, [], make_stub_key(0.01)))
         rin.push(request_message(1, [], make_stub_key(0.01)))  # the connection still serves
-        assert rout.pop(timeout=10.0).msg_id == 1
+        assert rout.pop(timeout=10.0)[0].msg_id == 1
         assert rout.pop(timeout=0.2) is None
     finally:
         client.close()
@@ -340,6 +340,61 @@ def test_write_frame_is_one_sendall():
     body = encode_message(request_message(5, [1.0, 2.0], "bundle"))
     write_frame(sock, body)
     assert sock.writes == [HEADER.pack(len(body)) + body]
+    bodies = [encode_message(request_message(i, [1.0], "k" * i)) for i in range(3)]
+    write_frame(sock, *bodies)
+    assert sock.writes[1:] == [b"".join(HEADER.pack(len(b)) + b for b in bodies)]
+
+
+def test_a_push_leaves_in_one_sendall(worker_env):
+    addr, _, _ = worker_env
+    fabric = QueueFabric(WallClock())
+    rin, rout = fabric.create_queue("in"), fabric.create_queue("out")
+    client = attach_backend(rin, rout, "remote", remote_addr=addr)
+    writes = []
+
+    class RecordingSocket:
+        def __init__(self, sock):
+            self._sock = sock
+
+        def sendall(self, data):
+            writes.append(bytes(data))
+            self._sock.sendall(data)
+
+        def __getattr__(self, name):
+            return getattr(self._sock, name)
+
+    client._sock = RecordingSocket(client._sock)
+    try:
+        requests = [request_message(i, [], make_stub_key(0.0)) for i in range(5)]
+        rin.push(*requests)
+        assert sorted(rout.pop(timeout=10.0)[0].msg_id for _ in requests) == list(range(5))
+    finally:
+        client.close()
+    assert writes == [b"".join(HEADER.pack(len(b)) + b
+                               for b in map(encode_message, requests))]
+
+
+def test_client_on_a_queue_with_a_trigger_leaves_nothing_open(worker_env, monkeypatch):
+    addr, _, _ = worker_env
+    opened = []
+    create_connection = socket.create_connection
+
+    def recording_create_connection(*args, **kwargs):
+        opened.append(create_connection(*args, **kwargs))
+        return opened[-1]
+
+    def readers():
+        return {t for t in threading.enumerate() if t.name == "qmc-remote-reader"}
+
+    monkeypatch.setattr(socket, "create_connection", recording_create_connection)
+    fabric = QueueFabric(WallClock())
+    rin, rout = fabric.create_queue("in"), fabric.create_queue("out")
+    rin.register_trigger(lambda msgs, ts: None)
+    before = readers()
+    with pytest.raises(ConfigurationError):
+        attach_backend(rin, rout, "remote", remote_addr=addr)
+    assert len(opened) == 1 and opened[0].fileno() == -1
+    assert readers() == before
 
 
 def test_both_ends_disable_nagle(worker_env, monkeypatch):

@@ -82,6 +82,21 @@ def test_disk_corruption_detected(tmp_path):
         store.get("k")
 
 
+@pytest.mark.parametrize("sidecar", [
+    pytest.param("{digest} five\n".encode("ascii"), id="size-not-an-integer"),
+    pytest.param("{digest} 8\n".encode("ascii") + "é".encode("utf-8"), id="not-ascii"),
+])
+def test_disk_unreadable_sidecar_is_corruption(tmp_path, sidecar):
+    root = tmp_path / "objects"
+    store = DirectoryObjectStore(root)
+    digest = store.put("k", b"original")
+    side = root / "k.sha"
+    side.unlink()
+    side.write_bytes(sidecar.replace(b"{digest}", digest.encode("ascii")))
+    with pytest.raises(CorruptionError):
+        store.get("k")
+
+
 def test_disk_store_shared_between_instances(tmp_path):
     # Read-your-writes across "processes" (two handles to one root).
     writer = DirectoryObjectStore(tmp_path / "objects")
