@@ -7,6 +7,11 @@ discrete-event engine: components schedule actions at absolute virtual
 times and the clock advances only when a consumer waits on it, firing
 due actions in time order. All timestamps are seconds relative to the
 clock's origin.
+
+A wait takes an absolute deadline on both clocks, not a timeout. A
+virtual wait that reaches its deadline sets the clock to it exactly, so a
+consumer that waits for a stamp lands on that stamp, with no
+``now + (stamp - now)`` rounding.
 """
 
 from __future__ import annotations
@@ -26,8 +31,9 @@ class Clock(Protocol):
         """Current time in seconds since the clock origin."""
         ...
 
-    def wait(self, cond: threading.Condition, timeout: float | None) -> None:
-        """Block until ``cond`` is notified, an event fires, or ``timeout`` elapses.
+    def wait(self, cond: threading.Condition, deadline: float | None) -> None:
+        """Block until ``cond`` is notified, an event fires, or the clock
+        reaches ``deadline``, an absolute time; None waits without one.
 
         Called with ``cond`` held; must return with ``cond`` held.
         """
@@ -43,10 +49,11 @@ class WallClock:
     def now(self) -> float:
         return time.monotonic() - self._t0
 
-    def wait(self, cond: threading.Condition, timeout: float | None) -> None:
+    def wait(self, cond: threading.Condition, deadline: float | None) -> None:
         # A longer wait overflows the platform's timeout; callers re-check
         # their deadline after every wake-up.
-        cond.wait(None if timeout is None else min(timeout, threading.TIMEOUT_MAX))
+        cond.wait(None if deadline is None
+                  else min(deadline - self.now(), threading.TIMEOUT_MAX))
 
 
 class VirtualClock:
@@ -77,8 +84,12 @@ class VirtualClock:
             raise ValueError(f"cannot schedule at {when}: clock is already at {self._now}")
         heapq.heappush(self._events, (float(when), next(self._seq), action, args))
 
-    def wait(self, cond: threading.Condition, timeout: float | None) -> None:
-        deadline = self._now + (math.inf if timeout is None else timeout)
+    def wait(self, cond: threading.Condition, deadline: float | None) -> None:
+        """Fire the next event due by ``deadline``; with none, move the
+        clock to ``deadline`` (never back), or raise
+        :class:`SimulationStalledError` if there is no finite deadline."""
+        if deadline is None:
+            deadline = math.inf
         if self._events and self._events[0][0] <= deadline:
             when, _, action, args = heapq.heappop(self._events)
             self._now = max(self._now, when)
@@ -90,5 +101,5 @@ class VirtualClock:
         elif deadline == math.inf:
             raise SimulationStalledError(
                 "waiting forever on virtual time with no scheduled events")
-        else:
+        elif deadline > self._now:
             self._now = deadline

@@ -39,8 +39,8 @@ before it as ``partial_output``.
 
 With no ``response_timeout_s``, or an infinite one, a run waits for every
 response, on any clock. On a virtual clock that wait is finite: once the
-clock runs out of events, no response can arrive any more and the run raises
-:class:`MissingResponseError`. On the wall clock a worker that never
+output queue holds no answer and the clock runs out of events, no response
+can arrive any more and the run raises :class:`MissingResponseError`. On the wall clock a worker that never
 answers stalls the run, so callers that must finish pass a timeout.
 """
 

@@ -2,7 +2,7 @@
 
 The fabric connects the coordinator to the compute plane. Producers push
 immutable :class:`Message` values, one or several per push; each message
-is delivered exactly once, in push order, either to a blocking consumer
+is delivered exactly once, in stamp order, either to a blocking consumer
 (:meth:`Queue.pop`) or to a registered trigger callback, mirroring a queue
 service that invokes a function with the batch of messages one push
 delivered.
@@ -12,9 +12,15 @@ of the request it is or answers, and all a consumer matches on. A control
 message with msg_id :data:`NO_REQUEST` answers no request: it reports a
 fault of the transport itself.
 
-A push's stamp belongs to the queue, not to its messages: the queue reads
-its clock once per push and hands that stamp beside the messages, to the
-trigger with the push's messages and to ``pop`` with each message.
+A message's stamp belongs to the queue, not to the message: the queue
+reads its clock once per push and hands that stamp beside the messages,
+to the trigger with the push's messages and to ``pop`` with each message.
+A push may instead give each of its messages a due stamp of its own, at
+or after the push's stamp: the queue holds such a message until its
+clock reaches that stamp and then hands it to ``pop`` with it, so one
+push can deliver answers that fall due at many times. A plain push is a
+due push at the push's stamp. Pending messages come out in the order of
+their stamps, and messages of equal stamps in push order.
 
 Messages serialize to the binary body of one remote worker frame
 (little-endian): ``kind u8 | msg_id i64 | payload``, a fixed 9-byte header
@@ -25,10 +31,10 @@ what crosses the wire.
 from __future__ import annotations
 
 import enum
+import heapq
 import itertools
 import struct
 import threading
-from collections import deque
 from operator import itemgetter
 from typing import Callable, NamedTuple, Sequence
 
@@ -88,14 +94,16 @@ def decode_message(frame: bytes) -> Message:
 
 
 class Queue:
-    """A named FIFO queue, safe for concurrent producers and consumers.
+    """A named queue, safe for concurrent producers and consumers.
 
     Delivery is exactly-once: a message goes either to one ``pop`` caller
-    or to the queue's trigger callback, always with the stamp of the push
-    that brought it. A queue has at most one trigger, which takes over
-    delivery once registered; messages already pending at registration
-    are handed to it at once, matching platform trigger semantics for a
-    backlog.
+    or to the queue's trigger callback, always with its stamp. Pending
+    messages wait in one heap ordered by (stamp, push order), so a queue
+    of plain pushes is FIFO. A queue has at most one trigger, which takes
+    over delivery once registered; messages already pending at
+    registration are handed to it at once, matching platform trigger
+    semantics for a backlog. A trigger delivers at push time, so a queue
+    with a trigger takes no due push.
     """
 
     def __init__(self, name: str, clock: Clock) -> None:
@@ -105,7 +113,9 @@ class Queue:
         # __enter__/__exit__ on every push and pop.
         self._lock = threading.RLock()
         self._cond = threading.Condition(self._lock)
-        self._items: deque[tuple[Message, float]] = deque()
+        # (stamp, push order, message); the order number makes keys unique.
+        self._items: list[tuple[float, int, Message]] = []
+        self._order = itertools.count()
         self._trigger: Callable[[Sequence[Message], float], None] | None = None
         self._pushed = 0
         self._delivered = 0
@@ -120,6 +130,7 @@ class Queue:
 
     @property
     def pending_count(self) -> int:
+        """Messages held for ``pop``, whether due yet or not."""
         with self._lock:
             return len(self._items)
 
@@ -133,67 +144,106 @@ class Queue:
         with self._lock:
             return self._delivered
 
-    def push(self, *msgs: Message) -> float:
-        """Append ``msgs`` in order, under one reading of the clock.
+    def push(self, *msgs: Message, due: Sequence[float] | None = None) -> float:
+        """Add ``msgs`` in order, under one reading of the clock.
 
-        Returns that stamp (the acknowledgment). If a trigger is
-        registered the messages and the stamp are handed to it in one call
-        instead of being queued; the callback runs in the pushing thread,
-        outside the queue lock. A push of no messages changes nothing and
-        calls no trigger.
+        Returns that stamp (the acknowledgment). Each message is stamped
+        with it, or, given ``due``, a sequence in step with ``msgs``, with
+        its own due stamp, and ``pop`` hands it out once the clock reaches
+        that stamp. A due stamp that is NaN or before the push's stamp, or
+        a ``due`` of another length, raises ``ValueError``, and a due push
+        onto a queue with a trigger :class:`ConfigurationError`, before
+        anything is queued. If a
+        trigger is registered the messages and the stamp are handed to it
+        in one call instead of being queued; the callback runs in the
+        pushing thread, outside the queue lock. A push of no messages
+        changes nothing and calls no trigger.
         """
         with self._lock:
             ts = self._clock.now()
-            self._pushed += len(msgs)
             action = self._trigger
+            if due is not None:
+                if len(due) != len(msgs):
+                    raise ValueError(f"{len(due)} due stamps for {len(msgs)} messages")
+                entries = sorted(zip(due, self._order, msgs))
+                # A NaN can sort anywhere, but it makes the sum NaN.
+                total = sum(due)
+                if entries and not (entries[0][0] >= ts and total == total):
+                    raise ValueError(
+                        f"due stamps must be numbers at or after the push's stamp {ts}")
+                if action is not None:
+                    raise ConfigurationError(
+                        f"queue {self._name!r} has a trigger and takes no due push")
+            self._pushed += len(msgs)
             if action is not None:
                 self._delivered += len(msgs)
             else:
-                self._items.extend([(msg, ts) for msg in msgs])
+                if due is None:
+                    entries = zip(itertools.repeat(ts), self._order, msgs)
+                items = self._items
+                if items:
+                    for entry in entries:
+                        heapq.heappush(items, entry)
+                else:
+                    items.extend(entries)  # a sorted list is a heap
                 self._cond.notify(len(msgs))
         if action is not None and msgs:
             action(msgs, ts)
         return ts
 
     def pop(self, timeout: float | None = None) -> tuple[Message, float] | None:
-        """Remove the head message; return it with the stamp of its push.
+        """Remove the head message once it is due; return it with its stamp.
 
-        Returns ``None`` (the timeout signal) if nothing arrives within
-        ``timeout`` seconds on the queue's clock; a timeout of 0 or below
-        polls once. ``timeout=None`` blocks indefinitely, and a NaN
-        timeout raises :class:`ConfigurationError` before any wait.
+        Until the head is due, waits on the clock until the earlier of the
+        head's stamp and the deadline, firing any clock event due by then
+        first. Returns ``None`` (the timeout signal) if nothing falls due
+        within ``timeout`` seconds on the queue's clock, and leaves the
+        clock at the deadline; a timeout of 0 or below polls once.
+        ``timeout=None`` blocks indefinitely, and a NaN timeout raises
+        :class:`ConfigurationError` before any wait.
         """
         if timeout != timeout:  # only NaN differs from itself
             raise ConfigurationError("queue pop timeout must not be NaN")
         clock = self._clock
         deadline = None if timeout is None else clock.now() + timeout
+        items = self._items
         with self._lock:
             while True:
-                if self._items:
-                    self._delivered += 1
-                    return self._items.popleft()
-                remaining = None if deadline is None else deadline - clock.now()
-                if remaining is not None and remaining <= 0:
-                    return None
-                clock.wait(self._cond, remaining)
+                until = None
+                if items:
+                    until = items[0][0]
+                    if until <= clock.now():
+                        _, _, msg = heapq.heappop(items)
+                        self._delivered += 1
+                        return msg, until
+                if deadline is not None:
+                    if deadline <= clock.now():
+                        return None
+                    if until is None or deadline < until:
+                        until = deadline
+                clock.wait(self._cond, until)
 
     def register_trigger(self, action: Callable[[Sequence[Message], float], None]) -> None:
         """Invoke ``action(msgs, ts)`` once per push from now on, with the
         push's messages and its stamp.
 
         Pending messages are handed to the trigger at once, in order, in
-        one call per run of messages that share a push stamp. A queue takes
-        one trigger; registering a second raises :class:`ConfigurationError`.
+        one call per run of messages that share a stamp. A queue takes one
+        trigger; registering a second, or one while a message is pending
+        that is not due yet, raises :class:`ConfigurationError`.
         """
         with self._lock:
             if self._trigger is not None:
                 raise ConfigurationError(f"queue {self._name!r} already has a trigger")
+            backlog = sorted(self._items)
+            if backlog and backlog[-1][0] > self._clock.now():
+                raise ConfigurationError(
+                    f"queue {self._name!r} holds a message that is not due yet")
             self._trigger = action
-            backlog = list(self._items)
             self._items.clear()
             self._delivered += len(backlog)
-        for ts, run in itertools.groupby(backlog, key=itemgetter(1)):
-            action(tuple(msg for msg, _ in run), ts)
+        for ts, run in itertools.groupby(backlog, key=itemgetter(0)):
+            action(tuple(msg for _, _, msg in run), ts)
 
 
 class QueueFabric:

@@ -20,8 +20,9 @@ packs the batch's responses, in one :func:`pack_response` call, and its
 error messages. ``local`` and the remote worker stamp, run, sleep out a
 stub and stamp again on the wall clock (:func:`execute`), which answers
 every request of its pass with ``worker-crash`` on a fault outside the
-task; ``sim`` takes the stamps from its scheduler, for a whole push in
-one :meth:`SimScheduler.assign` call.
+task; only ``local`` keeps an invocation record of the pass. ``sim``
+takes the stamps from its scheduler, for a whole push in one
+:meth:`SimScheduler.assign` call.
 
 A queue trigger hands its function all the messages of one push with the
 push's stamp, which ``sim`` and ``local`` record as each request's
@@ -38,8 +39,10 @@ first key is not loaded yet, run alone. So do stub requests on
 runs a stub push in one pass, as its stubs take no wall time. Once its
 passes have run, ``sim`` answers the push as one unit: one
 :meth:`SimScheduler.assign`, one :func:`respond`, and one virtual-clock
-event for each run of answers, adjacent in push order, that fall due at
-one time.
+event, at the push's earliest end stamp, that hands every answer to the
+output queue in one due push, each answer due at its own end stamp. The
+queue then delivers each answer when the clock reaches its stamp, so a
+push costs one clock event however many answer times it has.
 
 The simulated platform provisions warm instances along a doubling ramp:
 instance n becomes available ``scale_doubling_interval_s * log2(n / c0)``
@@ -263,34 +266,32 @@ class TaskRunner:
 
 def respond(msgs: Sequence[Message],
             results: Sequence[tuple[float | tuple[str, str], bool, float | None]],
-            recs: Sequence[InvocationRecord]) -> list[Message]:
+            cold: Iterable[bool], start_ts: Iterable[float],
+            end_ts: Iterable[float]) -> list[Message]:
     """The one response to each of ``msgs``, in order, given its
-    :meth:`TaskRunner.run` result and its record: a likelihood response
-    stamped from the record, or a control message carrying the result's
-    ``(code, detail)`` error. The payloads take one :func:`pack_response`
-    call, in which a failed request packs a log-likelihood of 0 that is
-    not sent."""
+    :meth:`TaskRunner.run` result and its cold flag and stamps, which run
+    in step with ``msgs``: a likelihood response carrying them, or a
+    control message carrying the result's ``(code, detail)`` error. The
+    payloads take one :func:`pack_response` call, in which a failed
+    request packs a log-likelihood of 0 that is not sent."""
     payloads = pack_response([0.0 if isinstance(result, tuple) else result
-                              for result, _, _ in results],
-                             [rec.cold for rec in recs], [rec.start_ts for rec in recs],
-                             [rec.end_ts for rec in recs])
+                              for result, _, _ in results], cold, start_ts, end_ts)
     return [Message(msg.msg_id, MessageKind.CONTROL, pack_error(*result))
             if isinstance(result, tuple)
             else Message(msg.msg_id, MessageKind.LIKELIHOOD_RESPONSE, payload)
             for msg, (result, _, _), payload in zip(msgs, results, payloads)]
 
 
-def execute(runner: TaskRunner, clock, msgs: Sequence[Message], dispatch_ts: float,
-            ) -> list[tuple[Message, InvocationRecord | None]]:
+def execute(runner: TaskRunner, clock, msgs: Sequence[Message],
+            ) -> tuple[list[Message], tuple[float, float, list[bool]] | None]:
     """Run a batch of requests on a wall clock: stamp, run, sleep out the
     stubs, stamp.
 
-    Returns one response and invocation record per message, in order.
-    The records share ``dispatch_ts``, the stamp of the push that brought
-    the batch, the batch's start and end stamps and the name of the
-    calling thread. A fault that :meth:`TaskRunner.run` does not
+    Returns one response per message, in order, and the batch's run: its
+    start and end stamps, which every response carries, and each
+    request's cold flag. A fault that :meth:`TaskRunner.run` does not
     classify, such as one while packing a response, answers every request
-    of the batch with ``worker-crash`` and no record.
+    of the batch with ``worker-crash`` and returns no run.
     """
     try:
         start = clock.now()
@@ -299,14 +300,13 @@ def execute(runner: TaskRunner, clock, msgs: Sequence[Message], dispatch_ts: flo
         if stub_s:
             time.sleep(stub_s)
         end = clock.now()
-        worker = threading.current_thread().name
-        recs = [InvocationRecord(msg.msg_id, worker, dispatch_ts, start, end, cold)
-                for msg, (_, cold, _) in zip(msgs, results)]
-        return list(zip(respond(msgs, results, recs), recs))
+        cold = [c for _, c, _ in results]
+        answers = respond(msgs, results, cold, itertools.repeat(start), itertools.repeat(end))
+        return answers, (start, end, cold)
     except Exception as exc:
         log.debug("worker failed on %s", [msg.msg_id for msg in msgs], exc_info=True)
         error = pack_error("worker-crash", repr(exc))
-        return [(Message(msg.msg_id, MessageKind.CONTROL, error), None) for msg in msgs]
+        return [Message(msg.msg_id, MessageKind.CONTROL, error) for msg in msgs], None
 
 
 class SimScheduler:
@@ -420,10 +420,11 @@ class SimulatedPlane(_PlaneBase):
     arrival on the output queue) come from the virtual clock plus the
     modeled latency. A push runs in passes (see the module docstring).
     Its requests are then assigned, recorded and answered in one call
-    each, in push order, and each run of adjacent answers that share an
-    end stamp arrives in one push, from one clock event at that stamp.
-    Events at one time fire in the order they were scheduled, so every
-    stamp and the order of the answers are those of one event per answer.
+    each, in push order, and one clock event at the push's earliest end
+    stamp hands all its answers to the output queue, each due at its own
+    end stamp. A consumer pops each answer at its end stamp, answers of
+    equal stamps in push order, and until the first answer is due the
+    output queue reads empty.
     """
 
     backend = "sim"
@@ -459,15 +460,13 @@ class SimulatedPlane(_PlaneBase):
                                   [duration if stub_s is None else stub_s
                                    for _, _, stub_s in results])
         self._record(*recs)
-        answers = respond(msgs, results, recs)
-        schedule, push = self._clock.schedule, self._output_q.push
-        # One event per run of adjacent answers that share an end stamp.
-        first, end = 0, recs[0].end_ts
-        for i, rec in enumerate(recs):
-            if rec.end_ts != end:
-                schedule(end, push, *answers[first:i])
-                first, end = i, rec.end_ts
-        schedule(end, push, *answers[first:])
+        ends = [rec.end_ts for rec in recs]
+        answers = respond(msgs, results, [rec.cold for rec in recs],
+                          [rec.start_ts for rec in recs], ends)
+        self._clock.schedule(min(ends), self._answer, answers, ends)
+
+    def _answer(self, answers: Sequence[Message], ends: Sequence[float]) -> None:
+        self._output_q.push(*answers, due=ends)
 
 
 class LocalPoolPlane(_PlaneBase):
@@ -482,7 +481,9 @@ class LocalPoolPlane(_PlaneBase):
     holds its worker for its full duration. A pass whose requests do not
     share a key is answered request by request (:meth:`TaskRunner.run`).
     :func:`execute` answers every request of a pass whatever fails, so
-    nothing reads the pool's futures.
+    nothing reads the pool's futures; a pass that ran leaves one record
+    per request, with the push's stamp, the pass's start and end stamps
+    and the name of its pool thread.
     """
 
     backend = "local"
@@ -508,9 +509,13 @@ class LocalPoolPlane(_PlaneBase):
             self._pool.submit(self._work, msgs[i:i + limit], ts)
 
     def _work(self, batch: Sequence[Message], dispatch_ts: float) -> None:
-        done = execute(self._runner, self._clock, batch, dispatch_ts)
-        self._record(*[rec for _, rec in done if rec is not None])
-        self._output_q.push(*[resp for resp, _ in done])
+        answers, ran = execute(self._runner, self._clock, batch)
+        if ran is not None:
+            start, end, cold = ran
+            worker = threading.current_thread().name
+            self._record(*[InvocationRecord(msg.msg_id, worker, dispatch_ts, start, end, c)
+                           for msg, c in zip(batch, cold)])
+        self._output_q.push(*answers)
 
     def close(self) -> None:
         self._pool.shutdown(wait=True)

@@ -8,10 +8,9 @@ the frames of a push in one ``sendall`` and the worker each response
 frame in one. A push stamp does not cross the wire: it belongs to the
 queue, and each side's queue stamps its own clock. Workers answer each
 request frame with one response frame, produced by the same executor as
-the local pool (:func:`queuemc.plane.execute`), whose records take a NaN
-``dispatch_ts``; errors are control messages with payload
-``ERR:<code>:<detail>``. A malformed frame draws an error frame and closes
-the connection.
+the local pool (:func:`queuemc.plane.execute`), and keep no invocation
+record; errors are control messages with payload ``ERR:<code>:<detail>``.
+A malformed frame draws an error frame and closes the connection.
 
 Both ends disable Nagle's algorithm (``TCP_NODELAY``). With it on, the
 worker held each response frame until the client ACKed the one before,
@@ -130,7 +129,7 @@ class WorkerServer(socketserver.ThreadingTCPServer):
         self._clock = WallClock()
 
     def process(self, msg: Message) -> Message:
-        ((resp, _),) = execute(self._runner, self._clock, (msg,), math.nan)
+        (resp,), _ = execute(self._runner, self._clock, (msg,))
         return resp
 
 

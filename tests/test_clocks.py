@@ -1,5 +1,6 @@
 import math
 import threading
+import time
 
 import pytest
 
@@ -25,8 +26,8 @@ def test_virtual_clock_fires_events_in_time_order():
     clock.schedule(1.0, lambda: fired.append("early"))
     cond = threading.Condition()
     with cond:
-        clock.wait(cond, timeout=10.0)
-        clock.wait(cond, timeout=10.0)
+        clock.wait(cond, deadline=10.0)
+        clock.wait(cond, deadline=10.0)
     assert fired == ["early", "late"]
     assert clock.now() == 5.0
 
@@ -38,8 +39,8 @@ def test_virtual_clock_tie_breaks_by_schedule_order():
     clock.schedule(2.0, lambda: fired.append("second"))
     cond = threading.Condition()
     with cond:
-        clock.wait(cond, timeout=None)
-        clock.wait(cond, timeout=None)
+        clock.wait(cond, deadline=None)
+        clock.wait(cond, deadline=None)
     assert fired == ["first", "second"]
 
 
@@ -47,8 +48,32 @@ def test_virtual_clock_timeout_jumps_without_events():
     clock = VirtualClock()
     cond = threading.Condition()
     with cond:
-        clock.wait(cond, timeout=3.5)
+        clock.wait(cond, deadline=3.5)
     assert clock.now() == 3.5
+
+
+def test_virtual_clock_lands_exactly_on_its_deadline():
+    # 1.1 + (7.3 - 1.1) is 7.299999999999999: a wait given the time left
+    # would miss the stamp by one unit in the last place.
+    clock = VirtualClock()
+    clock.schedule(1.1, lambda: None)
+    cond = threading.Condition()
+    with cond:
+        clock.wait(cond, deadline=None)
+        clock.wait(cond, deadline=7.3)
+        assert clock.now() == 7.3
+        clock.wait(cond, deadline=2.0)  # a deadline already passed leaves the clock
+    assert clock.now() == 7.3
+
+
+def test_wall_clock_wait_returns_at_a_passed_deadline():
+    clock = WallClock()
+    cond = threading.Condition()
+    start = time.monotonic()
+    with cond:
+        clock.wait(cond, deadline=clock.now() - 1.0)
+        clock.wait(cond, deadline=clock.now() + 0.01)
+    assert time.monotonic() - start < 1.0
 
 
 def test_virtual_clock_does_not_fire_beyond_deadline():
@@ -57,10 +82,10 @@ def test_virtual_clock_does_not_fire_beyond_deadline():
     clock.schedule(10.0, lambda: fired.append("x"))
     cond = threading.Condition()
     with cond:
-        clock.wait(cond, timeout=2.0)
+        clock.wait(cond, deadline=2.0)
     assert fired == [] and clock.now() == 2.0
     with cond:
-        clock.wait(cond, timeout=None)  # the event is still pending
+        clock.wait(cond, deadline=None)  # the event is still pending
     assert fired == ["x"] and clock.now() == 10.0
 
 
@@ -68,9 +93,9 @@ def test_virtual_clock_indefinite_wait_without_events_raises():
     clock = VirtualClock()
     cond = threading.Condition()
     with cond:
-        for timeout in (None, math.inf):
+        for deadline in (None, math.inf):
             with pytest.raises(SimulationStalledError):
-                clock.wait(cond, timeout=timeout)
+                clock.wait(cond, deadline=deadline)
     assert clock.now() == 0.0
 
 
@@ -79,7 +104,7 @@ def test_virtual_clock_rejects_past_schedule():
     cond = threading.Condition()
     clock.schedule(1.0, lambda: None)
     with cond:
-        clock.wait(cond, timeout=None)
+        clock.wait(cond, deadline=None)
     with pytest.raises(ValueError):
         clock.schedule(0.5, lambda: None)
 
@@ -92,7 +117,7 @@ def test_virtual_clock_refuses_a_nan_time():
     clock.schedule(1.0, lambda: fired.append("one"))
     cond = threading.Condition()
     with cond:
-        clock.wait(cond, timeout=None)
+        clock.wait(cond, deadline=None)
         with pytest.raises(SimulationStalledError):
-            clock.wait(cond, timeout=None)
+            clock.wait(cond, deadline=None)
     assert fired == ["one"] and clock.now() == 1.0

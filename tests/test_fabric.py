@@ -6,7 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from queuemc.clocks import VirtualClock, WallClock
-from queuemc.errors import ConfigurationError, DuplicateQueueError, WireFormatError
+from queuemc.errors import (ConfigurationError, DuplicateQueueError,
+                            SimulationStalledError, WireFormatError)
 from queuemc.fabric import (NO_REQUEST, Message, MessageKind, QueueFabric,
                             decode_message, encode_message)
 
@@ -246,6 +247,160 @@ def test_conservation_counters(fabric):
     t.register_trigger(lambda ms, ts: None)
     t.push(*[msg(i) for i in range(3)])
     assert (t.pushed_count, t.delivered_count, t.pending_count) == (3, 3, 0)
+
+
+# Due pushes
+
+
+def drain_now(q):
+    """Every (msg_id, stamp) a virtual-clock queue delivers until it stalls."""
+    out = []
+    while True:
+        try:
+            m, ts = q.pop()
+        except SimulationStalledError:
+            return out
+        out.append((m.msg_id, ts))
+
+
+def test_due_push_delivers_each_message_at_its_own_stamp():
+    clock = VirtualClock()
+    q = QueueFabric(clock).create_queue("q")
+    assert q.push(msg(0), msg(1), msg(2), due=[3.0, 1.0, 2.0]) == 0.0
+    assert q.pending_count == 3
+    assert drain_now(q) == [(1, 1.0), (2, 2.0), (0, 3.0)]
+    assert clock.now() == 3.0
+
+
+def test_equal_stamps_across_two_pushes_come_out_in_push_order():
+    clock = VirtualClock()
+    q = QueueFabric(clock).create_queue("q")
+    q.push(msg(0), msg(1), due=[2.0, 1.0])
+    q.push(msg(2), msg(3), due=[1.0, 2.0])
+    q.push(msg(4))  # a plain push is due at once
+    q.push(msg(5), due=[0.0])
+    assert drain_now(q) == [(4, 0.0), (5, 0.0), (1, 1.0), (2, 1.0), (0, 2.0), (3, 2.0)]
+
+
+def test_clock_event_between_two_due_stamps_fires_before_the_later_answer():
+    clock = VirtualClock()
+    q = QueueFabric(clock).create_queue("q")
+    fired = []
+    q.push(msg(0), msg(1), due=[1.0, 3.0])
+    clock.schedule(2.0, q.push, msg(2))
+    clock.schedule(3.0, lambda: fired.append(q.pending_count))
+    assert q.pop() == (msg(0), 1.0)
+    assert q.pop() == (msg(2), 2.0)
+    # An event due at the answer's own stamp fires first too.
+    assert q.pop() == (msg(1), 3.0)
+    assert fired == [1]
+
+
+def test_pop_times_out_before_a_later_due_stamp():
+    clock = VirtualClock()
+    q = QueueFabric(clock).create_queue("q")
+    clock.schedule(1.1, lambda: None)
+    q.push(msg(0), due=[7.3])
+    assert q.pop(timeout=2.0) is None  # fires the event at 1.1, then times out
+    assert clock.now() == 2.0
+    assert q.pop(timeout=1.0) is None
+    assert clock.now() == 3.0
+    assert q.pop(timeout=0) is None
+    assert (q.pushed_count, q.delivered_count, q.pending_count) == (1, 0, 1)
+    # The answer arrives later with its own stamp, not one the wait rounded.
+    assert q.pop(timeout=10.0) == (msg(0), 7.3)
+    assert clock.now() == 7.3
+
+
+def test_pop_stalls_when_nothing_is_due_and_no_event_is_left():
+    clock = VirtualClock()
+    q = QueueFabric(clock).create_queue("q")
+    with pytest.raises(SimulationStalledError):
+        q.pop()
+    q.push(msg(0), due=[4.0])
+    assert q.pop() == (msg(0), 4.0)  # a held message is worth waiting for
+    with pytest.raises(SimulationStalledError):
+        q.pop()
+    assert clock.now() == 4.0
+
+
+def test_due_push_on_a_wall_clock():
+    clock = WallClock()
+    q = QueueFabric(clock).create_queue("q")
+    at = clock.now() + 0.05
+    q.push(msg(0), due=[at])
+    assert q.pop(timeout=0) is None
+    assert q.pop(timeout=5.0) == (msg(0), at)
+    assert clock.now() >= at
+
+
+@pytest.mark.parametrize("due", [
+    pytest.param([math.nan, 2.0, 3.0], id="nan-first"),
+    pytest.param([2.0, math.nan, 3.0], id="nan-inside"),
+    pytest.param([2.0, 3.0, 0.5], id="before-the-push"),
+    pytest.param([2.0, -math.inf, 3.0], id="minus-inf"),
+    pytest.param([2.0, 3.0], id="too-few"),
+])
+def test_due_push_refuses_bad_stamps_before_queuing_anything(due):
+    clock = VirtualClock()
+    fabric = QueueFabric(clock)
+    q = fabric.create_queue("q")
+    clock.schedule(1.0, lambda: None)
+    assert q.pop(timeout=1.0) is None  # the clock is at 1.0
+    with pytest.raises(ValueError):
+        q.push(msg(0), msg(1), msg(2), due=due)
+    assert fabric.stats() == {"q": {"pushed": 0, "delivered": 0, "pending": 0}}
+    q.push(msg(3), msg(4), msg(5), due=[1.0, math.inf, 2.0])
+    assert [q.pop() for _ in range(2)] == [(msg(3), 1.0), (msg(5), 2.0)]
+
+
+def test_due_push_onto_a_trigger_queue_is_refused():
+    clock = VirtualClock()
+    fabric = QueueFabric(clock)
+    q = fabric.create_queue("q")
+    calls = []
+    q.register_trigger(lambda ms, ts: calls.append(ms))
+    with pytest.raises(ConfigurationError):
+        q.push(msg(0), due=[1.0])
+    assert calls == []
+    assert fabric.stats() == {"q": {"pushed": 0, "delivered": 0, "pending": 0}}
+
+
+def test_trigger_refused_while_a_message_is_not_due():
+    clock = VirtualClock()
+    q = QueueFabric(clock).create_queue("q")
+    q.push(msg(0), msg(1), due=[0.0, 1.0])
+    with pytest.raises(ConfigurationError):
+        q.register_trigger(lambda ms, ts: None)
+    assert q.pop() == (msg(0), 0.0)
+    assert q.pop() == (msg(1), 1.0)
+    calls = []
+    q.register_trigger(lambda ms, ts: calls.append(ms))
+    q.push(msg(2))
+    assert calls == [(msg(2),)]
+
+
+def test_stats_conserve_counts_across_due_pushes():
+    clock = VirtualClock()
+    fabric = QueueFabric(clock)
+    q = fabric.create_queue("q")
+
+    def conserved():
+        (s,) = fabric.stats().values()
+        assert s["pushed"] == s["delivered"] + s["pending"]
+        return s["pushed"], s["delivered"], s["pending"]
+
+    q.push(msg(0), msg(1), msg(2), due=[5.0, 1.0, 5.0])
+    q.push(msg(3))
+    assert conserved() == (4, 0, 4)
+    assert q.pop() == (msg(3), 0.0)
+    assert q.pop(timeout=0.5) is None
+    assert conserved() == (4, 1, 3)
+    clock.schedule(2.0, q.push, msg(4), msg(5))
+    assert [q.pop() for _ in range(3)] == [(msg(1), 1.0), (msg(4), 2.0), (msg(5), 2.0)]
+    assert conserved() == (6, 4, 2)
+    assert drain_now(q) == [(0, 5.0), (2, 5.0)]
+    assert conserved() == (6, 6, 0)
 
 
 @settings(max_examples=50, deadline=None)

@@ -367,8 +367,7 @@ def test_respond_packs_a_pass_and_answers_its_failures_with_errors():
     msgs = [request_msg(i, "bundle", [0.5]) for i in (4, 5, 6)]
     results = [(-1.5, False, None), (("non-finite-likelihood", "nan"), False, None),
                (-math.inf, True, None)]
-    recs = [InvocationRecord(i, "sim-00001", 0.0, 1.0 + i, 2.0 + i, i == 6) for i in (4, 5, 6)]
-    answers = respond(msgs, results, recs)
+    answers = respond(msgs, results, [False, False, True], [5.0, 6.0, 7.0], [6.0, 7.0, 8.0])
     assert [m.msg_id for m in answers] == [4, 5, 6]
     assert [m.kind for m in answers] == [MessageKind.LIKELIHOOD_RESPONSE, MessageKind.CONTROL,
                                          MessageKind.LIKELIHOOD_RESPONSE]
@@ -377,7 +376,7 @@ def test_respond_packs_a_pass_and_answers_its_failures_with_errors():
     assert answers[2].payload == pack_response(-math.inf, True, 7.0, 8.0)
 
 
-def test_sim_schedules_one_clock_event_per_answer_time(sim_setup, fast_model, monkeypatch):
+def test_sim_schedules_one_clock_event_per_push(sim_setup, fast_model, monkeypatch):
     fabric, input_q, output_q, plane = sim_setup()
     clock, times = fabric.clock, []
     schedule = clock.schedule
@@ -390,14 +389,30 @@ def test_sim_schedules_one_clock_event_per_answer_time(sim_setup, fast_model, mo
     config = ChainConfig(n_walkers=64, n_iterations=3, proposal_scale=1.0, seed=0)
     out = run_chains(config, plane, input_q, output_q, init_positions=np.zeros((64, 1)),
                      dataset_key=make_stub_key(fast_model.likelihood_duration_s))
-    ends = {r.end_ts for r in plane.records}
-    assert len(times) == len(ends) < 64 * 3
-    assert set(times) == ends
+    # One event per iteration's push, at the push's earliest end stamp.
+    assert times == [min(r.end_ts for r in plane.records[it * 64:(it + 1) * 64])
+                     for it in range(3)]
+    assert len({r.end_ts for r in plane.records}) > 3
     replay = simulate([(it * 64 + w, out.dispatch_ts[w, it], fast_model.likelihood_duration_s)
                        for it in range(3) for w in range(64)], fast_model)
     by_id = {rec.msg_id: rec.end_ts for rec in replay}
     assert out.complete_ts.tolist() == [[by_id[it * 64 + w] for it in range(3)]
                                         for w in range(64)]
+
+
+def test_sim_output_reads_empty_until_the_first_answer_is_due(sim_setup):
+    fabric, input_q, output_q, plane = sim_setup()
+    input_q.push(*[request_msg(i, make_stub_key(1.0)) for i in range(6)])
+    ends = {r.msg_id: r.end_ts for r in plane.records}
+    assert len(set(ends.values())) > 1
+    idle = {"pushed": 0, "delivered": 0, "pending": 0}
+    assert fabric.stats()["output"] == idle
+    assert output_q.pop(timeout=min(ends.values()) / 2) is None
+    assert fabric.stats()["output"] == idle
+    got = drain_stamped(output_q, 6)
+    # Each answer comes at its own end stamp, in stamp order, then push order.
+    assert [(m.msg_id, ts) for m, ts in got] == sorted(ends.items(), key=lambda e: e[1])
+    assert fabric.stats()["output"] == {"pushed": 6, "delivered": 6, "pending": 0}
 
 
 def spy_on_runs(plane, monkeypatch):

@@ -18,7 +18,7 @@ from queuemc.kernel import evaluate
 from queuemc.payloads import pack_request, parse_error, unpack_response
 from queuemc.plane import attach_backend, make_stub_key, respond
 from queuemc.remote import WorkerServer, _WorkerHandler, parse_addr, write_frame
-from queuemc.store import DirectoryObjectStore
+from queuemc.store import DirectoryObjectStore, content_digest
 
 HEADER = struct.Struct(">I")
 
@@ -435,3 +435,40 @@ def test_lockstep_iteration_is_not_held_by_delayed_acks(worker_env):
         client.close()
     spans = out.complete_ts.max(axis=0) - out.dispatch_ts.min(axis=0)
     assert np.median(spans) < 0.020
+
+
+def test_sim_local_and_remote_chains_share_one_digest(tmp_path, sim_setup, local_setup):
+    # One fixed-seed kernel chain on each backend: the same likelihood bits
+    # give the same walk, whatever carries the requests.
+    datasets, truths = make_synthetic(3, grid_size=32, seed=11, noise_level=0.05)
+    blob = write_container(datasets)
+    store = DirectoryObjectStore(tmp_path / "objects")
+    store.put("bundle", blob)
+    config = ChainConfig(n_walkers=8, n_iterations=15, proposal_scale=0.02, seed=3)
+    init = np.tile(truths.ravel(), (8, 1))
+
+    def chain(input_q, output_q, plane):
+        try:
+            out = run_chains(config, plane, input_q, output_q, init_positions=init,
+                             dataset_key="bundle", response_timeout_s=60.0)
+        finally:
+            plane.close()
+        return content_digest(out.samples.tobytes() + out.log_posts.tobytes()
+                              + out.accepted.tobytes()), out
+
+    sim_digest, out = chain(*sim_setup(store=store)[1:])
+    assert 0 < out.accepted.sum() < out.accepted.size
+    local_digest, _ = chain(*local_setup(store=store, pool_size=2)[1:])
+    server = WorkerServer(("127.0.0.1", 0), store)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        fabric = QueueFabric(WallClock())
+        rin, rout = fabric.create_queue("in"), fabric.create_queue("out")
+        remote_digest, _ = chain(rin, rout, attach_backend(rin, rout, "remote",
+                                                           remote_addr=server.server_address))
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+    assert sim_digest == local_digest == remote_digest == "b8c0a17a83b8f250"
