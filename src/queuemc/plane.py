@@ -18,11 +18,14 @@ batch of them, a single request being a batch of one, unpacks them, runs
 a stub or the kernel and classifies any failure, and :func:`respond`
 packs the batch's responses, in one :func:`pack_response` call, and its
 error messages. ``local`` and the remote worker stamp, run, sleep out a
-stub and stamp again on the wall clock (:func:`execute`), which answers
-every request of its pass with ``worker-crash`` on a fault outside the
-task; only ``local`` keeps an invocation record of the pass. ``sim``
-takes the stamps from its scheduler, for a whole push in one
-:meth:`SimScheduler.assign` call.
+stub and stamp again on the wall clock (:func:`execute`); only ``local``
+keeps an invocation record of the pass. ``sim`` takes the stamps from its
+scheduler, for a whole push in one :meth:`SimScheduler.assign` call.
+Every backend answers a fault outside the task, one that
+:meth:`TaskRunner.run` does not classify (say, while packing a
+response), with ``worker-crash`` for each request it hit
+(:func:`crash_answers`): :func:`execute` for the ``local`` pass or the
+remote worker's request, ``sim`` for the whole push, at the push's stamp.
 
 A queue trigger hands its function all the messages of one push with the
 push's stamp, which ``sim`` and ``local`` record as each request's
@@ -304,9 +307,16 @@ def execute(runner: TaskRunner, clock, msgs: Sequence[Message],
         answers = respond(msgs, results, cold, itertools.repeat(start), itertools.repeat(end))
         return answers, (start, end, cold)
     except Exception as exc:
-        log.debug("worker failed on %s", [msg.msg_id for msg in msgs], exc_info=True)
-        error = pack_error("worker-crash", repr(exc))
-        return [Message(msg.msg_id, MessageKind.CONTROL, error) for msg in msgs], None
+        return crash_answers(msgs, exc), None
+
+
+def crash_answers(msgs: Sequence[Message], exc: Exception) -> list[Message]:
+    """A ``worker-crash`` control message for each of ``msgs``, naming
+    ``exc``, a fault outside the task; call it from the except block, so
+    the debug log keeps the traceback."""
+    log.debug("worker failed on %s", [msg.msg_id for msg in msgs], exc_info=True)
+    error = pack_error("worker-crash", repr(exc))
+    return [Message(msg.msg_id, MessageKind.CONTROL, error) for msg in msgs]
 
 
 class SimScheduler:
@@ -419,12 +429,14 @@ class SimulatedPlane(_PlaneBase):
     their math for real, but all timestamps (including the response's
     arrival on the output queue) come from the virtual clock plus the
     modeled latency. A push runs in passes (see the module docstring).
-    Its requests are then assigned, recorded and answered in one call
+    Its requests are then assigned, answered and recorded in one call
     each, in push order, and one clock event at the push's earliest end
     stamp hands all its answers to the output queue, each due at its own
     end stamp. A consumer pops each answer at its end stamp, answers of
     equal stamps in push order, and until the first answer is due the
-    output queue reads empty.
+    output queue reads empty. A fault while assigning or answering a push
+    answers each of its requests with ``worker-crash`` at the push's
+    stamp, and records none of them.
     """
 
     backend = "sim"
@@ -456,14 +468,18 @@ class SimulatedPlane(_PlaneBase):
         for i in range(0, len(msgs), limit):
             results += self._runner.run(msgs[i:i + limit])
         duration = self._model.likelihood_duration_s
-        recs = self._sched.assign([msg.msg_id for msg in msgs], [ts] * len(msgs),
-                                  [duration if stub_s is None else stub_s
-                                   for _, _, stub_s in results])
-        self._record(*recs)
-        ends = [rec.end_ts for rec in recs]
-        answers = respond(msgs, results, [rec.cold for rec in recs],
-                          [rec.start_ts for rec in recs], ends)
-        self._clock.schedule(min(ends), self._answer, answers, ends)
+        try:
+            recs = self._sched.assign([msg.msg_id for msg in msgs], [ts] * len(msgs),
+                                      [duration if stub_s is None else stub_s
+                                       for _, _, stub_s in results])
+            ends = [rec.end_ts for rec in recs]
+            answers = respond(msgs, results, [rec.cold for rec in recs],
+                              [rec.start_ts for rec in recs], ends)
+            self._clock.schedule(min(ends), self._answer, answers, ends)
+        except Exception as exc:
+            self._output_q.push(*crash_answers(msgs, exc))
+        else:
+            self._record(*recs)
 
     def _answer(self, answers: Sequence[Message], ends: Sequence[float]) -> None:
         self._output_q.push(*answers, due=ends)
@@ -529,6 +545,7 @@ def attach_backend(input_q: Queue, output_q: Queue, backend: str,
     After this call every message delivered on ``input_q`` produces
     exactly one message on ``output_q``: a likelihood response carrying
     the request's msg_id, or a control message surfacing a worker error.
+    Every backend answers a fault outside the task with ``worker-crash``.
 
     ``model`` and ``seed`` configure the simulated platform and reach
     ``sim`` only, where ``model`` defaults to ``BackendModel()``; the

@@ -26,9 +26,9 @@ from queuemc.fabric import NO_REQUEST, Message, MessageKind, QueueFabric
 from queuemc.kernel import hierarchical_log_prior
 from queuemc.payloads import pack_response, parse_error
 from queuemc.plane import BackendModel, make_stub_key, respond
-from queuemc.store import MemoryObjectStore, content_digest
+from queuemc.store import DirectoryObjectStore, MemoryObjectStore, content_digest
 from tests import kernel_oracle as oracle
-from tests.conftest import gaussian_target
+from tests.conftest import BACKENDS, TIMEOUT_S, WALL_BACKENDS, gaussian_target
 
 # -------------------------------------------------------------- mh_step
 
@@ -134,7 +134,6 @@ def run_gaussian(setup, w, n, seed=0, backend_kwargs=None, **kwargs):
     init = kwargs.pop("init", np.zeros((w, 1)))
     out = run_chains(config, plane, input_q, output_q, init_positions=init,
                      dataset_key="", **kwargs)
-    plane.close()
     return out, plane
 
 
@@ -332,30 +331,6 @@ def test_worker_crash_carries_partial_output(sim_setup):
     assert len(partial.timeline) == 8
 
 
-def test_local_fault_outside_the_task_fails_the_run_at_once(local_setup, monkeypatch):
-    # A pool thread that raises after the task ran, here while packing the
-    # response, still answers its request, so the run does not wait out
-    # its timeout.
-    calls = itertools.count(1)
-
-    def third_call_fails(*args):
-        if next(calls) == 3:
-            raise RuntimeError("deliberate")
-        return respond(*args)
-
-    monkeypatch.setattr("queuemc.plane.respond", third_call_fails)
-    fabric, input_q, output_q, plane = local_setup(likelihood_fn=gaussian_target)
-    config = ChainConfig(n_walkers=4, n_iterations=2, proposal_scale=1.0, seed=0)
-    start = time.monotonic()
-    try:
-        with pytest.raises(WorkerCrashError, match="worker-crash: RuntimeError"):
-            run_chains(config, plane, input_q, output_q, init_positions=np.zeros((4, 1)),
-                       dataset_key="", response_timeout_s=30.0)
-    finally:
-        plane.close()
-    assert time.monotonic() - start < 1.0
-
-
 @pytest.mark.parametrize("kwargs", [
     {"response_timeout_s": math.nan}, {"response_timeout_s": 0.0},
     {"response_timeout_s": -1.0}, {"data_param_count": 0}, {"data_param_count": 2},
@@ -396,40 +371,8 @@ def test_partial_timeline_keeps_length_and_order(sim_setup):
     assert len({ts for _, _, ts, _ in partial}) > 1
 
 
-def test_missing_dataset_carries_partial_output(sim_setup):
-    fabric, input_q, output_q, plane = sim_setup(store=MemoryObjectStore())
-    config = ChainConfig(n_walkers=2, n_iterations=3, proposal_scale=1.0, seed=0)
-    with pytest.raises(NotFoundError) as err:
-        run_chains(config, plane, input_q, output_q,
-                   init_positions=np.zeros((2, 1)), dataset_key="absent")
-    assert err.value.partial_output.n_iterations == 0
-
-
 def boom(params, datasets):
     raise RuntimeError("deliberate")
-
-
-@pytest.mark.parametrize("value", [math.nan, math.inf])
-@pytest.mark.parametrize("backend", ["sim", "local"])
-def test_non_finite_likelihood_aborts_with_partial_output(backend, value, sim_setup,
-                                                         local_setup):
-    calls = itertools.count(1)
-
-    def fifth_call_non_finite(params, datasets):
-        return value if next(calls) == 5 else gaussian_target(params, datasets)
-
-    setup = sim_setup if backend == "sim" else local_setup
-    fabric, input_q, output_q, plane = setup(likelihood_fn=fifth_call_non_finite)
-    config = ChainConfig(n_walkers=4, n_iterations=3, proposal_scale=1.0, seed=0)
-    try:
-        with pytest.raises(NonFiniteDensityError, match=f"log-likelihood {value!r}") as err:
-            run_chains(config, plane, input_q, output_q,
-                       init_positions=np.zeros((4, 1)), dataset_key="")
-    finally:
-        plane.close()
-    partial = err.value.partial_output
-    assert partial.n_iterations == 1 and not partial.complete
-    assert np.all(np.isfinite(partial.log_posts))
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])
@@ -489,36 +432,6 @@ def test_failed_wave_logs_no_traceback_per_request(sim_setup, caplog):
 # -------------------------------------------------------------- request identity
 
 
-@pytest.mark.parametrize("backend", ["sim", "local"])
-def test_leftover_responses_are_never_used(backend, sim_setup, local_setup):
-    # The first run aborts on a crash with two answers still owed; they
-    # carry -123, every later answer -1. Later runs drop them unused.
-    calls = itertools.count()
-
-    def crash_then_constant(params, datasets):
-        n = next(calls)
-        if n == 0:
-            raise RuntimeError("deliberate")
-        return -123.0 if n < 3 else -1.0
-
-    setup = sim_setup if backend == "sim" else local_setup
-    fabric, input_q, output_q, plane = setup(likelihood_fn=crash_then_constant)
-    config = ChainConfig(n_walkers=3, n_iterations=1, proposal_scale=1.0, seed=0)
-
-    def run():
-        return run_chains(config, plane, input_q, output_q,
-                          init_positions=np.zeros((3, 1)), dataset_key="")
-
-    try:
-        with pytest.raises(WorkerCrashError):
-            run()
-        outs = [run(), run()]
-    finally:
-        plane.close()
-    for out in outs:
-        assert np.all(out.log_posts == -1.0)
-
-
 def test_late_response_after_timeout_is_dropped_on_local(local_setup, caplog):
     # One pool thread runs requests in push order, so the first run's two
     # answers, late past its timeout, reach the output queue before any
@@ -540,93 +453,14 @@ def test_late_response_after_timeout_is_dropped_on_local(local_setup, caplog):
                           init_positions=np.zeros((2, 1)), dataset_key="",
                           response_timeout_s=timeout)
 
-    try:
-        with pytest.raises(MissingResponseError) as err:
-            run(0.05)
-        assert err.value.missing_ids == {0, 1}
-        with caplog.at_level(logging.INFO, logger="queuemc.engine"):
-            out = run(30.0)
-    finally:
-        plane.close()
+    with pytest.raises(MissingResponseError) as err:
+        run(0.05)
+    assert err.value.missing_ids == {0, 1}
+    with caplog.at_level(logging.INFO, logger="queuemc.engine"):
+        out = run(30.0)
     assert np.all(out.log_posts == -1.0)
     dropped = [r.getMessage() for r in caplog.records if "earlier run" in r.getMessage()]
     assert dropped == [f"dropping response {n}, owed to an earlier run" for n in (0, 1)]
-
-
-def test_stale_response_dropped_on_sim(sim_setup, caplog):
-    # On virtual time the aborted run's answers arrive before the next
-    # run's; the next run drops them and completes with its own.
-    calls = itertools.count()
-
-    def crash_first(params, datasets):
-        if next(calls) == 0:
-            raise RuntimeError("deliberate")
-        return -1.0
-
-    fabric, input_q, output_q, plane = sim_setup(likelihood_fn=crash_first)
-    config = ChainConfig(n_walkers=3, n_iterations=1, proposal_scale=1.0, seed=0)
-    with pytest.raises(WorkerCrashError):
-        run_chains(config, plane, input_q, output_q,
-                   init_positions=np.zeros((3, 1)), dataset_key="")
-    with caplog.at_level(logging.INFO, logger="queuemc.engine"):
-        out = run_chains(config, plane, input_q, output_q,
-                         init_positions=np.zeros((3, 1)), dataset_key="")
-    assert np.all(out.log_posts == -1.0)
-    dropped = [r.getMessage() for r in caplog.records if "earlier run" in r.getMessage()]
-    assert dropped == [f"dropping response {n}, owed to an earlier run" for n in (1, 2)]
-
-
-def test_duplicate_within_a_run_still_raises(sim_setup):
-    # An id at or above the run's first id that matches no pending request
-    # is not an earlier run's leftover: id 0 is answered first by the
-    # rogue, then by the plane; id 5 is never sent.
-    config = ChainConfig(n_walkers=2, n_iterations=1, proposal_scale=1.0, seed=0)
-    for rogue_id in (0, 5):
-        fabric, input_q, output_q, plane = sim_setup(likelihood_fn=gaussian_target)
-        output_q.push(Message(msg_id=rogue_id, kind=MessageKind.LIKELIHOOD_RESPONSE,
-                              payload=pack_response(0.0, False, 0, 0)))
-        with pytest.raises(DuplicateResponseError, match=f"response {rogue_id} "):
-            run_chains(config, plane, input_q, output_q,
-                       init_positions=np.zeros((2, 1)), dataset_key="")
-
-
-def test_missing_ids_are_the_unanswered_numbers(local_setup):
-    # One pool thread answers in push order; the second iteration's last
-    # request, id 5, outlasts the timeout while 3 and 4 are answered.
-    calls = itertools.count()
-
-    def last_call_slow(params, datasets):
-        if next(calls) == 5:
-            time.sleep(0.5)
-        return -1.0
-
-    fabric, input_q, output_q, plane = local_setup(likelihood_fn=last_call_slow,
-                                                   pool_size=1)
-    config = ChainConfig(n_walkers=3, n_iterations=2, proposal_scale=1.0, seed=0)
-    try:
-        with pytest.raises(MissingResponseError) as err:
-            run_chains(config, plane, input_q, output_q, init_positions=np.zeros((3, 1)),
-                       dataset_key="", response_timeout_s=0.25)
-    finally:
-        plane.close()
-    assert err.value.missing_ids == {5}
-    assert err.value.partial_output.n_iterations == 1
-
-
-@pytest.mark.parametrize("backend", ["sim", "local"])
-def test_msg_ids_never_repeat_across_runs(backend, sim_setup, local_setup):
-    setup = sim_setup if backend == "sim" else local_setup
-    fabric, input_q, output_q, plane = setup(likelihood_fn=gaussian_target)
-    config = ChainConfig(n_walkers=3, n_iterations=2, proposal_scale=1.0, seed=0)
-    for _ in range(2):
-        run_chains(config, plane, input_q, output_q,
-                   init_positions=np.zeros((3, 1)), dataset_key="")
-    plane.close()
-    ids = [r.msg_id for r in plane.records]
-    assert sorted(ids) == list(range(12))
-    stats = fabric.stats()
-    for name in ("input", "output"):
-        assert stats[name] == {"pushed": 12, "delivered": 12, "pending": 0}
 
 
 def test_gaussian_target_moments_small(local_setup):
@@ -708,15 +542,26 @@ def chain_digest(out):
                           + out.accepted.tobytes())
 
 
-@pytest.mark.parametrize("backend", ["sim", "local"])
-def test_golden_gaussian_chain(backend, sim_setup, local_setup):
-    setup = sim_setup if backend == "sim" else local_setup
-    out, _ = run_gaussian(setup, w=6, n=40, seed=9)
-    assert chain_digest(out) == "6a6aa9f316aa5872"
 
 
 def test_golden_stub_chain():
     assert chain_digest(run_stub_chain(64, 3, BackendModel())) == "0c2188b58722bcee"
+
+
+# -------------------------------------------------------------- backend rows
+#
+# Each row runs on every backend against the contract that conftest.py
+# states, through its make_backend factory; a row that was one test
+# before the remote column came tries each backend in turn. Rows pass
+# TIMEOUT_S, so that a lost answer fails a row instead of stalling it.
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_golden_gaussian_chain(backend, make_backend):
+    out, _ = run_gaussian(functools.partial(make_backend, backend), w=6, n=40, seed=9,
+                          response_timeout_s=TIMEOUT_S)
+    assert out.backend == backend
+    assert chain_digest(out) == "6a6aa9f316aa5872"
 
 
 def run_kernel_chain(setup, start_rows):
@@ -737,8 +582,8 @@ def run_kernel_chain(setup, start_rows):
                      init_positions=np.tile(start, (walkers, 1)), dataset_key="bundle",
                      data_param_count=n_clusters * n_coeffs,
                      log_prior=functools.partial(hierarchical_log_prior,
-                                                 n_clusters=n_clusters))
-    plane.close()
+                                                 n_clusters=n_clusters),
+                     response_timeout_s=TIMEOUT_S)
     assert 0 < out.accepted.sum() < out.accepted.size
     expected = [[oracle.evaluate(pos[:n_clusters * n_coeffs].reshape(n_clusters, n_coeffs),
                                  datasets) + hierarchical_log_prior(pos, n_clusters)
@@ -747,18 +592,17 @@ def run_kernel_chain(setup, start_rows):
     return out
 
 
-@pytest.mark.parametrize("backend", ["sim", "local"])
-def test_golden_kernel_chain(backend, sim_setup, local_setup):
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_golden_kernel_chain(backend, make_backend):
     truths = make_synthetic(2, grid_size=32, seed=5)[1]
-    out = run_kernel_chain(sim_setup if backend == "sim" else local_setup, truths)
+    out = run_kernel_chain(functools.partial(make_backend, backend), truths)
     # The walk itself, without the log-posteriors' last bits.
     assert content_digest(out.samples.tobytes() + out.accepted.tobytes()) == "49304fbdc4540f44"
     assert chain_digest(out) == "6486440934bcde96"
 
 
-@pytest.mark.parametrize("backend", ["sim", "local"])
-def test_golden_kernel_chain_from_a_clamp_free_point(backend, sim_setup, local_setup,
-                                                     monkeypatch):
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_golden_kernel_chain_from_a_clamp_free_point(backend, make_backend, monkeypatch):
     # p(1) = 0.01 at the start, so the proposals fall on both sides of the
     # clamp: some rows take the monomial-map product, the others every stage.
     free_rows = []
@@ -771,9 +615,174 @@ def test_golden_kernel_chain_from_a_clamp_free_point(backend, sim_setup, local_s
 
     monkeypatch.setattr(kernel, "_clamp_free", counted)
     start = np.add(POPULATION_MEAN, (0.01, 0.0, 0.0, 0.0))
-    out = run_kernel_chain(sim_setup if backend == "sim" else local_setup, [start, start])
+    out = run_kernel_chain(functools.partial(make_backend, backend), [start, start])
     assert 0 < free_rows.count(False) < len(free_rows)
     # The walk is the one the five stages take for every row; the
     # log-posteriors differ from theirs in the last bits.
     assert content_digest(out.samples.tobytes() + out.accepted.tobytes()) == "1ae1a02c7605e46c"
     assert chain_digest(out) == "73cb689bf5423eb0"
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_golden_three_cluster_chain(backend, make_backend, tmp_path):
+    # A longer kernel chain over three clusters from a disk store.
+    datasets, truths = make_synthetic(3, grid_size=32, seed=11, noise_level=0.05)
+    store = DirectoryObjectStore(tmp_path / "objects")
+    store.put("bundle", write_container(datasets))
+    fabric, input_q, output_q, plane = make_backend(backend, store=store)
+    config = ChainConfig(n_walkers=8, n_iterations=15, proposal_scale=0.02, seed=3)
+    out = run_chains(config, plane, input_q, output_q, dataset_key="bundle",
+                     init_positions=np.tile(truths.ravel(), (8, 1)),
+                     response_timeout_s=TIMEOUT_S)
+    assert 0 < out.accepted.sum() < out.accepted.size
+    assert chain_digest(out) == "b8c0a17a83b8f250"
+
+
+def test_missing_dataset_carries_partial_output(make_backend):
+    config = ChainConfig(n_walkers=2, n_iterations=3, proposal_scale=1.0, seed=0)
+    for backend in BACKENDS:
+        fabric, input_q, output_q, plane = make_backend(backend, store=MemoryObjectStore())
+        with pytest.raises(NotFoundError) as err:
+            run_chains(config, plane, input_q, output_q, init_positions=np.zeros((2, 1)),
+                       dataset_key="absent", response_timeout_s=TIMEOUT_S)
+        assert err.value.partial_output.n_iterations == 0
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_non_finite_likelihood_aborts_with_partial_output(backend, value, make_backend):
+    calls = itertools.count(1)
+
+    def fifth_call_non_finite(params, datasets):
+        return value if next(calls) == 5 else gaussian_target(params, datasets)
+
+    fabric, input_q, output_q, plane = make_backend(backend, likelihood_fn=fifth_call_non_finite)
+    config = ChainConfig(n_walkers=4, n_iterations=3, proposal_scale=1.0, seed=0)
+    with pytest.raises(NonFiniteDensityError, match=f"log-likelihood {value!r}") as err:
+        run_chains(config, plane, input_q, output_q, init_positions=np.zeros((4, 1)),
+                   dataset_key="", response_timeout_s=TIMEOUT_S)
+    partial = err.value.partial_output
+    assert partial.n_iterations == 1 and not partial.complete
+    assert np.all(np.isfinite(partial.log_posts))
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_fault_outside_the_task_fails_the_run_at_once(backend, make_backend, monkeypatch):
+    # Packing the answer to request 9 raises after its task ran, here in
+    # the third wave. The backend still answers every request, 9 (on sim,
+    # its whole push) with worker-crash, so the run fails at once with two
+    # iterations and the output queue ends with one answer per request.
+    def fails_on_request_9(msgs, *args):
+        if any(msg.msg_id == 9 for msg in msgs):
+            raise RuntimeError("deliberate")
+        return respond(msgs, *args)
+
+    monkeypatch.setattr("queuemc.plane.respond", fails_on_request_9)
+    fabric, input_q, output_q, plane = make_backend(backend, likelihood_fn=gaussian_target)
+    config = ChainConfig(n_walkers=4, n_iterations=3, proposal_scale=1.0, seed=0)
+    start = time.monotonic()
+    with pytest.raises(WorkerCrashError, match="worker-crash: RuntimeError") as err:
+        run_chains(config, plane, input_q, output_q, init_positions=np.zeros((4, 1)),
+                   dataset_key="", response_timeout_s=TIMEOUT_S)
+    assert time.monotonic() - start < 1.0
+    assert err.value.partial_output.n_iterations == 2
+    while output_q.pushed_count < 12 and time.monotonic() - start < 5.0:
+        time.sleep(0.01)  # on the wall clock the wave's other answers may trail
+    stats = fabric.stats()
+    assert stats["input"]["delivered"] == stats["output"]["pushed"] == 12
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_leftover_responses_are_never_used(backend, make_backend, caplog):
+    # The first run aborts on a crash with two answers still owed; they
+    # carry -123, every later answer -1. The next run drops them, as the
+    # engine logs, and no later run uses them. A pool of one thread
+    # answers in push order, as sim and a remote connection do.
+    calls = itertools.count()
+
+    def crash_then_constant(params, datasets):
+        n = next(calls)
+        if n == 0:
+            raise RuntimeError("deliberate")
+        return -123.0 if n < 3 else -1.0
+
+    fabric, input_q, output_q, plane = make_backend(backend, likelihood_fn=crash_then_constant,
+                                                    pool_size=1)
+    config = ChainConfig(n_walkers=3, n_iterations=1, proposal_scale=1.0, seed=0)
+
+    def run():
+        return run_chains(config, plane, input_q, output_q, init_positions=np.zeros((3, 1)),
+                          dataset_key="", response_timeout_s=TIMEOUT_S)
+
+    with pytest.raises(WorkerCrashError):
+        run()
+    with caplog.at_level(logging.INFO, logger="queuemc.engine"):
+        outs = [run(), run()]
+    for out in outs:
+        assert np.all(out.log_posts == -1.0)
+    dropped = [r.getMessage() for r in caplog.records if "earlier run" in r.getMessage()]
+    assert dropped == [f"dropping response {n}, owed to an earlier run" for n in (1, 2)]
+
+
+def test_duplicate_within_a_run_still_raises(make_backend):
+    # An id at or above the run's first id that matches no pending request
+    # is not an earlier run's leftover: id 0 is answered first by the
+    # rogue, then by the plane, before id 1 (one pool thread); id 5 is
+    # never sent.
+    config = ChainConfig(n_walkers=2, n_iterations=1, proposal_scale=1.0, seed=0)
+    for backend, rogue_id in itertools.product(BACKENDS, (0, 5)):
+        fabric, input_q, output_q, plane = make_backend(backend, likelihood_fn=gaussian_target,
+                                                        pool_size=1)
+        output_q.push(Message(msg_id=rogue_id, kind=MessageKind.LIKELIHOOD_RESPONSE,
+                              payload=pack_response(0.0, False, 0, 0)))
+        with pytest.raises(DuplicateResponseError, match=f"response {rogue_id} "):
+            run_chains(config, plane, input_q, output_q, init_positions=np.zeros((2, 1)),
+                       dataset_key="", response_timeout_s=TIMEOUT_S)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_msg_ids_never_repeat_across_runs(backend, make_backend, monkeypatch):
+    fabric, input_q, output_q, plane = make_backend(backend, likelihood_fn=gaussian_target)
+    popped, pop = [], output_q.pop
+
+    def recording_pop(timeout=None):
+        got = pop(timeout)
+        if got is not None:
+            popped.append(got[0].msg_id)
+        return got
+
+    monkeypatch.setattr(output_q, "pop", recording_pop)
+    config = ChainConfig(n_walkers=3, n_iterations=2, proposal_scale=1.0, seed=0)
+    for _ in range(2):
+        run_chains(config, plane, input_q, output_q, init_positions=np.zeros((3, 1)),
+                   dataset_key="", response_timeout_s=TIMEOUT_S)
+    assert sorted(popped) == list(range(12))
+    stats = fabric.stats()
+    for name in ("input", "output"):
+        assert stats[name] == {"pushed": 12, "delivered": 12, "pending": 0}
+
+
+def slow_on_call(slow_call, sleep_s):
+    """A likelihood of -1 whose call number ``slow_call`` first sleeps."""
+    calls = itertools.count()
+
+    def likelihood(params, datasets):
+        if next(calls) == slow_call:
+            time.sleep(sleep_s)
+        return -1.0
+    return likelihood
+
+
+def test_missing_ids_are_the_unanswered_numbers(make_backend):
+    # One worker answers in push order (a pool of one thread, or a remote
+    # connection); the second iteration's last request, id 5, outlasts the
+    # timeout while 3 and 4 are answered.
+    config = ChainConfig(n_walkers=3, n_iterations=2, proposal_scale=1.0, seed=0)
+    for backend in WALL_BACKENDS:
+        fabric, input_q, output_q, plane = make_backend(
+            backend, likelihood_fn=slow_on_call(5, 0.5), pool_size=1)
+        with pytest.raises(MissingResponseError) as err:
+            run_chains(config, plane, input_q, output_q, init_positions=np.zeros((3, 1)),
+                       dataset_key="", response_timeout_s=0.25)
+        assert err.value.missing_ids == {5}
+        assert err.value.partial_output.n_iterations == 1

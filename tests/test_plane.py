@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from queuemc.clocks import VirtualClock, WallClock
+from queuemc.clocks import WallClock
 from queuemc import kernel
 from queuemc.datasets import make_synthetic, read_container, write_container
 from queuemc.engine import ChainConfig, run_chains
@@ -19,9 +19,8 @@ from queuemc.payloads import pack_request, pack_response, parse_error, unpack_re
 from queuemc.plane import (PASS_MAP_BYTES, BackendModel, InvocationRecord, LocalPoolPlane,
                            SimScheduler, TaskRunner, attach_backend, make_stub_key,
                            respond, simulate)
-from queuemc.remote import WorkerServer
 from queuemc.store import MemoryObjectStore
-from tests.conftest import gaussian_target
+from tests.conftest import BACKENDS, gaussian_target
 
 
 def request_msg(i, key, params=()):
@@ -479,7 +478,6 @@ def test_local_pool_pigeonhole(local_setup):
     push_stub_wave(input_q, 16, duration=0.1)
     drain(output_q, 16, timeout=10.0)
     assert time.monotonic() - t0 >= 0.4
-    plane.close()
 
 
 def test_local_kernel_matches_in_process(local_setup):
@@ -494,7 +492,6 @@ def test_local_kernel_matches_in_process(local_setup):
     got = unpack_response(resp.payload)[0]
     expected = evaluate(params, datasets)
     assert got == pytest.approx(expected, rel=1e-12)
-    plane.close()
 
 
 def test_local_dataset_cache_cold_flag(local_setup):
@@ -518,7 +515,6 @@ def test_local_missing_dataset_surfaces_error(local_setup):
     assert msg.kind is MessageKind.CONTROL
     code, _ = parse_error(msg.payload)
     assert code == "dataset-not-found"
-    plane.close()
 
 
 def test_local_worker_crash_surfaces_error(local_setup):
@@ -531,7 +527,6 @@ def test_local_worker_crash_surfaces_error(local_setup):
     assert msg.kind is MessageKind.CONTROL
     code, detail = parse_error(msg.payload)
     assert code == "worker-crash" and "deliberate" in detail
-    plane.close()
 
 
 def bundle_store(n_clusters, grid_size, seed=3):
@@ -702,11 +697,8 @@ def test_local_chain_makes_one_push_and_full_passes_per_iteration(local_setup, m
     monkeypatch.setattr(kernel, "evaluate", counted_evaluate)
     fabric, input_q, output_q, plane = local_setup(store=store, pool_size=2)
     config = ChainConfig(n_walkers=16, n_iterations=3, proposal_scale=0.02, seed=1)
-    try:
-        run_chains(config, plane, input_q, output_q, dataset_key="bundle",
-                   init_positions=np.tile(truths.ravel(), (16, 1)), response_timeout_s=60.0)
-    finally:
-        plane.close()
+    run_chains(config, plane, input_q, output_q, dataset_key="bundle",
+               init_positions=np.tile(truths.ravel(), (16, 1)), response_timeout_s=60.0)
     assert waves == [16, 16, 16]
     assert passes == [1] * 16 + [2] * 16
 
@@ -743,12 +735,6 @@ def test_attach_backend_rejects_unknown(fast_model):
         attach_backend(q1, q2, "gpu", fast_model)
 
 
-# -------------------------------------------------------------- backend contract
-#
-# Every backend answers each request with exactly one message, of the same
-# kind and with the same error code.
-
-
 def boom(params, datasets):
     raise RuntimeError("deliberate")
 
@@ -779,8 +765,10 @@ CONTRACT_CASES = {
 
 
 @pytest.mark.parametrize("case", sorted(CONTRACT_CASES))
-@pytest.mark.parametrize("backend", ["sim", "local", "remote"])
-def test_backends_answer_alike(backend, case):
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_backends_answer_alike(backend, case, make_backend):
+    # One request draws exactly one message, of the same kind and error
+    # code on every backend, and closing the plane pushes nothing more.
     key, fn, payload, kind, code = CONTRACT_CASES[case]
     datasets, truths = make_synthetic(2, grid_size=32, seed=3)
     store = MemoryObjectStore()
@@ -788,28 +776,12 @@ def test_backends_answer_alike(backend, case):
     request = request_msg(0, key, params=truths.ravel())
     if payload is not None:
         request = Message(msg_id=request.msg_id, kind=request.kind, payload=payload)
-
-    server = thread = None
-    if backend == "remote":
-        server = WorkerServer(("127.0.0.1", 0), store, likelihood_fn=fn)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-    fabric = QueueFabric(VirtualClock() if backend == "sim" else WallClock())
-    input_q, output_q = fabric.create_queue("input"), fabric.create_queue("output")
-    plane = attach_backend(input_q, output_q, backend, BackendModel(likelihood_duration_s=1.0),
-                           store=store, likelihood_fn=fn,
-                           remote_addr=server.server_address if server else None)
-    try:
-        input_q.push(request)
-        got = output_q.pop(timeout=30.0)
-        extra = output_q.pop(timeout=0.2)
-    finally:
-        plane.close()
-        if server is not None:
-            server.shutdown()
-            server.server_close()
-            thread.join(timeout=5)
-    assert got is not None and extra is None
+    fabric, input_q, output_q, plane = make_backend(backend, store=store, likelihood_fn=fn)
+    input_q.push(request)
+    got = output_q.pop(timeout=30.0)
+    assert got is not None and output_q.pop(timeout=0.2) is None
+    plane.close()
+    assert output_q.pop(timeout=0) is None
     resp, _ = got
     assert resp.msg_id == request.msg_id and resp.kind is kind
     if code is not None:

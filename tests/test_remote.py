@@ -17,8 +17,9 @@ from queuemc.fabric import (NO_REQUEST, Message, MessageKind, QueueFabric,
 from queuemc.kernel import evaluate
 from queuemc.payloads import pack_request, parse_error, unpack_response
 from queuemc.plane import attach_backend, make_stub_key, respond
-from queuemc.remote import WorkerServer, _WorkerHandler, parse_addr, write_frame
-from queuemc.store import DirectoryObjectStore, content_digest
+from queuemc.remote import _WorkerHandler, parse_addr, write_frame
+from queuemc.store import DirectoryObjectStore, MemoryObjectStore
+from tests.conftest import worker_server
 
 HEADER = struct.Struct(">I")
 
@@ -29,15 +30,8 @@ def worker_env(tmp_path):
     datasets, truths = make_synthetic(2, grid_size=32, seed=17, noise_level=0.05)
     store = DirectoryObjectStore(tmp_path / "objects")
     store.put("bundle", write_container(datasets))
-    server = WorkerServer(("127.0.0.1", 0), store)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    try:
+    with worker_server(store) as server:
         yield server.server_address, datasets, truths
-    finally:
-        server.shutdown()
-        server.server_close()
-        thread.join(timeout=5)
 
 
 def request_message(msg_id, params, key):
@@ -148,34 +142,6 @@ def test_fault_after_the_task_is_answered_and_the_connection_serves_on(
     assert unpack_response(second.payload)[0] == evaluate(truths, datasets)
 
 
-def test_remote_matches_local_and_in_process(worker_env, local_setup):
-    addr, datasets, truths = worker_env
-    rng = np.random.default_rng(5)
-    params = truths + 0.02 * rng.standard_normal(truths.shape)
-
-    expected = evaluate(params, datasets)
-
-    # local pool route
-    from queuemc.store import MemoryObjectStore
-    mem = MemoryObjectStore()
-    mem.put("bundle", write_container(datasets))
-    fabric, input_q, output_q, plane = local_setup(store=mem)
-    input_q.push(request_message(0, params.ravel(), "bundle"))
-    local_val = unpack_response(output_q.pop(timeout=30.0)[0].payload)[0]
-    plane.close()
-
-    # remote route
-    fabric2 = QueueFabric(WallClock())
-    rin, rout = fabric2.create_queue("in"), fabric2.create_queue("out")
-    client = attach_backend(rin, rout, "remote", remote_addr=addr)
-    rin.push(request_message(0, params.ravel(), "bundle"))
-    remote_val = unpack_response(rout.pop(timeout=30.0)[0].payload)[0]
-    client.close()
-
-    assert local_val == pytest.approx(expected, rel=1e-12)
-    assert remote_val == pytest.approx(expected, rel=1e-12)
-
-
 def test_remote_pipelines_multiple_requests(worker_env):
     addr, datasets, truths = worker_env
     fabric = QueueFabric(WallClock())
@@ -189,18 +155,6 @@ def test_remote_pipelines_multiple_requests(worker_env):
     # The dispatch stamps stay with the coordinator, on its own clock.
     assert all(math.isnan(r.dispatch_ts) for r in client.records)
     client.close()
-
-
-def test_remote_stub_tasks(worker_env):
-    addr, _, _ = worker_env
-    fabric = QueueFabric(WallClock())
-    rin, rout = fabric.create_queue("in"), fabric.create_queue("out")
-    client = attach_backend(rin, rout, "remote", remote_addr=addr)
-    rin.push(request_message(0, [], make_stub_key(0.01)))
-    resp, _ = rout.pop(timeout=10.0)
-    assert unpack_response(resp.payload)[0] == 0.0
-    client.close()
-    assert rout.pending_count == 0  # closing the client reports no lost connection
 
 
 def test_dropped_connection_fails_fast():
@@ -230,24 +184,18 @@ def test_dropped_connection_fails_fast():
     assert elapsed < 2.0
 
 
-def test_error_frames_answer_every_request_of_failed_runs(worker_env):
+def test_error_frames_answer_every_request_of_failed_runs(remote_setup):
     # Each run stops at its first error; the answers still owed arrive
     # afterwards, and the next run drops them before meeting its own error.
-    addr, _, _ = worker_env
-    fabric = QueueFabric(WallClock())
-    rin, rout = fabric.create_queue("in"), fabric.create_queue("out")
-    client = attach_backend(rin, rout, "remote", remote_addr=addr)
+    fabric, rin, rout, client = remote_setup(store=MemoryObjectStore())
     config = ChainConfig(n_walkers=2, n_iterations=1, proposal_scale=1.0, seed=0)
-    try:
-        for _ in range(3):
-            with pytest.raises(NotFoundError) as err:
-                run_chains(config, client, rin, rout, init_positions=np.zeros((2, 1)),
-                           dataset_key="no-such-bundle", response_timeout_s=30.0)
-            assert err.value.partial_output.n_iterations == 0
-        while rout.pushed_count < rin.pushed_count:
-            assert rout.pop(timeout=30.0) is not None
-    finally:
-        client.close()
+    for _ in range(3):
+        with pytest.raises(NotFoundError) as err:
+            run_chains(config, client, rin, rout, init_positions=np.zeros((2, 1)),
+                       dataset_key="no-such-bundle", response_timeout_s=30.0)
+        assert err.value.partial_output.n_iterations == 0
+    while rout.pushed_count < rin.pushed_count:
+        assert rout.pop(timeout=30.0) is not None
 
 
 @pytest.mark.parametrize("answer", [
@@ -301,21 +249,15 @@ def test_undecodable_response_fails_fast(answer):
 
 
 @pytest.mark.parametrize("msg_id", [2**63, -2**63 - 1])
-def test_send_refuses_an_id_that_is_no_int64(worker_env, msg_id):
-    addr, _, _ = worker_env
-    fabric = QueueFabric(WallClock())
-    rin, rout = fabric.create_queue("in"), fabric.create_queue("out")
-    client = attach_backend(rin, rout, "remote", remote_addr=addr)
-    try:
-        # No frame of a push leaves before every frame of it is encoded.
-        with pytest.raises(WireFormatError):
-            rin.push(request_message(0, [], make_stub_key(0.01)),
-                     request_message(msg_id, [], make_stub_key(0.01)))
-        rin.push(request_message(1, [], make_stub_key(0.01)))  # the connection still serves
-        assert rout.pop(timeout=10.0)[0].msg_id == 1
-        assert rout.pop(timeout=0.2) is None
-    finally:
-        client.close()
+def test_send_refuses_an_id_that_is_no_int64(remote_setup, msg_id):
+    fabric, rin, rout, client = remote_setup()
+    # No frame of a push leaves before every frame of it is encoded.
+    with pytest.raises(WireFormatError):
+        rin.push(request_message(0, [], make_stub_key(0.01)),
+                 request_message(msg_id, [], make_stub_key(0.01)))
+    rin.push(request_message(1, [], make_stub_key(0.01)))  # the connection still serves
+    assert rout.pop(timeout=10.0)[0].msg_id == 1
+    assert rout.pop(timeout=0.2) is None
 
 
 def test_parse_addr_takes_host_and_port():
@@ -345,11 +287,8 @@ def test_write_frame_is_one_sendall():
     assert sock.writes[1:] == [b"".join(HEADER.pack(len(b)) + b for b in bodies)]
 
 
-def test_a_push_leaves_in_one_sendall(worker_env):
-    addr, _, _ = worker_env
-    fabric = QueueFabric(WallClock())
-    rin, rout = fabric.create_queue("in"), fabric.create_queue("out")
-    client = attach_backend(rin, rout, "remote", remote_addr=addr)
+def test_a_push_leaves_in_one_sendall(remote_setup):
+    fabric, rin, rout, client = remote_setup()
     writes = []
 
     class RecordingSocket:
@@ -364,12 +303,9 @@ def test_a_push_leaves_in_one_sendall(worker_env):
             return getattr(self._sock, name)
 
     client._sock = RecordingSocket(client._sock)
-    try:
-        requests = [request_message(i, [], make_stub_key(0.0)) for i in range(5)]
-        rin.push(*requests)
-        assert sorted(rout.pop(timeout=10.0)[0].msg_id for _ in requests) == list(range(5))
-    finally:
-        client.close()
+    requests = [request_message(i, [], make_stub_key(0.0)) for i in range(5)]
+    rin.push(*requests)
+    assert sorted(rout.pop(timeout=10.0)[0].msg_id for _ in requests) == list(range(5))
     assert writes == [b"".join(HEADER.pack(len(b)) + b
                                for b in map(encode_message, requests))]
 
@@ -397,8 +333,7 @@ def test_client_on_a_queue_with_a_trigger_leaves_nothing_open(worker_env, monkey
     assert readers() == before
 
 
-def test_both_ends_disable_nagle(worker_env, monkeypatch):
-    addr, _, _ = worker_env
+def test_both_ends_disable_nagle(remote_setup, monkeypatch):
     accepted = []
     handle = _WorkerHandler.handle
 
@@ -407,68 +342,20 @@ def test_both_ends_disable_nagle(worker_env, monkeypatch):
         handle(self)
 
     monkeypatch.setattr(_WorkerHandler, "handle", recording_handle)
-    fabric = QueueFabric(WallClock())
-    rin, rout = fabric.create_queue("in"), fabric.create_queue("out")
-    client = attach_backend(rin, rout, "remote", remote_addr=addr)
-    try:
-        rin.push(request_message(0, [], make_stub_key(0.0)))
-        rout.pop(timeout=10.0)  # the worker has accepted and served
-        assert client._sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
-    finally:
-        client.close()
+    fabric, rin, rout, client = remote_setup()
+    rin.push(request_message(0, [], make_stub_key(0.0)))
+    rout.pop(timeout=10.0)  # the worker has accepted and served
+    assert client._sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
     assert len(accepted) == 1 and accepted[0]
 
 
-def test_lockstep_iteration_is_not_held_by_delayed_acks(worker_env):
+def test_lockstep_iteration_is_not_held_by_delayed_acks(remote_setup):
     # With Nagle's algorithm on the worker, every response after the first
     # waited for the client's delayed ACK: about 44 ms per iteration of
     # four 1 ms stubs, against about 5 ms without it.
-    addr, _, _ = worker_env
-    fabric = QueueFabric(WallClock())
-    rin, rout = fabric.create_queue("in"), fabric.create_queue("out")
-    client = attach_backend(rin, rout, "remote", remote_addr=addr)
+    fabric, rin, rout, client = remote_setup()
     config = ChainConfig(n_walkers=4, n_iterations=10, proposal_scale=1.0, seed=0)
-    try:
-        out = run_chains(config, client, rin, rout, init_positions=np.zeros((4, 1)),
-                         dataset_key=make_stub_key(0.001), response_timeout_s=30.0)
-    finally:
-        client.close()
+    out = run_chains(config, client, rin, rout, init_positions=np.zeros((4, 1)),
+                     dataset_key=make_stub_key(0.001), response_timeout_s=30.0)
     spans = out.complete_ts.max(axis=0) - out.dispatch_ts.min(axis=0)
     assert np.median(spans) < 0.020
-
-
-def test_sim_local_and_remote_chains_share_one_digest(tmp_path, sim_setup, local_setup):
-    # One fixed-seed kernel chain on each backend: the same likelihood bits
-    # give the same walk, whatever carries the requests.
-    datasets, truths = make_synthetic(3, grid_size=32, seed=11, noise_level=0.05)
-    blob = write_container(datasets)
-    store = DirectoryObjectStore(tmp_path / "objects")
-    store.put("bundle", blob)
-    config = ChainConfig(n_walkers=8, n_iterations=15, proposal_scale=0.02, seed=3)
-    init = np.tile(truths.ravel(), (8, 1))
-
-    def chain(input_q, output_q, plane):
-        try:
-            out = run_chains(config, plane, input_q, output_q, init_positions=init,
-                             dataset_key="bundle", response_timeout_s=60.0)
-        finally:
-            plane.close()
-        return content_digest(out.samples.tobytes() + out.log_posts.tobytes()
-                              + out.accepted.tobytes()), out
-
-    sim_digest, out = chain(*sim_setup(store=store)[1:])
-    assert 0 < out.accepted.sum() < out.accepted.size
-    local_digest, _ = chain(*local_setup(store=store, pool_size=2)[1:])
-    server = WorkerServer(("127.0.0.1", 0), store)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    try:
-        fabric = QueueFabric(WallClock())
-        rin, rout = fabric.create_queue("in"), fabric.create_queue("out")
-        remote_digest, _ = chain(rin, rout, attach_backend(rin, rout, "remote",
-                                                           remote_addr=server.server_address))
-    finally:
-        server.shutdown()
-        server.server_close()
-        thread.join(timeout=5)
-    assert sim_digest == local_digest == remote_digest == "b8c0a17a83b8f250"
