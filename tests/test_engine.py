@@ -724,6 +724,29 @@ def test_leftover_responses_are_never_used(backend, make_backend, caplog):
     assert dropped == [f"dropping response {n}, owed to an earlier run" for n in (1, 2)]
 
 
+def test_stale_response_dropped_on_sim(sim_setup, caplog):
+    # On virtual time the aborted run's answers arrive before the next
+    # run's; the next run drops them and completes with its own.
+    calls = itertools.count()
+
+    def crash_first(params, datasets):
+        if next(calls) == 0:
+            raise RuntimeError("deliberate")
+        return -1.0
+
+    fabric, input_q, output_q, plane = sim_setup(likelihood_fn=crash_first)
+    config = ChainConfig(n_walkers=3, n_iterations=1, proposal_scale=1.0, seed=0)
+    with pytest.raises(WorkerCrashError):
+        run_chains(config, plane, input_q, output_q,
+                   init_positions=np.zeros((3, 1)), dataset_key="")
+    with caplog.at_level(logging.INFO, logger="queuemc.engine"):
+        out = run_chains(config, plane, input_q, output_q,
+                         init_positions=np.zeros((3, 1)), dataset_key="")
+    assert np.all(out.log_posts == -1.0)
+    dropped = [r.getMessage() for r in caplog.records if "earlier run" in r.getMessage()]
+    assert dropped == [f"dropping response {n}, owed to an earlier run" for n in (1, 2)]
+
+
 def test_duplicate_within_a_run_still_raises(make_backend):
     # An id at or above the run's first id that matches no pending request
     # is not an earlier run's leftover: id 0 is answered first by the

@@ -142,6 +142,32 @@ def test_fault_after_the_task_is_answered_and_the_connection_serves_on(
     assert unpack_response(second.payload)[0] == evaluate(truths, datasets)
 
 
+def test_remote_matches_local_and_in_process(worker_env, local_setup):
+    addr, datasets, truths = worker_env
+    rng = np.random.default_rng(5)
+    params = truths + 0.02 * rng.standard_normal(truths.shape)
+
+    expected = evaluate(params, datasets)
+
+    # local pool route
+    mem = MemoryObjectStore()
+    mem.put("bundle", write_container(datasets))
+    fabric, input_q, output_q, plane = local_setup(store=mem)
+    input_q.push(request_message(0, params.ravel(), "bundle"))
+    local_val = unpack_response(output_q.pop(timeout=30.0)[0].payload)[0]
+
+    # remote route
+    fabric2 = QueueFabric(WallClock())
+    rin, rout = fabric2.create_queue("in"), fabric2.create_queue("out")
+    client = attach_backend(rin, rout, "remote", remote_addr=addr)
+    rin.push(request_message(0, params.ravel(), "bundle"))
+    remote_val = unpack_response(rout.pop(timeout=30.0)[0].payload)[0]
+    client.close()
+
+    assert local_val == pytest.approx(expected, rel=1e-12)
+    assert remote_val == pytest.approx(expected, rel=1e-12)
+
+
 def test_remote_pipelines_multiple_requests(worker_env):
     addr, datasets, truths = worker_env
     fabric = QueueFabric(WallClock())
@@ -155,6 +181,18 @@ def test_remote_pipelines_multiple_requests(worker_env):
     # The dispatch stamps stay with the coordinator, on its own clock.
     assert all(math.isnan(r.dispatch_ts) for r in client.records)
     client.close()
+
+
+def test_remote_stub_tasks(worker_env):
+    addr, _, _ = worker_env
+    fabric = QueueFabric(WallClock())
+    rin, rout = fabric.create_queue("in"), fabric.create_queue("out")
+    client = attach_backend(rin, rout, "remote", remote_addr=addr)
+    rin.push(request_message(0, [], make_stub_key(0.01)))
+    resp, _ = rout.pop(timeout=10.0)
+    assert unpack_response(resp.payload)[0] == 0.0
+    client.close()
+    assert rout.pending_count == 0  # closing the client reports no lost connection
 
 
 def test_dropped_connection_fails_fast():
