@@ -61,7 +61,8 @@ def run_overhead_wave(n: int, model: BackendModel, seed: int = 0,
     The wave is the single iteration of an n-walker stub chain. Returns
     (overhead_s, invocation records, output arrival times by walker).
     """
-    output, records = _stub_chain(n, 1, model, seed)
+    output, plane = _stub_chain(n, 1, model, seed)
+    records = plane.records
     arrivals = output.complete_ts[:, 0].tolist()
     overhead = max(arrivals) - min(arrivals)
     recomputed = max(r.end_ts for r in records) - min(r.end_ts for r in records)
@@ -118,9 +119,9 @@ def write_events_csv(path, records: dict[tuple[int, int], list[InvocationRecord]
 
 
 def _stub_chain(n_walkers: int, n_iterations: int, model: BackendModel,
-                seed: int) -> tuple[ChainOutput, list[InvocationRecord]]:
+                seed: int) -> tuple[ChainOutput, SimulatedPlane]:
     """A stub-target chain on a fresh simulated plane; returns the chain
-    and the plane's invocation records."""
+    and the plane, which builds its invocation records only if read."""
     fabric = QueueFabric(VirtualClock())
     input_q = fabric.create_queue("input")
     output_q = fabric.create_queue("output")
@@ -130,7 +131,7 @@ def _stub_chain(n_walkers: int, n_iterations: int, model: BackendModel,
     init = np.zeros((n_walkers, 1))
     output = run_chains(config, plane, input_q, output_q, init_positions=init,
                         dataset_key=make_stub_key(model.likelihood_duration_s))
-    return output, plane.records
+    return output, plane
 
 
 def run_stub_chain(n_walkers: int, n_iterations: int, model: BackendModel,

@@ -20,7 +20,9 @@ or after the push's stamp: the queue holds such a message until its
 clock reaches that stamp and then hands it to ``pop`` with it, so one
 push can deliver answers that fall due at many times. A plain push is a
 due push at the push's stamp. Pending messages come out in the order of
-their stamps, and messages of equal stamps in push order.
+their stamps, and messages of equal stamps in push order: the queue
+keeps them in a deque sorted that way, so a push that lands at or after
+the last pending stamp is appended and a pop takes the head.
 
 Messages serialize to the binary body of one remote worker frame
 (little-endian): ``kind u8 | msg_id i64 | payload``, a fixed 9-byte header
@@ -35,6 +37,7 @@ import heapq
 import itertools
 import struct
 import threading
+from collections import deque
 from operator import itemgetter
 from typing import Callable, NamedTuple, Sequence
 
@@ -43,6 +46,8 @@ from .errors import ConfigurationError, DuplicateQueueError, WireFormatError
 
 NO_REQUEST = -1
 """The msg_id of a control message that answers no request."""
+
+_STAMP = itemgetter(1)  # of a pending (message, stamp) pair
 
 
 class MessageKind(enum.IntEnum):
@@ -98,12 +103,15 @@ class Queue:
 
     Delivery is exactly-once: a message goes either to one ``pop`` caller
     or to the queue's trigger callback, always with its stamp. Pending
-    messages wait in one heap ordered by (stamp, push order), so a queue
-    of plain pushes is FIFO. A queue has at most one trigger, which takes
-    over delivery once registered; messages already pending at
-    registration are handed to it at once, matching platform trigger
-    semantics for a backlog. A trigger delivers at push time, so a queue
-    with a trigger takes no due push.
+    messages wait as ``(message, stamp)`` pairs in one deque kept sorted
+    by (stamp, push order): a push whose first stamp is not before the
+    last pending one is appended, so a queue of plain pushes on a
+    monotonic clock only appends, and any other push is merged in behind
+    the pending messages of equal stamp. ``pop`` takes the head. A queue
+    has at most one trigger, which takes over delivery once registered;
+    messages already pending at registration are handed to it at once,
+    matching platform trigger semantics for a backlog. A trigger delivers
+    at push time, so a queue with a trigger takes no due push.
     """
 
     def __init__(self, name: str, clock: Clock) -> None:
@@ -113,9 +121,7 @@ class Queue:
         # __enter__/__exit__ on every push and pop.
         self._lock = threading.RLock()
         self._cond = threading.Condition(self._lock)
-        # (stamp, push order, message); the order number makes keys unique.
-        self._items: list[tuple[float, int, Message]] = []
-        self._order = itertools.count()
+        self._items: deque[tuple[Message, float]] = deque()
         self._trigger: Callable[[Sequence[Message], float], None] | None = None
         self._pushed = 0
         self._delivered = 0
@@ -165,10 +171,11 @@ class Queue:
             if due is not None:
                 if len(due) != len(msgs):
                     raise ValueError(f"{len(due)} due stamps for {len(msgs)} messages")
-                entries = sorted(zip(due, self._order, msgs))
+                # A stable sort: messages of equal stamps keep push order.
+                entries = sorted(zip(msgs, due), key=_STAMP)
                 # A NaN can sort anywhere, but it makes the sum NaN.
                 total = sum(due)
-                if entries and not (entries[0][0] >= ts and total == total):
+                if entries and not (entries[0][1] >= ts and total == total):
                     raise ValueError(
                         f"due stamps must be numbers at or after the push's stamp {ts}")
                 if action is not None:
@@ -177,15 +184,21 @@ class Queue:
             self._pushed += len(msgs)
             if action is not None:
                 self._delivered += len(msgs)
-            else:
+            elif msgs:
                 if due is None:
-                    entries = zip(itertools.repeat(ts), self._order, msgs)
-                items = self._items
-                if items:
-                    for entry in entries:
-                        heapq.heappush(items, entry)
+                    entries = zip(msgs, itertools.repeat(ts))
+                    first = ts
                 else:
-                    items.extend(entries)  # a sorted list is a heap
+                    first = entries[0][1]
+                items = self._items
+                if items and first < items[-1][1]:
+                    # Merge behind the pending messages of equal stamp.
+                    later = []
+                    while items and items[-1][1] > first:
+                        later.append(items.pop())
+                    later.reverse()
+                    entries = heapq.merge(later, entries, key=_STAMP)
+                items.extend(entries)
                 self._cond.notify(len(msgs))
         if action is not None and msgs:
             action(msgs, ts)
@@ -211,11 +224,12 @@ class Queue:
             while True:
                 until = None
                 if items:
-                    until = items[0][0]
+                    head = items[0]
+                    until = head[1]
                     if until <= clock.now():
-                        _, _, msg = heapq.heappop(items)
+                        items.popleft()
                         self._delivered += 1
-                        return msg, until
+                        return head
                 if deadline is not None:
                     if deadline <= clock.now():
                         return None
@@ -235,15 +249,15 @@ class Queue:
         with self._lock:
             if self._trigger is not None:
                 raise ConfigurationError(f"queue {self._name!r} already has a trigger")
-            backlog = sorted(self._items)
-            if backlog and backlog[-1][0] > self._clock.now():
+            backlog = list(self._items)
+            if backlog and backlog[-1][1] > self._clock.now():
                 raise ConfigurationError(
                     f"queue {self._name!r} holds a message that is not due yet")
             self._trigger = action
             self._items.clear()
             self._delivered += len(backlog)
-        for ts, run in itertools.groupby(backlog, key=itemgetter(0)):
-            action(tuple(msg for _, _, msg in run), ts)
+        for ts, run in itertools.groupby(backlog, key=_STAMP):
+            action(tuple(msg for msg, _ in run), ts)
 
 
 class QueueFabric:

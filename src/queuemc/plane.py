@@ -20,7 +20,9 @@ packs the batch's responses, in one :func:`pack_response` call, and its
 error messages. ``local`` and the remote worker stamp, run, sleep out a
 stub and stamp again on the wall clock (:func:`execute`); only ``local``
 keeps an invocation record of the pass. ``sim`` takes the stamps from its
-scheduler, for a whole push in one :meth:`SimScheduler.assign` call.
+scheduler, for a whole push in one :meth:`SimScheduler.assign` call that
+returns them as lists, keeps those lists with the push's ids, and builds
+its invocation records from them only when ``records`` is read.
 Every backend answers a fault outside the task, one that
 :meth:`TaskRunner.run` does not classify (say, while packing a
 response), with ``worker-crash`` for each request it hit
@@ -72,7 +74,7 @@ import numpy as np
 from . import kernel
 from .clocks import VirtualClock
 from .datasets import read_container
-from .errors import ConfigurationError, NotFoundError, WireFormatError
+from .errors import ConfigurationError, NotFoundError, WireFormatError, WorkerCrashError
 from .fabric import Message, MessageKind, Queue
 from .payloads import pack_error, pack_response, unpack_request
 
@@ -141,7 +143,10 @@ class InvocationRecord:
     once per request in it. At most one record of a dataset is ``cold``:
     that of the request whose call parsed it, unless it failed. Records
     are not frozen, as a frozen one takes twice as long to build: treat
-    them as read-only.
+    them as read-only. ``local`` and ``remote`` build a record as each
+    request is answered; ``sim`` and :func:`simulate` build theirs from a
+    :meth:`SimScheduler.assign` schedule when they are read, so a ``sim``
+    run that nobody reads records from builds none.
     """
 
     msg_id: int
@@ -276,9 +281,15 @@ def respond(msgs: Sequence[Message],
     in step with ``msgs``: a likelihood response carrying them, or a
     control message carrying the result's ``(code, detail)`` error. The
     payloads take one :func:`pack_response` call, in which a failed
-    request packs a log-likelihood of 0 that is not sent."""
+    request packs a log-likelihood of 0 that is not sent. When no request
+    failed, the messages take one ``map``."""
+    values = [result for result, _, _ in results]
+    if tuple not in map(type, values):  # a failed request's result is a tuple
+        return list(map(Message, [msg.msg_id for msg in msgs],
+                        itertools.repeat(MessageKind.LIKELIHOOD_RESPONSE),
+                        pack_response(values, cold, start_ts, end_ts)))
     payloads = pack_response([0.0 if isinstance(result, tuple) else result
-                              for result, _, _ in results], cold, start_ts, end_ts)
+                              for result in values], cold, start_ts, end_ts)
     return [Message(msg.msg_id, MessageKind.CONTROL, pack_error(*result))
             if isinstance(result, tuple)
             else Message(msg.msg_id, MessageKind.LIKELIHOOD_RESPONSE, payload)
@@ -310,6 +321,11 @@ def execute(runner: TaskRunner, clock, msgs: Sequence[Message],
         return crash_answers(msgs, exc), None
 
 
+def plane_closed(backend: str) -> WorkerCrashError:
+    """The error a push onto a closed plane raises."""
+    return WorkerCrashError(f"plane-closed: the {backend} plane was closed")
+
+
 def crash_answers(msgs: Sequence[Message], exc: Exception) -> list[Message]:
     """A ``worker-crash`` control message for each of ``msgs``, naming
     ``exc``, a fault outside the task; call it from the except block, so
@@ -332,32 +348,38 @@ class SimScheduler:
     def __init__(self, model: BackendModel, seed: int = 0):
         self._model = model
         self._rng = np.random.default_rng(seed) if model.jitter_std_s > 0 else None
-        # (next_free_ts, instance number, worker id)
-        self._free: list[tuple[float, int, str]] = []
+        # (next_free_ts, instance number)
+        self._free: list[tuple[float, int]] = []
         self._provisioned = 0
         self._origin: float | None = None
         self._next_ramp: float | None = None  # when the next instance is provisioned
 
-    def assign(self, ids: Sequence, dispatch_ts: Sequence[float],
-               durations: Sequence[float]) -> list[InvocationRecord]:
-        """Assign invocations in order; return one record each.
+    def assign(self, dispatch_ts: Sequence[float], durations: Sequence[float],
+               ) -> tuple[list[float], list[float], list[bool], list[int]]:
+        """Assign invocations in order; return their schedule as four lists
+        in step with them: start stamps, end stamps, cold flags and
+        instance numbers (1-based).
 
-        ``ids``, ``dispatch_ts`` and ``durations`` run in step. Each
-        invocation is placed after those before it, whether they came in
-        this call or an earlier one, so the records do not depend on how
-        the invocations are split across calls.
+        ``dispatch_ts`` and ``durations`` run in step. Each invocation is
+        placed after those before it, whether they came in this call or an
+        earlier one, so the schedule does not depend on how the
+        invocations are split across calls. No record is built here:
+        :func:`simulate` and :attr:`SimulatedPlane.records` build their
+        records from the lists when they are read.
         """
         m = self._model
-        warm, cold_start, ramp_delay = m.warm_invoke_s, m.cold_start_s, m.ramp_delay
+        warm, cold_start = m.warm_invoke_s, m.cold_start_s
+        capacity, doubling, log2 = m.initial_capacity, m.scale_doubling_interval_s, math.log2
         if self._rng is None:
             jitters = itertools.repeat(0.0)
         else:
             std = m.jitter_std_s
-            jitters = [max(0.0, std * z) for z in self._rng.standard_normal(len(ids)).tolist()]
-        free, heappop, heappush = self._free, heapq.heappop, heapq.heappush
+            jitters = [max(0.0, std * z)
+                       for z in self._rng.standard_normal(len(durations)).tolist()]
+        free, heapreplace, heappush = self._free, heapq.heapreplace, heapq.heappush
         origin, next_ramp, provisioned = self._origin, self._next_ramp, self._provisioned
-        records = []
-        for msg_id, ts, duration, jitter in zip(ids, dispatch_ts, durations, jitters):
+        starts, ends, cold, instances = [], [], [], []
+        for ts, duration, jitter in zip(dispatch_ts, durations, jitters):
             if origin is None:
                 origin = ts
             # Each ``b if b > a else a`` is ``max(a, b)``, NaN included,
@@ -368,22 +390,42 @@ class SimScheduler:
             else:
                 reuse_ready = math.inf
             if next_ramp is None:
-                next_ramp = origin + ramp_delay(provisioned + 1)
+                # origin + m.ramp_delay(provisioned + 1), without the call.
+                n = provisioned + 1
+                next_ramp = origin + (doubling * log2(n / capacity) if n > capacity else 0.0)
             fresh_ready = (next_ramp if next_ramp > ts else ts) + cold_start + warm
             if reuse_ready <= fresh_ready:
-                _, wid, worker_id = heappop(free)
-                start, cold = reuse_ready + jitter, False
+                start = reuse_ready + jitter
+                end = start + duration
+                instance = free[0][1]
+                # One step for pop and push: instance numbers are unique,
+                # so the heap's entries come out in one order either way.
+                heapreplace(free, (end, instance))
+                cold.append(False)
             else:
                 provisioned += 1
                 next_ramp = None
-                wid = provisioned
-                worker_id = f"sim-{wid:05d}"
-                start, cold = fresh_ready + jitter, True
-            end = start + duration
-            heappush(free, (end, wid, worker_id))
-            records.append(InvocationRecord(msg_id, worker_id, ts, start, end, cold))
+                start = fresh_ready + jitter
+                end = start + duration
+                instance = provisioned
+                heappush(free, (end, instance))
+                cold.append(True)
+            starts.append(start)
+            ends.append(end)
+            instances.append(instance)
         self._origin, self._next_ramp, self._provisioned = origin, next_ramp, provisioned
-        return records
+        return starts, ends, cold, instances
+
+
+def _sim_records(ids: Iterable, dispatch_ts: Iterable[float],
+                schedule: tuple[list[float], list[float], list[bool], list[int]],
+                ) -> list[InvocationRecord]:
+    """The records of invocations ``ids`` dispatched at ``dispatch_ts``,
+    given their :meth:`SimScheduler.assign` schedule; instance n runs as
+    worker ``sim-%05d``."""
+    starts, ends, cold, instances = schedule
+    return list(map(InvocationRecord, ids, map("sim-%05d".__mod__, instances),
+                    dispatch_ts, starts, ends, cold))
 
 
 def simulate(requests: Iterable[tuple[int, float, float]], model: BackendModel,
@@ -397,9 +439,9 @@ def simulate(requests: Iterable[tuple[int, float, float]], model: BackendModel,
     jitter seed.
     """
     ordered = sorted(requests, key=lambda req: req[1])
-    return SimScheduler(model, seed=seed).assign([req[0] for req in ordered],
-                                                 [req[1] for req in ordered],
-                                                 [req[2] for req in ordered])
+    stamps = [req[1] for req in ordered]
+    schedule = SimScheduler(model, seed=seed).assign(stamps, [req[2] for req in ordered])
+    return _sim_records([req[0] for req in ordered], stamps, schedule)
 
 
 class _PlaneBase:
@@ -429,14 +471,18 @@ class SimulatedPlane(_PlaneBase):
     their math for real, but all timestamps (including the response's
     arrival on the output queue) come from the virtual clock plus the
     modeled latency. A push runs in passes (see the module docstring).
-    Its requests are then assigned, answered and recorded in one call
-    each, in push order, and one clock event at the push's earliest end
-    stamp hands all its answers to the output queue, each due at its own
-    end stamp. A consumer pops each answer at its end stamp, answers of
-    equal stamps in push order, and until the first answer is due the
-    output queue reads empty. A fault while assigning or answering a push
-    answers each of its requests with ``worker-crash`` at the push's
-    stamp, and records none of them.
+    Its requests are then assigned and answered in one call each, in push
+    order, and one clock event at the push's earliest end stamp hands all
+    its answers to the output queue, each due at its own end stamp. A
+    consumer pops each answer at its end stamp, answers of equal stamps in
+    push order, and until the first answer is due the output queue reads
+    empty. A fault while assigning or answering a push answers each of its
+    requests with ``worker-crash`` at the push's stamp, and records none
+    of them.
+
+    The plane keeps each answered push's ids, stamp and schedule, not its
+    messages, and builds :attr:`records` from them when they are read.
+    After :meth:`close`, a push raises :class:`WorkerCrashError`.
     """
 
     backend = "sim"
@@ -452,9 +498,20 @@ class SimulatedPlane(_PlaneBase):
         self._output_q = output_q
         self._runner = TaskRunner(store, likelihood_fn)
         self._sched = SimScheduler(model, seed=seed)
+        # (msg ids, dispatch stamp, assign's schedule) per answered push.
+        self._pushes: list[tuple[list, float, tuple]] = []
+        self._closed = False
         input_q.register_trigger(self._on_message)
 
+    @property
+    def records(self) -> list[InvocationRecord]:
+        """One record per answered request, in push order, built on each read."""
+        return [rec for ids, ts, schedule in list(self._pushes)
+                for rec in _sim_records(ids, itertools.repeat(ts), schedule)]
+
     def _on_message(self, msgs: Sequence[Message], ts: float) -> None:
+        if self._closed:
+            raise plane_closed(self.backend)
         limit = len(msgs)
         if limit > 1:
             try:
@@ -469,20 +526,22 @@ class SimulatedPlane(_PlaneBase):
             results += self._runner.run(msgs[i:i + limit])
         duration = self._model.likelihood_duration_s
         try:
-            recs = self._sched.assign([msg.msg_id for msg in msgs], [ts] * len(msgs),
-                                      [duration if stub_s is None else stub_s
-                                       for _, _, stub_s in results])
-            ends = [rec.end_ts for rec in recs]
-            answers = respond(msgs, results, [rec.cold for rec in recs],
-                              [rec.start_ts for rec in recs], ends)
+            schedule = self._sched.assign([ts] * len(msgs),
+                                          [duration if stub_s is None else stub_s
+                                           for _, _, stub_s in results])
+            starts, ends, cold, _ = schedule
+            answers = respond(msgs, results, cold, starts, ends)
             self._clock.schedule(min(ends), self._answer, answers, ends)
         except Exception as exc:
             self._output_q.push(*crash_answers(msgs, exc))
         else:
-            self._record(*recs)
+            self._pushes.append(([msg.msg_id for msg in msgs], ts, schedule))
 
     def _answer(self, answers: Sequence[Message], ends: Sequence[float]) -> None:
         self._output_q.push(*answers, due=ends)
+
+    def close(self) -> None:
+        self._closed = True
 
 
 class LocalPoolPlane(_PlaneBase):
@@ -521,8 +580,11 @@ class LocalPoolPlane(_PlaneBase):
             limit = self._runner.batch_limit(unpack_request(msgs[0].payload)[1])
         except WireFormatError:
             limit = 1
-        for i in range(0, len(msgs), limit):
-            self._pool.submit(self._work, msgs[i:i + limit], ts)
+        try:
+            for i in range(0, len(msgs), limit):
+                self._pool.submit(self._work, msgs[i:i + limit], ts)
+        except RuntimeError as exc:  # the pool is shut down
+            raise plane_closed(self.backend) from exc
 
     def _work(self, batch: Sequence[Message], dispatch_ts: float) -> None:
         answers, ran = execute(self._runner, self._clock, batch)

@@ -26,10 +26,11 @@ client's own ``close()``. The client counts a response frame it cannot
 decode or unpack as a broken connection. It reports the break as one
 ``connection-lost`` control message on the output queue, so a run fails at
 once instead of waiting out its timeout, and shuts the socket, so a later
-send fails at once too, naming the same cause. The client keeps no
-state per request, so its records' ``dispatch_ts`` is NaN. A worker fault
-outside the task draws a ``worker-crash`` frame and the connection serves
-on.
+send fails at once too, naming the same cause. A send after the client's
+own ``close()`` fails at once, saying that the plane was closed. The
+client keeps no state per request, so its records' ``dispatch_ts`` is
+NaN. A worker fault outside the task draws a ``worker-crash`` frame and
+the connection serves on.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from .errors import ConfigurationError, WireFormatError, WorkerCrashError
 from .fabric import (NO_REQUEST, Message, MessageKind, decode_message,
                      encode_message)
 from .payloads import pack_error, unpack_response
-from .plane import InvocationRecord, TaskRunner, _PlaneBase, execute
+from .plane import InvocationRecord, TaskRunner, _PlaneBase, execute, plane_closed
 from .store import DirectoryObjectStore
 
 log = logging.getLogger(__name__)
@@ -178,6 +179,8 @@ class RemoteWorkerClient(_PlaneBase):
             with self._send_lock:
                 write_frame(self._sock, *bodies)
         except OSError as exc:
+            if self._closing.is_set():
+                raise plane_closed(self.backend) from exc
             raise WorkerCrashError(f"connection-lost: {self._lost or exc}") from exc
 
     def _read_loop(self) -> None:

@@ -693,6 +693,26 @@ def test_fault_outside_the_task_fails_the_run_at_once(backend, make_backend, mon
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
+def test_run_on_a_closed_plane_fails_at_once(backend, make_backend):
+    fabric, input_q, output_q, plane = make_backend(backend, likelihood_fn=gaussian_target)
+    config = ChainConfig(n_walkers=3, n_iterations=2, proposal_scale=1.0, seed=0)
+
+    def run():
+        return run_chains(config, plane, input_q, output_q, init_positions=np.zeros((3, 1)),
+                          dataset_key="", response_timeout_s=TIMEOUT_S)
+
+    assert run().complete
+    plane.close()
+    start = time.monotonic()
+    with pytest.raises(WorkerCrashError, match=f"plane-closed: the {backend} plane was closed"
+                       ) as err:
+        run()
+    assert time.monotonic() - start < 1.0
+    partial = err.value.partial_output
+    assert partial.n_iterations == 0 and not partial.complete and partial.backend == backend
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
 def test_leftover_responses_are_never_used(backend, make_backend, caplog):
     # The first run aborts on a crash with two answers still owed; they
     # carry -123, every later answer -1. The next run drops them, as the

@@ -1,3 +1,4 @@
+import itertools
 import math
 import threading
 
@@ -417,6 +418,58 @@ def test_fifo_and_conservation_property(payloads):
     assert [m.payload for m in out] == payloads
     n = len(payloads)
     assert fabric.stats() == {"q": {"pushed": n, "delivered": n, "pending": 0}}
+
+
+# A step of a virtual-clock queue's life: push k messages plainly, push
+# them each due at now + an offset (offsets repeat, so stamps tie, and a
+# plain push after a due one lands before it), or pop with a timeout,
+# which may move the clock.
+OFFSETS = st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.5])
+STEPS = st.one_of(
+    st.tuples(st.just("plain"), st.integers(1, 4)),
+    st.tuples(st.just("due"), st.lists(OFFSETS, min_size=1, max_size=5)),
+    st.tuples(st.just("pop"), OFFSETS),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(STEPS, max_size=30))
+def test_plain_and_due_pushes_pop_in_stamp_then_push_order(steps):
+    clock = VirtualClock()
+    fabric = QueueFabric(clock)
+    q = fabric.create_queue("q")
+    pending, popped, ids = [], [], itertools.count()  # pending: (stamp, id)
+
+    def check_pop(timeout):
+        deadline = None if timeout is None else clock.now() + timeout
+        got = q.pop(timeout)
+        # The reference: the lowest (stamp, push order) once it is due.
+        head = min(pending, default=None)
+        if head is None or (deadline is not None and head[0] > deadline):
+            assert got is None
+        else:
+            pending.remove(head)
+            assert (got[0].msg_id, got[1]) == (head[1], head[0])
+            popped.append(head)
+        (s,) = fabric.stats().values()
+        assert (s["pushed"], s["delivered"], s["pending"]) == (
+            len(popped) + len(pending), len(popped), len(pending))
+
+    for kind, arg in steps:
+        now = clock.now()
+        if kind == "plain":
+            batch = [next(ids) for _ in range(arg)]
+            assert q.push(*map(msg, batch)) == now
+            pending += [(now, i) for i in batch]
+        elif kind == "due":
+            batch = [next(ids) for _ in arg]
+            q.push(*map(msg, batch), due=[now + off for off in arg])
+            pending += [(now + off, i) for i, off in zip(batch, arg)]
+        else:
+            check_pop(arg)
+    while pending:
+        check_pop(None)
+    assert popped == sorted(popped)
 
 
 # Wire format

@@ -338,18 +338,30 @@ def staggered_requests():
     return requests
 
 
+def schedule_of(records):
+    """The four lists that ``SimScheduler.assign`` returns for the
+    invocations of ``records``: start and end stamps, cold flags and
+    instance numbers."""
+    return ([r.start_ts for r in records], [r.end_ts for r in records],
+            [r.cold for r in records], [int(r.worker_id.removeprefix("sim-")) for r in records])
+
+
 @pytest.mark.parametrize("jitter", [0.0, 0.4])
 def test_assign_matches_a_request_by_request_reference(jitter):
     model = BackendModel(likelihood_duration_s=1.0, jitter_std_s=jitter)
     requests = staggered_requests()
-    expected = reference_schedule(model, requests, seed=3)
-    assert {r.cold for r in expected} == {True, False}  # ramp-up and reuse
-    ids, stamps, durations = (list(column) for column in zip(*requests))
-    assert SimScheduler(model, seed=3).assign(ids, stamps, durations) == expected
+    expected = schedule_of(reference_schedule(model, requests, seed=3))
+    assert set(expected[2]) == {True, False}  # ramp-up and reuse
+    _, stamps, durations = (list(column) for column in zip(*requests))
+    schedule = SimScheduler(model, seed=3).assign(stamps, durations)
+    assert schedule == expected
+    assert [type(v) for column in schedule for v in column] == [
+        type(v) for column in expected for v in column]
     # However the requests are split across calls.
-    sched, split = SimScheduler(model, seed=3), []
+    sched, split = SimScheduler(model, seed=3), ([], [], [], [])
     for lo, hi in ((0, 1), (1, 8), (8, 9), (9, len(requests))):
-        split += sched.assign(ids[lo:hi], stamps[lo:hi], durations[lo:hi])
+        for column, part in zip(split, sched.assign(stamps[lo:hi], durations[lo:hi])):
+            column += part
     assert split == expected
 
 
@@ -412,6 +424,48 @@ def test_sim_output_reads_empty_until_the_first_answer_is_due(sim_setup):
     # Each answer comes at its own end stamp, in stamp order, then push order.
     assert [(m.msg_id, ts) for m, ts in got] == sorted(ends.items(), key=lambda e: e[1])
     assert fabric.stats()["output"] == {"pushed": 6, "delivered": 6, "pending": 0}
+
+
+def test_sim_builds_no_record_until_records_is_read(sim_setup, monkeypatch):
+    built = []
+
+    def counted(*fields):
+        built.append(fields[0])
+        return InvocationRecord(*fields)
+
+    monkeypatch.setattr("queuemc.plane.InvocationRecord", counted)
+    fabric, input_q, output_q, plane = sim_setup()
+    config = ChainConfig(n_walkers=16, n_iterations=3, proposal_scale=1.0, seed=0)
+    run_chains(config, plane, input_q, output_q, init_positions=np.zeros((16, 1)),
+               dataset_key=make_stub_key(1.0))
+    assert built == []
+    assert [r.msg_id for r in plane.records] == built == list(range(48))
+
+
+def test_sim_records_equal_a_simulate_replay_field_for_field(sim_setup):
+    model = BackendModel(likelihood_duration_s=1.0, jitter_std_s=0.3)
+    fabric, input_q, output_q, plane = sim_setup(model=model, seed=5)
+    config = ChainConfig(n_walkers=32, n_iterations=4, proposal_scale=1.0, seed=0)
+    out = run_chains(config, plane, input_q, output_q, init_positions=np.zeros((32, 1)),
+                     dataset_key=make_stub_key(1.0))
+    dispatch = out.dispatch_ts.tolist()
+    replay = simulate([(it * 32 + w, dispatch[w][it], 1.0)
+                       for it in range(4) for w in range(32)], model, seed=5)
+    records = plane.records
+    assert len({r.worker_id for r in records}) < len(records)  # instances are reused
+    assert len({r.end_ts for r in records}) > 4  # the jitter spreads each wave
+    assert records == replay
+    assert plane.records == records
+
+
+def test_assign_places_new_instances_on_the_ramp():
+    # A wave that provisions an instance per request starts instance n at
+    # its ramp_delay(n) after the origin, to the bit.
+    model = BackendModel()
+    starts, _, cold, instances = SimScheduler(model).assign([5.5] * 4096, [1e6] * 4096)
+    assert all(cold) and instances == list(range(1, 4097))
+    assert starts == [5.5 + model.ramp_delay(n) + model.cold_start_s + model.warm_invoke_s
+                      for n in instances]
 
 
 def spy_on_runs(plane, monkeypatch):
